@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .scalars import Scalar
@@ -10,19 +11,29 @@ from .scalars import Scalar
 ScalarMatrix = list[list[Scalar]]
 
 
-def insert_echelon_row(echelon: list[list[Fraction]], pivots: list[int],
-                       row: Sequence[Fraction]) -> bool:
-    """Reduce row against the echelon; insert and return True if independent."""
-    work = list(row)
+def insert_echelon_row(echelon: list[list[int]], pivots: list[int],
+                       row: Sequence[Fraction | int]) -> bool:
+    """Reduce row against the echelon; insert and return True if independent.
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968): the ``int`` or ``Fraction``
+    row is cleared of denominators, each step takes the gcd-cancelled integer
+    combination b*row - a*erow, and rows are stored primitive.  Stored rows are
+    multiples of those of rational elimination: same ranks, same pivots.
+    """
+    den = lcm(*(x.denominator for x in row))
+    work = [x.numerator * (den // x.denominator) for x in row]
     for erow, p in zip(echelon, pivots):
-        if work[p] != 0:
-            f = work[p] / erow[p]
-            for c in range(len(work)):
-                work[c] -= f * erow[c]
-    pivot = next((c for c, v in enumerate(work) if v != 0), None)
+        a = work[p]
+        if a:
+            b = erow[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            work = [b * x - a * y for x, y in zip(work, erow)]
+    pivot = next((c for c, v in enumerate(work) if v), None)
     if pivot is None:
         return False
-    echelon.append(work)
+    g = gcd(*work)
+    echelon.append([x // g for x in work] if g > 1 else work)
     pivots.append(pivot)
     return True
 
@@ -77,25 +88,12 @@ def scalar_mat_mul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
     return out
 
 
-def scalar_mat_vec(a: ScalarMatrix, v: Sequence[Scalar]) -> list[Scalar]:
-    return [sum((a[i][k] * v[k] for k in range(len(v)) if not a[i][k].is_zero()),
-                Scalar.zero()) for i in range(len(a))]
-
-
-def scalar_mat_add(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def scalar_mat_neg(a: ScalarMatrix) -> ScalarMatrix:
     return [[-x for x in row] for row in a]
 
 
 def scalar_mat_eq(a: ScalarMatrix, b: ScalarMatrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def scalar_transpose(a: ScalarMatrix) -> ScalarMatrix:
-    return [list(col) for col in zip(*a)]
 
 
 def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:

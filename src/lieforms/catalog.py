@@ -115,14 +115,6 @@ def _psi_lines(dim: int, pairs: list[tuple[tuple[int, int], tuple[int, int]]]) -
     return f"psi_plus = {plus.render()}\npsi_minus = {minus.render()}"
 
 
-def _f_lines(dim: int, pairs) -> str:
-    total = Form.zero(dim, 2)
-    for re, im in pairs:
-        total = total + wedge(_gen(dim, abs(re), 1 if re > 0 else -1),
-                              _gen(dim, abs(im), 1 if im > 0 else -1))
-    return f"F = {total.render()}"
-
-
 PAIRS_123456 = [(1, 2), (3, 4), (5, 6)]
 PAIRS_12345678 = [(1, 2), (3, 4), (5, 6), (7, 8)]
 

@@ -1,6 +1,6 @@
 """Metric connections on a Lie algebra with orthonormal coframe: Levi-Civita,
 the Hermitian connection with totally skew torsion, curvature and the
-infinitesimal holonomy span.
+holonomy algebra.
 
 Conventions, pinned by reproducing published connection tables exactly:
 brackets are read from the structure equations through da(X, Y) = -a([X, Y]),
@@ -10,6 +10,13 @@ the Levi-Civita connection shifted by half the torsion 3-form T = J dF.  Two
 independent code paths (Koszul plus torsion correction, and the closed-form
 solution of the first Cartan structure equation with prescribed skew torsion)
 must agree on every input.
+
+Holonomy uses Kostant's bracket iteration for invariant connections (Kostant,
+Trans. AMS 80, 1955): V_{k+1} = V_k + [nabla, V_k] from the span V_0 of the
+curvature endomorphisms.  V_k is the span of R and its covariant derivatives
+through order k, by the identity
+(nabla_W nabla^k R)(...) = [nabla_W, nabla^k R(...)] - sum nabla^k R(..., nabla_W ., ...);
+those tensors remain a second path for the tests.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ._linalg import insert_echelon_row
-from .algebras import LieAlgebra
-from .exterior import CoframeMap, Form, apply_coframe_map, wedge
+from .algebras import LieAlgebra, check_jacobi
+from .exterior import CoframeMap, Form, apply_coframe_map, sort_index, wedge
 from .scalars import Scalar
 
 __all__ = [
@@ -57,6 +65,11 @@ class MetricFrame:
             raise ValueError("J dimension mismatch")
         if not self.algebra.is_rational():
             raise ValueError("connection computations need rational structure constants")
+        jacobi = check_jacobi(self.algebra)
+        if not jacobi.passed:
+            i, residual = jacobi.residuals[0]
+            raise ValueError("connections need a Lie algebra, but the Jacobi identity "
+                             f"fails: d^2 e{i} = {residual.render()}")
         if not self.J.squares_to_minus_identity():
             raise ValueError("J must square to minus the identity")
         if not self.J.is_orthogonal():
@@ -159,21 +172,8 @@ def torsion_form(frame: MetricFrame, kaehler_form: Form) -> tuple[Form, dict]:
 
 
 def _torsion_lookup(components: dict, i: int, j: int, k: int) -> Fraction:
-    trio = (i, j, k)
-    order = tuple(sorted(trio))
-    if len(set(trio)) < 3:
-        return Fraction(0)
-    base = components.get(order, Fraction(0))
-    if base == 0:
-        return base
-    # parity of the permutation taking sorted order to (i, j, k)
-    perm = [order.index(x) for x in trio]
-    sign = 1
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign * base
+    base = components.get(tuple(sorted((i, j, k))))
+    return sort_index((i, j, k))[0] * base if base else Fraction(0)
 
 
 def levi_civita(frame: MetricFrame) -> ConnectionSheet:
@@ -368,29 +368,56 @@ def covariant_derivative_curvature(sheet: ConnectionSheet, curv: CurvatureSheet,
     return out
 
 
+def _nonzero_entries(mat: list[list]) -> list[tuple[int, int, object]]:
+    return [(i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v]
+
+
+def _bracket(entries: list[tuple[int, int, object]], x: list[list], n: int) -> list[list]:
+    """[L, X] for skew L, given by its nonzero entries (i, r, L[i][r]), and skew X.
+
+    Both are skew, so XL = (LX)^T and [L, X] = LX - (LX)^T.
+    """
+    p = [[0] * n for _ in range(n)]
+    for i, r, v in entries:
+        xr, pi = x[r], p[i]
+        for j in range(n):
+            if xr[j]:
+                pi[j] += v * xr[j]
+    return [[p[i][j] - p[j][i] for j in range(n)] for i in range(n)]
+
+
 def nabla_matrices(sheet: ConnectionSheet, curv: CurvatureSheet,
                    direction: int) -> dict[tuple[int, int], Form]:
-    """nabla_{E_direction} Omega^i_j as 2-forms, for report rendering."""
+    """nabla_{E_direction} Omega^i_j as 2-forms, for report rendering.
+
+    Only the one direction m is computed, from
+    (nabla_{e_m} R)(e_k, e_l) = [Lambda_m, R_kl] - R(Lambda_m e_k, e_l) - R(e_k, Lambda_m e_l)
+    with Lambda_m = nabla_{e_m}.
+    """
     n = sheet.frame.algebra.dimension
-    first = covariant_derivative_curvature(sheet, curv, 1)[0]
-    out: dict[tuple[int, int], Form] = {}
-    for (k, l, m), mat in first.items():
-        if m != direction:
-            continue
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                val = mat[i - 1][j - 1]
-                if val:
-                    prev = out.get((i, j), Form.zero(n, 2))
-                    out[(i, j)] = prev + Form(n, 2, {(k, l): Scalar.rational(val)})
-    return out
+    lam = [[g[direction - 1] for g in row] for row in sheet.gamma]
+    entries = _nonzero_entries(lam)
+    zero = [[0] * n for _ in range(n)]
+    r: dict[tuple[int, int], Matrix] = {}  # R(e_k, e_l), 0-based, both orders
+    for (k, l), mat in curv.tensor().items():
+        r[(k - 1, l - 1)], r[(l - 1, k - 1)] = mat, [[-v for v in row] for row in mat]
+    coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
+    for k, l in itertools.combinations(range(n), 2):
+        bracket = _bracket(entries, r.get((k, l), zero), n)
+        terms = ([(lam[s][k], r[(s, l)]) for s in range(n) if lam[s][k] and (s, l) in r]
+                 + [(lam[s][l], r[(k, s)]) for s in range(n) if lam[s][l] and (k, s) in r])
+        for i, j in itertools.combinations(range(n), 2):
+            val = bracket[i][j] - sum(a * mat[i][j] for a, mat in terms)
+            if val:
+                coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(val)
+    return {key: Form(n, 2, c) for key, c in coeffs.items()}
 
 
 @dataclass(frozen=True)
 class HolonomyReport:
     span_dimension: int
     generation_dimensions: tuple[int, ...]
-    basis: tuple[tuple[tuple[Fraction, ...], ...], ...]
+    basis: tuple[tuple[tuple[int, ...], ...], ...]  # integer skew matrices
     contained_in_u_n: bool
     contained_in_su_n: bool
     stabilized_at_order: int | None
@@ -405,45 +432,60 @@ class HolonomyReport:
                 f"stabilized at order {stab}")
 
 
+def _integral(mat: Matrix) -> list[list[int]]:
+    """The rational matrix times the lcm of its denominators."""
+    den = lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+
+
 def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
                      max_order: int = 6) -> HolonomyReport:
-    """Span of curvature endomorphisms and their iterated covariant derivatives.
+    """Holonomy algebra by Kostant's bracket iteration.
 
-    Spans are computed by exact elimination after each generation; the scan
-    stops one generation after the span stops growing, or at max_order.
+    V_0 = span{R(e_k, e_l)} and V_{k+1} = V_k + [Lambda, new_k], where
+    Lambda_m = nabla_{e_m} and new_k holds the matrices that grew the span at
+    order k (Kostant, Trans. AMS 80, 1955; Kobayashi-Nomizu II, Ch. X).  V_k
+    equals the span of the curvature and its covariant derivatives through
+    order k, since
+    (nabla_W nabla^k R)(...) = [Lambda_W, nabla^k R(...)] - sum nabla^k R(..., Lambda_W ., ...)
+    and the correction terms already lie in V_k.  All matrices are skew and
+    are scaled to integers, which leaves every span unchanged; spans are taken
+    by exact elimination over the entries above the diagonal.  The scan stops
+    one generation after the span stops growing, or at max_order.
     """
     n = sheet.frame.algebra.dimension
-    echelon: list[list[Fraction]] = []
+    upper = list(itertools.combinations(range(n), 2))
+    lams = [_integral([[g[m] for g in row] for row in sheet.gamma]) for m in range(n)]
+    curvatures = [_integral(mat) for _, mat in sorted(curv.tensor().items())]
+    if any(mat[i][j] != -mat[j][i] for mat in lams + curvatures
+           for i in range(n) for j in range(i, n)):
+        raise ValueError("holonomy needs a metric connection: skew connection "
+                         "and curvature matrices")
+    directions = [entries for entries in map(_nonzero_entries, lams) if entries]
+    echelon: list[list[int]] = []
     pivots: list[int] = []
-    basis: list[Matrix] = []
+    basis: list[list[list[int]]] = []
+    generations: list[int] = []
 
-    def absorb(tensor: TensorDict) -> bool:
-        grew = False
-        for key in sorted(tensor):
-            mat = tensor[key]
-            flat = [mat[i][j] for i in range(n) for j in range(n)]
-            if insert_echelon_row(echelon, pivots, flat):
-                basis.append(mat)
-                grew = True
+    def absorb(mats: list[list[list[int]]]) -> list[list[list[int]]]:
+        grew = [mat for mat in mats
+                if insert_echelon_row(echelon, pivots, [mat[i][j] for i, j in upper])]
+        basis.extend(grew)
+        generations.append(len(basis))
         return grew
 
-    generations = []
-    absorb(curv.tensor())
-    generations.append(len(echelon))
+    new = absorb(curvatures)
     stabilized: int | None = None
-    current: TensorDict = curv.tensor()
     for order in range(1, max_order + 1):
-        current = _derive_tensor(sheet, current)
-        grew = absorb(current)
-        generations.append(len(echelon))
-        if not grew:
+        new = absorb([_bracket(entries, mat, n) for mat in new for entries in directions])
+        if not new:
             stabilized = order - 1
             break
-    jm = sheet.frame.j_matrix()
+    jm = _integral(sheet.frame.j_matrix())
     in_u = all(_mat_mul(mat, jm) == _mat_mul(jm, mat) for mat in basis)
     in_su = in_u and all(
         sum(sum(jm[i][r] * mat[r][i] for r in range(n)) for i in range(n)) == 0
         for mat in basis)
     frozen = tuple(tuple(tuple(row) for row in mat) for mat in basis)
-    return HolonomyReport(len(echelon), tuple(generations), frozen, in_u, in_su,
+    return HolonomyReport(len(basis), tuple(generations), frozen, in_u, in_su,
                           stabilized)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from ._linalg import insert_echelon_row
 from .scalars import Scalar, UnsupportedScalarError
 
 Index = tuple[int, ...]
@@ -154,7 +155,7 @@ class Form:
         total = Scalar.zero()
         for idx, coeff in self.coeffs.items():
             for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_sign(perm)
+                sign = sort_index(perm)[0]
                 prod = coeff * sign
                 for slot, pos in enumerate(perm):
                     comp = vectors[pos][idx[slot] - 1]
@@ -182,15 +183,6 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({self.dimension}d deg {self.degree}: {self.render()})"
-
-
-def _perm_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def _coeff_text(coeff: Scalar, token: str) -> tuple[str, bool]:
@@ -385,7 +377,7 @@ class SpanReport:
 
 def span_rank(items: Sequence[Form] | Sequence[Sequence[Sequence[Fraction]]],
               at: Fraction | int | None = None) -> SpanReport:
-    """Rank of a span via exact Gaussian elimination over the rationals.
+    """Rank of a span via exact fraction-free elimination over the rationals.
 
     Forms with parametric coefficients require an evaluation point ``at``; a
     second engine-chosen point cross-checks the rank, and a disagreement is
@@ -406,20 +398,28 @@ def span_rank(items: Sequence[Form] | Sequence[Sequence[Sequence[Fraction]]],
         if not parametric:
             vectors = [[f.coeffs.get(idx, Scalar.zero()).as_fraction() for idx in universe]
                        for f in forms]
-            rank, basis = _eliminate(vectors)
-            return SpanReport(rank, tuple(basis))
+            basis = _independent(vectors)
+            return SpanReport(len(basis), basis)
         t0 = Fraction(at)  # type: ignore[arg-type]
         vectors = [_evaluated_vector(f, universe, t0) for f in forms]
-        rank, basis = _eliminate(vectors)
+        basis = _independent(vectors)
         t1 = _second_point(forms, universe, t0)
-        rank2, _ = _eliminate([_evaluated_vector(f, universe, t1) for f in forms])
-        return SpanReport(rank, tuple(basis), secondary_rank=rank2)
+        rank2 = len(_independent([_evaluated_vector(f, universe, t1) for f in forms]))
+        return SpanReport(len(basis), basis, secondary_rank=rank2)
     shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in items}  # type: ignore[arg-type]
     if len(shapes) != 1:
         raise ValueError("matrices in a span must share one shape")
     vectors = [[Fraction(c) for row in mat for c in row] for mat in items]  # type: ignore[union-attr]
-    rank, basis = _eliminate(vectors)
-    return SpanReport(rank, tuple(basis))
+    basis = _independent(vectors)
+    return SpanReport(len(basis), basis)
+
+
+def _independent(vectors: list[list[Fraction]]) -> tuple[int, ...]:
+    """Indices of the vectors that grow the span, in input order."""
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    return tuple(i for i, vec in enumerate(vectors)
+                 if insert_echelon_row(echelon, pivots, vec))
 
 
 def _evaluated_vector(f: Form, universe: Sequence[Index], t0: Fraction) -> list[Fraction]:
@@ -436,23 +436,3 @@ def _second_point(forms, universe, t0: Fraction) -> Fraction:
         except (UnsupportedScalarError, ValueError):
             continue
     raise ValueError("no rational secondary evaluation point found near the given one")
-
-
-def _eliminate(vectors: list[list[Fraction]]) -> tuple[int, list[int]]:
-    """Row-reduce copies of the vectors; first-nonzero pivoting, input order."""
-    echelon: list[list[Fraction]] = []
-    pivots: list[int] = []
-    basis: list[int] = []
-    for item_index, vec in enumerate(vectors):
-        row = list(vec)
-        for erow, p in zip(echelon, pivots):
-            if row[p] != 0:
-                factor = row[p] / erow[p]
-                for c in range(len(row)):
-                    row[c] -= factor * erow[c]
-        pivot = next((c for c, v in enumerate(row) if v != 0), None)
-        if pivot is not None:
-            echelon.append(row)
-            pivots.append(pivot)
-            basis.append(item_index)
-    return len(echelon), basis

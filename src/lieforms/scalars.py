@@ -406,11 +406,6 @@ class Scalar:
         """The polynomial a + b*t."""
         return Scalar.rational(Fraction(a)) + Scalar.rational(Fraction(b)) * Scalar.t()
 
-    @staticmethod
-    def linear_power(a: Fraction | int, b: Fraction | int, r: Fraction) -> Scalar:
-        """(a + b*t) ** r for any rational r, canonicalized."""
-        return Scalar.linear(a, b).rational_power(Fraction(r))
-
     # -- helpers ------------------------------------------------------------
 
     @staticmethod

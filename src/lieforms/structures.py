@@ -33,12 +33,10 @@ from .scalars import Scalar, UnsupportedScalarError
 __all__ = [
     "SU2Structure",
     "SUnStructure",
-    "balanced_report_su2",
     "check_conformal_couple",
     "circle_bundle_preconditions",
     "circle_bundle_structure",
     "complex_volume_forms",
-    "hypo_report",
     "is_balanced_su2",
     "is_balanced_sun",
     "is_hypo",
@@ -363,9 +361,6 @@ def is_balanced_su2(s: SU2Structure) -> ResidualReport:
     ))
 
 
-balanced_report_su2 = is_balanced_su2
-
-
 def is_hypo(s: SU2Structure) -> ResidualReport:
     """Residuals of d(omega1^eta) = d(omega2^eta) = d(omega3) = 0."""
     d = s.algebra.d
@@ -374,9 +369,6 @@ def is_hypo(s: SU2Structure) -> ResidualReport:
         ("d(omega2^eta)", d(wedge(s.omega2, s.eta))),
         ("d(omega3)", d(s.omega3)),
     ))
-
-
-hypo_report = is_hypo
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,22 @@ def test_bismut_and_holonomy(tmp_path):
     assert code == 0
 
 
+def test_connections_reject_non_lie_algebra(tmp_path):
+    path = write(tmp_path, "nonlie.alg", """\
+[algebra]
+compact = (0,0,0,12,34,0)
+
+[structure]
+F = e12 + e34 + e56
+J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, e5 -> -e6, e6 -> e5
+""")
+    for command in (["holonomy", path], ["bismut", path]):
+        code, out = run_cli(command)
+        assert code == 2, command
+        assert out == "error: connections need a Lie algebra, but the Jacobi identity " \
+                      "fails: d^2 e5 = -e123\n"
+
+
 def test_catalog_list_has_all_entries():
     code, out = run_cli(["catalog", "list"])
     assert code == 0

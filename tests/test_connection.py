@@ -1,13 +1,17 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from lieforms._linalg import insert_echelon_row
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
+from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.connection import (
     MetricFrame,
     bismut_connection,
     connection_from_cartan,
+    covariant_derivative_curvature,
     curvature,
     holonomy_algebra,
     levi_civita,
@@ -181,7 +185,6 @@ def test_holonomy_span_is_enumeration_invariant():
     for _ in range(4):
         keys = list(tensor)
         rng.shuffle(keys)
-        from lieforms._linalg import insert_echelon_row
         echelon, pivots = [], []
         for key in keys:
             mat = tensor[key]
@@ -315,3 +318,68 @@ def test_metric_frame_rejects_bad_j():
     ])
     with pytest.raises(ValueError, match="preserve"):
         MetricFrame(IWASAWA, scaled)
+
+
+def catalog_sheet(name):
+    sf = parse_equations(get_entry(name).payload, name=name)
+    sheet = bismut_connection(MetricFrame(sf.algebra, sf.coframe_map), sf.forms["F"])
+    return sheet, curvature(sheet)
+
+
+@pytest.mark.parametrize("name", ["thm4.1-I", "ex4.3"])  # thm4.1-I is the Iwasawa group
+def test_nabla_matrices_match_first_order_tensor(name):
+    sheet, curv = catalog_sheet(name)
+    n = sheet.frame.algebra.dimension
+    first = covariant_derivative_curvature(sheet, curv, order=1)[0]
+    for m in range(1, n + 1):
+        want = {}
+        for (k, l, direction), mat in first.items():
+            for i, j in itertools.combinations(range(1, n + 1), 2):
+                if direction == m and mat[i - 1][j - 1]:
+                    want[(i, j)] = (want.get((i, j), Form.zero(n, 2))
+                                    + form(n, (f"{k}{l}", mat[i - 1][j - 1])))
+        assert nabla_matrices(sheet, curv, m) == want, m
+
+
+HOLONOMY_ENTRIES = [e.name for e in catalog_manifest() if "holonomy_dim" in e.expected]
+
+
+def assert_generations_match_tensor_spans(sheet, curv, order):
+    """Kostant's bracket spans against the spans of R, nabla R, ..., nabla^order R."""
+    gens = holonomy_algebra(sheet, curv).generation_dimensions
+    echelon, pivots, ranks = [], [], []
+    for tensor in [curv.tensor()] + covariant_derivative_curvature(sheet, curv, order):
+        for mat in tensor.values():
+            insert_echelon_row(echelon, pivots, [v for row in mat for v in row])
+        ranks.append(len(echelon))
+    # once the span stops growing it stays put, so shorter generation lists extend
+    assert ranks == [gens[min(k, len(gens) - 1)] for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("name", HOLONOMY_ENTRIES)
+def test_holonomy_generations_match_tensor_derivatives(name):
+    assert_generations_match_tensor_spans(*catalog_sheet(name), order=2)
+
+
+def test_holonomy_generations_match_tensor_derivatives_slow_growth():
+    # J is not integrable here, but the skew-torsion connection is still metric,
+    # and its span grows over three orders: generations 8, 14, 15, 15
+    frame = MetricFrame(parse_compact("(0,0,0,12,14-23,15+34)"), STANDARD_J6)
+    sheet = bismut_connection(frame, form(6, ("12", 1), ("34", 1), ("56", 1)))
+    curv = curvature(sheet)
+    assert holonomy_algebra(sheet, curv).generation_dimensions == (8, 14, 15, 15)
+    assert_generations_match_tensor_spans(sheet, curv, order=3)
+
+
+def test_holonomy_rejects_non_metric_connection():
+    frame, kf = iwasawa_frame()
+    sheet = bismut_connection(frame, kf)
+    curv = curvature(sheet)
+    sheet.gamma[0][0][0] = F(1)  # nabla_{e_1} e_1 gains an e_1 part: not skew
+    with pytest.raises(ValueError, match="metric connection"):
+        holonomy_algebra(sheet, curv)
+
+
+def test_metric_frame_rejects_non_lie_algebra():
+    with pytest.raises(ValueError, match=r"Jacobi identity fails: d\^2 e5 = -e123"):
+        MetricFrame(parse_compact("(0,0,0,12,34,0)"), STANDARD_J6)

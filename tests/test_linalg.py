@@ -1,0 +1,66 @@
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from lieforms._linalg import insert_echelon_row
+
+
+def fraction_gauss(rows):
+    """Textbook rational elimination with first-nonzero pivots, in input order."""
+    echelon, pivots, grew = [], [], []
+    for row in rows:
+        work = [Fraction(v) for v in row]
+        for erow, p in zip(echelon, pivots):
+            if work[p]:
+                f = work[p] / erow[p]
+                work = [a - f * b for a, b in zip(work, erow)]
+        pivot = next((c for c, v in enumerate(work) if v), None)
+        grew.append(pivot is not None)
+        if pivot is not None:
+            echelon.append(work)
+            pivots.append(pivot)
+    return grew, pivots, echelon
+
+
+def planted_rows(rng, ncols, rational):
+    """Random sparse rows, mixed with combinations of earlier rows and zero rows."""
+    def entry():
+        if rng.random() < 0.4:
+            return 0
+        num = rng.randint(-9, 9)
+        return Fraction(num, rng.randint(1, 12)) if rational else num
+
+    rows = []
+    for _ in range(rng.randint(1, 2 * ncols)):
+        kind = rng.random()
+        if rows and kind < 0.4:
+            picked = rng.sample(rows, rng.randint(1, min(3, len(rows))))
+            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rational
+                      else rng.randint(-5, 5) for _ in picked]
+            rows.append([sum(c * r[i] for c, r in zip(coeffs, picked)) for i in range(ncols)])
+        elif kind < 0.45:
+            rows.append([0] * ncols)
+        else:
+            rows.append([entry() for _ in range(ncols)])
+    return rows
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+def test_insert_echelon_row_matches_fraction_gauss(rational):
+    rng = random.Random(2024)
+    for _ in range(300):
+        ncols = rng.randint(1, 10)
+        rows = planted_rows(rng, ncols, rational)
+        want_grew, want_pivots, want_echelon = fraction_gauss(rows)
+        echelon, pivots = [], []
+        grew = [insert_echelon_row(echelon, pivots, row) for row in rows]
+        assert grew == want_grew
+        assert pivots == want_pivots
+        for stored, reference, p in zip(echelon, want_echelon, pivots):
+            assert all(type(v) is int for v in stored)
+            assert gcd(*stored) == 1
+            # each stored row is a nonzero multiple of the rational one
+            ratio = Fraction(stored[p]) / reference[p]
+            assert ratio and [ratio * v for v in reference] == stored
