@@ -175,6 +175,7 @@ def parse_compact(text: str, name: str | None = None) -> LieAlgebra:
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 
@@ -185,7 +186,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
+def _tokenize(text: str, lineno: int, col: int) -> list[tuple[str, str, int]]:
+    """Tokens with their columns, for text that starts at column ``col``."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -195,15 +197,10 @@ def _tokenize(text: str, lineno: int) -> list[tuple[str, str, int]]:
         if not m or m.end() == pos:
             if text[pos:].strip() == "":
                 break
-            raise ParseError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
-        if m.group("num"):
-            tokens.append(("num", m.group("num"), m.start("num") + 1))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name"), m.start("name") + 1))
-        elif m.group("arrow"):
-            tokens.append(("op", "->", m.start("arrow") + 1))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op") + 1))
+            raise ParseError(f"unexpected character {text[pos]!r}", lineno, pos + col)
+        kind = m.lastgroup
+        tokens.append(("num" if kind == "num" else "name" if kind == "name" else "op",
+                       m.group(kind), m.start(kind) + col))
         pos = m.end()
     return tokens
 
@@ -232,7 +229,11 @@ class _ExprParser:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def error(self, message: str):
-        col = self.tokens[self.pos][2] if self.pos < len(self.tokens) else 0
+        if self.pos < len(self.tokens):
+            col = self.tokens[self.pos][2]
+        else:  # just past the last token
+            _, text, col = self.tokens[-1]
+            col += len(text)
         raise ParseError(message, self.lineno, col)
 
     def parse(self) -> Value:
@@ -247,26 +248,33 @@ class _ExprParser:
             tok = self.peek()
             if tok is None:
                 return value
-            kind, text, _ = tok
+            kind, text, col = tok
             if kind == "op" and text in ("+", "-") and min_prec <= 10:
                 self.pos += 1
-                rhs = self.expression(11)
-                value = self.combine_add(value, rhs, text)
+                value = self.combine(self.combine_add, value, self.expression(11), text, col)
             elif kind == "op" and text in ("*", "/") and min_prec <= 20:
                 self.pos += 1
-                rhs = self.expression(21)
-                value = self.combine_mul(value, rhs, text)
+                value = self.combine(self.combine_mul, value, self.expression(21), text, col)
             elif kind == "op" and text == "^" and min_prec <= 30:
                 self.pos += 1
                 rhs = self.expression(30)  # right-assoc
-                value = self.combine_power(value, rhs)
+                value = self.combine(self.combine_power, value, rhs, text, col)
             elif kind in ("num", "name") or (kind == "op" and text == "("):
                 if min_prec > 20:
                     return value
-                rhs = self.expression(21)
-                value = self.combine_mul(value, rhs, "*")
+                value = self.combine(self.combine_mul, value, self.expression(21), "*", col)
             else:
                 return value
+
+    def combine(self, how, a: Value, b: Value, op: str, col: int) -> Value:
+        """``how(a, b, op)``; operands that do not combine (forms of different
+        degrees, a scalar plus a form) and arithmetic that fails (0^(1/2), x/0,
+        even roots of negatives) are a ParseError at the operator, or at the
+        right operand when the product is written by juxtaposition."""
+        try:
+            return how(a, b, op)
+        except (ZeroDivisionError, ValueError) as exc:  # ParseError is a ValueError
+            raise ParseError(getattr(exc, "message", str(exc)), self.lineno, col) from None
 
     def atom(self) -> Value:
         tok = self.peek()
@@ -336,7 +344,7 @@ class _ExprParser:
             return a.scale(b) if op == "*" else a.scale(Scalar.one() / b)
         self.error("cannot multiply two forms with '*'; use '^' for wedge")
 
-    def combine_power(self, a: Value, b: Value) -> Value:
+    def combine_power(self, a: Value, b: Value, op: str) -> Value:
         if isinstance(a, Form) and isinstance(b, Form):
             return wedge(a, b)
         if isinstance(a, Form) and isinstance(b, Scalar):
@@ -345,10 +353,7 @@ class _ExprParser:
                 self.error("form powers must be nonnegative integers")
             return wedge_power(a, int(k))
         if isinstance(a, Scalar) and isinstance(b, Scalar):
-            try:
-                return a.rational_power(b.as_fraction())
-            except UnsupportedScalarError as exc:
-                self.error(str(exc))
+            return a.rational_power(b.as_fraction())
         self.error("unsupported '^' operands")
 
 
@@ -371,10 +376,10 @@ def parse_scalar_expr(text: str, lineno: int = 1) -> Scalar:
     return value
 
 
-def _parse_expr(text: str, dimension: int, env, allow_dt, param_allowed, lineno):
-    tokens = _tokenize(text, lineno)
+def _parse_expr(text: str, dimension: int, env, allow_dt, param_allowed, lineno, col=1):
+    tokens = _tokenize(text, lineno, col)
     if not tokens:
-        raise ParseError("empty expression", lineno, 1)
+        raise ParseError("empty expression", lineno, col)
     parser = _ExprParser(tokens, lineno, dimension, env or {}, allow_dt, param_allowed)
     return parser.parse()
 
@@ -430,17 +435,20 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     section = "algebra"
     dim: int | None = None
     alg_name = name
-    raw_diffs: dict[int, tuple[str, int]] = {}
+    # values are kept as (text, line, column of the text in its line)
+    raw_diffs: dict[int, tuple[str, int, int]] = {}
     compact: LieAlgebra | None = None
-    structure_lines: list[tuple[str, str, int]] = []
-    family_lines: list[tuple[str, str, int]] = []
-    basis_lines: list[tuple[str, str, int]] = []
+    structure_lines: list[tuple[str, str, int, int]] = []
+    family_lines: list[tuple[str, str, int, int]] = []
+    basis_lines: list[tuple[str, str, int, int]] = []
     theta_text: tuple[str, int] | None = None
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        text = raw.split("#", 1)[0]
+        line = text.strip()
         if not line:
             continue
+        indent = len(text) - len(text.lstrip())
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ParseError("malformed section header", lineno, 1)
@@ -450,13 +458,16 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             continue
         if "=" not in line and not line.startswith("J"):
             raise ParseError("expected an assignment", lineno, 1)
+        key, _, rhs = line.partition("=")
+        col = indent + len(key) + 2 + len(rhs) - len(rhs.lstrip())
+        key, rhs = key.strip(), rhs.strip()
         if section == "algebra":
-            key, _, rhs = line.partition("=")
-            key = key.strip()
-            rhs = rhs.strip()
             if key == "dim":
                 if dim is not None:
                     raise ParseError("duplicate dim declaration", lineno, 1)
+                if not re.fullmatch(r"[0-9]+", rhs) or int(rhs) == 0:
+                    raise ParseError(f"dim must be a positive integer, got {rhs!r}",
+                                     lineno, col)
                 dim = int(rhs)
             elif key == "name":
                 alg_name = rhs
@@ -468,24 +479,20 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
                 k = int(m.group(1))
                 if k in raw_diffs:
                     raise ParseError(f"duplicate definition of d e{k}", lineno, 1)
-                raw_diffs[k] = (rhs, lineno)
+                raw_diffs[k] = (rhs, lineno, col)
             else:
                 raise ParseError(f"unknown algebra statement {key!r}", lineno, 1)
         elif section == "structure":
             if line.startswith("J"):
-                structure_lines.append(("J", line, lineno))
+                structure_lines.append(("J", line, lineno, indent + 1))
+            elif key == "theta":
+                theta_text = (rhs, lineno)
             else:
-                key, _, rhs = line.partition("=")
-                if key.strip() == "theta":
-                    theta_text = (rhs.strip(), lineno)
-                else:
-                    structure_lines.append((key.strip(), rhs.strip(), lineno))
+                structure_lines.append((key, rhs, lineno, col))
         elif section == "family":
-            key, _, rhs = line.partition("=")
-            family_lines.append((key.strip(), rhs.strip(), lineno))
+            family_lines.append((key, rhs, lineno, col))
         else:
-            key, _, rhs = line.partition("=")
-            basis_lines.append((key.strip(), rhs.strip(), lineno))
+            basis_lines.append((key, rhs, lineno, col))
 
     if compact is not None:
         if dim is not None and dim != compact.dimension:
@@ -499,18 +506,18 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
         diffs = []
         for k in range(1, dim + 1):
             if k in raw_diffs:
-                rhs, lineno = raw_diffs[k]
-                value = _parse_expr(rhs, dim, {}, False, True, lineno)
+                rhs, lineno, col = raw_diffs[k]
+                value = _parse_expr(rhs, dim, {}, False, True, lineno, col)
                 if isinstance(value, Scalar):
                     if not value.is_zero():
-                        raise ParseError("a differential must be a 2-form or 0", lineno, 1)
+                        raise ParseError("a differential must be a 2-form or 0", lineno, col)
                     value = Form.zero(dim, 2)
                 if value.degree != 2:
-                    raise ParseError(f"d e{k} must have degree 2", lineno, 1)
+                    raise ParseError(f"d e{k} must have degree 2", lineno, col)
                 diffs.append(value)
             else:
                 diffs.append(Form.zero(dim, 2))
-        for k, (rhs, lineno) in raw_diffs.items():
+        for k, (rhs, lineno, _) in raw_diffs.items():
             if k > dim:
                 raise ParseError(f"generator e{k} exceeds dimension {dim}", lineno, 1)
         algebra = LieAlgebra(dim, tuple(diffs), alg_name)
@@ -519,11 +526,11 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     env: dict[str, Value] = {}
     n = algebra.dimension
 
-    for key, rhs, lineno in structure_lines:
+    for key, rhs, lineno, col in structure_lines:
         if key == "J":
-            out.coframe_map = _parse_j_line(rhs, n, lineno)
+            out.coframe_map = _parse_j_line(rhs, n, lineno, col)
             continue
-        value = _parse_expr(rhs, n, env, False, True, lineno)
+        value = _parse_expr(rhs, n, env, False, True, lineno, col)
         env[key] = value
         if isinstance(value, Form):
             out.forms[key] = value
@@ -533,7 +540,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     if family_lines:
         fam = FamilySection()
         fam_env: dict[str, Value] = dict(env)
-        for key, rhs, lineno in family_lines:
+        for key, rhs, lineno, col in family_lines:
             if key == "param":
                 if rhs != "t":
                     raise ParseError("the family parameter must be t", lineno, 1)
@@ -541,9 +548,9 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             elif key == "domain":
                 fam.domain = _parse_domain(rhs, lineno)
             else:
-                value = _parse_expr(rhs, n + 1, fam_env, True, True, lineno)
+                value = _parse_expr(rhs, n + 1, fam_env, True, True, lineno, col)
                 if not isinstance(value, Form):
-                    raise ParseError(f"{key} must be a form", lineno, 1)
+                    raise ParseError(f"{key} must be a form", lineno, col)
                 fam_env[key] = value
                 fam.forms[key] = value
         out.family = fam
@@ -551,16 +558,16 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     if basis_lines:
         rows: dict[int, list[Scalar]] = {}
         target: LieAlgebra | None = None
-        for key, rhs, lineno in basis_lines:
+        for key, rhs, lineno, col in basis_lines:
             if key == "target":
                 target = parse_compact(rhs)
                 continue
             m = re.match(r"^f([1-9])$", key)
             if not m:
                 raise ParseError(f"basis change rows are f1..f{n}, got {key!r}", lineno, 1)
-            value = _parse_expr(rhs, n, {}, False, True, lineno)
+            value = _parse_expr(rhs, n, {}, False, True, lineno, col)
             if not isinstance(value, Form) or value.degree != 1:
-                raise ParseError(f"{key} must be a 1-form", lineno, 1)
+                raise ParseError(f"{key} must be a 1-form", lineno, col)
             rows[int(m.group(1))] = [value.coefficient((j,)) for j in range(1, n + 1)]
         if target is None:
             raise ParseError("basis_change section needs a target", 1, 1)
@@ -571,23 +578,26 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     return out
 
 
-def _parse_j_line(line: str, dimension: int, lineno: int) -> CoframeMap:
-    body = line[1:].lstrip()
-    if not body.startswith(":"):
-        raise ParseError("expected 'J:'", lineno, 1)
+def _parse_j_line(line: str, dimension: int, lineno: int, col: int) -> CoframeMap:
+    head = re.match(r"J\s*:", line)
+    if not head:
+        raise ParseError("expected 'J:'", lineno, col)
     rows: dict[int, Form] = {}
-    for chunk in body[1:].split(","):
-        chunk = chunk.strip()
+    for entry in re.finditer(r"[^,]+", line[head.end():]):
+        chunk = entry.group().strip()
         if not chunk:
             continue
-        lhs, _, rhs = chunk.partition("->")
+        lhs, _, rhs = entry.group().partition("->")
+        start = col + head.end() + entry.start()  # column of the entry's first character
         m = _GENERATOR_RE.match(lhs.strip())
         if not m:
-            raise ParseError(f"bad J entry {chunk!r}", lineno, 1)
+            raise ParseError(f"bad J entry {chunk!r}", lineno,
+                             start + len(lhs) - len(lhs.lstrip()))
         i = int(m.group(1))
-        image = _parse_expr(rhs.strip(), dimension, {}, False, True, lineno)
+        rhs_col = start + len(lhs) + 2 + len(rhs) - len(rhs.lstrip())
+        image = _parse_expr(rhs.strip(), dimension, {}, False, True, lineno, rhs_col)
         if not isinstance(image, Form) or image.degree != 1:
-            raise ParseError(f"J must map generators to 1-forms: {chunk!r}", lineno, 1)
+            raise ParseError(f"J must map generators to 1-forms: {chunk!r}", lineno, rhs_col)
         rows[i] = image
     if sorted(rows) != list(range(1, dimension + 1)):
         raise ParseError("J must specify the image of every generator", lineno, 1)
@@ -607,7 +617,7 @@ def _parse_theta(text: str, lineno: int) -> tuple[Fraction, Fraction]:
     }
     if text in named:
         return named[text]
-    m = re.match(r"^\(\s*(-?\d+(?:/\d+)?)\s*,\s*(-?\d+(?:/\d+)?)\s*\)$", text)
+    m = re.match(r"^\(\s*(-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(-?\d+(?:/0*[1-9]\d*)?)\s*\)$", text)
     if not m:
         raise ParseError(
             "theta must be 0, pi/2, pi, 3pi/2 or a rational (cos, sin) pair", lineno, 1)
@@ -618,7 +628,7 @@ def _parse_theta(text: str, lineno: int) -> tuple[Fraction, Fraction]:
 
 
 _INTERVAL_RE = re.compile(
-    r"^\(\s*(-inf|-?\d+(?:/\d+)?)\s*,\s*(inf|-?\d+(?:/\d+)?)\s*\)$")
+    r"^\(\s*(-inf|-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(inf|-?\d+(?:/0*[1-9]\d*)?)\s*\)$")
 
 
 def _parse_domain(text: str, lineno: int) -> tuple[Interval, ...]:
@@ -693,8 +703,7 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
                 chosen.append(Form(n, k, coeffs))
         betti.append(len(chosen))
         reps.append(tuple(chosen))
-        prev_images = d_vectors(k) if k < n else []
-        # images live in degree k+1 coordinates for the next round
+        prev_images = vectors if k < n else []  # images in degree k+1 coordinates
     return CohomologyReport(tuple(betti), tuple(reps))
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .algebras import (
+    StructureFile,
     ce_cohomology,
     check_jacobi,
     parse_equations,
@@ -20,14 +22,18 @@ from .algebras import (
     verify_basis_change,
 )
 from .connection import (
+    ConnectionSheet,
+    CurvatureSheet,
     MetricFrame,
     bismut_connection,
     curvature,
     holonomy_algebra,
     nabla_matrices,
-    torsion_form,
 )
 from .evolution import (
+    ClosednessReport,
+    ParamFamily,
+    SuspendedStructure,
     family_from_section,
     family_volume,
     suspend_family,
@@ -53,7 +59,8 @@ from .structures import (
     validate_sun,
 )
 
-__all__ = ["CatalogEntry", "EntryReport", "catalog_manifest", "get_entry", "run_entry"]
+__all__ = ["CatalogEntry", "EntryReport", "StructureContext", "catalog_manifest", "get_entry",
+           "run_entry"]
 
 F = Fraction
 
@@ -883,6 +890,75 @@ def get_entry(name: str) -> CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
+# Structure files: the one path from a file to the structures it declares.
+# ---------------------------------------------------------------------------
+
+
+class StructureContext:
+    """The structures one structure file declares, each built on first use.
+
+    ``su2`` needs eta and omega1..omega3 on a 5-dimensional algebra, ``sun``
+    needs F, psi_plus, psi_minus and J, and ``frame`` needs F and J; the
+    frame carries the Bismut connection ``sheet``, its curvature ``curv`` and
+    the derivatives ``nabla(m)``.  ``family`` needs a [family] section, and
+    ``suspension`` is its lift with the closedness report.  Each is None when
+    the file lacks what it needs.  The CLI and the catalog both read their
+    structures from here, so each is computed at most once per file.
+    """
+
+    def __init__(self, sf: StructureFile):
+        self.sf = sf
+        self.name = sf.algebra.name
+        self._nabla: dict[int, dict[tuple[int, int], Form]] = {}
+
+    @cached_property
+    def su2(self) -> SU2Structure | None:
+        forms, alg = self.sf.forms, self.sf.algebra
+        if not {"eta", "omega1", "omega2", "omega3"} <= set(forms) or alg.dimension != 5:
+            return None
+        return SU2Structure(alg, forms["eta"], forms["omega1"], forms["omega2"],
+                            forms["omega3"], name=self.name)
+
+    @cached_property
+    def sun(self) -> SUnStructure | None:
+        forms, cmap = self.sf.forms, self.sf.coframe_map
+        if not {"F", "psi_plus", "psi_minus"} <= set(forms) or cmap is None:
+            return None
+        return SUnStructure(self.sf.algebra, forms["F"], forms["psi_plus"],
+                            forms["psi_minus"], cmap, name=self.name)
+
+    @cached_property
+    def frame(self) -> MetricFrame | None:
+        if self.sf.coframe_map is None or "F" not in self.sf.forms:
+            return None
+        return MetricFrame(self.sf.algebra, self.sf.coframe_map, name=self.name)
+
+    @cached_property
+    def sheet(self) -> ConnectionSheet | None:
+        return None if self.frame is None else bismut_connection(self.frame,
+                                                                 self.sf.forms["F"])
+
+    @cached_property
+    def curv(self) -> CurvatureSheet | None:
+        return None if self.sheet is None else curvature(self.sheet)
+
+    def nabla(self, direction: int) -> dict[tuple[int, int], Form]:
+        if direction not in self._nabla:
+            self._nabla[direction] = nabla_matrices(self.sheet, self.curv, direction)
+        return self._nabla[direction]
+
+    @cached_property
+    def family(self) -> ParamFamily | None:
+        if self.sf.family is None:
+            return None
+        return family_from_section(self.sf.algebra, self.sf.family, name=self.name)
+
+    @cached_property
+    def suspension(self) -> tuple[SuspendedStructure, ClosednessReport] | None:
+        return None if self.family is None else suspend_family(self.family)
+
+
+# ---------------------------------------------------------------------------
 # Entry runner: every expected assertion maps to one engine operation.
 # ---------------------------------------------------------------------------
 
@@ -898,6 +974,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         lines.append(f"  [{'ok' if ok else 'FAIL'}] {label}{suffix}")
 
     sf = parse_equations(entry.payload, name=entry.name)
+    ctx = StructureContext(sf)
     alg = sf.algebra
     exp = entry.expected
     n = alg.dimension
@@ -914,22 +991,18 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
     if not jac.passed:
         return EntryReport(entry.name, entry.source, passed, lines, dict(entry.source_states))
 
-    su2 = None
-    if {"eta", "omega1", "omega2", "omega3"} <= set(sf.forms) and n == 5:
-        su2 = SU2Structure(alg, sf.forms["eta"], sf.forms["omega1"],
-                           sf.forms["omega2"], sf.forms["omega3"], name=entry.name)
     if "su2_valid" in exp:
         check(f"su2 validation = {exp['su2_valid']}",
-              validate_su2(su2).passed == exp["su2_valid"])
+              validate_su2(ctx.su2).passed == exp["su2_valid"])
     if "balanced_su2" in exp:
-        rep = is_balanced_su2(su2)
+        rep = is_balanced_su2(ctx.su2)
         check(f"balanced = {exp['balanced_su2']}", rep.passed == exp["balanced_su2"],
               rep.render())
     if "hypo_su2" in exp:
-        rep = is_hypo(su2)
+        rep = is_hypo(ctx.su2)
         check(f"hypo = {exp['hypo_su2']}", rep.passed == exp["hypo_su2"])
     if "residual_table" in exp:
-        d = alg.d
+        d, su2 = alg.d, ctx.su2
         values = {
             "d(omega1^eta)": d(wedge(su2.omega1, su2.eta)),
             "d(omega2^eta)": d(wedge(su2.omega2, su2.eta)),
@@ -942,6 +1015,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
                     else parse_form_expr(expr, n))
             check(f"{name} = {expr}", values[name] == want, values[name].render())
     if "permuted_balanced" in exp:
+        su2 = ctx.su2
         permuted = SU2Structure(alg, su2.eta, su2.omega1, su2.omega3, su2.omega2)
         check("balanced with omega2 and omega3 exchanged",
               is_balanced_su2(permuted).passed == exp["permuted_balanced"])
@@ -981,43 +1055,39 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
             check(f"d(rho) = {exp['extension_differential']}",
                   bundle.algebra.differentials[4] == want)
 
-    family = None
-    if sf.family is not None:
-        family = family_from_section(alg, sf.family, name=entry.name)
     if "family_valid" in exp:
-        rep = validate_family(family)
+        rep = validate_family(ctx.family)
         check("family is valid on its domain", rep.passed == exp["family_valid"],
               rep.render())
     if "evolution" in exp:
-        rep = verify_balanced_evolution(family)
+        rep = verify_balanced_evolution(ctx.family)
         check("balanced evolution equations", rep.passed == exp["evolution"],
               rep.render())
     if "hypo_evolution" in exp:
-        rep = verify_hypo_evolution(family)
+        rep = verify_hypo_evolution(ctx.family)
         check(f"hypo evolution = {exp['hypo_evolution']}",
               rep.passed == exp["hypo_evolution"])
         for name, expr in exp.get("hypo_residual", {}).items():
             got = dict(rep.residuals)[name]
             want = parse_form_expr(expr, 5)
             check(f"{name} = {expr}", got == want, got.render())
-    susp = None
-    if "suspension" in exp or "closed" in exp or "orthonormal" in exp:
-        susp, closed_rep = suspend_family(family)
     if "suspension" in exp:
+        susp = ctx.suspension[0]
         ok = (susp.F == sf.family.forms["F_expected"]
               and susp.psi_plus == sf.family.forms["psi_plus_expected"]
               and susp.psi_minus == sf.family.forms["psi_minus_expected"])
         check("suspension matches the listed structure", ok == exp["suspension"])
     if "closed" in exp:
+        closed_rep = ctx.suspension[1]
         check("d(F^F) = d(psi+) = d(psi-) = 0 on the product",
               closed_rep.passed == exp["closed"], closed_rep.render())
     if "orthonormal" in exp:
         alphas = [sf.family.forms[f"alpha{i}"] for i in range(1, 7)]
-        rep = verify_orthonormal_coframe(susp, alphas)
+        rep = verify_orthonormal_coframe(ctx.suspension[0], alphas)
         check("listed coframe is orthonormal", rep.passed == exp["orthonormal"],
               rep.render())
     if "volume" in exp:
-        rep = family_volume(family)
+        rep = family_volume(ctx.family)
         want = parse_scalar_expr(exp["volume"])
         check(f"omega1^2 ^ eta = ({exp['volume']}) e12345", rep.coefficient == want,
               rep.coefficient.render())
@@ -1025,21 +1095,15 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
             got = dict(rep.interval_signs).get(interval)
             check(f"orientation on {interval}: {sign:+d}", got == sign, str(got))
 
-    sun = None
-    frame = None
-    if sf.coframe_map is not None and "F" in sf.forms:
-        sun = SUnStructure(alg, sf.forms["F"], sf.forms["psi_plus"],
-                           sf.forms["psi_minus"], sf.coframe_map, name=entry.name)
-        frame = MetricFrame(alg, sf.coframe_map, name=entry.name)
     if "sun_valid" in exp:
-        rep = validate_sun(sun)
+        rep = validate_sun(ctx.sun)
         check("su(n) validation", rep.passed == exp["sun_valid"], rep.render())
         if "volume_ratio" in exp:
             check(f"psi+ ^ psi- = ({exp['volume_ratio']}) F^n",
                   rep.volume_ratio == F(exp["volume_ratio"]),
                   str(rep.volume_ratio))
     if "balanced_sun" in exp:
-        rep = is_balanced_sun(sun)
+        rep = is_balanced_sun(ctx.sun)
         check("balanced (dF^{n-1} = dpsi = 0)", rep.passed == exp["balanced_sun"],
               rep.render())
         if "kaehler" in exp:
@@ -1051,19 +1115,13 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         got = alg.d(sf.forms["F"])
         check(f"dF = {exp['dF']}", got == want, got.render())
 
-    sheet = None
-    curv = None
-    if frame is not None and ("torsion" in exp or "connection" in exp
-                              or "holonomy_dim" in exp):
-        torsion, components = torsion_form(frame, sf.forms["F"])
-        if "torsion" in exp:
-            want = parse_form_expr(exp["torsion"], n)
-            check(f"T = {exp['torsion']}", torsion == want, torsion.render())
-        for key, val in sorted(exp.get("torsion_components", {}).items()):
-            i, j, k = (int(x) for x in key.split(","))
-            check(f"T_{i}{j}{k} = {val}", components.get((i, j, k)) == F(val))
-        sheet = bismut_connection(frame, sf.forms["F"])
-        curv = curvature(sheet)
+    sheet, curv = ctx.sheet, ctx.curv
+    if "torsion" in exp:
+        want = parse_form_expr(exp["torsion"], n)
+        check(f"T = {exp['torsion']}", sheet.torsion == want, sheet.torsion.render())
+    for key, val in sorted(exp.get("torsion_components", {}).items()):
+        i, j, k = (int(x) for x in key.split(","))
+        check(f"T_{i}{j}{k} = {val}", sheet.torsion_components.get((i, j, k)) == F(val))
     if "connection" in exp:
         table = {key: parse_form_expr(expr, n)
                  for key, expr in exp["connection"].items()}
@@ -1093,14 +1151,11 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         check(f"independent curvature forms: {exp['curvature_rank']}",
               rank == exp["curvature_rank"], str(rank))
     if "nabla" in exp:
-        cache: dict[int, dict] = {}
         for key, expr in sorted(exp["nabla"].items()):
             direction, pair = key.split("|")
             i, j = (int(x) for x in pair.split(","))
             m = int(direction)
-            if m not in cache:
-                cache[m] = nabla_matrices(sheet, curv, m)
-            got = cache[m].get((i, j), Form.zero(n, 2))
+            got = ctx.nabla(m).get((i, j), Form.zero(n, 2))
             want = parse_form_expr(expr, n)
             check(f"nabla_E{m} Omega^{i}_{j} = {expr}", got == want, got.render())
     if "holonomy_dim" in exp:
@@ -1127,12 +1182,12 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
             check("scaling constants all 1",
                   all(c == Scalar.one() for c in rep.scalings))
     if "restrictions_balanced" in exp:
-        admissible = restrictable_directions(sun)
+        admissible = restrictable_directions(ctx.sun)
         check(f"admissible restriction directions = {exp['restrictions_balanced']}",
               admissible == exp["restrictions_balanced"], str(admissible))
         for k in admissible:
             unit = [1 if i == k - 1 else 0 for i in range(n)]
-            restricted = restrict_to_hypersurface(sun, unit)
+            restricted = restrict_to_hypersurface(ctx.sun, unit)
             check(f"restriction along e{k} is balanced",
                   is_balanced_su2(restricted).passed)
 

@@ -8,37 +8,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .algebras import ParseError, StructureFile, ce_cohomology, check_jacobi, parse_equations
-from .catalog import catalog_manifest, get_entry, run_entry
-from .connection import (
-    MetricFrame,
-    bismut_connection,
-    curvature,
-    holonomy_algebra,
-    nabla_matrices,
-    torsion_form,
-)
+from .catalog import StructureContext, catalog_manifest, get_entry, run_entry
+from .connection import holonomy_algebra
 from .evolution import (
-    family_from_section,
     family_volume,
-    suspend_family,
     validate_family,
     verify_balanced_evolution,
     verify_hypo_evolution,
 )
 from .scalars import ScalarDomainError, UnsupportedScalarError
-from .structures import (
-    SU2Structure,
-    SUnStructure,
-    is_balanced_su2,
-    is_balanced_sun,
-    is_hypo,
-    validate_su2,
-    validate_sun,
-)
+from .structures import is_balanced_su2, is_balanced_sun, is_hypo, validate_su2, validate_sun
 
 PASS, MATH_FAIL, INPUT_ERROR = 0, 1, 2
 
@@ -46,22 +28,6 @@ PASS, MATH_FAIL, INPUT_ERROR = 0, 1, 2
 def _load(path: str) -> StructureFile:
     text = Path(path).read_text(encoding="utf-8")
     return parse_equations(text, name=Path(path).stem)
-
-
-def _su2_from(sf: StructureFile) -> SU2Structure | None:
-    needed = {"eta", "omega1", "omega2", "omega3"}
-    if needed <= set(sf.forms) and sf.algebra.dimension == 5:
-        return SU2Structure(sf.algebra, sf.forms["eta"], sf.forms["omega1"],
-                            sf.forms["omega2"], sf.forms["omega3"])
-    return None
-
-
-def _sun_from(sf: StructureFile) -> SUnStructure | None:
-    needed = {"F", "psi_plus", "psi_minus"}
-    if needed <= set(sf.forms) and sf.coframe_map is not None:
-        return SUnStructure(sf.algebra, sf.forms["F"], sf.forms["psi_plus"],
-                            sf.forms["psi_minus"], sf.coframe_map)
-    return None
 
 
 def cmd_validate(args) -> int:
@@ -79,9 +45,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_check(args) -> int:
-    sf = _load(args.file)
-    su2 = _su2_from(sf)
-    sun = _sun_from(sf)
+    ctx = StructureContext(_load(args.file))
+    sf, su2, sun = ctx.sf, ctx.su2, ctx.sun
     if args.su2 and su2 is None:
         print("error: no SU(2) quadruplet (eta, omega1..omega3) in the file")
         return INPUT_ERROR
@@ -125,11 +90,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_evolve_verify(args) -> int:
-    sf = _load(args.file)
-    if sf.family is None:
+    family = StructureContext(_load(args.file)).family
+    if family is None:
         print("error: the file has no [family] section")
         return INPUT_ERROR
-    family = family_from_section(sf.algebra, sf.family)
     validity = validate_family(family)
     print(validity.render())
     evolution = verify_balanced_evolution(family)
@@ -142,12 +106,11 @@ def cmd_evolve_verify(args) -> int:
 
 
 def cmd_suspend(args) -> int:
-    sf = _load(args.file)
-    if sf.family is None:
+    suspension = StructureContext(_load(args.file)).suspension
+    if suspension is None:
         print("error: the file has no [family] section")
         return INPUT_ERROR
-    family = family_from_section(sf.algebra, sf.family)
-    susp, closed = suspend_family(family)
+    susp, closed = suspension
     lines = ["[algebra]", f"dim = {susp.ambient.dimension}"]
     for i, diff in enumerate(susp.ambient.differentials, start=1):
         if not diff.is_zero():
@@ -167,49 +130,35 @@ def cmd_suspend(args) -> int:
     return PASS if closed.passed else MATH_FAIL
 
 
-def _metric_frame(sf: StructureFile) -> tuple[MetricFrame, object] | None:
-    if sf.coframe_map is None or "F" not in sf.forms:
-        return None
-    return MetricFrame(sf.algebra, sf.coframe_map), sf.forms["F"]
-
-
 def cmd_bismut(args) -> int:
-    sf = _load(args.file)
-    pair = _metric_frame(sf)
-    if pair is None:
+    ctx = StructureContext(_load(args.file))
+    if ctx.frame is None:
         print("error: the file needs F and J in a [structure] section")
         return INPUT_ERROR
-    frame, kaehler = pair
-    torsion, components = torsion_form(frame, kaehler)
-    sheet = bismut_connection(frame, kaehler)
-    curv = curvature(sheet)
+    sheet = ctx.sheet
     show = args.show or ["torsion", "connection", "curvature", "nabla"]
     if "torsion" in show:
-        print(f"T = {torsion.render()}")
-        for (i, j, k) in sorted(components):
-            print(f"  T_{i}{j}{k} = {components[(i, j, k)]}")
+        print(f"T = {sheet.torsion.render()}")
+        for (i, j, k) in sorted(sheet.torsion_components):
+            print(f"  T_{i}{j}{k} = {sheet.torsion_components[(i, j, k)]}")
     if "connection" in show:
         print(sheet.render())
     if "curvature" in show:
-        print(curv.render())
+        print(ctx.curv.render())
     if "nabla" in show:
-        n = sf.algebra.dimension
-        for m in range(1, n + 1):
-            table = nabla_matrices(sheet, curv, m)
+        for m in range(1, ctx.sf.algebra.dimension + 1):
+            table = ctx.nabla(m)
             for (i, j) in sorted(table):
                 print(f"nabla_E{m} Omega^{i}_{j} = {table[(i, j)].render()}")
     return PASS
 
 
 def cmd_holonomy(args) -> int:
-    sf = _load(args.file)
-    pair = _metric_frame(sf)
-    if pair is None:
+    ctx = StructureContext(_load(args.file))
+    if ctx.frame is None:
         print("error: the file needs F and J in a [structure] section")
         return INPUT_ERROR
-    frame, kaehler = pair
-    sheet = bismut_connection(frame, kaehler)
-    report = holonomy_algebra(sheet, curvature(sheet), max_order=args.max_order)
+    report = holonomy_algebra(ctx.sheet, ctx.curv, max_order=args.max_order)
     print(report.render())
     return PASS
 
@@ -223,34 +172,17 @@ def cmd_catalog(args) -> int:
         if not args.name:
             print("error: catalog run needs an entry name")
             return INPUT_ERROR
-        try:
-            entry = get_entry(args.name)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}")
-            return INPUT_ERROR
-        report = run_entry(entry)
-        print(report.render(verbose=True))
-        return PASS if report.passed else MATH_FAIL
-    if args.action == "run-all":
-        entries = catalog_manifest()
-        if args.jobs and args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(run_entry, entries))
-        else:
-            results = [run_entry(entry) for entry in entries]
-        results.sort(key=lambda r: r.name)
-        width = max(len(r.name) for r in results)
-        all_ok = True
-        for rep in results:
-            all_ok &= rep.passed
-            print(f"{'PASS' if rep.passed else 'FAIL'}  {rep.name:{width}s}  [{rep.source}]")
-        print(f"{sum(r.passed for r in results)}/{len(results)} entries passed")
-        return PASS if all_ok else MATH_FAIL
-    print("error: unknown catalog action")
-    return INPUT_ERROR
+        return cmd_report(args)
+    results = [run_entry(entry) for entry in catalog_manifest()]
+    width = max(len(r.name) for r in results)
+    for rep in results:
+        print(f"{'PASS' if rep.passed else 'FAIL'}  {rep.name:{width}s}  [{rep.source}]")
+    print(f"{sum(r.passed for r in results)}/{len(results)} entries passed")
+    return PASS if all(r.passed for r in results) else MATH_FAIL
 
 
 def cmd_report(args) -> int:
+    """``report NAME``, and ``catalog run NAME`` without the structure file."""
     try:
         entry = get_entry(args.name)
     except KeyError as exc:
@@ -258,9 +190,10 @@ def cmd_report(args) -> int:
         return INPUT_ERROR
     report = run_entry(entry)
     print(report.render(verbose=True))
-    print("structure file:")
-    for line in entry.payload.rstrip().splitlines():
-        print(f"    {line}")
+    if args.command == "report":
+        print("structure file:")
+        for line in entry.payload.rstrip().splitlines():
+            print(f"    {line}")
     return PASS if report.passed else MATH_FAIL
 
 
@@ -312,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list or run the built-in catalog")
     p.add_argument("action", choices=["list", "run", "run-all"])
     p.add_argument("name", nargs="?")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("report", help="detailed report for a catalog entry")

@@ -132,7 +132,7 @@ class ConnectionSheet:
         return True
 
     def first_bianchi_residuals(self, curv: CurvatureSheet) -> list[Form]:
-        """d tau^i + sum_j omega^i_j ^ tau^j - sum_j Omega^i_j ^ e^j (diagnostic)."""
+        """d tau^i + sum_j omega^i_j ^ tau^j - sum_j Omega^i_j ^ e^j, all of which must vanish."""
         n = self.frame.algebra.dimension
         out = []
         for i in range(1, n + 1):
@@ -160,9 +160,15 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def torsion_form(frame: MetricFrame, kaehler_form: Form) -> tuple[Form, dict]:
-    """T = J(dF) with components T_{ijk}; also feeds tau^i of the Cartan system."""
-    if apply_coframe_map(frame.J, kaehler_form) != kaehler_form:
-        raise ValueError("J must fix the Kaehler 2-form")
+    """T = J(dF) with components T_{ijk}; also feeds tau^i of the Cartan system.
+
+    F must be g(J., .) for the orthonormal frame, F_ij = J_ji; J then fixes F.
+    """
+    n = frame.algebra.dimension
+    jm = frame.J.matrix
+    if any(kaehler_form.coefficient((i, j)) != jm[j - 1][i - 1]
+           for i, j in itertools.combinations(range(1, n + 1), 2)):
+        raise ValueError("F must equal g(J., .) in the orthonormal frame")
     df = frame.algebra.d(kaehler_form)
     torsion = apply_coframe_map(frame.J, df)
     components: dict[tuple[int, int, int], Fraction] = {}

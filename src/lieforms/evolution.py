@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebras import FamilySection, Interval, LieAlgebra, extend_by_line, lift_form
+from .algebras import FamilySection, Interval, LieAlgebra
 from .exterior import Form, partial_t, wedge
 from .scalars import Scalar, ScalarDomainError
 from .structures import (
@@ -26,6 +26,7 @@ from .structures import (
     is_balanced_su2,
     su2_geometry,
     su2_wedge_identities,
+    suspension_forms,
 )
 
 __all__ = [
@@ -252,15 +253,7 @@ def total_derivative(ambient: LieAlgebra, a: Form) -> Form:
 
 
 def suspend_family(family: ParamFamily) -> tuple[SuspendedStructure, ClosednessReport]:
-    ambient = extend_by_line(family.algebra)
-    dt = Form.generator(6, 6)
-    eta = lift_form(family.eta, 6)
-    w1 = lift_form(family.omega1, 6)
-    w2 = lift_form(family.omega2, 6)
-    w3 = lift_form(family.omega3, 6)
-    f = w3 + wedge(eta, dt)
-    psi_plus = wedge(w1, eta) - wedge(w2, dt)
-    psi_minus = wedge(w2, eta) + wedge(w1, dt)
+    ambient, f, psi_plus, psi_minus = suspension_forms(family)
     susp = SuspendedStructure(family, ambient, f, psi_plus, psi_minus)
     report = ClosednessReport((
         ("d(F^F)", total_derivative(ambient, wedge(f, f))),

@@ -44,6 +44,7 @@ __all__ = [
     "restrictable_directions",
     "standard_quadruplet",
     "suspend_su2",
+    "suspension_forms",
     "validate_su2",
     "validate_sun",
 ]
@@ -577,17 +578,19 @@ def suspend_su2(s: SU2Structure, validate: bool = True) -> SUnStructure:
     """The 6-dimensional structure F = omega3 + eta^dt, psi = (omega1 + i omega2)(eta + i dt)."""
     if validate and not validate_su2(s).passed:
         raise ValueError("cannot suspend an invalid SU(2)-structure")
-    ambient = extend_by_line(s.algebra)
-    dt = Form.generator(6, 6)
-    eta = lift_form(s.eta, 6)
-    w1 = lift_form(s.omega1, 6)
-    w2 = lift_form(s.omega2, 6)
-    w3 = lift_form(s.omega3, 6)
-    f = w3 + wedge(eta, dt)
-    psi_plus = wedge(w1, eta) - wedge(w2, dt)
-    psi_minus = wedge(w2, eta) + wedge(w1, dt)
+    ambient, f, psi_plus, psi_minus = suspension_forms(s)
     cmap = suspension_coframe_map(s)
     return SUnStructure(ambient, f, psi_plus, psi_minus, cmap, name=s.name)
+
+
+def suspension_forms(s) -> tuple[LieAlgebra, Form, Form, Form]:
+    """The product with a line and F = omega3 + eta^dt, psi+ + i psi- =
+    (omega1 + i omega2)(eta + i dt), for a quadruplet or a family ``s``."""
+    ambient = extend_by_line(s.algebra)
+    dt = Form.generator(6, 6)
+    eta, w1, w2, w3 = (lift_form(f, 6) for f in (s.eta, s.omega1, s.omega2, s.omega3))
+    return (ambient, w3 + wedge(eta, dt), wedge(w1, eta) - wedge(w2, dt),
+            wedge(w2, eta) + wedge(w1, dt))
 
 
 def suspension_coframe_map(s: SU2Structure) -> CoframeMap:

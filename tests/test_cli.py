@@ -1,9 +1,11 @@
 import io
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
+from lieforms import catalog, connection
 from lieforms.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -151,6 +153,59 @@ J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, e5 -> -e6, e6 -> e5
                       "fails: d^2 e5 = -e123\n"
 
 
+def test_connections_reject_f_that_is_not_the_metric_kaehler_form(tmp_path):
+    # J fixes F, but F != g(J., .) for the declared orthonormal frame
+    path = write(tmp_path, "badf.alg", """\
+[algebra]
+dim = 6
+
+[structure]
+F = 3 e12 - e34 + e56
+J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, e5 -> -e6, e6 -> e5
+""")
+    for command in (["holonomy", path], ["bismut", path]):
+        code, out = run_cli(command)
+        assert code == 2, command
+        assert out == "error: F must equal g(J., .) in the orthonormal frame\n"
+
+
+def test_parse_errors_point_at_the_operator_or_value(tmp_path):
+    cases = [
+        ("[algebra]\ndim = 4\n\n[structure]\nomega = e12 + 2 + e34\n",
+         "error: line 5, column 13: cannot add a scalar and a form"),  # the first '+'
+        ("[algebra]\ndim = 4\n\n[structure]\nomega = e12 + e3\n",
+         "error: line 5, column 13: forms have different degrees"),
+        ("[algebra]\ndim = 6\n\n[structure]\nF = 0^(1/2)*e12 + e34 + e56\n",
+         "error: line 5, column 6: 0 raised to a non-integer power"),  # at the '^'
+        ("[algebra]\ndim = 6\nd e5 = e12/0\n",
+         "error: line 3, column 11: scalar division by zero"),  # at the '/'
+        ("[algebra]\ndim = 0 8\n",
+         "error: line 2, column 7: dim must be a positive integer, got '0 8'"),  # the value
+    ]
+    for k, (text, message) in enumerate(cases):
+        code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])
+        assert code == 2 and out == message + "\n", text
+
+
+def test_connection_is_built_once_per_file(monkeypatch, tmp_path):
+    calls = Counter()
+    for module, name in ((connection, "torsion_form"), (catalog, "bismut_connection"),
+                         (catalog, "curvature")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    once = {"torsion_form": 1, "bismut_connection": 1, "curvature": 1}
+    entry = catalog.get_entry("ex4.3")  # checks torsion, tables, nabla and holonomy
+    assert catalog.run_entry(entry).passed
+    assert calls == once
+    path = write(tmp_path, "ex43.alg", entry.payload)
+    for command in (["bismut", path], ["holonomy", path]):
+        calls.clear()
+        assert run_cli(command)[0] == 0
+        assert calls == once, command
+
+
 def test_catalog_list_has_all_entries():
     code, out = run_cli(["catalog", "list"])
     assert code == 0
@@ -169,13 +224,14 @@ def test_catalog_run_single():
     assert code == 2
 
 
-def test_catalog_run_all_deterministic_and_jobs_invariant():
+def test_catalog_run_all_deterministic_and_sequential():
     code1, out1 = run_cli(["catalog", "run-all"])
     code2, out2 = run_cli(["catalog", "run-all"])
-    code3, out3 = run_cli(["catalog", "run-all", "--jobs", "4"])
-    assert code1 == code2 == code3 == 0
-    assert out1 == out2 == out3
-    assert f"22/22 entries passed" in out1
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert "22/22 entries passed" in out1
+    code3, _ = run_cli(["catalog", "run-all", "--jobs", "4"])
+    assert code3 == 2
 
 
 def test_report_includes_source_annotations():

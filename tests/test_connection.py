@@ -288,18 +288,6 @@ def test_solv6d_holonomy_su3():
     assert report.contained_in_su_n
 
 
-def test_first_bianchi_residual_is_reported_not_asserted():
-    frame, kf = iwasawa_frame()
-    sheet = bismut_connection(frame, kf)
-    curv = curvature(sheet)
-    residuals = sheet.first_bianchi_residuals(curv)
-    assert len(residuals) == 6
-    # torsion-free check: Levi-Civita satisfies the classical first Bianchi
-    lc = levi_civita(frame)
-    lc_curv = curvature(lc)
-    assert all(r.is_zero() for r in lc.first_bianchi_residuals(lc_curv))
-
-
 def test_metric_frame_rejects_bad_j():
     with pytest.raises(ValueError):
         MetricFrame(IWASAWA, CoframeMap.from_rows([[1, 0, 0, 0, 0, 0],
@@ -359,6 +347,19 @@ def assert_generations_match_tensor_spans(sheet, curv, order):
 @pytest.mark.parametrize("name", HOLONOMY_ENTRIES)
 def test_holonomy_generations_match_tensor_derivatives(name):
     assert_generations_match_tensor_spans(*catalog_sheet(name), order=2)
+
+
+def test_first_bianchi_identity_holds_on_catalog_connections():
+    # with torsion: d tau^i + omega^i_j ^ tau^j = Omega^i_j ^ e^j, exactly
+    assert len(HOLONOMY_ENTRIES) == 12
+    for name in HOLONOMY_ENTRIES:
+        sheet, curv = catalog_sheet(name)
+        residuals = sheet.first_bianchi_residuals(curv)
+        assert len(residuals) == sheet.frame.algebra.dimension
+        assert all(r.is_zero() for r in residuals), name
+    # torsion-free: Levi-Civita satisfies the classical first Bianchi identity
+    lc = levi_civita(iwasawa_frame()[0])
+    assert all(r.is_zero() for r in lc.first_bianchi_residuals(curvature(lc)))
 
 
 def test_holonomy_generations_match_tensor_derivatives_slow_growth():
