@@ -38,35 +38,34 @@ def insert_echelon_row(echelon: list[list[int]], pivots: list[int],
     return True
 
 
-def fraction_nullspace(columns: list[list[Fraction]], rows: int) -> list[list[Fraction]]:
-    """Kernel of x -> sum x_c columns[c], basis ordered by free coordinate."""
+def fraction_nullspace(columns: list[list[Fraction | int]], rows: int) -> list[list[Fraction]]:
+    """Kernel of x -> sum x_c columns[c], basis ordered by free coordinate.
+
+    Echelon rows from ``insert_echelon_row``, sorted by pivot and cleared above
+    each pivot, are multiples of the unique reduced row echelon form's rows.
+    """
     ncols = len(columns)
     if ncols == 0:
         return []
-    mat = [[columns[c][r] for c in range(ncols)] for r in range(rows)]
-    pivot_of_col: dict[int, int] = {}
-    rank = 0
-    for c in range(ncols):
-        sel = next((r for r in range(rank, rows) if mat[r][c] != 0), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        lead = mat[rank][c]
-        mat[rank] = [v / lead for v in mat[rank]]
-        for r in range(rows):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        pivot_of_col[c] = rank
-        rank += 1
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    for r in range(rows):
+        insert_echelon_row(echelon, pivots, [col[r] for col in columns])
+    by_pivot = sorted(zip(pivots, echelon))
+    pivots, reduced = [p for p, _ in by_pivot], [row for _, row in by_pivot]
+    for i in range(len(reduced) - 1, 0, -1):
+        row, p = reduced[i], pivots[i]
+        for j in range(i):
+            a, b = reduced[j][p], row[p]
+            if a:
+                g = gcd(a, b)
+                reduced[j] = [b // g * x - a // g * y for x, y in zip(reduced[j], row)]
     out = []
-    for free in range(ncols):
-        if free in pivot_of_col:
-            continue
+    for free in sorted(set(range(ncols)) - set(pivots)):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
-        for c, r in pivot_of_col.items():
-            vec[c] = -mat[r][free]
+        for row, c in zip(reduced, pivots):
+            vec[c] = Fraction(-row[free], row[c])
         out.append(vec)
     return out
 

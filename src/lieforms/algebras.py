@@ -30,6 +30,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from ._linalg import (
@@ -43,6 +44,7 @@ from .exterior import (
     Form,
     apply_coframe_map,
     exterior_derivative,
+    sort_index,
     wedge,
     wedge_power,
 )
@@ -138,17 +140,25 @@ def check_jacobi(algebra: LieAlgebra) -> JacobiReport:
 _COMPACT_TERM = re.compile(r"([+-]?)\s*([1-9])([1-9])\s*")
 
 
-def parse_compact(text: str, name: str | None = None) -> LieAlgebra:
-    """Parse notation like "(0, 0, 0, 12, 14 + 23)"; dimension <= 9."""
+def parse_compact(text: str, name: str | None = None, lineno: int = 1,
+                  col: int = 1) -> LieAlgebra:
+    """Parse notation like "(0, 0, 0, 12, 14 + 23)"; dimension <= 9.
+
+    ``lineno`` and ``col`` place ``text`` in its file, for error positions.
+    """
+    at = col + len(text) - len(text.lstrip())  # the column of body[0]
     body = text.strip()
-    if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1]
-    entries = [e.strip() for e in body.split(",")]
-    n = len(entries)
+    n = body.count(",") + 1
     if n > 9:
-        raise ParseError("compact notation supports dimension <= 9; use the rich grammar", 1, 1)
+        raise ParseError("compact notation supports dimension <= 9; use the rich grammar",
+                         lineno, at)
+    if body.startswith("(") and body.endswith(")"):
+        body, at = body[1:-1], at + 1
     diffs = []
-    for k, entry in enumerate(entries, start=1):
+    for chunk in body.split(","):
+        entry = chunk.strip()
+        start = at + len(chunk) - len(chunk.lstrip())  # the column of entry[0]
+        at += len(chunk) + 1
         if entry == "0":
             diffs.append(Form.zero(n, 2))
             continue
@@ -157,10 +167,11 @@ def parse_compact(text: str, name: str | None = None) -> LieAlgebra:
         while pos < len(entry):
             m = _COMPACT_TERM.match(entry, pos)
             if not m:
-                raise ParseError(f"malformed compact entry {entry!r}", 1, pos + 1)
+                raise ParseError(f"malformed compact entry {entry!r}", lineno, start + pos)
             sign, i, j = m.group(1), int(m.group(2)), int(m.group(3))
             if i > n or j > n:
-                raise ParseError(f"index out of range in compact entry {entry!r}", 1, pos + 1)
+                raise ParseError(f"index out of range in compact entry {entry!r}",
+                                 lineno, start + pos)
             terms.append(((i, j), -1 if sign == "-" else 1))
             pos = m.end()
         diffs.append(Form.from_terms(n, 2, terms))
@@ -472,7 +483,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             elif key == "name":
                 alg_name = rhs
             elif key == "compact":
-                compact = parse_compact(rhs, alg_name)
+                compact = parse_compact(rhs, alg_name, lineno, col)
             elif re.match(r"^d\s*e[1-9]$", key):
                 m = re.match(r"^d\s*e([1-9])$", key)
                 assert m is not None
@@ -560,7 +571,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
         target: LieAlgebra | None = None
         for key, rhs, lineno, col in basis_lines:
             if key == "target":
-                target = parse_compact(rhs)
+                target = parse_compact(rhs, None, lineno, col)
                 continue
             m = re.match(r"^f([1-9])$", key)
             if not m:
@@ -663,52 +674,61 @@ class CohomologyReport:
         return "\n".join(lines)
 
 
+def _d_columns(algebra: LieAlgebra, top: int) -> list[list[list[int]]]:
+    """For k = 0..top, L*d(e^I) for each degree-k basis form e^I over the
+    degree-(k+1) basis, L the lcm of the structure-constant denominators.  A term
+    c e^ab of d e^{i_pos} adds (-1)^pos c e^{ab + rest}: e^ab is even."""
+    n = algebra.dimension
+    consts = [[(ab, c.as_fraction()) for ab, c in d.coeffs.items()] for d in algebra.differentials]
+    scale = lcm(*(q.denominator for d in consts for _, q in d))
+    terms = [[(ab, int(q * scale)) for ab, q in d] for d in consts]
+    out = []
+    for k in range(top + 1):
+        target = {idx: pos for pos, idx in
+                  enumerate(itertools.combinations(range(1, n + 1), k + 1))}
+        vectors = []
+        for idx in itertools.combinations(range(1, n + 1), k):
+            vec = [0] * len(target)
+            for pos, i in enumerate(idx):
+                rest = idx[:pos] + idx[pos + 1:]
+                for ab, c in terms[i - 1]:
+                    sign, jdx = sort_index(ab + rest)
+                    if sign:
+                        vec[target[jdx]] += -sign * c if pos % 2 else sign * c
+            vectors.append(vec)
+        out.append(vectors)
+    return out
+
+
 def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> CohomologyReport:
     if not algebra.is_rational():
         raise UnsupportedScalarError("cohomology requires rational structure constants")
-    jac = check_jacobi(algebra)
-    if not jac.passed:
+    if not check_jacobi(algebra).passed:
         raise ValueError("algebra fails the Jacobi identity; d^2 != 0")
     n = algebra.dimension
     top = n if max_degree is None else min(max_degree, n)
-    bases = [list(itertools.combinations(range(1, n + 1), k)) for k in range(top + 2)]
-
-    def d_vectors(k: int) -> list[list[Fraction]]:
-        """Images of the degree-k basis as vectors over the (k+1)-basis."""
-        target_index = {idx: pos for pos, idx in enumerate(bases[k + 1])}
-        out = []
-        for idx in bases[k]:
-            image = exterior_derivative(algebra, Form(n, k, {idx: Scalar.one()}))
-            vec = [Fraction(0)] * len(bases[k + 1])
-            for jdx, coeff in image.coeffs.items():
-                vec[target_index[jdx]] = coeff.as_fraction()
-            out.append(vec)
-        return out
-
     betti: list[int] = []
     reps: list[tuple[Form, ...]] = []
-    prev_images: list[list[Fraction]] = []
-    for k in range(top + 1):
-        vectors = d_vectors(k) if k < n else [[] for _ in bases[k]]
-        kernel = _nullspace(vectors, len(bases[k + 1]) if k < n else 0)
-        echelon: list[list[Fraction]] = []
+    prev_images: list[list[int]] = []
+    for k, vectors in enumerate(_d_columns(algebra, top)):
+        kernel = fraction_nullspace(vectors, len(vectors[0]))
+        echelon: list[list[int]] = []
         pivots: list[int] = []
         for img in prev_images:
             _insert_row(echelon, pivots, img)
+        basis = list(itertools.combinations(range(1, n + 1), k))
         chosen: list[Form] = []
         for vec in kernel:
             if _insert_row(echelon, pivots, vec):
-                coeffs = {bases[k][i]: Scalar.rational(c)
-                          for i, c in enumerate(vec) if c != 0}
+                coeffs = {basis[i]: Scalar.rational(c) for i, c in enumerate(vec) if c != 0}
                 chosen.append(Form(n, k, coeffs))
         betti.append(len(chosen))
         reps.append(tuple(chosen))
-        prev_images = vectors if k < n else []  # images in degree k+1 coordinates
+        prev_images = vectors  # images in degree k+1 coordinates
     return CohomologyReport(tuple(betti), tuple(reps))
 
 
 _insert_row = insert_echelon_row
-_nullspace = fraction_nullspace
 
 
 # ---------------------------------------------------------------------------

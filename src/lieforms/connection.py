@@ -222,17 +222,17 @@ def connection_from_cartan(frame: MetricFrame, components: dict,
     gamma^i_{jk} = (D_{ijk} + D_{jki} - D_{kij}) / 2.
     """
     n = frame.algebra.dimension
-
-    def dval(i: int, a: int, b: int) -> Fraction:
-        return (frame.algebra.differentials[i - 1].coefficient((a, b)).as_fraction()
-                - _torsion_lookup(components, i, a, b))
-
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                gamma[i - 1][j - 1][k - 1] = (
-                    dval(i, j, k) + dval(j, k, i) - dval(k, i, j)) / 2
+    dval = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, diff in enumerate(frame.algebra.differentials):
+        for (a, b), coeff in diff.coeffs.items():
+            q = coeff.as_fraction()
+            dval[i][a - 1][b - 1] = q
+            dval[i][b - 1][a - 1] = -q
+    for idx, t in components.items():
+        for i, a, b in itertools.permutations(idx):
+            dval[i - 1][a - 1][b - 1] -= sort_index((i, a, b))[0] * t
+    gamma = [[[(dval[i][j][k] + dval[j][k][i] - dval[k][i][j]) / 2 for k in range(n)]
+              for j in range(n)] for i in range(n)]
     return ConnectionSheet(frame, gamma, torsion, dict(components))
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from lieforms.algebras import (
     LieAlgebra,
     ParseError,
+    _d_columns,
     ce_cohomology,
     central_extension,
     check_jacobi,
@@ -18,6 +21,7 @@ from lieforms.algebras import (
     parse_scalar_expr,
     verify_basis_change,
 )
+from lieforms.catalog import catalog_manifest
 from lieforms.exterior import Form, exterior_derivative
 from lieforms.scalars import Scalar, UnsupportedScalarError
 
@@ -388,3 +392,57 @@ def test_d_squared_property_matches_jacobi():
             a = Form(5, 2, {k: v for k, v in coeffs.items() if not v.is_zero()})
             dda = exterior_derivative(alg, exterior_derivative(alg, a))
             assert dda.is_zero()
+
+
+def two_step_nilpotent(seed):
+    """8d: d e1..e4 = 0 and d e5..e8 dense random rational 2-forms in e1..e4."""
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(1, 5), 2))
+    diffs = [Form.zero(8, 2)] * 4 + [
+        Form.from_terms(8, 2, [(ab, F(rng.randint(-9, 9), rng.randint(1, 6))) for ab in pairs])
+        for _ in range(4)]
+    return LieAlgebra(8, tuple(diffs))
+
+
+def cohomology_algebras():
+    algebras = [parse_equations(e.payload).algebra for e in catalog_manifest()]
+    return [a for a in algebras if check_jacobi(a).passed] + [
+        two_step_nilpotent(seed) for seed in range(4)]
+
+
+def test_cohomology_differential_is_the_exterior_derivative():
+    for alg in cohomology_algebras():
+        n = alg.dimension
+        scale = math.lcm(*(c.as_fraction().denominator
+                           for d in alg.differentials for c in d.coeffs.values()))
+        columns = _d_columns(alg, n - 1)
+        assert len(columns) == n
+        for k, vectors in enumerate(columns):
+            targets = list(itertools.combinations(range(1, n + 1), k + 1))
+            for idx, vec in zip(itertools.combinations(range(1, n + 1), k), vectors, strict=True):
+                image = exterior_derivative(alg, Form(n, k, {idx: Scalar.one()}))
+                assert all(type(v) is int for v in vec)
+                assert vec == [scale * image.coefficient(t).as_fraction() for t in targets]
+        # consecutive differentials compose to zero
+        for first, second in zip(columns, columns[1:]):
+            for vec in first:
+                assert not any(sum(x * col[r] for x, col in zip(vec, second))
+                               for r in range(len(second[0])))
+
+
+def test_cohomology_poincare_duality_on_two_step_nilpotent_algebras():
+    for seed in range(4):
+        alg = two_step_nilpotent(seed)
+        assert check_jacobi(alg).passed
+        rep = ce_cohomology(alg)
+        assert rep.betti == rep.betti[::-1]
+        assert sum((-1) ** k * b for k, b in enumerate(rep.betti)) == 0
+        assert rep.betti[0] == 1 and rep.betti[1] == 4
+        assert [len(r) for r in rep.representatives] == list(rep.betti)
+
+
+def test_cohomology_max_degree_is_a_prefix_of_the_full_report():
+    for alg in cohomology_algebras():
+        full, low = ce_cohomology(alg), ce_cohomology(alg, 3)
+        assert low.betti == full.betti[:4]
+        assert low.representatives == full.representatives[:4]

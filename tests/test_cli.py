@@ -289,3 +289,21 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "thm4.2-h2" in proc.stdout
+
+
+def test_compact_errors_point_into_the_file(tmp_path):
+    cases = [
+        ("# header\n[algebra]\ncompact = (0,0,0,12,1x)\n",
+         "error: line 3, column 21: malformed compact entry '1x'"),
+        ("[algebra]\n  compact =  ( 0, 0, 0, 12 + 15)\n",
+         "error: line 2, column 28: index out of range in compact entry '12 + 15'"),
+        ("[algebra]\ncompact = (0,0,0,0,0,0,0,0,0,0)\n",
+         "error: line 2, column 11: compact notation supports dimension <= 9; "
+         "use the rich grammar"),
+        ("[algebra]\ndim = 3\nd e3 = e12\n\n[basis_change]\nf1 = e1\nf2 = e2\nf3 = e3\n"
+         "target = (0,0,1 2)\n",
+         "error: line 9, column 15: malformed compact entry '1 2'"),
+    ]
+    for k, (text, message) in enumerate(cases):
+        code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])
+        assert code == 2 and out == message + "\n", text

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from lieforms._linalg import insert_echelon_row
+from lieforms._linalg import fraction_nullspace, insert_echelon_row
 
 
 def fraction_gauss(rows):
@@ -64,3 +64,56 @@ def test_insert_echelon_row_matches_fraction_gauss(rational):
             # each stored row is a nonzero multiple of the rational one
             ratio = Fraction(stored[p]) / reference[p]
             assert ratio and [ratio * v for v in reference] == stored
+
+
+def gauss_jordan_nullspace(columns, rows):
+    """The rational Gauss-Jordan kernel that ``fraction_nullspace`` replaced,
+    with its entries read as ``Fraction`` so that ``int`` input works too."""
+    ncols = len(columns)
+    if ncols == 0:
+        return []
+    mat = [[Fraction(columns[c][r]) for c in range(ncols)] for r in range(rows)]
+    pivot_of_col = {}
+    rank = 0
+    for c in range(ncols):
+        sel = next((r for r in range(rank, rows) if mat[r][c] != 0), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        lead = mat[rank][c]
+        mat[rank] = [v / lead for v in mat[rank]]
+        for r in range(rows):
+            if r != rank and mat[r][c] != 0:
+                f = mat[r][c]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        pivot_of_col[c] = rank
+        rank += 1
+    out = []
+    for free in range(ncols):
+        if free in pivot_of_col:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for c, r in pivot_of_col.items():
+            vec[c] = -mat[r][free]
+        out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
+def test_fraction_nullspace_matches_gauss_jordan(rational):
+    rng = random.Random(2025)
+    cases = [([], 3), ([[] for _ in range(4)], 0), ([[0] * 5 for _ in range(3)], 5)]
+    for _ in range(200):
+        ncols = rng.randint(1, 12)
+        rows = planted_rows(rng, ncols, rational)
+        cases.append(([[row[c] for row in rows] for c in range(ncols)], len(rows)))
+    for columns, nrows in cases:
+        kernel = fraction_nullspace(columns, nrows)
+        assert kernel == gauss_jordan_nullspace(columns, nrows)
+        assert all(type(v) is Fraction for vec in kernel for v in vec)
+        rank = sum(fraction_gauss([[col[r] for col in columns] for r in range(nrows)])[0])
+        assert len(kernel) == len(columns) - rank
+        for vec in kernel:
+            assert all(sum(x * col[r] for x, col in zip(vec, columns)) == 0
+                       for r in range(nrows))
