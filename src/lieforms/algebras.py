@@ -162,6 +162,8 @@ def parse_compact(text: str, name: str | None = None, lineno: int = 1,
         if entry == "0":
             diffs.append(Form.zero(n, 2))
             continue
+        if not entry:
+            raise ParseError("empty compact entry", lineno, start)
         terms = []
         pos = 0
         while pos < len(entry):
@@ -449,6 +451,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     # values are kept as (text, line, column of the text in its line)
     raw_diffs: dict[int, tuple[str, int, int]] = {}
     compact: LieAlgebra | None = None
+    compact_at = (1, 1)  # line and value column of the compact declaration
     structure_lines: list[tuple[str, str, int, int]] = []
     family_lines: list[tuple[str, str, int, int]] = []
     basis_lines: list[tuple[str, str, int, int]] = []
@@ -484,6 +487,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
                 alg_name = rhs
             elif key == "compact":
                 compact = parse_compact(rhs, alg_name, lineno, col)
+                compact_at = (lineno, col)
             elif re.match(r"^d\s*e[1-9]$", key):
                 m = re.match(r"^d\s*e([1-9])$", key)
                 assert m is not None
@@ -507,10 +511,10 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
 
     if compact is not None:
         if dim is not None and dim != compact.dimension:
-            raise ParseError("dim contradicts the compact declaration", 1, 1)
+            raise ParseError("dim contradicts the compact declaration", *compact_at)
         algebra = compact
         if raw_diffs:
-            raise ParseError("cannot mix compact and explicit differentials", 1, 1)
+            raise ParseError("cannot mix compact and explicit differentials", *compact_at)
     else:
         if dim is None:
             raise ParseError("missing dim declaration", 1, 1)

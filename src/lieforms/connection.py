@@ -11,6 +11,12 @@ independent code paths (Koszul plus torsion correction, and the closed-form
 solution of the first Cartan structure equation with prescribed skew torsion)
 must agree on every input.
 
+The connection, nabla J = 0, the curvature and the holonomy tests are
+computed on int tables: each reads the rational table it needs and scales it
+by the lcm of its denominators.  Curvature comes from the matrix identity
+R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m with
+Lambda_m = nabla_{e_m}, the second Cartan structure equation in matrix form.
+
 Holonomy uses Kostant's bracket iteration for invariant connections (Kostant,
 Trans. AMS 80, 1955): V_{k+1} = V_k + [nabla, V_k] from the span V_0 of the
 curvature endomorphisms.  V_k is the span of R and its covariant derivatives
@@ -47,6 +53,7 @@ __all__ = [
 ]
 
 Matrix = list[list[Fraction]]
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -122,14 +129,15 @@ class ConnectionSheet:
         return out
 
     def preserves_j(self) -> bool:
-        """nabla J = 0: each direction matrix commutes with J."""
+        """nabla J = 0: each direction matrix Lambda_k commutes with J.
+
+        Lambda_k is not assumed skew; ``is_metric`` is a separate check.
+        """
         n = self.frame.algebra.dimension
-        jm = self.frame.j_matrix()
-        for k in range(n):
-            gk = [[self.gamma[i][j][k] for j in range(n)] for i in range(n)]
-            if _mat_mul(gk, jm) != _mat_mul(jm, gk):
-                return False
-        return True
+        jm = _integral(self.frame.j_matrix())
+        j_entries = _nonzero_entries(jm)
+        return all(_product(j_entries, lam, n) == _product(_nonzero_entries(lam), jm, n)
+                   for lam in _directions(self.gamma)[1])
 
     def first_bianchi_residuals(self, curv: CurvatureSheet) -> list[Form]:
         """d tau^i + sum_j omega^i_j ^ tau^j - sum_j Omega^i_j ^ e^j, all of which must vanish."""
@@ -152,11 +160,6 @@ class ConnectionSheet:
                 if not form.is_zero():
                     lines.append(f"omega^{i}_{j} = {form.render()}")
         return "\n".join(lines) if lines else "all connection forms vanish"
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
 def torsion_form(frame: MetricFrame, kaehler_form: Form) -> tuple[Form, dict]:
@@ -182,36 +185,74 @@ def _torsion_lookup(components: dict, i: int, j: int, k: int) -> Fraction:
     return sort_index((i, j, k))[0] * base if base else Fraction(0)
 
 
-def levi_civita(frame: MetricFrame) -> ConnectionSheet:
-    """Koszul formula in an orthonormal left-invariant frame."""
+def _fractions(table: list[list[list[int]]], den: int) -> list[list[list[Fraction]]]:
+    return [[[Fraction(v, den) if v else _ZERO for v in row] for row in plane]
+            for plane in table]
+
+
+def _koszul(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[int]]]]:
+    """2S and 2S times the Koszul table plus half the torsion T_{kji}, read from
+    the structure constants; S is the lcm of all their and T's denominators."""
     n = frame.algebra.dimension
     c = frame.algebra.structure_constants()
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gamma[i][j][k] = (c[k][j][i] - c[j][i][k] + c[i][k][j]) / 2
-    return ConnectionSheet(frame, gamma, None, {})
+    s = lcm(_denominator(c), *(q.denominator for q in components.values()))
+    c = [_integral(plane, s) for plane in c]
+    table = [[[c[k][j][i] - c[j][i][k] + c[i][k][j] for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    for (a, b, d), q in components.items():
+        v = q.numerator * (s // q.denominator)
+        # T is totally skew: +v on the cyclic orders of (a, b, d), -v on the others
+        for x, y, z, t in ((a, b, d, v), (b, d, a, v), (d, a, b, v),
+                           (b, a, d, -v), (a, d, b, -v), (d, b, a, -v)):
+            table[z - 1][y - 1][x - 1] += t
+    return 2 * s, table
+
+
+def levi_civita(frame: MetricFrame) -> ConnectionSheet:
+    """Koszul formula in an orthonormal left-invariant frame."""
+    den, table = _koszul(frame, {})
+    return ConnectionSheet(frame, _fractions(table, den), None, {})
 
 
 def bismut_connection(frame: MetricFrame, kaehler_form: Form) -> ConnectionSheet:
     """Levi-Civita plus half the skew torsion, cross-checked against the
     closed-form Cartan solution."""
     torsion, components = torsion_form(frame, kaehler_form)
-    lc = levi_civita(frame)
-    n = frame.algebra.dimension
-    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                gamma[i][j][k] = (lc.gamma[i][j][k]
-                                  + _torsion_lookup(components, k + 1, j + 1, i + 1) / 2)
-    sheet = ConnectionSheet(frame, gamma, torsion, components)
-    other = connection_from_cartan(frame, components, torsion)
-    if sheet.gamma != other.gamma:
+    den, koszul = _koszul(frame, components)
+    cartan_den, cartan = _cartan(frame, components)
+    if any(v * cartan_den != w * den
+           for kplane, cplane in zip(koszul, cartan)
+           for krow, crow in zip(kplane, cplane) for v, w in zip(krow, crow)):
         raise AssertionError(
             "Koszul-plus-torsion and Cartan-solution connection paths disagree")
-    return sheet
+    return ConnectionSheet(frame, _fractions(koszul, den), torsion, components)
+
+
+def _differential_terms(algebra: LieAlgebra, denominators=()
+                        ) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """S and the terms (i, a, b, S*q), 0-based with a < b, of de^i = sum q e^ab;
+    S is the lcm of the denominators of the q and of ``denominators``."""
+    terms = [(i, a - 1, b - 1, coeff.as_fraction())
+             for i, diff in enumerate(algebra.differentials)
+             for (a, b), coeff in diff.coeffs.items()]
+    s = lcm(*(q.denominator for *_, q in terms), *denominators)
+    return s, [(i, a, b, q.numerator * (s // q.denominator)) for i, a, b, q in terms]
+
+
+def _cartan(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[int]]]]:
+    """2S and 2S times the Cartan solution, read from the differentials."""
+    n = frame.algebra.dimension
+    s, terms = _differential_terms(frame.algebra,
+                                   [q.denominator for q in components.values()])
+    dval = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, a, b, v in terms:
+        dval[i][a][b], dval[i][b][a] = v, -v
+    for idx, q in components.items():
+        v = q.numerator * (s // q.denominator)
+        for i, a, b in itertools.permutations(idx):
+            dval[i - 1][a - 1][b - 1] -= sort_index((i, a, b))[0] * v
+    return 2 * s, [[[dval[i][j][k] + dval[j][k][i] - dval[k][i][j] for k in range(n)]
+                    for j in range(n)] for i in range(n)]
 
 
 def connection_from_cartan(frame: MetricFrame, components: dict,
@@ -221,25 +262,15 @@ def connection_from_cartan(frame: MetricFrame, components: dict,
     Writing D_{ijk} = de^i(e_j, e_k) - T_{ijk}, the solution is
     gamma^i_{jk} = (D_{ijk} + D_{jki} - D_{kij}) / 2.
     """
-    n = frame.algebra.dimension
-    dval = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i, diff in enumerate(frame.algebra.differentials):
-        for (a, b), coeff in diff.coeffs.items():
-            q = coeff.as_fraction()
-            dval[i][a - 1][b - 1] = q
-            dval[i][b - 1][a - 1] = -q
-    for idx, t in components.items():
-        for i, a, b in itertools.permutations(idx):
-            dval[i - 1][a - 1][b - 1] -= sort_index((i, a, b))[0] * t
-    gamma = [[[(dval[i][j][k] + dval[j][k][i] - dval[k][i][j]) / 2 for k in range(n)]
-              for j in range(n)] for i in range(n)]
-    return ConnectionSheet(frame, gamma, torsion, dict(components))
+    den, table = _cartan(frame, components)
+    return ConnectionSheet(frame, _fractions(table, den), torsion, dict(components))
 
 
 @dataclass
 class CurvatureSheet:
     frame: MetricFrame
     forms: dict[tuple[int, int], Form]  # Omega^i_j for i < j; skew elsewhere
+    _matrices: dict[tuple[int, int], Matrix]  # nonzero R(e_k, e_l), k < l
 
     def omega_form(self, i: int, j: int) -> Form:
         n = self.frame.algebra.dimension
@@ -249,25 +280,9 @@ class CurvatureSheet:
             return self.forms.get((i, j), Form.zero(n, 2))
         return -self.forms.get((j, i), Form.zero(n, 2))
 
-    def endomorphism(self, k: int, l: int) -> Matrix:
-        """R(e_k, e_l) as the matrix [Omega^i_j(e_k, e_l)]."""
-        n = self.frame.algebra.dimension
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j), form in self.forms.items():
-            val = form.coefficient((k, l)).as_fraction()
-            if val:
-                out[i - 1][j - 1] = val
-                out[j - 1][i - 1] = -val
-        return out
-
     def tensor(self) -> dict[tuple[int, int], Matrix]:
-        n = self.frame.algebra.dimension
-        out = {}
-        for k, l in itertools.combinations(range(1, n + 1), 2):
-            mat = self.endomorphism(k, l)
-            if any(any(row) for row in mat):
-                out[(k, l)] = mat
-        return out
+        """R(e_k, e_l) = [Omega^i_j(e_k, e_l)] for k < l, where nonzero."""
+        return self._matrices
 
     def render(self) -> str:
         lines = []
@@ -279,18 +294,42 @@ class CurvatureSheet:
 
 
 def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
-    """Second Cartan structure equation Omega^i_j = d omega^i_j + omega^i_r ^ omega^r_j."""
+    """Omega^i_j = d omega^i_j + omega^i_r ^ omega^r_j, in matrix form.
+
+    Evaluated on (e_k, e_l), the second Cartan structure equation reads
+    R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m, which
+    is computed on the int matrices s*Lambda_m and the S*de^m.
+    The forms and the matrices are read from the entries above the diagonal.
+    """
     frame = sheet.frame
     n = frame.algebra.dimension
-    forms = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            acc = frame.algebra.d(sheet.omega(i, j))
-            for r in range(1, n + 1):
-                acc = acc + wedge(sheet.omega(i, r), sheet.omega(r, j))
-            if not acc.is_zero():
-                forms[(i, j)] = acc
-    return CurvatureSheet(frame, forms)
+    s, lams = _directions(sheet.gamma)
+    big_s, terms = _differential_terms(frame.algebra)
+    de: dict[tuple[int, int], list] = {}  # (k, l): [(s*S*de^m(e_k, e_l), s*Lambda_m)]
+    for m, k, l, v in terms:
+        de.setdefault((k, l), []).append((s * v, lams[m]))
+    entries = [_nonzero_entries(lam) for lam in lams]
+    upper = list(itertools.combinations(range(n), 2))
+    den = s * s * big_s
+    coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
+    matrices: dict[tuple[int, int], Matrix] = {}
+    for k, l in upper:
+        p = _product(entries[k], lams[l], n)
+        q = _product(entries[l], lams[k], n)
+        extra = de.get((k, l), ())
+        mat = None
+        for i, j in upper:
+            val = big_s * (p[i][j] - q[i][j]) + sum(a * lam[i][j] for a, lam in extra)
+            if val:
+                if mat is None:
+                    mat = [[_ZERO] * n for _ in range(n)]
+                q_ij = mat[i][j] = Fraction(val, den)
+                mat[j][i] = -q_ij
+                coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(q_ij)
+        if mat is not None:
+            matrices[(k + 1, l + 1)] = mat
+    forms = {key: Form(n, 2, coeffs[key]) for key in sorted(coeffs)}
+    return CurvatureSheet(frame, forms, matrices)
 
 
 # Keys of derivative tensors: (k, l, m_1, ..., m_g) with the 2-form slot first.
@@ -306,8 +345,7 @@ def _derive_tensor(sheet: ConnectionSheet, tensor: TensorDict) -> TensorDict:
     2-form slots where the input tensor had none.
     """
     n = sheet.frame.algebra.dimension
-    gammas = [[[sheet.gamma[i][j][m] for j in range(n)] for i in range(n)]
-              for m in range(n)]
+    gammas = [_direction(sheet.gamma, m) for m in range(n)]
     # connection direction matrices are sparse; iterate nonzero entries only
     gamma_entries = [[(i, r, gm[i][r]) for i in range(n) for r in range(n)
                       if gm[i][r]] for gm in gammas]
@@ -378,17 +416,23 @@ def _nonzero_entries(mat: list[list]) -> list[tuple[int, int, object]]:
     return [(i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v]
 
 
-def _bracket(entries: list[tuple[int, int, object]], x: list[list], n: int) -> list[list]:
-    """[L, X] for skew L, given by its nonzero entries (i, r, L[i][r]), and skew X.
-
-    Both are skew, so XL = (LX)^T and [L, X] = LX - (LX)^T.
-    """
+def _product(entries: list[tuple[int, int, object]], x: list[list], n: int) -> list[list]:
+    """LX for L given by its nonzero entries (i, r, L[i][r])."""
     p = [[0] * n for _ in range(n)]
     for i, r, v in entries:
         xr, pi = x[r], p[i]
         for j in range(n):
             if xr[j]:
                 pi[j] += v * xr[j]
+    return p
+
+
+def _bracket(entries: list[tuple[int, int, object]], x: list[list], n: int) -> list[list]:
+    """[L, X] for skew L, given by its nonzero entries (i, r, L[i][r]), and skew X.
+
+    Both are skew, so XL = (LX)^T and [L, X] = LX - (LX)^T.
+    """
+    p = _product(entries, x, n)
     return [[p[i][j] - p[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -398,24 +442,29 @@ def nabla_matrices(sheet: ConnectionSheet, curv: CurvatureSheet,
 
     Only the one direction m is computed, from
     (nabla_{e_m} R)(e_k, e_l) = [Lambda_m, R_kl] - R(Lambda_m e_k, e_l) - R(e_k, Lambda_m e_l)
-    with Lambda_m = nabla_{e_m}.
+    with Lambda_m = nabla_{e_m}, on int matrices s*Lambda_m and r*R.
     """
     n = sheet.frame.algebra.dimension
-    lam = [[g[direction - 1] for g in row] for row in sheet.gamma]
+    lam = _direction(sheet.gamma, direction - 1)
+    tensor = curv.tensor()
+    s, r = _denominator([lam]), _denominator(tensor.values())
+    lam = _integral(lam, s)
     entries = _nonzero_entries(lam)
     zero = [[0] * n for _ in range(n)]
-    r: dict[tuple[int, int], Matrix] = {}  # R(e_k, e_l), 0-based, both orders
-    for (k, l), mat in curv.tensor().items():
-        r[(k - 1, l - 1)], r[(l - 1, k - 1)] = mat, [[-v for v in row] for row in mat]
+    mats: dict[tuple[int, int], list[list[int]]] = {}  # r*R(e_k, e_l), 0-based, both orders
+    for (k, l), mat in tensor.items():
+        scaled = _integral(mat, r)
+        mats[(k - 1, l - 1)], mats[(l - 1, k - 1)] = scaled, [[-v for v in row] for row in scaled]
     coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
     for k, l in itertools.combinations(range(n), 2):
-        bracket = _bracket(entries, r.get((k, l), zero), n)
-        terms = ([(lam[s][k], r[(s, l)]) for s in range(n) if lam[s][k] and (s, l) in r]
-                 + [(lam[s][l], r[(k, s)]) for s in range(n) if lam[s][l] and (k, s) in r])
+        bracket = _bracket(entries, mats.get((k, l), zero), n)
+        terms = ([(lam[x][k], mats[(x, l)]) for x in range(n) if lam[x][k] and (x, l) in mats]
+                 + [(lam[x][l], mats[(k, x)]) for x in range(n) if lam[x][l] and (k, x) in mats])
         for i, j in itertools.combinations(range(n), 2):
             val = bracket[i][j] - sum(a * mat[i][j] for a, mat in terms)
             if val:
-                coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(val)
+                coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(
+                    Fraction(val, s * r))
     return {key: Form(n, 2, c) for key, c in coeffs.items()}
 
 
@@ -438,10 +487,27 @@ class HolonomyReport:
                 f"stabilized at order {stab}")
 
 
-def _integral(mat: Matrix) -> list[list[int]]:
-    """The rational matrix times the lcm of its denominators."""
-    den = lcm(*(x.denominator for row in mat for x in row))
+def _denominator(mats) -> int:
+    """The lcm of the denominators of rational matrices."""
+    return lcm(*(x.denominator for mat in mats for row in mat for x in row))
+
+
+def _integral(mat: Matrix, den: int | None = None) -> list[list[int]]:
+    """The rational matrix times den, by default the lcm of its denominators."""
+    den = den or _denominator([mat])
     return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+
+
+def _direction(gamma: list[list[list[Fraction]]], m: int) -> Matrix:
+    """Lambda_m = nabla_{e_m} as the matrix [gamma[i][j][m]] (0-based m)."""
+    return [[g[m] for g in row] for row in gamma]
+
+
+def _directions(gamma: list[list[list[Fraction]]]) -> tuple[int, list[list[list[int]]]]:
+    """s and the int matrices s*Lambda_m, s the lcm of all denominators of gamma."""
+    lams = [_direction(gamma, m) for m in range(len(gamma))]
+    s = _denominator(lams)
+    return s, [_integral(lam, s) for lam in lams]
 
 
 def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
@@ -461,7 +527,7 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     """
     n = sheet.frame.algebra.dimension
     upper = list(itertools.combinations(range(n), 2))
-    lams = [_integral([[g[m] for g in row] for row in sheet.gamma]) for m in range(n)]
+    lams = [_integral(_direction(sheet.gamma, m)) for m in range(n)]
     curvatures = [_integral(mat) for _, mat in sorted(curv.tensor().items())]
     if any(mat[i][j] != -mat[j][i] for mat in lams + curvatures
            for i in range(n) for j in range(i, n)):
@@ -487,11 +553,10 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
         if not new:
             stabilized = order - 1
             break
-    jm = _integral(sheet.frame.j_matrix())
-    in_u = all(_mat_mul(mat, jm) == _mat_mul(jm, mat) for mat in basis)
-    in_su = in_u and all(
-        sum(sum(jm[i][r] * mat[r][i] for r in range(n)) for i in range(n)) == 0
-        for mat in basis)
+    # J is orthogonal with J^2 = -1, hence skew: [J, X] is a skew bracket
+    j_entries = _nonzero_entries(_integral(sheet.frame.j_matrix()))
+    in_u = not any(any(row) for mat in basis for row in _bracket(j_entries, mat, n))
+    in_su = in_u and all(sum(v * mat[r][i] for i, r, v in j_entries) == 0 for mat in basis)
     frozen = tuple(tuple(tuple(row) for row in mat) for mat in basis)
     return HolonomyReport(len(basis), tuple(generations), frozen, in_u, in_su,
                           stabilized)

@@ -65,6 +65,9 @@ def test_parse_compact_rejects_bad_tokens():
         parse_compact("(0,0,15)")  # index out of range
     with pytest.raises(ParseError):
         parse_compact("(" + ",".join("0" for _ in range(10)) + ")")
+    with pytest.raises(ParseError, match="empty compact entry") as err:
+        parse_compact("(0,,0,12)")
+    assert (err.value.line, err.value.column) == (1, 4)
 
 
 def test_parse_equations_differentials():

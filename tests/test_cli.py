@@ -303,6 +303,14 @@ def test_compact_errors_point_into_the_file(tmp_path):
         ("[algebra]\ndim = 3\nd e3 = e12\n\n[basis_change]\nf1 = e1\nf2 = e2\nf3 = e3\n"
          "target = (0,0,1 2)\n",
          "error: line 9, column 15: malformed compact entry '1 2'"),
+        ("[algebra]\ncompact = (0,,0,12)\n",
+         "error: line 2, column 14: empty compact entry"),
+        ("[algebra]\ncompact = (0,0,0,12,)\n",
+         "error: line 2, column 21: empty compact entry"),
+        ("[algebra]\ndim = 5\ncompact = (0,0,0,12)\n",
+         "error: line 3, column 11: dim contradicts the compact declaration"),
+        ("# header\n[algebra]\n  compact =  (0,0,0,12)\nd e4 = e13\n",
+         "error: line 3, column 14: cannot mix compact and explicit differentials"),
     ]
     for k, (text, message) in enumerate(cases):
         code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])

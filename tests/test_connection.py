@@ -8,6 +8,7 @@ from lieforms._linalg import insert_echelon_row
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.connection import (
+    CurvatureSheet,
     MetricFrame,
     bismut_connection,
     connection_from_cartan,
@@ -18,7 +19,7 @@ from lieforms.connection import (
     nabla_matrices,
     torsion_form,
 )
-from lieforms.exterior import CoframeMap, Form, span_rank, wedge_power
+from lieforms.exterior import CoframeMap, Form, span_rank, wedge, wedge_power
 
 F = Fraction
 
@@ -76,6 +77,8 @@ def test_levi_civita_satisfies_torsion_free_cartan():
     lc = levi_civita(frame)
     assert lc.is_metric()
     assert all(r.is_zero() for r in lc.cartan_residuals())
+    # the Iwasawa metric is not Kaehler, so its Levi-Civita connection moves J
+    assert not lc.preserves_j()
 
 
 def test_bismut_connection_forms_iwasawa():
@@ -122,6 +125,22 @@ def test_cartan_direct_solution_matches_koszul_route():
     assert direct.gamma == sheet.gamma
     # and with zero torsion it reproduces Levi-Civita
     assert connection_from_cartan(frame, {}).gamma == levi_civita(frame).gamma
+
+
+def test_bismut_paths_read_their_inputs_separately(monkeypatch):
+    # the Koszul path reads the structure constants, the Cartan path the
+    # differentials: a misread on one side alone must trip the cross-check
+    frame, kf = iwasawa_frame()
+    read = LieAlgebra.structure_constants
+
+    def misread(self):
+        c = read(self)
+        c[0][2], c[2][0] = c[2][0], c[0][2]  # [e1, e3] read with the wrong sign
+        return c
+
+    monkeypatch.setattr(LieAlgebra, "structure_constants", misread)
+    with pytest.raises(AssertionError, match="paths disagree"):
+        bismut_connection(frame, kf)
 
 
 def test_curvature_iwasawa():
@@ -384,3 +403,131 @@ def test_holonomy_rejects_non_metric_connection():
 def test_metric_frame_rejects_non_lie_algebra():
     with pytest.raises(ValueError, match=r"Jacobi identity fails: d\^2 e5 = -e123"):
         MetricFrame(parse_compact("(0,0,0,12,34,0)"), STANDARD_J6)
+
+
+def cartan_curvature(sheet):
+    """Oracle: Omega^i_j = d omega^i_j + sum_r omega^i_r ^ omega^r_j with ``wedge``,
+    and the matrices [Omega^i_j(e_k, e_l)] read back from those forms."""
+    algebra = sheet.frame.algebra
+    n = algebra.dimension
+    forms = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        acc = algebra.d(sheet.omega(i, j))
+        for r in range(1, n + 1):
+            acc = acc + wedge(sheet.omega(i, r), sheet.omega(r, j))
+        if not acc.is_zero():
+            forms[(i, j)] = acc
+    tensor = {}
+    for k, l in itertools.combinations(range(1, n + 1), 2):
+        mat = [[F(0)] * n for _ in range(n)]
+        for (i, j), omega in forms.items():
+            val = omega.coefficient((k, l)).as_fraction()
+            mat[i - 1][j - 1], mat[j - 1][i - 1] = val, -val
+        if any(any(row) for row in mat):
+            tensor[(k, l)] = mat
+    return forms, tensor
+
+
+def rotated_sheets(seed):
+    import lieforms
+    from perfbench.workloads import rotated_file, sun_entries
+    for entry in sun_entries(lieforms):
+        sf = parse_equations(rotated_file(lieforms, entry, random.Random(seed)))
+        sheet = bismut_connection(MetricFrame(sf.algebra, sf.coframe_map), sf.forms["F"])
+        yield f"{entry.name} at seed {seed}", sheet
+
+
+def test_curvature_matches_second_cartan_equation_oracle():
+    sheets = [(name, catalog_sheet(name)[0]) for name in HOLONOMY_ENTRIES]
+    sheets += [*rotated_sheets(1), *rotated_sheets(7)]
+    assert len(sheets) == 36
+    for name, sheet in sheets:
+        curv = curvature(sheet)
+        forms, tensor = cartan_curvature(sheet)
+        assert curv.forms == forms, name
+        assert curv.tensor() == tensor, name
+    # torsion-free too
+    lc = levi_civita(iwasawa_frame()[0])
+    assert curvature(lc).forms == cartan_curvature(lc)[0]
+
+
+def test_curvature_tensor_is_built_once_per_sheet(monkeypatch):
+    sheet, curv = catalog_sheet("ex4.3")
+    n = sheet.frame.algebra.dimension
+    seen = []
+    tensor = CurvatureSheet.tensor
+
+    def spy(self):
+        seen.append(tensor(self))
+        return seen[-1]
+
+    def no_lookup(self, indices):
+        raise AssertionError("curvature matrices re-read from the forms")
+
+    monkeypatch.setattr(CurvatureSheet, "tensor", spy)
+    monkeypatch.setattr(Form, "coefficient", no_lookup)
+    holonomy_algebra(sheet, curv)
+    for m in range(1, n + 1):
+        nabla_matrices(sheet, curv, m)
+    assert len(seen) == n + 1
+    assert all(t is seen[0] for t in seen)
+
+
+def second_bianchi_holds(sheet, curv, torsion_sign=1):
+    """Cyclic sum over (e_k, e_l, e_m) of (nabla_{e_m} R)(e_k, e_l) + R(T(e_m, e_k), e_l).
+
+    T(e_a, e_b) = nabla_{e_a} e_b - nabla_{e_b} e_a - [e_a, e_b], read from
+    gamma and the structure constants; ``torsion_sign=-1`` flips it.
+    """
+    n = sheet.frame.algebra.dimension
+    gamma, c = sheet.gamma, sheet.frame.algebra.structure_constants()
+    zero = [[F(0)] * n for _ in range(n)]
+    r = {}  # R(e_a, e_b), 0-based, every ordered pair
+    for a, b in itertools.product(range(n), repeat=2):
+        if a < b:
+            r[(a, b)] = curv.tensor().get((a + 1, b + 1), zero)
+        elif a > b:
+            r[(a, b)] = [[-v for v in row] for row in curv.tensor().get((b + 1, a + 1), zero)]
+        else:
+            r[(a, b)] = zero
+    torsion = {(a, b): [torsion_sign * (gamma[x][b][a] - gamma[x][a][b] - c[a][b][x])
+                        for x in range(n)]
+               for a, b in itertools.product(range(n), repeat=2)}
+    nabla = [nabla_matrices(sheet, curv, m + 1) for m in range(n)]
+
+    def term(m, k, l, i, j):
+        val = nabla[m].get((i + 1, j + 1), Form.zero(n, 2)).coefficient((k + 1, l + 1))
+        val = val.as_fraction()
+        for x, t in enumerate(torsion[(m, k)]):
+            if t:
+                val += t * r[(x, l)][i][j]
+        return val
+
+    return all(term(m, k, l, i, j) + term(k, l, m, i, j) + term(l, m, k, i, j) == 0
+               for k, l, m in itertools.combinations(range(n), 3)
+               for i, j in itertools.combinations(range(n), 2))
+
+
+def test_second_bianchi_identity_holds_on_catalog_connections():
+    assert len(HOLONOMY_ENTRIES) == 12
+    for name in HOLONOMY_ENTRIES:
+        sheet, curv = catalog_sheet(name)
+        assert second_bianchi_holds(sheet, curv), name
+        # the torsion term carries weight: with T flipped the sum no longer vanishes
+        assert not second_bianchi_holds(sheet, curv, torsion_sign=-1), name
+
+
+def test_holonomy_separates_u_n_from_su_n_and_so_2n():
+    # H^2 x H^2 is Kaehler with nonzero Ricci form: holonomy u(1)+u(1), in u(2), not su(2)
+    j4 = CoframeMap.from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    frame = MetricFrame(parse_compact("(0,12,0,34)"), j4)
+    sheet = bismut_connection(frame, form(4, ("12", 1), ("34", 1)))
+    assert sheet.torsion.is_zero()
+    report = holonomy_algebra(sheet, curvature(sheet))
+    assert (report.span_dimension, report.contained_in_u_n, report.contained_in_su_n) == (
+        2, True, False)
+    # the Levi-Civita connection of the Iwasawa metric leaves u(3)
+    lc = levi_civita(iwasawa_frame()[0])
+    report = holonomy_algebra(lc, curvature(lc))
+    assert (report.span_dimension, report.contained_in_u_n, report.contained_in_su_n) == (
+        15, False, False)
