@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from ._linalg import insert_echelon_row
@@ -117,15 +118,19 @@ class ConnectionSheet:
                    for i in range(n) for j in range(n) for k in range(n))
 
     def cartan_residuals(self) -> list[Form]:
-        """de^i + sum_j omega^i_j ^ e^j - tau^i, all of which must vanish."""
+        """de^i + sum_j omega^i_j ^ e^j - tau^i, all of which must vanish; its
+        e^ab coefficient (a < b) is de^i_ab + G[i][b][a] - G[i][a][b] - T_iab."""
         n = self.frame.algebra.dimension
         out = []
         for i in range(1, n + 1):
-            acc = self.frame.algebra.differentials[i - 1]
-            for j in range(1, n + 1):
-                acc = acc + wedge(self.omega(i, j), Form.generator(n, j))
-            acc = acc - self.tau(i)
-            out.append(acc)
+            diff, g = self.frame.algebra.differentials[i - 1], self.gamma[i - 1]
+            coeffs = {}
+            for a, b in itertools.combinations(range(1, n + 1), 2):
+                val = (diff.coefficient((a, b)).as_fraction() + g[b - 1][a - 1] - g[a - 1][b - 1]
+                       - _torsion_lookup(self.torsion_components, i, a, b))
+                if val:
+                    coeffs[(a, b)] = Scalar.rational(val)
+            out.append(Form(n, 2, coeffs))
         return out
 
     def preserves_j(self) -> bool:
@@ -283,6 +288,19 @@ class CurvatureSheet:
     def tensor(self) -> dict[tuple[int, int], Matrix]:
         """R(e_k, e_l) = [Omega^i_j(e_k, e_l)] for k < l, where nonzero."""
         return self._matrices
+
+    @cached_property
+    def scaled_tensor(self) -> tuple[int, dict[tuple[int, int], list[list[int]]]]:
+        """r and the int matrices r*R(e_k, e_l), 0-based, in both orders (k, l)
+        and (l, k); r is the lcm of the denominators of the tensor."""
+        tensor = self.tensor()
+        r = _denominator(tensor.values())
+        mats: dict[tuple[int, int], list[list[int]]] = {}
+        for (k, l), mat in tensor.items():
+            scaled = _integral(mat, r)
+            mats[(k - 1, l - 1)] = scaled
+            mats[(l - 1, k - 1)] = [[-v for v in row] for row in scaled]
+        return r, mats
 
     def render(self) -> str:
         lines = []
@@ -446,15 +464,11 @@ def nabla_matrices(sheet: ConnectionSheet, curv: CurvatureSheet,
     """
     n = sheet.frame.algebra.dimension
     lam = _direction(sheet.gamma, direction - 1)
-    tensor = curv.tensor()
-    s, r = _denominator([lam]), _denominator(tensor.values())
+    r, mats = curv.scaled_tensor
+    s = _denominator([lam])
     lam = _integral(lam, s)
     entries = _nonzero_entries(lam)
     zero = [[0] * n for _ in range(n)]
-    mats: dict[tuple[int, int], list[list[int]]] = {}  # r*R(e_k, e_l), 0-based, both orders
-    for (k, l), mat in tensor.items():
-        scaled = _integral(mat, r)
-        mats[(k - 1, l - 1)], mats[(l - 1, k - 1)] = scaled, [[-v for v in row] for row in scaled]
     coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
     for k, l in itertools.combinations(range(n), 2):
         bracket = _bracket(entries, mats.get((k, l), zero), n)

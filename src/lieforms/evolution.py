@@ -17,12 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebras import FamilySection, Interval, LieAlgebra
 from .exterior import Form, partial_t, wedge
 from .scalars import Scalar, ScalarDomainError
 from .structures import (
     SU2Structure,
+    Su2Geometry,
     is_balanced_su2,
     su2_geometry,
     su2_wedge_identities,
@@ -47,8 +49,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParamFamily:
+    """A quadruplet in t over its domain; frozen, so ``geometry`` is built once."""
+
     algebra: LieAlgebra
     eta: Form
     omega1: Form
@@ -66,6 +70,10 @@ class ParamFamily:
     def quadruplet(self) -> SU2Structure:
         return SU2Structure(self.algebra, self.eta, self.omega1, self.omega2,
                             self.omega3, name=self.name)
+
+    @cached_property
+    def geometry(self) -> Su2Geometry:
+        return su2_geometry(self.quadruplet())
 
     def sample_points(self, per_interval: int = 3) -> list[Fraction]:
         out: list[Fraction] = []
@@ -112,10 +120,9 @@ class FamilyValidationReport:
 
 def validate_family(family: ParamFamily, samples_per_interval: int = 3) -> FamilyValidationReport:
     """Exact wedge identities in t; metric positivity sampled numerically."""
-    s = family.quadruplet()
-    flags, v = su2_wedge_identities(s)
-    volume_ok = not wedge(v, s.eta).is_zero()
-    geo = su2_geometry(s)
+    flags, v = su2_wedge_identities(family.quadruplet())
+    volume_ok = not wedge(v, family.eta).is_zero()
+    geo = family.geometry
     samples = []
     for t0 in family.sample_points(samples_per_interval):
         try:
@@ -286,7 +293,7 @@ def verify_orthonormal_coframe(susp: SuspendedStructure,
     """
     if len(alphas) != 6 or any(a.dimension != 6 or a.degree != 1 for a in alphas):
         raise ValueError("need six 1-forms on the suspended algebra")
-    geo = su2_geometry(susp.base.quadruplet())
+    geo = susp.base.geometry
     mismatches = []
     for x in range(1, 7):
         for y in range(x, 7):

@@ -10,12 +10,17 @@ differentiates them.  The parameter derivative partial_t acts coefficient-wise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from ._linalg import insert_echelon_row
+from ._linalg import (
+    insert_echelon_row,
+    scalar_identity,
+    scalar_mat_eq,
+    scalar_mat_mul,
+    scalar_mat_neg,
+)
 from .scalars import Scalar, UnsupportedScalarError
 
 Index = tuple[int, ...]
@@ -148,22 +153,6 @@ class Form:
         return (self.dimension == other.dimension and self.degree == other.degree
                 and self.coeffs == other.coeffs)
 
-    def evaluate(self, vectors: Sequence[Sequence[Scalar | Fraction | int]]) -> Scalar:
-        """Evaluate on degree-many frame vectors given by coefficient tuples."""
-        if len(vectors) != self.degree:
-            raise ValueError("wrong number of vectors")
-        total = Scalar.zero()
-        for idx, coeff in self.coeffs.items():
-            for perm in itertools.permutations(range(self.degree)):
-                sign = sort_index(perm)[0]
-                prod = coeff * sign
-                for slot, pos in enumerate(perm):
-                    comp = vectors[pos][idx[slot] - 1]
-                    comp = comp if isinstance(comp, Scalar) else Scalar.rational(comp)
-                    prod = prod * comp
-                total = total + prod
-        return total
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"
@@ -285,38 +274,15 @@ class CoframeMap:
         return Form(n, 1, {(j + 1,): c for j, c in enumerate(self.matrix[i - 1])
                            if not c.is_zero()})
 
-    def compose(self, other: CoframeMap) -> CoframeMap:
-        n = self.dimension
-        rows = [[Scalar.zero()] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = Scalar.zero()
-                for k in range(n):
-                    acc = acc + self.matrix[i][k] * other.matrix[k][j]
-                rows[i][j] = acc
-        return CoframeMap(rows)
-
     def squares_to_minus_identity(self) -> bool:
-        sq = self.compose(self).matrix
-        n = self.dimension
-        for i in range(n):
-            for j in range(n):
-                want = Scalar.rational(-1) if i == j else Scalar.zero()
-                if sq[i][j] != want:
-                    return False
-        return True
+        m = self.matrix
+        return scalar_mat_eq(scalar_mat_mul(m, m), scalar_mat_neg(scalar_identity(len(m))))
 
     def is_orthogonal(self) -> bool:
-        n = self.dimension
-        for i in range(n):
-            for j in range(n):
-                acc = Scalar.zero()
-                for k in range(n):
-                    acc = acc + self.matrix[i][k] * self.matrix[j][k]
-                want = Scalar.one() if i == j else Scalar.zero()
-                if acc != want:
-                    return False
-        return True
+        """M M^T = I, the condition for J to preserve the frame metric."""
+        m = self.matrix
+        transpose = [list(col) for col in zip(*m)]
+        return scalar_mat_eq(scalar_mat_mul(m, transpose), scalar_identity(len(m)))
 
     def as_fraction_matrix(self) -> list[list[Fraction]]:
         return [[c.as_fraction() for c in row] for row in self.matrix]

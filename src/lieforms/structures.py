@@ -13,6 +13,7 @@ omega2 = e25 + e34, omega3 = e23 + e45, which pins all sign conventions.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +24,6 @@ from ._linalg import (
     scalar_mat_eq,
     scalar_mat_mul,
     scalar_mat_neg,
-    scalar_matrix_inverse,
     symmetric,
 )
 from .algebras import LieAlgebra, central_extension, extend_by_line, lift_form
@@ -114,13 +114,14 @@ def standard_quadruplet(algebra: LieAlgebra, name: str | None = None) -> SU2Stru
 
 @dataclass
 class Su2Geometry:
-    """Derived frame data: Reeb vector, kernel basis, endomorphisms, metric."""
+    """Derived frame data: Reeb vector, kernel basis, endomorphisms, metric, projections."""
 
-    xi: list[Scalar]                  # frame components of the Reeb vector
-    kernel_basis: list[list[Scalar]]  # four frame vectors spanning ker eta
-    endo_a: list[list[Scalar]]        # omega1 = omega3(A., .) on ker eta
+    xi: list[Scalar]                    # frame components of the Reeb vector
+    kernel_basis: list[list[Fraction]]  # four rational frame vectors spanning ker eta
+    endo_a: list[list[Scalar]]          # omega1 = omega3(A., .) on ker eta
     endo_b: list[list[Scalar]]
-    metric: list[list[Scalar]]        # 5x5 frame metric
+    metric: list[list[Scalar]]          # 5x5 frame metric
+    proj: list[list[Scalar]]            # kernel coordinates of e_x - eta(e_x) xi
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,10 @@ def su2_geometry(s: SU2Structure) -> Su2Geometry:
 
     Exact throughout.  Rational quadruplets go through Fraction elimination;
     parametric ones require eta to be a multiple of a single generator (the
-    shape of every catalog family), so the kernel stays rational.
+    shape of every catalog family).  Either way ker eta has a rational basis,
+    so the restricted matrices [omega_i(u_p, u_q)] are read from the
+    coefficients of omega_i, and the 4x4 skew omega3 on ker eta is inverted
+    by its Pfaffian.
     """
     if s.eta.is_zero():
         raise ValueError("eta must be a nowhere vanishing 1-form")
@@ -182,51 +186,40 @@ def su2_geometry(s: SU2Structure) -> Su2Geometry:
     else:
         xi, kernel = _reeb_and_kernel_single_eta(s)
 
-    omega3_k = _restricted_matrix(s.omega3, kernel)
-    try:
-        omega3_inv = scalar_matrix_inverse(omega3_k)
-    except ValueError as exc:
-        raise ValueError("omega3 is degenerate on ker eta") from exc
+    omega3_inv = _pfaffian_inverse(_restricted_matrix(s.omega3, kernel))
     omega1_k = _restricted_matrix(s.omega1, kernel)
     omega2_k = _restricted_matrix(s.omega2, kernel)
     endo_a = scalar_mat_mul(omega3_inv, omega1_k)
     endo_b = scalar_mat_mul(omega3_inv, omega2_k)
     gk = scalar_mat_neg(scalar_mat_mul(omega2_k, endo_a))
 
-    metric = [[Scalar.zero()] * 5 for _ in range(5)]
     eta_of = [s.eta.coefficient((i,)) for i in range(1, 6)]
-    # coordinates of the projection of each frame vector onto ker eta
     proj = []
     for x in range(5):
-        frame_vec = [Scalar.rational(1 if i == x else 0) for i in range(5)]
-        p = [frame_vec[i] - eta_of[x] * xi[i] for i in range(5)]
-        proj.append(_kernel_coordinates(p, kernel))
+        vec = [Scalar.one() if i == x else Scalar.zero() for i in range(5)]
+        if not eta_of[x].is_zero():
+            vec = [v - eta_of[x] * c for v, c in zip(vec, xi)]
+        proj.append(_kernel_coordinates(vec, kernel))
+    metric = scalar_mat_mul(scalar_mat_mul(proj, gk), [list(col) for col in zip(*proj)])
     for x in range(5):
         for y in range(5):
-            val = eta_of[x] * eta_of[y]
-            for p in range(4):
-                for q in range(4):
-                    if not proj[x][p].is_zero() and not proj[y][q].is_zero():
-                        val = val + proj[x][p] * proj[y][q] * gk[p][q]
-            metric[x][y] = val
-    return Su2Geometry(xi, kernel, endo_a, endo_b, metric)
+            if not (eta_of[x].is_zero() or eta_of[y].is_zero()):
+                metric[x][y] = metric[x][y] + eta_of[x] * eta_of[y]
+    return Su2Geometry(xi, kernel, endo_a, endo_b, metric, proj)
 
 
 def _reeb_and_kernel_rational(s: SU2Structure):
     w = [[s.omega3.coefficient((x + 1, y + 1)).as_fraction() for y in range(5)]
          for x in range(5)]
-    columns = [[w[r][c] for r in range(5)] for c in range(5)]
-    null = fraction_nullspace(columns, 5)
+    null = fraction_nullspace(w, 5)  # rows of w as columns: ker(w^T) = ker(-w) = ker(w)
     if len(null) != 1:
         raise ValueError("omega3 must have a one-dimensional kernel")
-    xi0 = null[0]
-    pairing = sum(s.eta.coefficient((i + 1,)).as_fraction() * xi0[i] for i in range(5))
+    eta_vec = [s.eta.coefficient((i + 1,)).as_fraction() for i in range(5)]
+    pairing = sum(e * c for e, c in zip(eta_vec, null[0]))
     if pairing == 0:
         raise ValueError("omega3 is degenerate on ker eta")
-    xi = [Scalar.rational(c / pairing) for c in xi0]
-    eta_vec = [s.eta.coefficient((i + 1,)).as_fraction() for i in range(5)]
-    kernel_frac = fraction_nullspace([[e] for e in eta_vec], 1)
-    kernel = [[Scalar.rational(c) for c in vec] for vec in kernel_frac]
+    xi = [Scalar.rational(c / pairing) for c in null[0]]
+    kernel = fraction_nullspace([[e] for e in eta_vec], 1)
     _check_reeb(s, xi)
     return xi, kernel
 
@@ -235,21 +228,15 @@ def _reeb_and_kernel_single_eta(s: SU2Structure):
     if len(s.eta.coeffs) != 1:
         raise UnsupportedScalarError(
             "parametric quadruplets need eta proportional to a single generator")
-    ((idx,), _coeff), = s.eta.coeffs.items()
+    ((idx,), coeff), = s.eta.coeffs.items()
     xi = _pfaffian_kernel_vector(s.omega3)
-    pairing = Scalar.zero()
-    for i in range(5):
-        if not xi[i].is_zero():
-            pairing = pairing + s.eta.coefficient((i + 1,)) * xi[i]
+    pairing = coeff * xi[idx - 1]
     if pairing.is_zero():
         raise ValueError("omega3 is degenerate on ker eta")
-    xi = [c / pairing for c in xi]
-    kernel = []
-    for i in range(5):
-        if i == idx - 1:
-            continue
-        vec = [Scalar.rational(1 if j == i else 0) for j in range(5)]
-        kernel.append(vec)
+    inv = pairing.inverse()
+    xi = [c * inv for c in xi]
+    kernel = [[Fraction(1 if j == i else 0) for j in range(5)]
+              for i in range(5) if i != idx - 1]
     _check_reeb(s, xi)
     return xi, kernel
 
@@ -277,12 +264,47 @@ def _check_reeb(s: SU2Structure, xi) -> None:
         raise ValueError("the Reeb direction must contract omega3 to zero")
 
 
-def _restricted_matrix(form2: Form, kernel) -> list[list[Scalar]]:
-    k = len(kernel)
-    return [[form2.evaluate([kernel[p], kernel[q]]) for q in range(k)] for p in range(k)]
+def _restricted_matrix(form2: Form, kernel: list[list[Fraction]]) -> list[list[Scalar]]:
+    """The skew [omega(u_p, u_q)] for rational u_p, upper triangle mirrored, from
+    omega(u, v) = sum_{a<b} c_ab (u_a v_b - u_b v_a), skipping zero factors."""
+    out = [[Scalar.zero()] * len(kernel) for _ in kernel]
+    for p, q in itertools.combinations(range(len(kernel)), 2):
+        u, v, acc = kernel[p], kernel[q], None
+        for (a, b), c in form2.coeffs.items():
+            f = u[a - 1] * v[b - 1] - u[b - 1] * v[a - 1]
+            if f:
+                term = _times(c, f)
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[p][q], out[q][p] = acc, -acc
+    return out
 
 
-def _kernel_coordinates(vec, kernel) -> list[Scalar]:
+def _times(c: Scalar, f: Fraction) -> Scalar:
+    """c * f, taking +-c as it is when f = +-1."""
+    return c if f == 1 else -c if f == -1 else c * f
+
+
+def _pfaffian_inverse(w: list[list[Scalar]]) -> list[list[Scalar]]:
+    """W^-1 = -W~/Pf(W) for skew 4x4 W, with Pf = w12 w34 - w13 w24 + w14 w23.
+
+    The skew W~ has W~12 = w34, W~13 = -w24, W~14 = w23, W~23 = w14,
+    W~24 = -w13, W~34 = w12, so that W W~ = -Pf I.
+    """
+    pf = w[0][1] * w[2][3] - w[0][2] * w[1][3] + w[0][3] * w[1][2]
+    if pf.is_zero():
+        raise ValueError("omega3 is degenerate on ker eta")
+    scale = (-pf).inverse()
+    dual = {(0, 1): w[2][3], (0, 2): -w[1][3], (0, 3): w[1][2],
+            (1, 2): w[0][3], (1, 3): -w[0][2], (2, 3): w[0][1]}
+    out = [[Scalar.zero()] * 4 for _ in range(4)]
+    for (p, q), entry in dual.items():
+        out[p][q] = scale * entry
+        out[q][p] = -out[p][q]
+    return out
+
+
+def _kernel_coordinates(vec: list[Scalar], kernel: list[list[Fraction]]) -> list[Scalar]:
     """Coordinates of vec in the kernel basis.
 
     Each kernel vector has an indicator position where it is the only basis
@@ -293,12 +315,11 @@ def _kernel_coordinates(vec, kernel) -> list[Scalar]:
     for i, kvec in enumerate(kernel):
         indicator = next(
             p for p, c in enumerate(kvec)
-            if not c.is_zero() and all(kernel[j][p].is_zero()
-                                       for j in range(len(kernel)) if j != i))
-        coords.append(vec[indicator] / kvec[indicator])
+            if c and all(not kernel[j][p] for j in range(len(kernel)) if j != i))
+        coords.append(_times(vec[indicator], Fraction(1) / kvec[indicator]))
     residual = list(vec)
     for coord, kvec in zip(coords, kernel):
-        residual = [r - coord * k for r, k in zip(residual, kvec)]
+        residual = [r - _times(coord, k) if k else r for r, k in zip(residual, kvec)]
     if any(not r.is_zero() for r in residual):
         raise ValueError("vector does not lie in ker eta")
     return coords
@@ -594,30 +615,19 @@ def suspension_forms(s) -> tuple[LieAlgebra, Form, Form, Form]:
 
 
 def suspension_coframe_map(s: SU2Structure) -> CoframeMap:
-    """The complex structure of the suspension: J3 on ker eta, J xi = dt."""
+    """The complex structure of the suspension: J3 on ker eta, J xi = dt.
+
+    J3 = omega3_k^-1 g_k with g_k = -omega2_k A, and omega3_k^-1 omega2_k = B,
+    so J3 = -BA.  It acts on e_x through the kernel coordinates of its
+    projection onto ker eta.
+    """
     geo = su2_geometry(s)
-    omega3_k = _restricted_matrix(s.omega3, geo.kernel_basis)
-    gk = scalar_mat_neg(scalar_mat_mul(_restricted_matrix(s.omega2, geo.kernel_basis),
-                                       geo.endo_a))
-    j3 = scalar_mat_mul(scalar_matrix_inverse(omega3_k), gk)
+    j3 = scalar_mat_neg(scalar_mat_mul(geo.endo_b, geo.endo_a))
+    basis = [[Scalar.rational(u[i]) for u in geo.kernel_basis] for i in range(5)]
+    block = scalar_mat_mul(basis, scalar_mat_mul(j3, [list(col) for col in zip(*geo.proj)]))
     eta_of = [s.eta.coefficient((i,)) for i in range(1, 6)]
-    columns: list[list[Scalar]] = []
-    for x in range(5):
-        frame_vec = [Scalar.rational(1 if i == x else 0) for i in range(5)]
-        proj = [frame_vec[i] - eta_of[x] * geo.xi[i] for i in range(5)]
-        coords = _kernel_coordinates(proj, geo.kernel_basis)
-        image = [Scalar.zero()] * 6
-        for p in range(4):
-            for q in range(4):
-                if not coords[q].is_zero() and not j3[p][q].is_zero():
-                    for i in range(5):
-                        image[i] = image[i] + j3[p][q] * coords[q] * geo.kernel_basis[p][i]
-        image[5] = image[5] + eta_of[x]  # J xi = dt direction
-        columns.append(image)
-    # J dt = -xi
-    columns.append([-geo.xi[i] for i in range(5)] + [Scalar.zero()])
-    matrix = [[columns[j][i] for j in range(6)] for i in range(6)]
-    return CoframeMap(matrix)
+    # J xi = dt and J dt = -xi
+    return CoframeMap([row + [-c] for row, c in zip(block, geo.xi)] + [eta_of + [Scalar.zero()]])
 
 
 # ---------------------------------------------------------------------------

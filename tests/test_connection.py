@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -79,6 +81,16 @@ def test_levi_civita_satisfies_torsion_free_cartan():
     assert all(r.is_zero() for r in lc.cartan_residuals())
     # the Iwasawa metric is not Kaehler, so its Levi-Civita connection moves J
     assert not lc.preserves_j()
+
+
+def test_cartan_residuals_detect_a_perturbed_gamma():
+    sheet, _ = catalog_sheet("ex4.3")
+    assert all(r.is_zero() for r in sheet.cartan_residuals())
+    gamma = copy.deepcopy(sheet.gamma)
+    gamma[0][1][2] += 1  # omega^1_2 gains e^3, so de^1 + omega^1_j ^ e^j gains -e^23
+    residuals = dataclasses.replace(sheet, gamma=gamma).cartan_residuals()
+    assert residuals[0] == form(sheet.frame.algebra.dimension, ("23", -1))
+    assert all(r.is_zero() for r in residuals[1:])
 
 
 def test_bismut_connection_forms_iwasawa():
@@ -469,7 +481,8 @@ def test_curvature_tensor_is_built_once_per_sheet(monkeypatch):
     holonomy_algebra(sheet, curv)
     for m in range(1, n + 1):
         nabla_matrices(sheet, curv, m)
-    assert len(seen) == n + 1
+    # one read for holonomy, one for the int scaling shared by all directions
+    assert len(seen) == 2
     assert all(t is seen[0] for t in seen)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -242,3 +243,23 @@ def test_partial_t_commutes_with_d():
         lhs = partial_t(fam.algebra.d(w))
         rhs = fam.algebra.d(partial_t(w))
         assert lhs == rhs
+
+
+def test_family_geometry_is_computed_once(monkeypatch):
+    from lieforms import evolution, structures
+    from lieforms.catalog import get_entry, run_entry
+    calls = []
+    original = structures.su2_geometry
+
+    def counted(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(evolution, "su2_geometry", counted)
+    monkeypatch.setattr(structures, "su2_geometry", counted)
+    report = run_entry(get_entry("family-nil5-12-14"))
+    assert report.passed, report.render()
+    assert len(calls) == 1
+    _, fam = load_family(CUBE_ROOT_FAMILY, "cube-root")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fam.eta = fam.omega3

@@ -1,13 +1,21 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from lieforms._linalg import scalar_mat_mul
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
-from lieforms.exterior import CoframeMap, Form, wedge, wedge_power
+from lieforms.catalog import StructureContext, get_entry
+from lieforms.evolution import family_from_section
+from lieforms.exterior import CoframeMap, Form, apply_coframe_map, sort_index, wedge, wedge_power
 from lieforms.scalars import Scalar
 from lieforms.structures import (
     SU2Structure,
     SUnStructure,
+    _pfaffian_inverse,
+    _reeb_and_kernel_rational,
+    _reeb_and_kernel_single_eta,
+    _restricted_matrix,
     check_conformal_couple,
     circle_bundle_preconditions,
     circle_bundle_structure,
@@ -17,6 +25,7 @@ from lieforms.structures import (
     restrict_to_hypersurface,
     restrictable_directions,
     standard_quadruplet,
+    su2_geometry,
     sun_metric_matrix,
     suspend_su2,
     validate_su2,
@@ -355,3 +364,87 @@ def test_sun_metric_is_identity_for_iwasawa():
         for j in range(6):
             want = Scalar.one() if i == j else Scalar.zero()
             assert g[i][j] == want
+
+
+# ---------------------------------------------------------------------------
+# SU(2) frame geometry: second paths for the coefficient reads.
+# ---------------------------------------------------------------------------
+
+
+def evaluate_oracle(form2, u, v):
+    """omega(u, v) by the permutation sum over each coefficient's index tuple."""
+    total = Scalar.zero()
+    vectors = (u, v)
+    for idx, coeff in form2.coeffs.items():
+        for perm in itertools.permutations(range(form2.degree)):
+            prod = coeff * sort_index(perm)[0]
+            for slot, pos in enumerate(perm):
+                prod = prod * Scalar.rational(vectors[pos][idx[slot] - 1])
+            total = total + prod
+    return total
+
+
+def catalog_quadruplet(name):
+    """The SU(2) quadruplet of a catalog entry, or its circle-bundle total space."""
+    sf = parse_equations(get_entry(name).payload, name=name)
+    if "Omega" in sf.forms:
+        return circle_bundle_structure(sf.algebra, sf.forms["omega1"], sf.forms["omega2"],
+                                       sf.forms["omega3"], sf.forms["Omega"],
+                                       sf.theta or (F(1), F(0)))
+    if sf.family is not None:
+        return family_from_section(sf.algebra, sf.family, name=name).quadruplet()
+    return StructureContext(sf).su2
+
+
+SINGLE_ETA_RATIONAL = ["nil5-12-14", "nil5-12-13-23", "nil5-12-13-14p23", "solvable-sol3",
+                       "circle-eps0", "circle-eps1"]
+FAMILIES = ["family-kodaira-thurston", "family-nil5-12-14", "family-nil5-12-13-23"]
+
+
+def dense_pullback_quadruplet():
+    """The standard quadruplet pulled back by a dense rational GL(5) matrix, so
+    that eta involves every generator and no kernel vector is a unit vector."""
+    p = CoframeMap.from_rows([[1, 1, F(1, 2), -1, 3],
+                              [1, 3, 0, 2, -1],
+                              [F(-1, 3), 1, 2, 1, 1],
+                              [1, 0, -2, 1, F(2, 5)],
+                              [3, -1, 1, 1, 2]])
+    s = standard_quadruplet(LieAlgebra.abelian(5))
+    return SU2Structure(s.algebra, *(apply_coframe_map(p, f)
+                                     for f in (s.eta, s.omega1, s.omega2, s.omega3)))
+
+
+@pytest.mark.parametrize("name", SINGLE_ETA_RATIONAL)
+def test_reeb_paths_agree_on_single_generator_eta(name):
+    s = catalog_quadruplet(name)
+    assert len(s.eta.coeffs) == 1
+    xi, kernel = _reeb_and_kernel_rational(s)
+    assert (xi, kernel) == _reeb_and_kernel_single_eta(s)
+
+
+def test_restricted_matrices_match_the_permutation_oracle():
+    dense = dense_pullback_quadruplet()
+    assert all(sum(1 for c in u if c) > 1 for u in su2_geometry(dense).kernel_basis)
+    for s in [catalog_quadruplet(name) for name in FAMILIES] + [dense]:
+        kernel = su2_geometry(s).kernel_basis
+        for f in (s.omega1, s.omega2, s.omega3):
+            want = [[evaluate_oracle(f, u, v) for v in kernel] for u in kernel]
+            assert _restricted_matrix(f, kernel) == want
+
+
+def test_pfaffian_inverse_of_parametric_omega3():
+    s = catalog_quadruplet("family-nil5-12-14")
+    _, kernel = _reeb_and_kernel_single_eta(s)
+    w = _restricted_matrix(s.omega3, kernel)
+    assert any(c.depends_on_t() for row in w for c in row)
+    identity = [[Scalar.rational(1 if i == j else 0) for j in range(4)] for i in range(4)]
+    assert scalar_mat_mul(_pfaffian_inverse(w), w) == identity
+
+
+def test_dense_pullback_quadruplet_is_valid_and_suspends():
+    s = dense_pullback_quadruplet()
+    report = validate_su2(s)
+    assert report.passed, report.render()
+    suspended = suspend_su2(s)
+    sun = validate_sun(suspended)
+    assert sun.passed, sun.render()
