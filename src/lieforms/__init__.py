@@ -18,8 +18,6 @@ from .algebras import (
     central_extension,
     check_jacobi,
     extend_by_line,
-    matrix_determinant,
-    matrix_inverse,
     parse_compact,
     parse_equations,
     parse_form_expr,
@@ -34,7 +32,6 @@ from .connection import (
     MetricFrame,
     bismut_connection,
     connection_from_cartan,
-    covariant_derivative_curvature,
     curvature,
     holonomy_algebra,
     levi_civita,

@@ -112,25 +112,6 @@ def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     return total
 
 
-def scalar_matrix_inverse(matrix: Sequence[Sequence[Scalar]]) -> ScalarMatrix:
-    """Adjugate inverse; the determinant must be a single-signature scalar."""
-    n = len(matrix)
-    det = scalar_matrix_determinant(matrix)
-    if det.is_zero():
-        raise ValueError("matrix is singular")
-    inv_det = Scalar.one() / det
-    out = [[Scalar.zero()] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[matrix[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = scalar_matrix_determinant(minor)
-            if (i + j) % 2:
-                cof = -cof
-            out[i][j] = cof * inv_det
-    return out
-
-
 def symmetric(matrix: ScalarMatrix) -> bool:
     n = len(matrix)
     return all(matrix[i][j] == matrix[j][i] for i in range(n) for j in range(i + 1, n))

@@ -33,12 +33,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from ._linalg import (
-    fraction_nullspace,
-    insert_echelon_row,
-    scalar_matrix_determinant,
-    scalar_matrix_inverse,
-)
+from ._linalg import fraction_nullspace, insert_echelon_row, scalar_matrix_determinant
 from .exterior import (
     CoframeMap,
     Form,
@@ -62,8 +57,6 @@ __all__ = [
     "ce_cohomology",
     "check_jacobi",
     "extend_by_line",
-    "matrix_determinant",
-    "matrix_inverse",
     "parse_compact",
     "parse_equations",
     "parse_form_expr",
@@ -767,10 +760,6 @@ def central_extension(algebra: LieAlgebra, curvature: Form) -> LieAlgebra:
     return LieAlgebra(n + 1, diffs)
 
 
-matrix_determinant = scalar_matrix_determinant
-matrix_inverse = scalar_matrix_inverse
-
-
 @dataclass(frozen=True)
 class BasisChangeReport:
     passed: bool
@@ -804,7 +793,7 @@ def verify_basis_change(algebra: LieAlgebra, matrix: Sequence[Sequence[Scalar]],
     n = algebra.dimension
     if target.dimension != n or len(matrix) != n or any(len(r) != n for r in matrix):
         raise ValueError("matrix and algebras must share one dimension")
-    det = matrix_determinant(matrix)
+    det = scalar_matrix_determinant(matrix)
     if det.is_zero():
         raise ValueError("basis-change matrix is singular")
     cmap = CoframeMap([list(row) for row in matrix])

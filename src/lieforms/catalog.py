@@ -83,11 +83,8 @@ class EntryReport:
     lines: list[str]
     source_states: dict
 
-    def render(self, verbose: bool = True) -> str:
-        head = f"{'PASS' if self.passed else 'FAIL'}  {self.name}  [{self.source}]"
-        if not verbose:
-            return head
-        out = [head] + self.lines
+    def render(self) -> str:
+        out = [f"{'PASS' if self.passed else 'FAIL'}  {self.name}  [{self.source}]"] + self.lines
         for key in sorted(self.source_states):
             out.append(f"  note: source states {key}: {self.source_states[key]}")
         return "\n".join(out)

@@ -189,7 +189,7 @@ def cmd_report(args) -> int:
         print(f"error: {exc.args[0]}")
         return INPUT_ERROR
     report = run_entry(entry)
-    print(report.render(verbose=True))
+    print(report.render())
     if args.command == "report":
         print("structure file:")
         for line in entry.payload.rstrip().splitlines():

@@ -21,8 +21,7 @@ Holonomy uses Kostant's bracket iteration for invariant connections (Kostant,
 Trans. AMS 80, 1955): V_{k+1} = V_k + [nabla, V_k] from the span V_0 of the
 curvature endomorphisms.  V_k is the span of R and its covariant derivatives
 through order k, by the identity
-(nabla_W nabla^k R)(...) = [nabla_W, nabla^k R(...)] - sum nabla^k R(..., nabla_W ., ...);
-those tensors remain a second path for the tests.
+(nabla_W nabla^k R)(...) = [nabla_W, nabla^k R(...)] - sum nabla^k R(..., nabla_W ., ...).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from math import lcm
 
 from ._linalg import insert_echelon_row
 from .algebras import LieAlgebra, check_jacobi
-from .exterior import CoframeMap, Form, apply_coframe_map, sort_index, wedge
+from .exterior import CoframeMap, Form, apply_coframe_map, sort_index
 from .scalars import Scalar
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "MetricFrame",
     "bismut_connection",
     "connection_from_cartan",
-    "covariant_derivative_curvature",
     "curvature",
     "holonomy_algebra",
     "levi_civita",
@@ -101,22 +99,6 @@ class ConnectionSheet:
                            for k in range(n)
                            if self.gamma[i - 1][j - 1][k] != 0})
 
-    def tau(self, i: int) -> Form:
-        """Torsion 2-form tau^i = sum_{j<k} T_{ijk} e^jk."""
-        n = self.frame.algebra.dimension
-        coeffs = {}
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                val = _torsion_lookup(self.torsion_components, i, j, k)
-                if val:
-                    coeffs[(j, k)] = Scalar.rational(val)
-        return Form(n, 2, coeffs)
-
-    def is_metric(self) -> bool:
-        n = self.frame.algebra.dimension
-        return all(self.gamma[i][j][k] == -self.gamma[j][i][k]
-                   for i in range(n) for j in range(n) for k in range(n))
-
     def cartan_residuals(self) -> list[Form]:
         """de^i + sum_j omega^i_j ^ e^j - tau^i, all of which must vanish; its
         e^ab coefficient (a < b) is de^i_ab + G[i][b][a] - G[i][a][b] - T_iab."""
@@ -136,25 +118,13 @@ class ConnectionSheet:
     def preserves_j(self) -> bool:
         """nabla J = 0: each direction matrix Lambda_k commutes with J.
 
-        Lambda_k is not assumed skew; ``is_metric`` is a separate check.
+        Lambda_k is not assumed skew.
         """
         n = self.frame.algebra.dimension
         jm = _integral(self.frame.j_matrix())
         j_entries = _nonzero_entries(jm)
         return all(_product(j_entries, lam, n) == _product(_nonzero_entries(lam), jm, n)
                    for lam in _directions(self.gamma)[1])
-
-    def first_bianchi_residuals(self, curv: CurvatureSheet) -> list[Form]:
-        """d tau^i + sum_j omega^i_j ^ tau^j - sum_j Omega^i_j ^ e^j, all of which must vanish."""
-        n = self.frame.algebra.dimension
-        out = []
-        for i in range(1, n + 1):
-            acc = self.frame.algebra.d(self.tau(i))
-            for j in range(1, n + 1):
-                acc = acc + wedge(self.omega(i, j), self.tau(j))
-                acc = acc - wedge(curv.omega_form(i, j), Form.generator(n, j))
-            out.append(acc)
-        return out
 
     def render(self) -> str:
         n = self.frame.algebra.dimension
@@ -348,86 +318,6 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
             matrices[(k + 1, l + 1)] = mat
     forms = {key: Form(n, 2, coeffs[key]) for key in sorted(coeffs)}
     return CurvatureSheet(frame, forms, matrices)
-
-
-# Keys of derivative tensors: (k, l, m_1, ..., m_g) with the 2-form slot first.
-TensorDict = dict[tuple[int, ...], Matrix]
-
-
-def _derive_tensor(sheet: ConnectionSheet, tensor: TensorDict) -> TensorDict:
-    """One covariant derivative in every frame direction.
-
-    Every index of the (1, 3+g)-tensor receives a connection correction; the
-    frame-derivative term is absent because components are constant on the
-    group.  Corrections are scattered, since they can create components at
-    2-form slots where the input tensor had none.
-    """
-    n = sheet.frame.algebra.dimension
-    gammas = [_direction(sheet.gamma, m) for m in range(n)]
-    # connection direction matrices are sparse; iterate nonzero entries only
-    gamma_entries = [[(i, r, gm[i][r]) for i in range(n) for r in range(n)
-                      if gm[i][r]] for gm in gammas]
-    out: TensorDict = {}
-
-    def accumulate(key: tuple[int, ...], mat: Matrix, scale: Fraction) -> None:
-        k, l = key[0], key[1]
-        if k == l:
-            return
-        if k > l:
-            key = (l, k) + key[2:]
-            scale = -scale
-        entry = out.get(key)
-        if entry is None:
-            entry = [[Fraction(0)] * n for _ in range(n)]
-            out[key] = entry
-        for i in range(n):
-            row = mat[i]
-            erow = entry[i]
-            for j in range(n):
-                if row[j]:
-                    erow[j] += scale * row[j]
-
-    for key, base in tensor.items():
-        for m in range(n):
-            entries = gamma_entries[m]
-            commutator = [[Fraction(0)] * n for _ in range(n)]
-            for i, r, v in entries:
-                brow = base[r]
-                crow = commutator[i]
-                for j in range(n):
-                    if brow[j]:
-                        crow[j] += v * brow[j]
-            for r, j, v in entries:
-                for i in range(n):
-                    if base[i][r]:
-                        commutator[i][j] -= base[i][r] * v
-            accumulate(key + (m + 1,), commutator, Fraction(1))
-            # lower-slot corrections: (nabla_m T)(.., e_s, ..) picks up
-            # -gamma^{r}_{s m} T(.., e_r, ..) for each slot holding r
-            gm = gammas[m]
-            for pos in range(len(key)):
-                r = key[pos]
-                grow = gm[r - 1]
-                for s in range(1, n + 1):
-                    coeff = grow[s - 1]
-                    if coeff == 0:
-                        continue
-                    accumulate(key[:pos] + (s,) + key[pos + 1:] + (m + 1,),
-                               base, -coeff)
-    return {k: v for k, v in out.items() if any(any(row) for row in v)}
-
-
-def covariant_derivative_curvature(sheet: ConnectionSheet, curv: CurvatureSheet,
-                                   order: int = 1) -> list[TensorDict]:
-    """Iterated covariant derivatives of the curvature tensor, one per order."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    out = []
-    current: TensorDict = curv.tensor()
-    for _ in range(order):
-        current = _derive_tensor(sheet, current)
-        out.append(current)
-    return out
 
 
 def _nonzero_entries(mat: list[list]) -> list[tuple[int, int, object]]:

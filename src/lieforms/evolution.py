@@ -17,19 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .algebras import FamilySection, Interval, LieAlgebra
 from .exterior import Form, partial_t, wedge
 from .scalars import Scalar, ScalarDomainError
-from .structures import (
-    SU2Structure,
-    Su2Geometry,
-    is_balanced_su2,
-    su2_geometry,
-    su2_wedge_identities,
-    suspension_forms,
-)
+from .structures import SU2Structure, is_balanced_su2, su2_wedge_identities, suspension_forms
 
 __all__ = [
     "ClosednessReport",
@@ -50,30 +42,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ParamFamily:
-    """A quadruplet in t over its domain; frozen, so ``geometry`` is built once."""
+class ParamFamily(SU2Structure):
+    """A quadruplet in t over its domain."""
 
-    algebra: LieAlgebra
-    eta: Form
-    omega1: Form
-    omega2: Form
-    omega3: Form
     domain: tuple[Interval, ...] = (Interval(None, None),)
-    name: str | None = None
 
     def __post_init__(self) -> None:
         if self.algebra.dimension != 5:
             raise ValueError("families live on 5-dimensional algebras")
+        super().__post_init__()
         if not self.algebra.is_rational():
             raise ValueError("the algebra of a family must have rational structure constants")
-
-    def quadruplet(self) -> SU2Structure:
-        return SU2Structure(self.algebra, self.eta, self.omega1, self.omega2,
-                            self.omega3, name=self.name)
-
-    @cached_property
-    def geometry(self) -> Su2Geometry:
-        return su2_geometry(self.quadruplet())
 
     def sample_points(self, per_interval: int = 3) -> list[Fraction]:
         out: list[Fraction] = []
@@ -120,7 +99,7 @@ class FamilyValidationReport:
 
 def validate_family(family: ParamFamily, samples_per_interval: int = 3) -> FamilyValidationReport:
     """Exact wedge identities in t; metric positivity sampled numerically."""
-    flags, v = su2_wedge_identities(family.quadruplet())
+    flags, v = su2_wedge_identities(family)
     volume_ok = not wedge(v, family.eta).is_zero()
     geo = family.geometry
     samples = []
@@ -187,7 +166,7 @@ def verify_balanced_evolution(family: ParamFamily) -> EvolutionReport:
         ("dt(omega3^omega3) + 2 d(omega3^eta)",
          partial_t(wedge(w3, w3)) + d(wedge(w3, eta)).scale(2)),
     )
-    fixed_t = tuple(is_balanced_su2(family.quadruplet()).residuals)
+    fixed_t = tuple(is_balanced_su2(family).residuals)
     return EvolutionReport(residuals, fixed_t)
 
 

@@ -21,7 +21,7 @@ from ._linalg import (
     scalar_mat_mul,
     scalar_mat_neg,
 )
-from .scalars import Scalar, UnsupportedScalarError
+from .scalars import Scalar
 
 Index = tuple[int, ...]
 
@@ -333,72 +333,19 @@ def partial_t(a: Form) -> Form:
 @dataclass(frozen=True)
 class SpanReport:
     rank: int
-    basis_indices: tuple[int, ...]
-    secondary_rank: int | None = None
-
-    @property
-    def agrees(self) -> bool:
-        return self.secondary_rank is None or self.secondary_rank == self.rank
+    basis_indices: tuple[int, ...]  # the forms that grow the span, in input order
 
 
-def span_rank(items: Sequence[Form] | Sequence[Sequence[Sequence[Fraction]]],
-              at: Fraction | int | None = None) -> SpanReport:
-    """Rank of a span via exact fraction-free elimination over the rationals.
-
-    Forms with parametric coefficients require an evaluation point ``at``; a
-    second engine-chosen point cross-checks the rank, and a disagreement is
-    reported through ``secondary_rank``.
-    """
-    if not items:
+def span_rank(forms: Sequence[Form]) -> SpanReport:
+    """Rank of a span of rational forms via exact fraction-free elimination."""
+    if not forms:
         return SpanReport(0, ())
-    if isinstance(items[0], Form):
-        forms = list(items)  # type: ignore[arg-type]
-        dim, deg = forms[0].dimension, forms[0].degree
-        for f in forms:
-            if f.dimension != dim or f.degree != deg:
-                raise ValueError("forms in a span must share dimension and degree")
-        universe = sorted({idx for f in forms for idx in f.coeffs})
-        parametric = any(c.depends_on_t() for f in forms for c in f.coeffs.values())
-        if parametric and at is None:
-            raise ValueError("parametric span requires an evaluation point")
-        if not parametric:
-            vectors = [[f.coeffs.get(idx, Scalar.zero()).as_fraction() for idx in universe]
-                       for f in forms]
-            basis = _independent(vectors)
-            return SpanReport(len(basis), basis)
-        t0 = Fraction(at)  # type: ignore[arg-type]
-        vectors = [_evaluated_vector(f, universe, t0) for f in forms]
-        basis = _independent(vectors)
-        t1 = _second_point(forms, universe, t0)
-        rank2 = len(_independent([_evaluated_vector(f, universe, t1) for f in forms]))
-        return SpanReport(len(basis), basis, secondary_rank=rank2)
-    shapes = {(len(mat), len(mat[0]) if mat else 0) for mat in items}  # type: ignore[arg-type]
-    if len(shapes) != 1:
-        raise ValueError("matrices in a span must share one shape")
-    vectors = [[Fraction(c) for row in mat for c in row] for mat in items]  # type: ignore[union-attr]
-    basis = _independent(vectors)
-    return SpanReport(len(basis), basis)
-
-
-def _independent(vectors: list[list[Fraction]]) -> tuple[int, ...]:
-    """Indices of the vectors that grow the span, in input order."""
+    dim, deg = forms[0].dimension, forms[0].degree
+    if any(f.dimension != dim or f.degree != deg for f in forms):
+        raise ValueError("forms in a span must share dimension and degree")
+    universe = sorted({idx for f in forms for idx in f.coeffs})
     echelon: list[list[int]] = []
     pivots: list[int] = []
-    return tuple(i for i, vec in enumerate(vectors)
-                 if insert_echelon_row(echelon, pivots, vec))
-
-
-def _evaluated_vector(f: Form, universe: Sequence[Index], t0: Fraction) -> list[Fraction]:
-    return [f.coeffs.get(idx, Scalar.zero()).evaluate_exact(t0) for idx in universe]
-
-
-def _second_point(forms, universe, t0: Fraction) -> Fraction:
-    for shift in (1, 2, 3, 5, 7):
-        cand = t0 + shift
-        try:
-            for f in forms:
-                _evaluated_vector(f, universe, cand)
-            return cand
-        except (UnsupportedScalarError, ValueError):
-            continue
-    raise ValueError("no rational secondary evaluation point found near the given one")
+    basis = tuple(i for i, f in enumerate(forms) if insert_echelon_row(
+        echelon, pivots, [f.coeffs.get(idx, Scalar.zero()).as_fraction() for idx in universe]))
+    return SpanReport(len(basis), basis)

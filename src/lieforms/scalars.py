@@ -623,25 +623,6 @@ class Scalar:
             total += val
         return total
 
-    def evaluate_exact(self, t0: Fraction | int) -> Fraction:
-        """Exact value at t0; raises when the value is irrational."""
-        t0 = Fraction(t0)
-        total = Fraction(0)
-        for sig, rf in self._terms.items():
-            vanished = False
-            for (kind, a, b), _exp in sig:
-                if kind == "lin" and poly_eval(linbase_poly((a, b)), t0) == 0:
-                    vanished = True
-                    break
-            if vanished:
-                continue
-            if sig:
-                raise UnsupportedScalarError(
-                    f"value at t = {t0} is irrational (radical factors remain)"
-                )
-            total += rf_eval(rf, t0)
-        return total
-
     # -- comparisons / rendering -------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from ._linalg import (
     fraction_nullspace,
@@ -50,8 +51,10 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SU2Structure:
+    """A quadruplet (eta, omega1, omega2, omega3); frozen, so ``geometry`` is built once."""
+
     algebra: LieAlgebra
     eta: Form
     omega1: Form
@@ -65,6 +68,10 @@ class SU2Structure:
         for f, deg in ((self.eta, 1), (self.omega1, 2), (self.omega2, 2), (self.omega3, 2)):
             if f.dimension != 5 or f.degree != deg:
                 raise ValueError("quadruplet has wrong degrees or dimension")
+
+    @cached_property
+    def geometry(self) -> Su2Geometry:
+        return su2_geometry(self)
 
 
 @dataclass
@@ -170,21 +177,13 @@ def su2_wedge_identities(s: SU2Structure) -> tuple[dict[str, bool], Form]:
 def su2_geometry(s: SU2Structure) -> Su2Geometry:
     """Reeb vector, endomorphisms A, B on ker eta and the frame metric.
 
-    Exact throughout.  Rational quadruplets go through Fraction elimination;
-    parametric ones require eta to be a multiple of a single generator (the
-    shape of every catalog family).  Either way ker eta has a rational basis,
-    so the restricted matrices [omega_i(u_p, u_q)] are read from the
-    coefficients of omega_i, and the 4x4 skew omega3 on ker eta is inverted
-    by its Pfaffian.
+    Exact throughout.  ker eta has a rational basis, so the restricted
+    matrices [omega_i(u_p, u_q)] are read from the coefficients of omega_i,
+    and the 4x4 skew omega3 on ker eta is inverted by its Pfaffian.
     """
     if s.eta.is_zero():
         raise ValueError("eta must be a nowhere vanishing 1-form")
-    rational = all(c.is_rational() for f in (s.eta, s.omega1, s.omega2, s.omega3)
-                   for c in f.coeffs.values())
-    if rational:
-        xi, kernel = _reeb_and_kernel_rational(s)
-    else:
-        xi, kernel = _reeb_and_kernel_single_eta(s)
+    xi, kernel = _reeb_and_kernel(s)
 
     omega3_inv = _pfaffian_inverse(_restricted_matrix(s.omega3, kernel))
     omega1_k = _restricted_matrix(s.omega1, kernel)
@@ -208,37 +207,28 @@ def su2_geometry(s: SU2Structure) -> Su2Geometry:
     return Su2Geometry(xi, kernel, endo_a, endo_b, metric, proj)
 
 
-def _reeb_and_kernel_rational(s: SU2Structure):
-    w = [[s.omega3.coefficient((x + 1, y + 1)).as_fraction() for y in range(5)]
-         for x in range(5)]
-    null = fraction_nullspace(w, 5)  # rows of w as columns: ker(w^T) = ker(-w) = ker(w)
-    if len(null) != 1:
-        raise ValueError("omega3 must have a one-dimensional kernel")
-    eta_vec = [s.eta.coefficient((i + 1,)).as_fraction() for i in range(5)]
-    pairing = sum(e * c for e, c in zip(eta_vec, null[0]))
-    if pairing == 0:
-        raise ValueError("omega3 is degenerate on ker eta")
-    xi = [Scalar.rational(c / pairing) for c in null[0]]
-    kernel = fraction_nullspace([[e] for e in eta_vec], 1)
-    _check_reeb(s, xi)
-    return xi, kernel
+def _reeb_and_kernel(s: SU2Structure):
+    """xi from the sub-Pfaffians of omega3, scaled to eta(xi) = 1, and the
+    reduced row echelon basis of ker eta.
 
-
-def _reeb_and_kernel_single_eta(s: SU2Structure):
-    if len(s.eta.coeffs) != 1:
+    eta must be rational or a parametric multiple of one generator e^k; the
+    latter has the kernel of e^k.
+    """
+    if all(c.is_rational() for c in s.eta.coeffs.values()):
+        row = [s.eta.coefficient((i,)).as_fraction() for i in range(1, 6)]
+    elif len(s.eta.coeffs) == 1:
+        row = [Fraction(int((i,) in s.eta.coeffs)) for i in range(1, 6)]
+    else:
         raise UnsupportedScalarError(
             "parametric quadruplets need eta proportional to a single generator")
-    ((idx,), coeff), = s.eta.coeffs.items()
     xi = _pfaffian_kernel_vector(s.omega3)
-    pairing = coeff * xi[idx - 1]
+    pairing = sum((c * xi[i - 1] for (i,), c in s.eta.coeffs.items()), Scalar.zero())
     if pairing.is_zero():
         raise ValueError("omega3 is degenerate on ker eta")
     inv = pairing.inverse()
     xi = [c * inv for c in xi]
-    kernel = [[Fraction(1 if j == i else 0) for j in range(5)]
-              for i in range(5) if i != idx - 1]
     _check_reeb(s, xi)
-    return xi, kernel
+    return xi, fraction_nullspace([[e] for e in row], 1)
 
 
 def _pfaffian_kernel_vector(omega3: Form) -> list[Scalar]:
@@ -333,7 +323,7 @@ def validate_su2(s: SU2Structure) -> Su2ValidationReport:
     """
     flags, v = su2_wedge_identities(s)
     volume_ok = not wedge(v, s.eta).is_zero()
-    geo = su2_geometry(s)
+    geo = s.geometry
     reeb_ok = (contract(geo.xi, s.omega1).is_zero()
                and contract(geo.xi, s.omega2).is_zero())
     minus_id = scalar_mat_neg(scalar_identity(4))
@@ -604,9 +594,9 @@ def suspend_su2(s: SU2Structure, validate: bool = True) -> SUnStructure:
     return SUnStructure(ambient, f, psi_plus, psi_minus, cmap, name=s.name)
 
 
-def suspension_forms(s) -> tuple[LieAlgebra, Form, Form, Form]:
+def suspension_forms(s: SU2Structure) -> tuple[LieAlgebra, Form, Form, Form]:
     """The product with a line and F = omega3 + eta^dt, psi+ + i psi- =
-    (omega1 + i omega2)(eta + i dt), for a quadruplet or a family ``s``."""
+    (omega1 + i omega2)(eta + i dt)."""
     ambient = extend_by_line(s.algebra)
     dt = Form.generator(6, 6)
     eta, w1, w2, w3 = (lift_form(f, 6) for f in (s.eta, s.omega1, s.omega2, s.omega3))
@@ -621,7 +611,7 @@ def suspension_coframe_map(s: SU2Structure) -> CoframeMap:
     so J3 = -BA.  It acts on e_x through the kernel coordinates of its
     projection onto ker eta.
     """
-    geo = su2_geometry(s)
+    geo = s.geometry
     j3 = scalar_mat_neg(scalar_mat_mul(geo.endo_b, geo.endo_a))
     basis = [[Scalar.rational(u[i]) for u in geo.kernel_basis] for i in range(5)]
     block = scalar_mat_mul(basis, scalar_mat_mul(j3, [list(col) for col in zip(*geo.proj)]))

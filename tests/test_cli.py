@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import io
 import subprocess
 import sys
@@ -315,3 +317,44 @@ def test_compact_errors_point_into_the_file(tmp_path):
     for k, (text, message) in enumerate(cases):
         code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])
         assert code == 2 and out == message + "\n", text
+
+
+def test_malformed_families_are_input_errors(tmp_path):
+    # a family is an SU(2) quadruplet in t, so both commands check its degrees
+    wrong_degree = write(tmp_path, "deg.alg", GOOD_ALGEBRA + """
+[family]
+param = t
+eta = e12
+omega1 = t*e24 + e53
+omega2 = e25 + e34
+omega3 = e23 + e45
+""")
+    for command in ("evolve-verify", "suspend"):
+        code, out = run_cli([command, wrong_degree])
+        assert (code, out) == (2, "error: quadruplet has wrong degrees or dimension\n")
+    four_dim = write(tmp_path, "four.alg", """\
+[algebra]
+compact = (0,0,0,12)
+
+[family]
+param = t
+eta = e1
+omega1 = t*e24
+omega2 = e23
+omega3 = e34
+""")
+    for command in ("evolve-verify", "suspend"):
+        code, out = run_cli([command, four_dim])
+        assert (code, out) == (2, "error: families live on 5-dimensional algebras\n")
+
+
+def test_benchmark_traced_names_exist():
+    # the benchmark's --trace wraps these by name; a missing one would break it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, funcs in tracer.LAYERS.items():
+        mod = importlib.import_module(f"lieforms.{module}")
+        for func in funcs:
+            assert callable(getattr(mod, func, None)), f"{module}.{func}"

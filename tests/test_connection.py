@@ -13,8 +13,9 @@ from lieforms.connection import (
     CurvatureSheet,
     MetricFrame,
     bismut_connection,
+    _direction,
+    _torsion_lookup,
     connection_from_cartan,
-    covariant_derivative_curvature,
     curvature,
     holonomy_algebra,
     levi_civita,
@@ -29,6 +30,97 @@ F = Fraction
 def form(dim, *terms):
     return Form.from_terms(dim, len(terms[0][0]),
                            [([int(c) for c in idx], coeff) for idx, coeff in terms])
+
+
+# ---------------------------------------------------------------------------
+# Second paths kept with the tests: metricity, the torsion 2-forms with the
+# first Bianchi identity, and the covariant derivatives of the curvature
+# tensor as a holonomy oracle.
+# ---------------------------------------------------------------------------
+
+
+def is_metric(sheet):
+    n = sheet.frame.algebra.dimension
+    return all(sheet.gamma[i][j][k] == -sheet.gamma[j][i][k]
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def tau(sheet, i):
+    """Torsion 2-form tau^i = sum_{j<k} T_{ijk} e^jk."""
+    n = sheet.frame.algebra.dimension
+    return Form.from_terms(n, 2, [((j, k), _torsion_lookup(sheet.torsion_components, i, j, k))
+                                  for j, k in itertools.combinations(range(1, n + 1), 2)])
+
+
+def first_bianchi_residuals(sheet, curv):
+    """d tau^i + sum_j omega^i_j ^ tau^j - sum_j Omega^i_j ^ e^j, all of which must vanish."""
+    n = sheet.frame.algebra.dimension
+    out = []
+    for i in range(1, n + 1):
+        acc = sheet.frame.algebra.d(tau(sheet, i))
+        for j in range(1, n + 1):
+            acc = acc + wedge(sheet.omega(i, j), tau(sheet, j))
+            acc = acc - wedge(curv.omega_form(i, j), Form.generator(n, j))
+        out.append(acc)
+    return out
+
+
+def derive_tensor(sheet, tensor):
+    """One covariant derivative in every frame direction.
+
+    Keys are (k, l, m_1, ..., m_g) with the 2-form slot first.  Every index of
+    the (1, 3+g)-tensor receives a connection correction; the frame-derivative
+    term is absent because components are constant on the group.  Corrections
+    are scattered, since they can create components at 2-form slots where the
+    input tensor had none.
+    """
+    n = sheet.frame.algebra.dimension
+    gammas = [_direction(sheet.gamma, m) for m in range(n)]
+    gamma_entries = [[(i, r, gm[i][r]) for i in range(n) for r in range(n) if gm[i][r]]
+                     for gm in gammas]
+    out = {}
+
+    def accumulate(key, mat, scale):
+        k, l = key[0], key[1]
+        if k == l:
+            return
+        if k > l:
+            key = (l, k) + key[2:]
+            scale = -scale
+        entry = out.setdefault(key, [[F(0)] * n for _ in range(n)])
+        for i in range(n):
+            for j in range(n):
+                if mat[i][j]:
+                    entry[i][j] += scale * mat[i][j]
+
+    for key, base in tensor.items():
+        for m in range(n):
+            commutator = [[F(0)] * n for _ in range(n)]
+            for i, r, v in gamma_entries[m]:
+                for j in range(n):
+                    if base[r][j]:
+                        commutator[i][j] += v * base[r][j]
+            for r, j, v in gamma_entries[m]:
+                for i in range(n):
+                    if base[i][r]:
+                        commutator[i][j] -= base[i][r] * v
+            accumulate(key + (m + 1,), commutator, F(1))
+            # lower-slot corrections: (nabla_m T)(.., e_s, ..) picks up
+            # -gamma^{r}_{s m} T(.., e_r, ..) for each slot holding r
+            for pos, r in enumerate(key):
+                for s, coeff in enumerate(gammas[m][r - 1], start=1):
+                    if coeff:
+                        accumulate(key[:pos] + (s,) + key[pos + 1:] + (m + 1,), base, -coeff)
+    return {k: v for k, v in out.items() if any(any(row) for row in v)}
+
+
+def covariant_derivative_curvature(sheet, curv, order):
+    """Iterated covariant derivatives of the curvature tensor, one per order."""
+    out, current = [], curv.tensor()
+    for _ in range(order):
+        current = derive_tensor(sheet, current)
+        out.append(current)
+    return out
 
 
 STANDARD_J6 = CoframeMap.from_rows([
@@ -77,7 +169,7 @@ def test_levi_civita_abelian_is_flat():
 def test_levi_civita_satisfies_torsion_free_cartan():
     frame, _ = iwasawa_frame()
     lc = levi_civita(frame)
-    assert lc.is_metric()
+    assert is_metric(lc)
     assert all(r.is_zero() for r in lc.cartan_residuals())
     # the Iwasawa metric is not Kaehler, so its Levi-Civita connection moves J
     assert not lc.preserves_j()
@@ -110,7 +202,7 @@ def test_bismut_connection_forms_iwasawa():
         for j in range(i + 1, 7):
             want = expected.get((i, j), Form.zero(6, 1))
             assert sheet.omega(i, j) == want, (i, j, sheet.omega(i, j).render())
-    assert sheet.is_metric()
+    assert is_metric(sheet)
     assert all(r.is_zero() for r in sheet.cartan_residuals())
     assert sheet.preserves_j()
 
@@ -385,12 +477,12 @@ def test_first_bianchi_identity_holds_on_catalog_connections():
     assert len(HOLONOMY_ENTRIES) == 12
     for name in HOLONOMY_ENTRIES:
         sheet, curv = catalog_sheet(name)
-        residuals = sheet.first_bianchi_residuals(curv)
+        residuals = first_bianchi_residuals(sheet, curv)
         assert len(residuals) == sheet.frame.algebra.dimension
         assert all(r.is_zero() for r in residuals), name
     # torsion-free: Levi-Civita satisfies the classical first Bianchi identity
     lc = levi_civita(iwasawa_frame()[0])
-    assert all(r.is_zero() for r in lc.first_bianchi_residuals(curvature(lc)))
+    assert all(r.is_zero() for r in first_bianchi_residuals(lc, curvature(lc)))
 
 
 def test_holonomy_generations_match_tensor_derivatives_slow_growth():

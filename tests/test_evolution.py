@@ -246,7 +246,7 @@ def test_partial_t_commutes_with_d():
 
 
 def test_family_geometry_is_computed_once(monkeypatch):
-    from lieforms import evolution, structures
+    from lieforms import structures
     from lieforms.catalog import get_entry, run_entry
     calls = []
     original = structures.su2_geometry
@@ -255,7 +255,6 @@ def test_family_geometry_is_computed_once(monkeypatch):
         calls.append(s)
         return original(s)
 
-    monkeypatch.setattr(evolution, "su2_geometry", counted)
     monkeypatch.setattr(structures, "su2_geometry", counted)
     report = run_entry(get_entry("family-nil5-12-14"))
     assert report.passed, report.render()

@@ -16,7 +16,7 @@ from lieforms.exterior import (
     wedge,
     wedge_power,
 )
-from lieforms.scalars import Scalar, var_t
+from lieforms.scalars import Scalar, UnsupportedScalarError, var_t
 
 F = Fraction
 
@@ -148,38 +148,13 @@ def test_span_rank_examples():
     assert span_rank([]).rank == 0
 
 
-def test_span_rank_parametric_requires_point():
-    t = var_t()
-    items = [Form.generator(3, 1).scale(t), Form.generator(3, 2)]
-    with pytest.raises(ValueError):
-        span_rank(items)
-    rep = span_rank(items, at=F(1))
-    assert rep.rank == 2 and rep.agrees
-
-
-def test_span_rank_reports_point_dependent_rank():
-    # t*e1 vanishes at t = 0 but not at the engine's second sample point, so
-    # the two ranks disagree and the report says so instead of picking one
-    t = var_t()
-    items = [Form.generator(3, 1).scale(t), Form.generator(3, 2)]
-    rep = span_rank(items, at=F(0))
-    assert rep.rank == 1
-    assert rep.secondary_rank == 2
-    assert not rep.agrees
-
-
-def test_span_rank_matrix_input():
-    mats = [
-        [[F(0), F(1)], [F(-1), F(0)]],
-        [[F(0), F(2)], [F(-2), F(0)]],
-        [[F(1), F(0)], [F(0), F(1)]],
-    ]
-    rep = span_rank(mats)
-    assert rep.rank == 2 and rep.basis_indices == (0, 2)
-    with pytest.raises(ValueError):
-        span_rank([[[F(1)]], [[F(1), F(0)], [F(0), F(1)]]])
+def test_span_rank_rejects_mixed_and_parametric_forms():
     with pytest.raises(ValueError):
         span_rank([form(4, ("12", 1)), form(4, ("123", 1))])
+    with pytest.raises(ValueError):
+        span_rank([form(4, ("12", 1)), form(5, ("12", 1))])
+    with pytest.raises(UnsupportedScalarError):
+        span_rank([Form.generator(3, 1).scale(var_t()), Form.generator(3, 2)])
 
 
 def random_form(rng, dim, degree, density=0.5):

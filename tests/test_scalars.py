@@ -94,16 +94,6 @@ def test_eval_domain_error_for_even_roots_of_negative():
     assert cb.evaluate_float(1) == pytest.approx(-1.0)
 
 
-def test_exact_eval():
-    t = var_t()
-    expr = (t**2 + 1) / Scalar.linear(2, -1)
-    assert expr.evaluate_exact(1) == F(2)
-    u = cube_root_base()
-    assert u.evaluate_exact(F(2, 3)) == 0
-    with pytest.raises(UnsupportedScalarError):
-        u.evaluate_exact(0)
-
-
 def test_division_by_polynomial_scalar():
     t = var_t()
     q = Scalar.linear(2, -1) ** 2 / 4

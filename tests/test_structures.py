@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
 
-from lieforms._linalg import scalar_mat_mul
+from lieforms import structures
+from lieforms._linalg import fraction_nullspace, scalar_mat_mul
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
 from lieforms.catalog import StructureContext, get_entry
 from lieforms.evolution import family_from_section
@@ -13,8 +15,7 @@ from lieforms.structures import (
     SU2Structure,
     SUnStructure,
     _pfaffian_inverse,
-    _reeb_and_kernel_rational,
-    _reeb_and_kernel_single_eta,
+    _reeb_and_kernel,
     _restricted_matrix,
     check_conformal_couple,
     circle_bundle_preconditions,
@@ -392,7 +393,7 @@ def catalog_quadruplet(name):
                                        sf.forms["omega3"], sf.forms["Omega"],
                                        sf.theta or (F(1), F(0)))
     if sf.family is not None:
-        return family_from_section(sf.algebra, sf.family, name=name).quadruplet()
+        return family_from_section(sf.algebra, sf.family, name=name)
     return StructureContext(sf).su2
 
 
@@ -414,12 +415,67 @@ def dense_pullback_quadruplet():
                                      for f in (s.eta, s.omega1, s.omega2, s.omega3)))
 
 
+def reeb_and_kernel_oracle(s):
+    """xi and ker eta of a rational quadruplet by Fraction elimination: xi spans
+    the nullspace of omega3's coefficient matrix, scaled to eta(xi) = 1."""
+    w = [[s.omega3.coefficient((x + 1, y + 1)).as_fraction() for y in range(5)]
+         for x in range(5)]
+    null = fraction_nullspace(w, 5)  # rows of w as columns: ker(w^T) = ker(-w) = ker(w)
+    assert len(null) == 1
+    eta_vec = [s.eta.coefficient((i + 1,)).as_fraction() for i in range(5)]
+    pairing = sum(e * c for e, c in zip(eta_vec, null[0]))
+    assert pairing != 0
+    xi = [Scalar.rational(c / pairing) for c in null[0]]
+    return xi, fraction_nullspace([[e] for e in eta_vec], 1)
+
+
 @pytest.mark.parametrize("name", SINGLE_ETA_RATIONAL)
 def test_reeb_paths_agree_on_single_generator_eta(name):
     s = catalog_quadruplet(name)
     assert len(s.eta.coeffs) == 1
-    xi, kernel = _reeb_and_kernel_rational(s)
-    assert (xi, kernel) == _reeb_and_kernel_single_eta(s)
+    assert _reeb_and_kernel(s) == reeb_and_kernel_oracle(s)
+
+
+def test_reeb_paths_agree_on_a_dense_eta():
+    s = dense_pullback_quadruplet()
+    assert len(s.eta.coeffs) == 5
+    assert _reeb_and_kernel(s) == reeb_and_kernel_oracle(s)
+
+
+def test_rational_dense_eta_with_parametric_omegas():
+    # omega1, omega2 rotated by the angle with cos = (1-t)^(1/2), sin = t^(1/2):
+    # eta stays rational on all five generators, the omegas become parametric,
+    # and xi, ker eta and the metric do not move
+    s = dense_pullback_quadruplet()
+    cos = Scalar.linear(1, -1).rational_power(F(1, 2))
+    sin = Scalar.t().rational_power(F(1, 2))
+    rotated = SU2Structure(s.algebra, s.eta, s.omega1.scale(cos) + s.omega2.scale(sin),
+                           s.omega2.scale(cos) - s.omega1.scale(sin), s.omega3)
+    assert any(c.depends_on_t() for c in rotated.omega1.coeffs.values())
+    assert _reeb_and_kernel(rotated) == _reeb_and_kernel(s)
+    assert rotated.geometry.metric == s.geometry.metric
+    report = validate_su2(rotated)
+    assert report.passed, report.render()
+
+
+def test_suspension_builds_the_geometry_once(monkeypatch):
+    calls = []
+    original = structures.su2_geometry
+
+    def counted(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(structures, "su2_geometry", counted)
+    s = standard_quadruplet(parse_compact("(0,0,0,12,14)"))
+    assert validate_sun(suspend_su2(s)).passed
+    assert len(calls) == 1
+
+
+def test_quadruplets_are_frozen():
+    s = standard_quadruplet(parse_compact("(0,0,0,12,14)"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.eta = s.omega3
 
 
 def test_restricted_matrices_match_the_permutation_oracle():
@@ -434,7 +490,7 @@ def test_restricted_matrices_match_the_permutation_oracle():
 
 def test_pfaffian_inverse_of_parametric_omega3():
     s = catalog_quadruplet("family-nil5-12-14")
-    _, kernel = _reeb_and_kernel_single_eta(s)
+    _, kernel = _reeb_and_kernel(s)
     w = _restricted_matrix(s.omega3, kernel)
     assert any(c.depends_on_t() for row in w for c in row)
     identity = [[Scalar.rational(1 if i == j else 0) for j in range(4)] for i in range(4)]
