@@ -118,10 +118,19 @@ def symmetric(matrix: ScalarMatrix) -> bool:
 
 
 def positive_definite(matrix: ScalarMatrix) -> bool:
-    """Sylvester criterion for symmetric matrices with rational entries."""
-    n = len(matrix)
-    for k in range(1, n + 1):
-        minor = [[matrix[i][j] for j in range(k)] for i in range(k)]
-        if scalar_matrix_determinant(minor).as_fraction() <= 0:
+    """Sylvester criterion for symmetric matrices with rational entries: the
+    pivots of one fraction-free (Bareiss) elimination of the matrix cleared of
+    denominators by L > 0 are the leading minors times powers of L."""
+    rows = [[c.as_fraction() for c in row] for row in matrix]
+    den = lcm(*(q.denominator for row in rows for q in row))
+    a = [[q.numerator * (den // q.denominator) for q in row] for row in rows]
+    n, prev = len(a), 1
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot <= 0:
             return False
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
     return True

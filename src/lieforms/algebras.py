@@ -214,8 +214,13 @@ def _tokenize(text: str, lineno: int, col: int) -> list[tuple[str, str, int]]:
 _GENERATOR_RE = re.compile(r"^e([1-9])$")
 _ETOKEN_RE = re.compile(r"^e([1-9]+)$")
 
-# Values carried through the expression parser: Scalars or Forms.
+# Values carried through the expression parser: Fractions (rational constants
+# fold until they meet a Scalar or a Form), Scalars or Forms; _parse_expr lifts.
 Value = object
+
+
+def _lift(value: Value) -> Value:
+    return Scalar.rational(value) if isinstance(value, Fraction) else value
 
 
 class _ExprParser:
@@ -290,13 +295,13 @@ class _ExprParser:
         if kind == "op" and text == "-":
             self.pos += 1
             value = self.expression(25)
-            return -value if isinstance(value, Scalar) else value.scale(-1)  # type: ignore[union-attr]
+            return value.scale(-1) if isinstance(value, Form) else -value  # type: ignore[operator]
         if kind == "op" and text == "+":
             self.pos += 1
             return self.expression(25)
         if kind == "num":
             self.pos += 1
-            return Scalar.rational(int(text))
+            return Fraction(int(text))
         if kind == "op" and text == "(":
             self.pos += 1
             value = self.expression(0)
@@ -328,9 +333,9 @@ class _ExprParser:
         self.error(f"unexpected token {text!r}")
 
     def combine_add(self, a: Value, b: Value, op: str) -> Value:
-        if isinstance(a, Scalar) and isinstance(b, Scalar):
-            return a + b if op == "+" else a - b
-        if isinstance(a, Form) and isinstance(b, Form):
+        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
+            a, b = _lift(a), _lift(b)
+        if isinstance(a, Form) == isinstance(b, Form):  # two Fractions, Scalars or Forms
             return a + b if op == "+" else a - b
         # allow `form + 0` style mixing only through explicit zeros
         if isinstance(a, Form) and isinstance(b, Scalar) and b.is_zero():
@@ -340,6 +345,11 @@ class _ExprParser:
         self.error("cannot add a scalar and a form")
 
     def combine_mul(self, a: Value, b: Value, op: str) -> Value:
+        if isinstance(b, Fraction) and op == "/" and b:
+            b, op = 1 / b, "*"
+        if isinstance(a, Fraction) and isinstance(b, Fraction) and op == "*":
+            return a * b
+        a, b = _lift(a), _lift(b)
         if isinstance(a, Scalar) and isinstance(b, Scalar):
             return a * b if op == "*" else a / b
         if isinstance(a, Scalar) and isinstance(b, Form):
@@ -351,6 +361,10 @@ class _ExprParser:
         self.error("cannot multiply two forms with '*'; use '^' for wedge")
 
     def combine_power(self, a: Value, b: Value, op: str) -> Value:
+        if (isinstance(a, Fraction) and isinstance(b, Fraction) and b.denominator == 1
+                and (a or b >= 0)):
+            return a ** int(b)
+        a, b = _lift(a), _lift(b)
         if isinstance(a, Form) and isinstance(b, Form):
             return wedge(a, b)
         if isinstance(a, Form) and isinstance(b, Scalar):
@@ -387,7 +401,7 @@ def _parse_expr(text: str, dimension: int, env, allow_dt, param_allowed, lineno,
     if not tokens:
         raise ParseError("empty expression", lineno, col)
     parser = _ExprParser(tokens, lineno, dimension, env or {}, allow_dt, param_allowed)
-    return parser.parse()
+    return _lift(parser.parse())
 
 
 @dataclass(frozen=True)
@@ -700,14 +714,19 @@ def _d_columns(algebra: LieAlgebra, top: int) -> list[list[list[int]]]:
 def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> CohomologyReport:
     if not algebra.is_rational():
         raise UnsupportedScalarError("cohomology requires rational structure constants")
-    if not check_jacobi(algebra).passed:
-        raise ValueError("algebra fails the Jacobi identity; d^2 != 0")
     n = algebra.dimension
     top = n if max_degree is None else min(max_degree, n)
+    tables = _d_columns(algebra, max(top, 2))
+    # d^2 = 0 on the generators, as the integer product D_2 D_1 of the tables
+    for vec in tables[1]:
+        images = [[c * x for x in tables[2][r]] for r, c in enumerate(vec) if c]
+        if any(map(sum, zip(*images))):
+            raise ValueError("algebra fails the Jacobi identity; d^2 != 0")
     betti: list[int] = []
     reps: list[tuple[Form, ...]] = []
     prev_images: list[list[int]] = []
-    for k, vectors in enumerate(_d_columns(algebra, top)):
+    for k in range(top + 1):
+        vectors = tables[k]
         kernel = fraction_nullspace(vectors, len(vectors[0]))
         echelon: list[list[int]] = []
         pivots: list[int] = []

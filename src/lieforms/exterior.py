@@ -6,6 +6,11 @@ indices.  The exterior derivative of a left-invariant form is driven by the
 structure equations of a Lie algebra (any object exposing ``dimension`` and
 ``differentials``); coefficients are constants on the group, so d never
 differentiates them.  The parameter derivative partial_t acts coefficient-wise.
+
+Products of coefficients are summed in a ``_Sum``: as a Fraction when both
+factors are rational, as a Scalar otherwise, one Scalar per index at the end.
+d takes one pass: c e^I adds (-1)^p c s e^{ab + I minus i_p} per term s e^{ab}
+of d e^{i_p}.
 """
 
 from __future__ import annotations
@@ -190,32 +195,43 @@ def _coeff_text(coeff: Scalar, token: str) -> tuple[str, bool]:
     return f"{text}*{token}", negative
 
 
+def _part(c: Scalar) -> Fraction | Scalar:
+    """A coefficient as a Fraction when it is rational, else the Scalar itself."""
+    return c.as_fraction() if c.is_rational() else c
+
+
+class _Sum(dict):
+    """Signed products by index, in first-seen order, as (Fraction, Scalar or
+    None): a product of two Fractions adds to the first, any other to the second."""
+
+    def add(self, idx: Index, sign: int, product: Fraction | Scalar) -> None:
+        q, s = self.get(idx, (0, None))
+        if sign < 0:
+            product = -product
+        if isinstance(product, Fraction):
+            self[idx] = (q + product, s)
+        else:
+            self[idx] = (q, product if s is None else s + product)
+
+    def form(self, dimension: int, degree: int) -> Form:
+        coeffs = {idx: Scalar.rational(q) if s is None else Scalar.rational(q) + s
+                  for idx, (q, s) in self.items()}
+        return Form(dimension, degree, {idx: c for idx, c in coeffs.items() if c})
+
+
 def wedge(a: Form, b: Form) -> Form:
     """Exterior product with the Koszul sign convention."""
     if a.dimension != b.dimension:
         raise ValueError("forms live over different coframe dimensions")
-    out: dict[Index, Scalar] = {}
+    right = [(ib, _part(cb)) for ib, cb in b.coeffs.items()]
+    out = _Sum()
     for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
+        x = _part(ca)
+        for ib, y in right:
             sign, idx = sort_index(ia + ib)
-            if sign == 0:
-                continue
-            term = ca * cb
-            if sign < 0:
-                term = -term
-            acc = out.get(idx, Scalar.zero()) + term
-            if acc.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = acc
-    return Form(a.dimension, a.degree + b.degree, out)
-
-
-def wedge_all(forms: Sequence[Form]) -> Form:
-    result = forms[0]
-    for f in forms[1:]:
-        result = wedge(result, f)
-    return result
+            if sign:
+                out.add(idx, sign, x * y)
+    return out.form(a.dimension, a.degree + b.degree)
 
 
 def wedge_power(a: Form, k: int) -> Form:
@@ -235,19 +251,14 @@ def contract(vector: Sequence[Scalar | Fraction | int], a: Form) -> Form:
         raise ValueError("cannot contract a degree-0 form")
     if len(vector) != a.dimension:
         raise ValueError("vector has wrong number of components")
-    comps = [v if isinstance(v, Scalar) else Scalar.rational(v) for v in vector]
-    out = Form.zero(a.dimension, a.degree - 1)
+    comps = [_part(v) if isinstance(v, Scalar) else Fraction(v) for v in vector]
+    out = _Sum()
     for idx, coeff in a.coeffs.items():
+        c = _part(coeff)
         for pos, i in enumerate(idx):
-            comp = comps[i - 1]
-            if comp.is_zero():
-                continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = coeff * comp
-            if pos % 2:
-                term = -term
-            out = out + Form(a.dimension, a.degree - 1, {rest: term})
-    return out
+            if comps[i - 1]:
+                out.add(idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1, c * comps[i - 1])
+    return out.form(a.dimension, a.degree - 1)
 
 
 @dataclass
@@ -269,11 +280,6 @@ class CoframeMap:
     def dimension(self) -> int:
         return len(self.matrix)
 
-    def image_of_generator(self, i: int) -> Form:
-        n = self.dimension
-        return Form(n, 1, {(j + 1,): c for j, c in enumerate(self.matrix[i - 1])
-                           if not c.is_zero()})
-
     def squares_to_minus_identity(self) -> bool:
         m = self.matrix
         return scalar_mat_eq(scalar_mat_mul(m, m), scalar_mat_neg(scalar_identity(len(m))))
@@ -294,30 +300,35 @@ def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
         raise ValueError("coframe map dimension mismatch")
     if a.degree == 0:
         return a
-    images = [cmap.image_of_generator(i) for i in range(1, a.dimension + 1)]
-    out = Form.zero(a.dimension, a.degree)
+    rows = [[(j, _part(c)) for j, c in enumerate(row, start=1) if c] for row in cmap.matrix]
+    out = _Sum()
     for idx, coeff in a.coeffs.items():
-        piece = wedge_all([images[i - 1] for i in idx])
-        out = out + piece.scale(coeff)
-    return out
+        # c e^{i_1..i_k} goes to c M[i_1][j_1]..M[i_k][j_k] e^{j_1..j_k}, j distinct
+        products = [((), _part(coeff))]
+        for i in idx:
+            products = [(jdx + (j,), x * m) for jdx, x in products
+                        for j, m in rows[i - 1] if j not in jdx]
+        for jdx, x in products:
+            sign, kdx = sort_index(jdx)
+            out.add(kdx, sign, x)
+    return out.form(a.dimension, a.degree)
 
 
 def exterior_derivative(algebra, a: Form) -> Form:
     """d extended as an antiderivation from the algebra's structure equations."""
     if algebra.dimension != a.dimension:
         raise ValueError("form does not live on the given algebra")
-    out = Form.zero(a.dimension, a.degree + 1)
+    diffs = [[(ab, _part(s)) for ab, s in d.coeffs.items()] for d in algebra.differentials]
+    out = _Sum()
     for idx, coeff in a.coeffs.items():
+        c = _part(coeff)
         for pos, i in enumerate(idx):
-            dgen = algebra.differentials[i - 1]
-            if dgen.is_zero():
-                continue
-            rest = Form(a.dimension, a.degree - 1, {idx[:pos] + idx[pos + 1:]: Scalar.one()})
-            term = wedge(dgen, rest).scale(coeff)
-            if pos % 2:
-                term = -term
-            out = out + term
-    return out
+            rest = idx[:pos] + idx[pos + 1:]
+            for ab, s in diffs[i - 1]:
+                sign, jdx = sort_index(ab + rest)
+                if sign:
+                    out.add(jdx, -sign if pos % 2 else sign, c * s)
+    return out.form(a.dimension, a.degree + 1)
 
 
 def partial_t(a: Form) -> Form:

@@ -4,7 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lieforms
+from lieforms import algebras, scalars
 from lieforms._linalg import scalar_matrix_determinant
 from lieforms.algebras import (
     LieAlgebra,
@@ -20,9 +24,10 @@ from lieforms.algebras import (
     parse_scalar_expr,
     verify_basis_change,
 )
-from lieforms.catalog import catalog_manifest
+from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.exterior import Form, exterior_derivative
 from lieforms.scalars import Scalar, UnsupportedScalarError
+from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
 
 F = Fraction
 
@@ -465,3 +470,107 @@ def test_cohomology_max_degree_is_a_prefix_of_the_full_report():
         full, low = ce_cohomology(alg), ce_cohomology(alg, 3)
         assert low.betti == full.betti[:4]
         assert low.representatives == full.representatives[:4]
+
+
+# ---------------------------------------------------------------------------
+# The parser's contract: only ParseError escapes, and only Scalars leave it.
+# ---------------------------------------------------------------------------
+
+PAYLOADS = [e.payload for e in catalog_manifest()]
+GRAMMAR = "0123456789+-*/^()=,:|#[]> \n\tetdJ_"
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A catalog payload with a few characters inserted, deleted or replaced."""
+    text = draw(st.sampled_from(PAYLOADS))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        char = "" if kind == "delete" else draw(st.sampled_from(GRAMMAR))
+        text = text[:pos] + char + text[pos + (kind != "insert"):]
+    return text
+
+
+def assert_scalar_values(sf):
+    """Every coefficient, J entry and basis-change entry is a Scalar."""
+    forms = [*sf.algebra.differentials, *sf.forms.values()]
+    if sf.family is not None:
+        forms += sf.family.forms.values()
+    if sf.basis_change is not None:
+        forms += sf.basis_change.target.differentials
+        assert all(isinstance(c, Scalar) for row in sf.basis_change.matrix for c in row)
+    assert all(isinstance(c, Scalar) for f in forms for c in f.coeffs.values())
+    if sf.coframe_map is not None:
+        assert all(isinstance(c, Scalar) for row in sf.coframe_map.matrix for c in row)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(mutated_payloads())
+def test_parse_equations_raises_only_parse_error(text):
+    try:
+        sf = parse_equations(text)
+    except ParseError:
+        return
+    assert_scalar_values(sf)
+
+
+def test_parsed_values_are_scalars():
+    assert len(PAYLOADS) == 22
+    texts = [*PAYLOADS]
+    texts += [rotated_file(lieforms, e, random.Random(seed))
+              for seed in (1, 7) for e in sun_entries(lieforms)]
+    texts += [shift_payload(get_entry(name).payload, s)
+              for name in FAMILY_ENTRIES for s in (F(1, 3), F(-5, 2))]
+    for text in texts:
+        assert_scalar_values(parse_equations(text))
+    for expr in ("3/5", "0", "-2", "2^-1", "(3/5)^2", "4^(1/2)", "1/2 - 1/2", "t - t"):
+        assert isinstance(parse_scalar_expr(expr), Scalar), expr
+    assert parse_scalar_expr("(3/5)^2 - 2/7") == Scalar.rational(F(3, 5) ** 2 - F(2, 7))
+    assert parse_form_expr("-3/5 e12 + 1/2*e34", 4) == form(4, ("12", F(-3, 5)), ("34", F(1, 2)))
+
+
+@pytest.mark.parametrize("expr, column, message", [
+    ("1/0", 2, "scalar division by zero"),
+    ("3/0*e1", 2, "scalar division by zero"),
+    ("e1/0", 3, "scalar division by zero"),
+    ("0^(1/2)", 2, "0 raised to a non-integer power"),
+    ("(-1)^(1/2)", 5, "(-1)^(1/2) is not real-valued in the supported class"),
+    ("0^(-1)", 2, "scalar division by zero"),
+])
+def test_arithmetic_errors_keep_their_text_and_column(expr, column, message):
+    with pytest.raises(ParseError) as err:
+        parse_form_expr(expr, 6)
+    assert (err.value.line, err.value.column, err.value.message) == (1, column, message)
+    with pytest.raises(ParseError) as err:
+        parse_equations(f"[algebra]\ndim = 6\n[structure]\nF = e12 + {expr}\n")
+    assert str(err.value) == f"line 4, column {column + 10}: {message}"
+
+
+def test_rational_constants_are_folded_without_scalar_division(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rational constant went through Scalar division")
+
+    monkeypatch.setattr(scalars, "factor_poly_linear", refuse)
+    monkeypatch.setattr(Scalar, "inverse", refuse)
+    sf = parse_equations(rotated_file(lieforms, sun_entries(lieforms)[0], random.Random(1)))
+    assert any(c.as_fraction().denominator > 1
+               for d in sf.algebra.differentials for c in d.coeffs.values())
+    assert parse_form_expr("(1/3)^(-2)*e1/(2/7) - 2^3 e2", 2) == form(2, ("1", F(63, 2)),
+                                                                      ("2", -8))
+
+
+def test_cohomology_reads_d_squared_from_its_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ce_cohomology ran a second Jacobi pass")
+
+    monkeypatch.setattr(algebras, "check_jacobi", refuse)
+    monkeypatch.setattr(algebras, "exterior_derivative", refuse)
+    assert ce_cohomology(SOLVABLE).betti == (1, 2, 1, 1, 2, 1)
+    bad = parse_equations("dim = 5\nd e4 = e12\nd e5 = 1/2 e34 + e13\n").algebra
+    for top in (None, 0, 1):
+        with pytest.raises(ValueError, match=r"algebra fails the Jacobi identity; d\^2 != 0"):
+            ce_cohomology(bad, top)
+    parametric = parse_equations("dim = 4\nd e2 = t*e34\nd e4 = e12\n").algebra
+    with pytest.raises(UnsupportedScalarError, match="rational structure constants"):
+        ce_cohomology(parametric)

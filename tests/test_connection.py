@@ -23,6 +23,7 @@ from lieforms.connection import (
     torsion_form,
 )
 from lieforms.exterior import CoframeMap, Form, span_rank, wedge, wedge_power
+from lieforms.structures import SUnStructure, is_balanced_sun
 
 F = Fraction
 
@@ -636,3 +637,56 @@ def test_holonomy_separates_u_n_from_su_n_and_so_2n():
     report = holonomy_algebra(lc, curvature(lc))
     assert (report.span_dimension, report.contained_in_u_n, report.contained_in_su_n) == (
         15, False, False)
+
+
+# ---------------------------------------------------------------------------
+# Balanced, a second path: *F = F^{n-1}/(n-1)!, so d(F^{n-1}) = 0 exactly when
+# the codifferential of F vanishes (Michelsohn, Acta Math. 149, 1982).
+# ---------------------------------------------------------------------------
+
+
+def codifferential(sheet, kaehler_form):
+    """delta F(e_b) = -sum_k (nabla_{e_k} F)(e_k, e_b) for the Levi-Civita sheet,
+    where (nabla_{e_k} F)(e_a, e_b) = -sum_i (G[i][a][k] F_ib + G[i][b][k] F_ai)."""
+    n = sheet.frame.algebra.dimension
+    g = sheet.gamma
+    f = [[kaehler_form.coefficient((a, b)).as_fraction() for b in range(1, n + 1)]
+         for a in range(1, n + 1)]
+
+    def nabla_f(k, a, b):
+        return -sum(g[i][a][k] * f[i][b] + g[i][b][k] * f[a][i] for i in range(n))
+
+    return [-sum(nabla_f(k, k, b) for k in range(n)) for b in range(n)]
+
+
+def hermitian_structures():
+    import lieforms
+    from perfbench.workloads import rotated_file, sun_entries
+    for entry in sun_entries(lieforms):
+        yield entry.name, parse_equations(entry.payload)
+        for seed in (1, 7):
+            yield f"{entry.name} at seed {seed}", parse_equations(
+                rotated_file(lieforms, entry, random.Random(seed)))
+    # d e5 = e12, d e6 = e13: dF = e126 + e135 and dF ^ F = e12346, not balanced
+    yield "(0,0,0,0,12,13)", parse_equations("""
+    [algebra]
+    compact = (0,0,0,0,12,13)
+    [structure]
+    F = e12 + e34 + e56
+    psi_plus = e135 - e146 - e236 - e245
+    psi_minus = e136 + e145 + e235 - e246
+    J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, e5 -> -e6, e6 -> e5
+    """)
+
+
+def test_balanced_agrees_with_the_codifferential():
+    verdicts = []
+    for label, sf in hermitian_structures():
+        s = SUnStructure(sf.algebra, sf.forms["F"], sf.forms["psi_plus"],
+                         sf.forms["psi_minus"], sf.coframe_map)
+        balanced = is_balanced_sun(s).flags()[f"dF^{s.n - 1}"]
+        delta = codifferential(levi_civita(MetricFrame(sf.algebra, sf.coframe_map)), s.F)
+        assert (not any(delta)) == balanced, label
+        verdicts.append((label, balanced))
+    assert len(verdicts) == 37
+    assert [label for label, balanced in verdicts if not balanced] == ["(0,0,0,0,12,13)"]

@@ -5,6 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import lieforms
+from lieforms.algebras import ce_cohomology, check_jacobi, extend_by_line, parse_equations
+from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.exterior import (
     CoframeMap,
     Form,
@@ -12,11 +15,13 @@ from lieforms.exterior import (
     contract,
     exterior_derivative,
     partial_t,
+    sort_index,
     span_rank,
     wedge,
     wedge_power,
 )
 from lieforms.scalars import Scalar, UnsupportedScalarError, var_t
+from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
 
 F = Fraction
 
@@ -230,3 +235,197 @@ def test_form_render():
     t = var_t()
     h = Form.generator(5, 1).scale(-t) + form(5, ("2", F(1, 2)))
     assert h.render() == "-t*e1 + 1/2*e2"
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the forms layer in Scalar arithmetic throughout.  d is the Leibniz
+# sum of wedges, the coframe map wedges the images of the generators pairwise,
+# and every sum goes through Form addition.
+# ---------------------------------------------------------------------------
+
+
+def wedge_oracle(a, b):
+    out = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            sign, idx = sort_index(ia + ib)
+            if sign == 0:
+                continue
+            term = ca * cb if sign > 0 else -(ca * cb)
+            acc = out.get(idx, Scalar.zero()) + term
+            if acc.is_zero():
+                out.pop(idx, None)
+            else:
+                out[idx] = acc
+    return Form(a.dimension, a.degree + b.degree, out)
+
+
+def d_oracle(algebra, a):
+    out = Form.zero(a.dimension, a.degree + 1)
+    for idx, coeff in a.coeffs.items():
+        for pos, i in enumerate(idx):
+            rest = Form(a.dimension, a.degree - 1, {idx[:pos] + idx[pos + 1:]: Scalar.one()})
+            term = wedge_oracle(algebra.differentials[i - 1], rest).scale(coeff)
+            out = out + (-term if pos % 2 else term)
+    return out
+
+
+def apply_coframe_map_oracle(cmap, a):
+    if a.degree == 0:
+        return a
+    n = a.dimension
+    images = [Form(n, 1, {(j,): c for j, c in enumerate(row, start=1) if not c.is_zero()})
+              for row in cmap.matrix]
+    out = Form.zero(n, a.degree)
+    for idx, coeff in a.coeffs.items():
+        piece = images[idx[0] - 1]
+        for i in idx[1:]:
+            piece = wedge_oracle(piece, images[i - 1])
+        out = out + piece.scale(coeff)
+    return out
+
+
+def contract_oracle(vector, a):
+    comps = [v if isinstance(v, Scalar) else Scalar.rational(v) for v in vector]
+    out = Form.zero(a.dimension, a.degree - 1)
+    for idx, coeff in a.coeffs.items():
+        for pos, i in enumerate(idx):
+            if comps[i - 1].is_zero():
+                continue
+            term = coeff * comps[i - 1]
+            out = out + Form(a.dimension, a.degree - 1,
+                             {idx[:pos] + idx[pos + 1:]: -term if pos % 2 else term})
+    return out
+
+
+def assert_forms_layer_matches_oracles(algebra, forms, cmaps, vectors, label):
+    """d, wedge, contract and every coframe map against the oracles."""
+    for name, a in forms.items():
+        assert exterior_derivative(algebra, a) == d_oracle(algebra, a), (label, name)
+        for other, b in forms.items():
+            if a.degree + b.degree <= a.dimension:
+                assert wedge(a, b) == wedge_oracle(a, b), (label, name, other)
+        for x in vectors:
+            if a.degree:
+                assert contract(x, a) == contract_oracle(x, a), (label, name, x)
+        for cmap in cmaps:
+            assert apply_coframe_map(cmap, a) == apply_coframe_map_oracle(cmap, a), (label, name)
+
+
+def structure_forms(sf, algebra, forms):
+    out = {f"d e{i}": d for i, d in enumerate(algebra.differentials, start=1) if not d.is_zero()}
+    out.update(forms)
+    return out
+
+
+def probe_vectors(n, rng, parametric=False):
+    vectors = [[int(i == k) for i in range(n)] for k in range(n)]
+    vectors.append([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
+    if parametric:
+        vectors.append([var_t() + F(1, 3)] + [F(k, 2) for k in range(1, n)])
+    return vectors
+
+
+def parametric_coframe_map(n):
+    """A dense map with radicals, entries a + b*t and rationals, for the Scalar path."""
+    root = Scalar.linear(2, 1).rational_power(F(1, 2))
+
+    def entry(i, j):
+        if i == j:
+            return root * (i + 1)
+        return Scalar.linear(i, j - i) if (i + j) % 3 else F(i - j, 3)
+
+    return CoframeMap.from_rows([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("entry", [e.name for e in catalog_manifest()])
+def test_forms_layer_matches_oracles_on_catalog_entries(entry):
+    rng = random.Random(entry)
+    sf = parse_equations(get_entry(entry).payload, name=entry)
+    n = sf.algebra.dimension
+    cmaps = [sf.coframe_map] if sf.coframe_map is not None else []
+    if sf.basis_change is not None:
+        cmaps.append(CoframeMap(sf.basis_change.matrix))
+    assert_forms_layer_matches_oracles(sf.algebra, structure_forms(sf, sf.algebra, sf.forms),
+                                       cmaps, probe_vectors(n, rng), entry)
+    if sf.family is not None:
+        ambient = extend_by_line(sf.algebra)
+        assert_forms_layer_matches_oracles(
+            ambient, structure_forms(sf, ambient, sf.family.forms),
+            [parametric_coframe_map(n + 1)], probe_vectors(n + 1, rng, parametric=True), entry)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_forms_layer_matches_oracles_on_rotated_frames(seed):
+    entries = sun_entries(lieforms)
+    assert len(entries) == 12
+    for entry in entries:
+        rng = random.Random(seed)
+        sf = parse_equations(rotated_file(lieforms, entry, rng))
+        forms = structure_forms(sf, sf.algebra, sf.forms)
+        vectors = probe_vectors(sf.algebra.dimension, rng)[-2:]
+        assert_forms_layer_matches_oracles(sf.algebra, forms, [sf.coframe_map], vectors,
+                                           f"{entry.name} at seed {seed}")
+
+
+@pytest.mark.parametrize("family", FAMILY_ENTRIES)
+def test_forms_layer_matches_oracles_on_shifted_families(family):
+    text = shift_payload(get_entry(family).payload, F(1, 3))
+    sf = parse_equations(text)
+    ambient = extend_by_line(sf.algebra)
+    rng = random.Random(family)
+    forms = structure_forms(sf, ambient, sf.family.forms)
+    assert any(not c.is_rational() for f in forms.values() for c in f.coeffs.values())
+    assert_forms_layer_matches_oracles(ambient, forms, [parametric_coframe_map(6)],
+                                       probe_vectors(6, rng, parametric=True), family)
+
+
+def test_forms_layer_matches_oracles_on_a_parametric_differential():
+    t = var_t()
+    alg = algebra_stub(4, {3: form(4, ("12", 1)).scale(t), 4: form(4, ("13", 1))})
+    rng = random.Random(3)
+    forms = {"de3": alg.differentials[2], "de4": alg.differentials[3]}
+    for k in range(1, 4):
+        for i in range(4):
+            forms[f"random {k}.{i}"] = random_form(rng, 4, k, density=0.7)
+    forms["mixed"] = form(4, ("34", 1)).scale(t) + form(4, ("23", F(2, 3)))
+    assert exterior_derivative(alg, form(4, ("3", 1))) == form(4, ("12", 1)).scale(t)
+    assert_forms_layer_matches_oracles(alg, forms, [parametric_coframe_map(4)],
+                                       probe_vectors(4, rng, parametric=True), "d e3 = t*e12")
+
+
+def test_forms_layer_matches_oracles_on_the_iwasawa_stub():
+    rng = random.Random(23)
+    forms = {f"random {k}.{i}": random_form(rng, 6, k) for k in range(1, 5) for i in range(3)}
+    assert_forms_layer_matches_oracles(IWASAWA, forms, [STANDARD_J6],
+                                       probe_vectors(6, rng), "iwasawa stub")
+
+
+def test_d_squared_residual_of_a_non_jacobi_algebra():
+    # d e2 = e34 and d e4 = e12 give d(d e2) = -e3 ^ e12 and d(d e4) = -e1 ^ e34
+    alg = parse_equations("dim = 4\nd e2 = e34\nd e4 = e12\n").algebra
+    for i, want in ((2, form(4, ("123", -1))), (4, form(4, ("134", -1)))):
+        diff = alg.differentials[i - 1]
+        assert exterior_derivative(alg, diff) == want == d_oracle(alg, diff)
+    report = check_jacobi(alg)
+    assert [(i, r.render()) for i, r in report.residuals] == [(2, "-e123"), (4, "-e134")]
+    with pytest.raises(ValueError, match=r"algebra fails the Jacobi identity; d\^2 != 0"):
+        ce_cohomology(alg)
+
+
+def test_products_of_rationals_are_summed_as_fractions(monkeypatch):
+    """Rational inputs make no Scalar product or sum; the result is exact."""
+    sf = parse_equations(rotated_file(lieforms, sun_entries(lieforms)[0], random.Random(1)))
+    a, b = sf.forms["F"], sf.forms["psi_plus"]
+
+    def refuse(*args):
+        raise AssertionError("Scalar arithmetic on rational coefficients")
+
+    want = (wedge_oracle(a, b), d_oracle(sf.algebra, b),
+            apply_coframe_map_oracle(sf.coframe_map, b), contract_oracle([1] * 8, b))
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__", "__sub__"):
+        monkeypatch.setattr(Scalar, op, refuse)
+    got = (wedge(a, b), exterior_derivative(sf.algebra, b),
+           apply_coframe_map(sf.coframe_map, b), contract([1] * 8, b))
+    monkeypatch.undo()
+    assert got == want

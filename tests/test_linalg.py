@@ -1,10 +1,12 @@
+import functools
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from lieforms._linalg import fraction_nullspace, insert_echelon_row
+from lieforms._linalg import fraction_nullspace, insert_echelon_row, positive_definite
+from lieforms.scalars import Scalar, UnsupportedScalarError, var_t
 
 
 def fraction_gauss(rows):
@@ -117,3 +119,73 @@ def test_fraction_nullspace_matches_gauss_jordan(rational):
         for vec in kernel:
             assert all(sum(x * col[r] for x, col in zip(vec, columns)) == 0
                        for r in range(nrows))
+
+
+def cofactor_determinant(m):
+    """Laplace expansion along the first row, each minor expanded once."""
+    n = len(m)
+
+    @functools.cache
+    def minor(cols):  # the rows n - len(cols).. and the columns cols
+        r = n - len(cols)
+        return sum((-1) ** k * m[r][c] * minor(cols[:k] + cols[k + 1:])
+                   for k, c in enumerate(cols) if m[r][c]) if cols else Fraction(1)
+
+    return minor(tuple(range(n)))
+
+
+def sylvester_oracle(matrix):
+    """Sylvester's criterion from k cofactor determinants, as before Bareiss."""
+    m = [[c.as_fraction() for c in row] for row in matrix]
+    return all(cofactor_determinant([row[:k] for row in m[:k]]) > 0
+               for k in range(1, len(m) + 1))
+
+
+def scalars(rows):
+    return [[Scalar.rational(v) for v in row] for row in rows]
+
+
+def random_symmetric(rng, n, density):
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j or rng.random() < density:
+                m[i][j] = m[j][i] = Fraction(rng.randint(-6, 9), rng.randint(1, 5))
+    return m
+
+
+def gram(rng, n):
+    """A A^T + I for a dense rational A: dense and positive definite."""
+    a = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    return [[sum(x * y for x, y in zip(a[i], a[j])) + (i == j) for j in range(n)]
+            for i in range(n)]
+
+
+def test_positive_definite_matches_the_cofactor_oracle():
+    rng = random.Random(4)
+    verdicts = set()
+    for n in range(0, 9):
+        for _ in range(12):
+            for m in (random_symmetric(rng, n, rng.random()), gram(rng, n)):
+                want = sylvester_oracle(scalars(m))
+                assert positive_definite(scalars(m)) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_positive_definite_on_dense_8x8_matrices():
+    rng = random.Random(8)
+    dense = gram(rng, 8)
+    assert all(dense[i][j] for i in range(8) for j in range(8))
+    assert positive_definite(scalars(dense)) and sylvester_oracle(scalars(dense))
+    # positive diagonal, but e1 - e2 has negative norm: 2 + 2 - 2*3 < 0
+    indefinite = [[Fraction(2 if i == j else 1, 3) for j in range(8)] for i in range(8)]
+    indefinite[0][1] = indefinite[1][0] = Fraction(3)
+    assert all(indefinite[i][i] > 0 for i in range(8))
+    assert not positive_definite(scalars(indefinite))
+    assert not sylvester_oracle(scalars(indefinite))
+
+
+def test_positive_definite_is_rational_only():
+    with pytest.raises(UnsupportedScalarError):
+        positive_definite([[var_t(), Scalar.zero()], [Scalar.zero(), Scalar.one()]])
