@@ -96,9 +96,29 @@ def scalar_mat_eq(a: ScalarMatrix, b: ScalarMatrix) -> bool:
 
 
 def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
+    """Rational matrices by one fraction-free (Bareiss) elimination of the
+    matrix cleared of denominators by L: the last pivot is L**n * det, with
+    the sign of the row swaps.  Cofactor expansion serves any other matrix."""
+    if not all(c.is_rational() for row in matrix for c in row):
+        return _cofactor_determinant(matrix)
+    den, a = _cleared(matrix)
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if a[i][k]), None)
+        if swap is None:
+            return Scalar.zero()
+        if swap != k:
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = pivot
+    return Scalar.rational(Fraction(sign * prev, den**n))
+
+
+def _cofactor_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     n = len(matrix)
-    if n == 0:
-        return Scalar.one()
     if n == 1:
         return matrix[0][0]
     total = Scalar.zero()
@@ -107,9 +127,16 @@ def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
         if entry.is_zero():
             continue
         minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
-        term = entry * scalar_matrix_determinant(minor)
+        term = entry * _cofactor_determinant(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def _cleared(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
+    """(L, L * matrix) for rational entries, L the lcm of their denominators."""
+    rows = [[c.as_fraction() for c in row] for row in matrix]
+    den = lcm(*(q.denominator for row in rows for q in row))
+    return den, [[q.numerator * (den // q.denominator) for q in row] for row in rows]
 
 
 def symmetric(matrix: ScalarMatrix) -> bool:
@@ -121,9 +148,7 @@ def positive_definite(matrix: ScalarMatrix) -> bool:
     """Sylvester criterion for symmetric matrices with rational entries: the
     pivots of one fraction-free (Bareiss) elimination of the matrix cleared of
     denominators by L > 0 are the leading minors times powers of L."""
-    rows = [[c.as_fraction() for c in row] for row in matrix]
-    den = lcm(*(q.denominator for row in rows for q in row))
-    a = [[q.numerator * (den // q.denominator) for q in row] for row in rows]
+    a = _cleared(matrix)[1]
     n, prev = len(a), 1
     for k in range(n):
         pivot = a[k][k]

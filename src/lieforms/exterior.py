@@ -239,6 +239,8 @@ def wedge_power(a: Form, k: int) -> Form:
         raise ValueError("negative wedge power")
     if k == 0:
         return Form(a.dimension, 0, {(): Scalar.one()})
+    if k * a.degree > a.dimension:
+        return Form.zero(a.dimension, k * a.degree)
     out = a
     for _ in range(k - 1):
         out = wedge(out, a)

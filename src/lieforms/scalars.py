@@ -2,15 +2,21 @@
 
 A Scalar is a finite sum of terms
 
-    R(t) * prod_i B_i ** r_i
+    c * num(t) / prod_j L_j(t) ** m_j  *  prod_i B_i ** r_i
 
-where R is a rational function of t with Fraction coefficients whose
-denominator splits into linear factors, and each radical factor pairs a
-canonical base B (a primitive integer linear polynomial a + b*t, or a prime
-integer) with a fractional exponent 0 < r < 1.  Terms are merged by radical
-signature, so equality and zero-testing are exact: distinct signatures are
-linearly independent over the rational functions, hence a Scalar is zero if
-and only if it has no terms.
+The rational function in front is one RF(c, num, den): c is a nonzero
+Fraction, num a primitive integer polynomial with positive leading
+coefficient, and den the canonical linear bases L_j (primitive integer
+a + b*t, first nonzero entry positive) with their multiplicities, none of
+which divides num.  So every polynomial operation runs on int coefficients:
+products, exact division by a linear base (integral by Gauss's lemma), and
+the rational-root search, by homogeneous Horner.  A rational constant is
+RF(q, (1,), ()), so its arithmetic is one Fraction operation.  Each radical
+factor pairs a canonical base B (a linear base or a prime integer) with a
+fractional exponent 0 < r < 1.  Terms are merged by radical signature, so
+equality and zero-testing are exact: distinct signatures are linearly
+independent over the rational functions, hence a Scalar is zero if and only
+if it has no terms.
 
 The class is closed under +, -, *, d/dt and integer powers, and under
 division by any Scalar with a single radical signature.  Expressions that
@@ -22,9 +28,8 @@ instead of being approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
 Rational = Fraction
 
@@ -46,117 +51,65 @@ class ScalarDomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over Fraction: tuple of coefficients by
-# ascending power, with no trailing zeros.  () is the zero polynomial.
+# Dense univariate polynomials over int: tuple of coefficients by ascending
+# power, with no trailing zeros.  () is the zero polynomial.
 # ---------------------------------------------------------------------------
 
-Poly = tuple[Fraction, ...]
+Poly = tuple[int, ...]
 
-POLY_ZERO: Poly = ()
-POLY_ONE: Poly = (Fraction(1),)
-
-
-def poly_norm(coeffs: Iterable[Fraction]) -> Poly:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_norm(out)
-
-
-def poly_neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def poly_scale(p: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return POLY_ZERO
-    return tuple(x * c for x in p)
+POLY_ONE: Poly = (1,)
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return POLY_ZERO
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    if len(p) == 1:
+        return q if p[0] == 1 else tuple(p[0] * x for x in q)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_norm(out)
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)
 
 
-def poly_divmod(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for k in range(len(rem) - len(q), -1, -1):
-        c = rem[k + len(q) - 1] / lead
-        if c == 0:
-            continue
-        quo[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] -= c * b
-    return poly_norm(quo), poly_norm(rem)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return poly_norm(c * k for k, c in enumerate(p) if k)
-
-
-def poly_eval(p: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def poly_eval_hom(p: Poly, r: int, s: int) -> int:
+    """s**deg(p) * p(r/s), by Horner's rule in integers."""
+    acc, spow = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * r + c * spow
+        spow *= s
     return acc
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
-def poly_content(p: Poly) -> Fraction:
-    """Positive rational c with p/c a primitive integer polynomial."""
-    if not p:
-        return Fraction(0)
-    num = 0
-    den = 1
-    for c in p:
-        num = math.gcd(num, abs(c.numerator))
-        den = _lcm(den, c.denominator)
-    return Fraction(num, den)
-
-
-# A canonical linear base is a primitive integer pair (a, b) meaning a + b*t,
-# with the first nonzero entry positive.
+# A canonical linear base is a primitive integer pair (a, b) with b != 0,
+# meaning a + b*t, with the first nonzero entry positive.  It is also its own
+# Poly, so it multiplies and divides polynomials as it stands.
 LinBase = tuple[int, int]
 
 
-def linbase_poly(base: LinBase) -> Poly:
+def linear_base(a: int, b: int) -> tuple[LinBase, int]:
+    """Write a + b*t = k * (a0 + b0*t) with (a0, b0) canonical and k an int."""
+    k = math.gcd(a, b)
+    if (a or b) < 0:
+        k = -k
+    return (a // k, b // k), k
+
+
+def poly_div_base(p: Poly, base: LinBase) -> Poly | None:
+    """p / (a + b*t) when the base divides p, else None.
+
+    Synthetic division from the top.  By Gauss's lemma the quotient of an
+    integer polynomial by a primitive one is integral, so an inexact integer
+    step means the base does not divide p.
+    """
     a, b = base
-    return poly_norm((Fraction(a), Fraction(b)))
-
-
-def normalize_linear(a: Fraction, b: Fraction) -> tuple[LinBase, Fraction, int]:
-    """Write a + b*t = sign * content * (a0 + b0*t) with (a0, b0) canonical."""
-    if a == 0 and b == 0:
-        raise ZeroDivisionError("zero linear base")
-    content = poly_content(poly_norm((a, b)))
-    a0 = int(a / content)
-    b0 = int(b / content)
-    sign = 1
-    first = a0 if a0 != 0 else b0
-    if first < 0:
-        a0, b0, sign = -a0, -b0, -1
-    return (a0, b0), content, sign
+    quo = [0] * (len(p) - 1)
+    carry = 0
+    for k in range(len(p) - 1, 0, -1):
+        carry, rem = divmod(p[k] - a * carry, b)
+        if rem:
+            return None
+        quo[k - 1] = carry
+    return tuple(quo) if p[0] == a * carry else None
 
 
 def factor_int(n: int) -> dict[int, int]:
@@ -173,48 +126,43 @@ def factor_int(n: int) -> dict[int, int]:
     return out
 
 
-def factor_poly_linear(p: Poly) -> tuple[Fraction, dict[LinBase, int]]:
-    """Split p into rational content times canonical linear factors.
+def factor_poly_linear(p: Poly) -> tuple[int, dict[LinBase, int]]:
+    """Split p into an integer content times canonical linear factors.
 
-    Raises UnsupportedScalarError when p has an irreducible factor of
-    degree >= 2 (such a denominator cannot stay inside the class).
+    A linear p is read directly.  Higher degrees take one rational root r/s
+    at a time (r | p(0), s | lead) and divide its base out.  Raises
+    UnsupportedScalarError when p has an irreducible factor of degree >= 2
+    (such a denominator cannot stay inside the class).
     """
     if not p:
         raise ZeroDivisionError("cannot factor the zero polynomial")
-    content = poly_content(p)
-    work = poly_scale(p, 1 / content)
-    if work[-1] < 0:
-        work = poly_neg(work)
-        content = -content
     factors: dict[LinBase, int] = {}
-    while len(work) > 1:
-        root = _rational_root(work)
-        if root is None:
+    while len(p) > 2:
+        base = _root_base(p)
+        if base is None:
             raise UnsupportedScalarError(
                 "polynomial with an irreducible non-linear factor is outside "
                 "the supported scalar class"
             )
-        base, c, sign = normalize_linear(-root, Fraction(1))
-        quo, rem = poly_divmod(work, poly_scale(linbase_poly(base), Fraction(sign) * c))
-        assert not rem
+        p = poly_div_base(p, base)
         factors[base] = factors.get(base, 0) + 1
-        content *= sign * c
-        work = quo
-    content *= work[0]
+    if len(p) == 1:
+        return p[0], factors
+    base, content = linear_base(*p)
+    factors[base] = factors.get(base, 0) + 1
     return content, factors
 
 
-def _rational_root(p: Poly) -> Fraction | None:
-    # Integer-coefficient p assumed.  Candidates r/s with r | p(0), s | lead.
+def _root_base(p: Poly) -> LinBase | None:
+    """The base s*t - r of a rational root r/s of p, or None."""
     if p[0] == 0:
-        return Fraction(0)
-    lead = int(p[-1])
-    const = int(p[0])
-    for s in _divisors(abs(lead)):
-        for r in _divisors(abs(const)):
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if poly_eval(p, cand) == 0:
-                    return cand
+        return (0, 1)
+    for s in _divisors(abs(p[-1])):
+        for r in _divisors(abs(p[0])):
+            if math.gcd(r, s) == 1:
+                for cand in (r, -r):
+                    if poly_eval_hom(p, cand, s) == 0:
+                        return linear_base(-cand, s)[0]
     return None
 
 
@@ -230,10 +178,12 @@ def _divisors(n: int) -> list[int]:
 Den = tuple[tuple[LinBase, int], ...]
 
 
-@dataclass(frozen=True)
-class RF:
-    """num / prod(base^mult) reduced: num not divisible by any den base."""
+class RF(NamedTuple):
+    """c * num / prod(base^mult), canonical: c a nonzero Fraction, num a
+    primitive int polynomial with positive leading coefficient that no base
+    of den divides.  The zero function is (0, (), ())."""
 
+    c: Fraction
     num: Poly
     den: Den
 
@@ -241,116 +191,137 @@ class RF:
         return not self.num
 
 
-RF_ZERO = RF(POLY_ZERO, ())
-RF_ONE = RF(POLY_ONE, ())
+RF_ZERO = RF(Fraction(0), (), ())
+RF_ONE = RF(Fraction(1), POLY_ONE, ())
 
 
-def rf_make(num: Poly, den: dict[LinBase, int]) -> RF:
-    if not num:
-        return RF_ZERO
-    reduced = dict(den)
-    for base in sorted(reduced):
-        bp = linbase_poly(base)
-        while reduced.get(base, 0) > 0:
-            quo, rem = poly_divmod(num, bp)
-            if rem:
-                break
-            num = quo
-            reduced[base] -= 1
-        if reduced.get(base, 0) == 0:
-            reduced.pop(base, None)
-    return RF(num, tuple(sorted(reduced.items())))
-
-
-def rf_from_poly(p: Poly) -> RF:
-    return RF(p, ()) if p else RF_ZERO
+def rf_make(c: Fraction, num: Poly, den: dict[LinBase, int]) -> RF:
+    """The canonical form of c * num / prod(base^mult) for a nonzero int num."""
+    k = math.gcd(*num)
+    if num[-1] < 0:
+        k = -k
+    if k != 1:
+        num = tuple(x // k for x in num)
+        c = c * k
+    if len(num) > 1:
+        for base, m in den.items():
+            while m:
+                quo = poly_div_base(num, base)
+                if quo is None:
+                    break
+                num, m = quo, m - 1
+            den[base] = m
+        if num[-1] < 0:
+            num, c = tuple(-x for x in num), -c
+    return RF(c, num, tuple(sorted((b, m) for b, m in den.items() if m)))
 
 
 def rf_add(x: RF, y: RF) -> RF:
-    if x.is_zero():
+    if not x.num:
         return y
-    if y.is_zero():
+    if not y.num:
         return x
+    if x.num == y.num and x.den == y.den:
+        c = x.c + y.c
+        return RF(c, x.num, x.den) if c else RF_ZERO
+    # one content c = gcd(numerators) / lcm(denominators): x.c / c and y.c / c are ints
+    g, lcm = math.gcd(x.c.numerator, y.c.numerator), math.lcm(x.c.denominator, y.c.denominator)
+    c = Fraction(g, lcm)
     dx, dy = dict(x.den), dict(y.den)
-    union = {b: max(dx.get(b, 0), dy.get(b, 0)) for b in {*dx, *dy}}
-    nx, ny = x.num, y.num
+    union = {b: max(dx.get(b, 0), dy.get(b, 0)) for b in dx.keys() | dy.keys()}
+    nx = poly_mul((x.c.numerator // g * (lcm // x.c.denominator),), x.num)
+    ny = poly_mul((y.c.numerator // g * (lcm // y.c.denominator),), y.num)
     for b, m in union.items():
-        bp = linbase_poly(b)
         for _ in range(m - dx.get(b, 0)):
-            nx = poly_mul(nx, bp)
+            nx = poly_mul(nx, b)
         for _ in range(m - dy.get(b, 0)):
-            ny = poly_mul(ny, bp)
-    return rf_make(poly_add(nx, ny), union)
+            ny = poly_mul(ny, b)
+    if len(nx) < len(ny):
+        nx, ny = ny, nx
+    total = list(nx)
+    for i, v in enumerate(ny):
+        total[i] += v
+    while total and not total[-1]:
+        total.pop()
+    return rf_make(c, tuple(total), union) if total else RF_ZERO
 
 
 def rf_neg(x: RF) -> RF:
-    return RF(poly_neg(x.num), x.den)
+    return RF(-x.c, x.num, x.den)
 
 
 def rf_mul(x: RF, y: RF) -> RF:
-    if x.is_zero() or y.is_zero():
+    if not x.num or not y.num:
         return RF_ZERO
+    c = x.c * y.c
+    if not x.den and not y.den:
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        return RF(c, poly_mul(x.num, y.num), ())
     den = dict(x.den)
     for b, m in y.den:
         den[b] = den.get(b, 0) + m
-    return rf_make(poly_mul(x.num, y.num), den)
+    return rf_make(c, poly_mul(x.num, y.num), den)
 
 
 def rf_scale(x: RF, c: Fraction) -> RF:
-    if c == 0 or x.is_zero():
+    if c == 0 or not x.num:
         return RF_ZERO
-    return RF(poly_scale(x.num, c), x.den)
+    return RF(x.c * c, x.num, x.den)
 
 
 def rf_mul_base(x: RF, base: LinBase, power: int) -> RF:
     """Multiply by base**power for integer power of either sign."""
-    if x.is_zero() or power == 0:
+    if not x.num or power == 0:
         return x
     den = dict(x.den)
+    have = den.pop(base, 0)
+    if have > power:
+        den[base] = have - power
+        return rf_make(x.c, x.num, den)
     num = x.num
-    if power > 0:
-        bp = linbase_poly(base)
-        for _ in range(power):
-            num = poly_mul(num, bp)
-    else:
-        den[base] = den.get(base, 0) - power
-    return rf_make(num, den)
+    for _ in range(power - have):
+        num = poly_mul(num, base)
+    return rf_make(x.c, num, den)
 
 
 def rf_inverse(x: RF) -> RF:
-    if x.is_zero():
+    if not x.num:
         raise ZeroDivisionError("scalar division by zero")
     content, factors = factor_poly_linear(x.num)
     num = POLY_ONE
     for b, m in x.den:
-        bp = linbase_poly(b)
         for _ in range(m):
-            num = poly_mul(num, bp)
-    return rf_make(poly_scale(num, 1 / content), factors)
+            num = poly_mul(num, b)
+    return rf_make(1 / (x.c * content), num, factors)
 
 
 def rf_diff(x: RF) -> RF:
-    if x.is_zero():
+    if not x.num:
         return RF_ZERO
-    out = RF(poly_derivative(x.num), x.den) if poly_derivative(x.num) else RF_ZERO
+    num, out = x.num, RF_ZERO
+    if len(num) > 1:
+        out = rf_make(x.c, tuple(k * num[k] for k in range(1, len(num))), dict(x.den))
     for base, m in x.den:
-        _, b = base
-        if b == 0:
-            continue
         den = dict(x.den)
-        den[base] = den.get(base, 0) + 1
-        out = rf_add(out, rf_make(poly_scale(x.num, Fraction(-m * b)), den))
+        den[base] += 1
+        out = rf_add(out, rf_make(x.c * (-m * base[1]), num, den))
     return out
 
 
 def rf_eval(x: RF, t0: Fraction) -> Fraction:
-    val = poly_eval(x.num, t0)
-    for base, m in x.den:
-        bval = poly_eval(linbase_poly(base), t0)
+    r, s = t0.numerator, t0.denominator
+    top, bottom, shift = poly_eval_hom(x.num, r, s), 1, 1 - len(x.num)
+    for (a, b), m in x.den:
+        bval = a * s + b * r
         if bval == 0:
             raise ScalarDomainError(f"pole at t = {t0}")
-        val /= bval**m
-    return val
+        bottom *= bval**m
+        shift += m
+    if shift >= 0:
+        top *= s**shift
+    else:
+        bottom *= s**-shift
+    return x.c * Fraction(top, bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -395,11 +366,11 @@ class Scalar:
         q = Fraction(q)
         if q == 0:
             return Scalar()
-        return Scalar({_EMPTY_SIG: rf_from_poly((q,))})
+        return Scalar({_EMPTY_SIG: RF(q, POLY_ONE, ())})
 
     @staticmethod
     def t() -> Scalar:
-        return Scalar({_EMPTY_SIG: rf_from_poly((Fraction(0), Fraction(1)))})
+        return Scalar({_EMPTY_SIG: RF(Fraction(1), (0, 1), ())})
 
     @staticmethod
     def linear(a: Fraction | int, b: Fraction | int) -> Scalar:
@@ -428,14 +399,14 @@ class Scalar:
         if set(self._terms) != {_EMPTY_SIG}:
             return False
         rf = self._terms[_EMPTY_SIG]
-        return not rf.den and len(rf.num) <= 1
+        return not rf.den and len(rf.num) == 1
 
     def as_fraction(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_rational():
             raise UnsupportedScalarError(f"not a rational constant: {self}")
-        return self._terms[_EMPTY_SIG].num[0]
+        return self._terms[_EMPTY_SIG].c
 
     def depends_on_t(self) -> bool:
         for sig, rf in self._terms.items():
@@ -532,9 +503,13 @@ class Scalar:
             return NotImplemented
         if k < 0:
             return self.inverse() ** (-k)
-        out = Scalar.one()
-        for _ in range(k):
-            out = out * self
+        out, square = Scalar.one(), self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     def rational_power(self, r: Fraction) -> Scalar:
@@ -552,6 +527,7 @@ class Scalar:
         ((sig, rf),) = self._terms.items()
         exps: dict[BaseKey, Fraction] = {key: exp * r for key, exp in sig}
         content, factors = factor_poly_linear(rf.num)
+        content *= rf.c
         for base, m in rf.den:
             factors[base] = factors.get(base, 0) - m
         for base, m in factors.items():
@@ -560,7 +536,7 @@ class Scalar:
         coeff, rad = _content_power(content, r)
         for key, exp in rad.items():
             exps[key] = exps.get(key, Fraction(0)) + exp
-        out_rf = rf_from_poly((coeff,))
+        out_rf = RF(coeff, POLY_ONE, ())
         out_sig: dict[BaseKey, Fraction] = {}
         for key, exp in exps.items():
             if exp == 0:
@@ -606,7 +582,7 @@ class Scalar:
                 if kind == "prime":
                     val *= float(a) ** float(exp)
                     continue
-                bval = poly_eval(linbase_poly((a, b)), t0)
+                bval = a + b * t0
                 if bval == 0:
                     val = 0.0
                     break
@@ -649,9 +625,8 @@ class Scalar:
             for (a, b), m in rf.den:
                 factors.append(("lin", a, b, Fraction(-m)))
             for k, coeff in enumerate(rf.num):
-                if coeff == 0:
-                    continue
-                monomials.append((k, tuple(sorted(factors)), coeff))
+                if coeff:
+                    monomials.append((k, tuple(sorted(factors)), rf.c * coeff))
         monomials.sort(key=lambda m: (m[0], m[1]))
         parts: list[str] = []
         for k, factors, coeff in monomials:

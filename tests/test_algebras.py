@@ -1,6 +1,9 @@
+import io
 import itertools
 import math
 import random
+import re
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,7 @@ from lieforms.algebras import (
     verify_basis_change,
 )
 from lieforms.catalog import catalog_manifest, get_entry
+from lieforms.cli import main
 from lieforms.exterior import Form, exterior_derivative
 from lieforms.scalars import Scalar, UnsupportedScalarError
 from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
@@ -513,6 +517,33 @@ def test_parse_equations_raises_only_parse_error(text):
     except ParseError:
         return
     assert_scalar_values(sf)
+
+
+LONG_EXPONENT = re.compile(r"\^[\s(+-]*\d{4}")
+POSITIONED = re.compile(r"error: line \d+, column \d+: \S")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_payloads().filter(lambda text: not LONG_EXPONENT.search(text)))
+def test_cli_keeps_the_exit_code_contract_on_mutated_files(tmp_path_factory, text):
+    """validate and check exit 0, 1 or 2 with no traceback, and a parse error
+    is printed as error: line L, column C: ..."""
+    path = tmp_path_factory.mktemp("mutant") / "mutant.txt"
+    path.write_text(text, encoding="utf-8")
+    try:
+        parse_equations(text)
+        parse_error = None
+    except ParseError as exc:
+        parse_error = f"error: {exc}"
+    for command in ("validate", "check"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main([command, str(path)])
+        lines = out.getvalue().splitlines()
+        assert code in (0, 1, 2), (command, code)
+        assert all(POSITIONED.match(line) for line in lines if line.startswith("error: line"))
+        if parse_error is not None:
+            assert code == 2 and parse_error in lines, (command, lines)
 
 
 def test_parsed_values_are_scalars():

@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import pytest
 
 import lieforms
-from lieforms.algebras import ce_cohomology, check_jacobi, extend_by_line, parse_equations
+from lieforms.algebras import (
+    ce_cohomology,
+    check_jacobi,
+    extend_by_line,
+    parse_equations,
+    parse_form_expr,
+)
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.exterior import (
     CoframeMap,
@@ -429,3 +435,17 @@ def test_products_of_rationals_are_summed_as_fractions(monkeypatch):
            apply_coframe_map(sf.coframe_map, b), contract([1] * 8, b))
     monkeypatch.undo()
     assert got == want
+
+
+def test_wedge_power_past_the_dimension_is_zero_at_once(monkeypatch):
+    import lieforms.exterior as exterior
+
+    calls = []
+    real = exterior.wedge
+    monkeypatch.setattr(exterior, "wedge", lambda a, b: calls.append(1) or real(a, b))
+    big = parse_form_expr("e12^1000000000", 4)
+    assert big == Form.zero(4, 2_000_000_000) and len(calls) <= 1
+    calls.clear()
+    assert parse_form_expr("e12^2", 4) == Form.zero(4, 4) and len(calls) == 1
+    assert parse_form_expr("(e12 + e34)^2", 4) == form(4, ("1234", 2))
+    assert parse_form_expr("e12^0", 4) == Form(4, 0, {(): Scalar.one()})

@@ -5,7 +5,12 @@ from math import gcd
 
 import pytest
 
-from lieforms._linalg import fraction_nullspace, insert_echelon_row, positive_definite
+from lieforms._linalg import (
+    fraction_nullspace,
+    insert_echelon_row,
+    positive_definite,
+    scalar_matrix_determinant,
+)
 from lieforms.scalars import Scalar, UnsupportedScalarError, var_t
 
 
@@ -189,3 +194,40 @@ def test_positive_definite_on_dense_8x8_matrices():
 def test_positive_definite_is_rational_only():
     with pytest.raises(UnsupportedScalarError):
         positive_definite([[var_t(), Scalar.zero()], [Scalar.zero(), Scalar.one()]])
+
+
+def random_square(rng, n):
+    """A seeded rational matrix, made singular about a third of the time by a
+    zero row or a row that combines two others."""
+    m = [[Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.7 else Fraction(0)
+          for _ in range(n)] for _ in range(n)]
+    kind = rng.random()
+    if n > 2 and kind < 0.2:
+        a, b = rng.sample(range(n), 2)
+        m[rng.randrange(n)] = [x - Fraction(2, 3) * y for x, y in zip(m[a], m[b])]
+    elif n and kind < 0.3:
+        m[rng.randrange(n)] = [Fraction(0)] * n
+    return m
+
+
+def test_determinant_matches_the_cofactor_oracle():
+    rng = random.Random(11)
+    zeros = nonzeros = 0
+    for n in range(0, 9):
+        for _ in range(12):
+            m = random_square(rng, n)
+            want = cofactor_determinant(m)
+            assert scalar_matrix_determinant(scalars(m)) == Scalar.rational(want)
+            zeros += want == 0
+            nonzeros += want != 0
+    assert zeros >= 20 and nonzeros >= 50
+
+
+def test_determinant_needs_row_swaps_and_keeps_the_parametric_path():
+    swap = [[0, 2, 1], [3, 0, 0], [0, 1, Fraction(1, 2)]]
+    assert scalar_matrix_determinant(scalars(swap)) == Scalar.rational(cofactor_determinant(
+        [[Fraction(x) for x in row] for row in swap]))
+    assert scalar_matrix_determinant(scalars([[0, 1], [1, 0]])) == Scalar.rational(-1)
+    t = var_t()
+    assert scalar_matrix_determinant([[t, Scalar.one()], [Scalar.one(), t]]) == t * t - 1
+    assert scalar_matrix_determinant([]) == Scalar.one()

@@ -1,15 +1,20 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lieforms import scalars as sc
+from lieforms.algebras import parse_equations
+from lieforms.catalog import get_entry
 from lieforms.scalars import (
     Scalar,
     ScalarDomainError,
     UnsupportedScalarError,
     var_t,
 )
+from perfbench.workloads import FAMILY_ENTRIES, shift_payload
 
 F = Fraction
 
@@ -232,3 +237,405 @@ def test_zero_scalar_evaluates_to_zero(a):
     assert z.is_zero()
     for t0 in (F(0), F(1, 3), F(-2)):
         assert z.evaluate_float(t0) == 0.0
+
+
+# -- pow and the int polynomial layer -----------------------------------------
+
+def test_power_by_repeated_squaring(monkeypatch):
+    t = var_t()
+    assert t**2000 == t**1000 * t**1000
+    assert Scalar.linear(2, -1) ** 5 == Scalar.linear(2, -1) ** 2 * Scalar.linear(2, -1) ** 3
+    assert t**0 == Scalar.one() and t**-3 * t**3 == Scalar.one()
+    calls = []
+    mul = Scalar.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Scalar, "__mul__", counting)
+    x = Scalar.linear(1, F(-3, 2))
+    for k in (1, 2, 3, 7, 8, 100, 255, 256, 1000):
+        calls.clear()
+        x.__pow__(k)
+        assert len(calls) <= 2 * math.ceil(math.log2(k)) + 1, k
+
+
+def test_linear_polynomials_are_factored_without_candidates(monkeypatch):
+    calls = []
+    hom = sc.poly_eval_hom
+    monkeypatch.setattr(sc, "poly_eval_hom", lambda *a: calls.append(a) or hom(*a))
+    assert sc.factor_poly_linear((6, -4)) == (2, {(3, -2): 1}) and not calls
+    assert sc.factor_poly_linear((0, 5)) == (5, {(0, 1): 1}) and not calls
+    assert sc.factor_poly_linear((-6, 1, 1)) == (-1, {(3, 1): 1, (2, -1): 1})
+    assert calls
+    with pytest.raises(UnsupportedScalarError):
+        sc.factor_poly_linear((1, 0, 1))
+
+
+# -- rf_oracle: the Fraction-coefficient Poly/RF layer that the int layer
+# replaced, with the Scalar operations built on it -----------------------------
+
+def o_norm(coeffs):
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def o_add(p, q):
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
+    for i, c in enumerate(q):
+        out[i] += c
+    return o_norm(out)
+
+
+def o_scale(p, c):
+    return () if c == 0 else tuple(x * c for x in p)
+
+
+def o_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [F(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return o_norm(out)
+
+
+def o_divmod(p, q):
+    rem = list(p)
+    quo = [F(0)] * max(0, len(p) - len(q) + 1)
+    for k in range(len(rem) - len(q), -1, -1):
+        c = rem[k + len(q) - 1] / q[-1]
+        if c:
+            quo[k] = c
+            for j, b in enumerate(q):
+                rem[k + j] -= c * b
+    return o_norm(quo), o_norm(rem)
+
+
+def o_eval(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def o_content(p):
+    num, den = 0, 1
+    for c in p:
+        num, den = math.gcd(num, abs(c.numerator)), math.lcm(den, c.denominator)
+    return F(num, den)
+
+
+def o_base(base):
+    return o_norm((F(base[0]), F(base[1])))
+
+
+def o_normalize_linear(a, b):
+    content = o_content(o_norm((a, b)))
+    a0, b0 = int(a / content), int(b / content)
+    if (a0 if a0 else b0) < 0:
+        return (-a0, -b0), content, -1
+    return (a0, b0), content, 1
+
+
+def o_rational_root(p):
+    if p[0] == 0:
+        return F(0)
+    for s in sc._divisors(abs(int(p[-1]))):
+        for r in sc._divisors(abs(int(p[0]))):
+            for cand in (F(r, s), F(-r, s)):
+                if o_eval(p, cand) == 0:
+                    return cand
+    return None
+
+
+def o_factor(p):
+    content = o_content(p)
+    work = o_scale(p, 1 / content)
+    if work[-1] < 0:
+        work, content = o_scale(work, F(-1)), -content
+    factors = {}
+    while len(work) > 1:
+        root = o_rational_root(work)
+        if root is None:
+            raise UnsupportedScalarError("irreducible non-linear factor")
+        base, c, sign = o_normalize_linear(-root, F(1))
+        work, rem = o_divmod(work, o_scale(o_base(base), sign * c))
+        assert not rem
+        factors[base] = factors.get(base, 0) + 1
+        content *= sign * c
+    return content * work[0], factors
+
+
+def o_rf(num, den):
+    """num / prod(base^m) reduced: (Fraction poly, sorted den) or None for 0."""
+    if not num:
+        return None
+    den = dict(den)
+    for base in sorted(den):
+        while den[base] > 0:
+            quo, rem = o_divmod(num, o_base(base))
+            if rem:
+                break
+            num, den[base] = quo, den[base] - 1
+    return num, tuple(sorted((b, m) for b, m in den.items() if m))
+
+
+def o_rf_add(x, y):
+    if x is None or y is None:
+        return y if x is None else x
+    dx, dy = dict(x[1]), dict(y[1])
+    union = {b: max(dx.get(b, 0), dy.get(b, 0)) for b in {*dx, *dy}}
+    nx, ny = x[0], y[0]
+    for b, m in union.items():
+        for _ in range(m - dx.get(b, 0)):
+            nx = o_mul(nx, o_base(b))
+        for _ in range(m - dy.get(b, 0)):
+            ny = o_mul(ny, o_base(b))
+    return o_rf(o_add(nx, ny), union)
+
+
+def o_rf_mul(x, y):
+    den = dict(x[1])
+    for b, m in y[1]:
+        den[b] = den.get(b, 0) + m
+    return o_rf(o_mul(x[0], y[0]), den)
+
+
+def o_rf_mul_base(x, base, power):
+    den, num = dict(x[1]), x[0]
+    if power > 0:
+        for _ in range(power):
+            num = o_mul(num, o_base(base))
+    else:
+        den[base] = den.get(base, 0) - power
+    return o_rf(num, den)
+
+
+def o_rf_eval(x, t0):
+    val = o_eval(x[0], t0)
+    for base, m in x[1]:
+        bval = o_eval(o_base(base), t0)
+        if bval == 0:
+            raise ScalarDomainError(f"pole at t = {t0}")
+        val /= bval**m
+    return val
+
+
+class OracleScalar:
+    """A Scalar's terms as {signature: (Fraction poly, den)}."""
+
+    def __init__(self, terms):
+        self.terms = {sig: rf for sig, rf in terms.items() if rf is not None}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for sig, rf in other.terms.items():
+            out[sig] = o_rf_add(out.get(sig), rf)
+        return OracleScalar(out)
+
+    def __mul__(self, other):
+        out = {}
+        for sig1, rf1 in self.terms.items():
+            for sig2, rf2 in other.terms.items():
+                rf = o_rf_mul(rf1, rf2)
+                exps = dict(sig1)
+                for key, exp in sig2:
+                    exps[key] = exps.get(key, F(0)) + exp
+                sig = {}
+                for (kind, a, b), exp in exps.items():
+                    if exp >= 1:
+                        rf = (o_rf_mul_base(rf, (a, b), 1) if kind == "lin"
+                              else (o_scale(rf[0], F(a)), rf[1]))
+                        exp -= 1
+                    if exp:
+                        sig[(kind, a, b)] = exp
+                key = tuple(sorted(sig.items()))
+                out[key] = o_rf_add(out.get(key), rf)
+        return OracleScalar(out)
+
+    def single(self):
+        if not self.terms:
+            raise ZeroDivisionError("scalar division by zero")
+        if len(self.terms) != 1:
+            raise UnsupportedScalarError("more than one radical signature")
+        return next(iter(self.terms.items()))
+
+    def inverse(self):
+        sig, (num, den) = self.single()
+        content, factors = o_factor(num)
+        inv = (tuple([1 / content]), ())
+        for b, m in den:
+            inv = o_rf_mul_base(inv, b, m)
+        for b, m in factors.items():
+            inv = o_rf_mul_base(inv, b, -m)
+        out_sig = {}
+        for (kind, a, b), exp in sig:
+            inv = (o_rf_mul_base(inv, (a, b), -1) if kind == "lin"
+                   else (o_scale(inv[0], F(1, a)), inv[1]))
+            out_sig[(kind, a, b)] = 1 - exp
+        return OracleScalar({tuple(sorted(out_sig.items())): inv})
+
+    def rational_power(self, r):
+        if r.denominator == 1:
+            out = OracleScalar({(): ((F(1),), ())})
+            base = self if r > 0 else self.inverse()
+            for _ in range(abs(int(r))):
+                out = out * base
+            return out
+        sig, (num, den) = self.single()
+        exps = {key: exp * r for key, exp in sig}
+        content, factors = o_factor(num)
+        for base, m in den:
+            factors[base] = factors.get(base, 0) - m
+        for (a, b), m in factors.items():
+            exps[("lin", a, b)] = exps.get(("lin", a, b), F(0)) + m * r
+        coeff, rad = sc._content_power(content, r)
+        for key, exp in rad.items():
+            exps[key] = exps.get(key, F(0)) + exp
+        rf, out_sig = ((coeff,), ()), {}
+        for (kind, a, b), exp in exps.items():
+            whole = math.floor(exp)
+            rf = (o_rf_mul_base(rf, (a, b), whole) if kind == "lin"
+                  else (o_scale(rf[0], F(a) ** whole), rf[1]))
+            if exp - whole:
+                out_sig[(kind, a, b)] = exp - whole
+        return OracleScalar({tuple(sorted(out_sig.items())): rf})
+
+    def render(self):
+        monomials = []
+        for sig, (num, den) in self.terms.items():
+            factors = [(kind, a, b, exp) for (kind, a, b), exp in sig]
+            factors += [("lin", a, b, F(-m)) for (a, b), m in den]
+            monomials += [(k, tuple(sorted(factors)), c) for k, c in enumerate(num) if c]
+        parts = []
+        for k, factors, coeff in sorted(monomials, key=lambda m: m[:2]):
+            body = ["t"] if k == 1 else [f"t^{k}"] if k > 1 else []
+            for kind, a, b, exp in factors:
+                base = str(a) if kind == "prime" else sc._render_linear(a, b)
+                body.append(f"{base}^({exp})")
+            if abs(coeff) != 1 or not body:
+                body.insert(0, str(abs(coeff)))
+            text = "*".join(body)
+            sign = "" if coeff > 0 else "-"
+            parts.append(f"{sign}{text}" if not parts else f"{'+' if coeff > 0 else '-'} {text}")
+        return " ".join(parts) or "0"
+
+    def evaluate_float(self, t0):
+        total = 0.0
+        for sig, rf in self.terms.items():
+            val = float(o_rf_eval(rf, t0))
+            for (kind, a, b), exp in sig:
+                bval = F(a) if kind == "prime" else o_eval(o_base((a, b)), t0)
+                if bval < 0 and exp.denominator % 2 == 0:
+                    raise ScalarDomainError("negative base under an even root")
+                sign = -1.0 if bval < 0 and exp.numerator % 2 else 1.0
+                val *= sign * float(abs(bval)) ** float(exp)
+            total += val
+        return total
+
+
+def rf_oracle(tree):
+    """Evaluate an expression tree on the Fraction-coefficient layer."""
+    op = tree[0]
+    if op == "lin":
+        return OracleScalar({(): o_rf(o_norm((tree[1], tree[2])), {})})
+    if op == "inv":
+        return rf_oracle(tree[1]).inverse()
+    if op == "pow":
+        return rf_oracle(tree[1]).rational_power(tree[2])
+    x, y = rf_oracle(tree[1]), rf_oracle(tree[2])
+    return x + y if op == "add" else x * y
+
+
+def rf_oracle_from(s):
+    """A Scalar re-reduced on the Fraction-coefficient layer, term by term."""
+    out = {}
+    for sig, rf in s.terms():
+        out[sig] = o_rf(tuple(rf.c * k for k in rf.num), dict(rf.den))
+    return OracleScalar(out)
+
+
+def evaluate(tree):
+    op = tree[0]
+    if op == "lin":
+        return Scalar.linear(tree[1], tree[2])
+    if op == "inv":
+        return evaluate(tree[1]).inverse()
+    if op == "pow":
+        return evaluate(tree[1]).rational_power(tree[2])
+    x, y = evaluate(tree[1]), evaluate(tree[2])
+    return x + y if op == "add" else x * y
+
+
+def outcome(build, tree):
+    try:
+        return build(tree)
+    except (ZeroDivisionError, UnsupportedScalarError) as exc:
+        return type(exc)
+
+
+def assert_canonical(s):
+    for _sig, rf in s.terms():
+        assert rf.c and rf.num[-1] > 0 and math.gcd(*rf.num) == 1
+        assert all(isinstance(k, int) for k in rf.num)
+        assert all(sc.poly_div_base(rf.num, b) is None for b, _ in rf.den)
+
+
+POINTS = (F(-7, 3), F(-1, 5), F(1, 9), F(2, 7), F(4, 3), F(11, 2))
+
+
+def assert_matches_oracle(s, oracle):
+    assert_canonical(s)
+    assert s.render() == oracle.render()
+    evaluated = 0
+    for t0 in POINTS:
+        try:
+            want = oracle.evaluate_float(t0)
+        except ScalarDomainError:
+            with pytest.raises(ScalarDomainError):
+                s.evaluate_float(t0)
+            continue
+        assert s.evaluate_float(t0) == pytest.approx(want, rel=1e-9, abs=1e-12)
+        evaluated += 1
+    return evaluated
+
+
+linear_bases = st.tuples(st.just("lin"), rationals, rationals).filter(lambda x: x[1] or x[2])
+rf_trees = st.recursive(
+    linear_bases,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(("add", "mul")), kids, kids),
+        st.tuples(st.just("inv"), kids),
+        st.tuples(st.just("pow"), kids,
+                  st.sampled_from([F(2), F(-1), F(3), F(1, 3), F(-2, 3), F(1, 2), F(5, 2)])),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rf_trees)
+def test_int_layer_matches_rf_oracle(tree):
+    got, want = outcome(evaluate, tree), outcome(rf_oracle, tree)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert_matches_oracle(got, want)
+
+
+def test_shifted_family_coefficients_match_rf_oracle():
+    evaluated = 0
+    for name in FAMILY_ENTRIES:
+        for s in (F(1, 3), F(-5, 2), F(5, 7)):
+            sf = parse_equations(shift_payload(get_entry(name).payload, s))
+            forms = [*sf.algebra.differentials, *sf.family.forms.values()]
+            for c in (c for f in forms for c in f.coeffs.values()):
+                evaluated += assert_matches_oracle(c, rf_oracle_from(c))
+    assert evaluated > 500
