@@ -4,70 +4,76 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import Scalar
 
 ScalarMatrix = list[list[Scalar]]
 
 
-def insert_echelon_row(echelon: list[list[int]], pivots: list[int],
-                       row: Sequence[Fraction | int]) -> bool:
-    """Reduce row against the echelon; insert and return True if independent.
-
-    Fraction-free (Bareiss, Math. Comp. 22, 1968): the ``int`` or ``Fraction``
-    row is cleared of denominators, each step takes the gcd-cancelled integer
-    combination b*row - a*erow, and rows are stored primitive.  Stored rows are
-    multiples of those of rational elimination: same ranks, same pivots.
-    """
-    den = lcm(*(x.denominator for x in row))
-    work = [x.numerator * (den // x.denominator) for x in row]
+def insert_echelon_row(echelon: list[dict[int, int]], pivots: list[int],
+                       row: Mapping[int, Fraction | int]) -> bool:
+    """Reduce a sparse row {column: value} against the echelon; insert it and
+    return True if it is independent.  Fraction-free (Bareiss, Math. Comp. 22,
+    1968): the row is cleared of denominators, each step takes the
+    gcd-cancelled integer combination b*row - a*erow, and rows are stored
+    primitive as {column: nonzero int} with the least column as pivot:
+    multiples of the rows of rational elimination."""
+    den = lcm(*(x.denominator for x in row.values()))
+    work = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
     for erow, p in zip(echelon, pivots):
-        a = work[p]
+        a = work.get(p)
         if a:
-            b = erow[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            work = [b * x - a * y for x, y in zip(work, erow)]
-    pivot = next((c for c, v in enumerate(work) if v), None)
-    if pivot is None:
+            g = gcd(a, erow[p])
+            work = _combine(work, erow, a // g, erow[p] // g)
+    if not work:
         return False
-    g = gcd(*work)
-    echelon.append([x // g for x in work] if g > 1 else work)
-    pivots.append(pivot)
+    g = gcd(*work.values())
+    echelon.append({c: x // g for c, x in work.items()} if g > 1 else work)
+    pivots.append(min(work))
     return True
 
 
-def fraction_nullspace(columns: list[list[Fraction | int]], rows: int) -> list[list[Fraction]]:
-    """Kernel of x -> sum x_c columns[c], basis ordered by free coordinate.
+def _combine(work: dict[int, int], erow: dict[int, int], a: int, b: int) -> dict[int, int]:
+    """b*work - a*erow over the union of columns, zeros dropped (in place if b = 1)."""
+    out = {c: b * x for c, x in work.items()} if b != 1 else work
+    for c, y in erow.items():
+        v = out.get(c, 0) - a * y
+        if v:
+            out[c] = v
+        else:
+            del out[c]
+    return out
 
-    Echelon rows from ``insert_echelon_row``, sorted by pivot and cleared above
-    each pivot, are multiples of the unique reduced row echelon form's rows.
+
+def fraction_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
+                       ncols: int) -> list[dict[int, Fraction]]:
+    """Kernel of the matrix with these sparse rows and ncols columns, as sparse
+    vectors {column: nonzero Fraction} ordered by free coordinate.
+
+    The echelon rows, sorted by pivot and cleared above each pivot, are
+    multiples of the reduced row echelon form's rows, so the vector of free
+    column f is e_f - sum_p row_p[f] / row_p[p] e_p.
     """
-    ncols = len(columns)
-    if ncols == 0:
-        return []
-    echelon: list[list[int]] = []
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    for r in range(rows):
-        insert_echelon_row(echelon, pivots, [col[r] for col in columns])
-    by_pivot = sorted(zip(pivots, echelon))
-    pivots, reduced = [p for p, _ in by_pivot], [row for _, row in by_pivot]
+    for row in rows:
+        insert_echelon_row(echelon, pivots, row)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    pivots, reduced = [pivots[i] for i in order], [echelon[i] for i in order]
     for i in range(len(reduced) - 1, 0, -1):
         row, p = reduced[i], pivots[i]
         for j in range(i):
-            a, b = reduced[j][p], row[p]
+            a = reduced[j].get(p)
             if a:
-                g = gcd(a, b)
-                reduced[j] = [b // g * x - a // g * y for x, y in zip(reduced[j], row)]
-    out = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row, c in zip(reduced, pivots):
-            vec[c] = Fraction(-row[free], row[c])
-        out.append(vec)
-    return out
+                g = gcd(a, row[p])
+                reduced[j] = _combine(reduced[j], row, a // g, row[p] // g)
+    kernel = {f: {f: Fraction(1)} for f in sorted(set(range(ncols)).difference(pivots))}
+    for row, p in zip(reduced, pivots):
+        for f, x in row.items():
+            if f != p:
+                kernel[f][p] = Fraction(-x, row[p])
+    return list(kernel.values())
 
 
 def scalar_identity(n: int) -> ScalarMatrix:

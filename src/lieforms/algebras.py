@@ -30,7 +30,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Sequence
 
 from ._linalg import fraction_nullspace, insert_echelon_row, scalar_matrix_determinant
@@ -39,7 +39,6 @@ from .exterior import (
     Form,
     apply_coframe_map,
     exterior_derivative,
-    sort_index,
     wedge,
     wedge_power,
 )
@@ -685,29 +684,33 @@ class CohomologyReport:
         return "\n".join(lines)
 
 
-def _d_columns(algebra: LieAlgebra, top: int) -> list[list[list[int]]]:
-    """For k = 0..top, L*d(e^I) for each degree-k basis form e^I over the
-    degree-(k+1) basis, L the lcm of the structure-constant denominators.  A term
-    c e^ab of d e^{i_pos} adds (-1)^pos c e^{ab + rest}: e^ab is even."""
+def _d_columns(algebra: LieAlgebra, top: int) -> list[list[dict[int, int]]]:
+    """For k = 0..top, L*d(e^I) for each degree-k basis form e^I as a sparse
+    column {position in the degree-(k+1) basis: int}, L the lcm of the
+    structure-constant denominators.  Index sets are bitmasks (bit i for e^i).
+    A term c e^ab of d e^{i_pos} adds (-1)^pos c e^ab ^ e^rest; sorting it costs
+    (-1)^(|rest below a| + |rest below b|) = (-1)^|rest & mid|, mid the bits a..b-1."""
     n = algebra.dimension
     consts = [[(ab, c.as_fraction()) for ab, c in d.coeffs.items()] for d in algebra.differentials]
     scale = lcm(*(q.denominator for d in consts for _, q in d))
-    terms = [[(ab, int(q * scale)) for ab, q in d] for d in consts]
+    terms = [[(1 << a | 1 << b, (1 << b) - (1 << a), int(q * scale)) for (a, b), q in d]
+             for d in consts]
+    combos = [list(itertools.combinations(range(1, n + 1), k)) for k in range(top + 2)]
+    masks = [[sum(1 << i for i in idx) for idx in indices] for indices in combos]
     out = []
     for k in range(top + 1):
-        target = {idx: pos for pos, idx in
-                  enumerate(itertools.combinations(range(1, n + 1), k + 1))}
-        vectors = []
-        for idx in itertools.combinations(range(1, n + 1), k):
-            vec = [0] * len(target)
+        target = {mask: pos for pos, mask in enumerate(masks[k + 1])}
+        columns = []
+        for idx, mask in zip(combos[k], masks[k]):
+            col: dict[int, int] = {}
             for pos, i in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1:]
-                for ab, c in terms[i - 1]:
-                    sign, jdx = sort_index(ab + rest)
-                    if sign:
-                        vec[target[jdx]] += -sign * c if pos % 2 else sign * c
-            vectors.append(vec)
-        out.append(vectors)
+                rest = mask ^ 1 << i
+                for ab, mid, c in terms[i - 1]:
+                    if not rest & ab:
+                        t = target[rest | ab]
+                        col[t] = col.get(t, 0) + (-c if (pos + (rest & mid).bit_count()) & 1 else c)
+            columns.append({t: v for t, v in col.items() if v})
+        out.append(columns)
     return out
 
 
@@ -718,30 +721,28 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
     top = n if max_degree is None else min(max_degree, n)
     tables = _d_columns(algebra, max(top, 2))
     # d^2 = 0 on the generators, as the integer product D_2 D_1 of the tables
-    for vec in tables[1]:
-        images = [[c * x for x in tables[2][r]] for r, c in enumerate(vec) if c]
-        if any(map(sum, zip(*images))):
+    for col in tables[1]:
+        image: dict[int, int] = {}
+        for r, c in col.items():
+            for t, x in tables[2][r].items():
+                image[t] = image.get(t, 0) + c * x
+        if any(image.values()):
             raise ValueError("algebra fails the Jacobi identity; d^2 != 0")
-    betti: list[int] = []
     reps: list[tuple[Form, ...]] = []
-    prev_images: list[list[int]] = []
     for k in range(top + 1):
-        vectors = tables[k]
-        kernel = fraction_nullspace(vectors, len(vectors[0]))
-        echelon: list[list[int]] = []
+        rows: list[dict[int, int]] = [{} for _ in range(comb(n, k + 1))]
+        for c, col in enumerate(tables[k]):
+            for r, v in col.items():
+                rows[r][c] = v
+        kernel = fraction_nullspace(rows, len(tables[k]))
+        echelon: list[dict[int, int]] = []
         pivots: list[int] = []
-        for img in prev_images:
+        for img in tables[k - 1] if k else ():  # images of degree k-1 in degree k coordinates
             _insert_row(echelon, pivots, img)
         basis = list(itertools.combinations(range(1, n + 1), k))
-        chosen: list[Form] = []
-        for vec in kernel:
-            if _insert_row(echelon, pivots, vec):
-                coeffs = {basis[i]: Scalar.rational(c) for i, c in enumerate(vec) if c != 0}
-                chosen.append(Form(n, k, coeffs))
-        betti.append(len(chosen))
-        reps.append(tuple(chosen))
-        prev_images = vectors  # images in degree k+1 coordinates
-    return CohomologyReport(tuple(betti), tuple(reps))
+        reps.append(tuple(Form(n, k, {basis[i]: Scalar.rational(c) for i, c in vec.items()})
+                          for vec in kernel if _insert_row(echelon, pivots, vec)))
+    return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 
 _insert_row = insert_echelon_row

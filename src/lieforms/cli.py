@@ -7,6 +7,7 @@ printed), 2 parse or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -197,7 +198,9 @@ def cmd_report(args) -> int:
     return PASS if report.passed else MATH_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lieforms",
         description="Exact exterior calculus on Lie algebras: structure "
@@ -255,9 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which matches the contract
         return INPUT_ERROR if exc.code else PASS

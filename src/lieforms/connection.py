@@ -430,7 +430,7 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     one generation after the span stops growing, or at max_order.
     """
     n = sheet.frame.algebra.dimension
-    upper = list(itertools.combinations(range(n), 2))
+    upper = [(r, i, j) for r, (i, j) in enumerate(itertools.combinations(range(n), 2))]
     lams = [_integral(_direction(sheet.gamma, m)) for m in range(n)]
     curvatures = [_integral(mat) for _, mat in sorted(curv.tensor().items())]
     if any(mat[i][j] != -mat[j][i] for mat in lams + curvatures
@@ -438,14 +438,14 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
         raise ValueError("holonomy needs a metric connection: skew connection "
                          "and curvature matrices")
     directions = [entries for entries in map(_nonzero_entries, lams) if entries]
-    echelon: list[list[int]] = []
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
     basis: list[list[list[int]]] = []
     generations: list[int] = []
 
     def absorb(mats: list[list[list[int]]]) -> list[list[list[int]]]:
-        grew = [mat for mat in mats
-                if insert_echelon_row(echelon, pivots, [mat[i][j] for i, j in upper])]
+        grew = [mat for mat in mats if insert_echelon_row(
+            echelon, pivots, {r: v for r, i, j in upper if (v := mat[i][j])})]
         basis.extend(grew)
         generations.append(len(basis))
         return grew

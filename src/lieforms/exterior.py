@@ -356,9 +356,9 @@ def span_rank(forms: Sequence[Form]) -> SpanReport:
     dim, deg = forms[0].dimension, forms[0].degree
     if any(f.dimension != dim or f.degree != deg for f in forms):
         raise ValueError("forms in a span must share dimension and degree")
-    universe = sorted({idx for f in forms for idx in f.coeffs})
-    echelon: list[list[int]] = []
+    column = {idx: c for c, idx in enumerate(sorted({idx for f in forms for idx in f.coeffs}))}
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
     basis = tuple(i for i, f in enumerate(forms) if insert_echelon_row(
-        echelon, pivots, [f.coeffs.get(idx, Scalar.zero()).as_fraction() for idx in universe]))
+        echelon, pivots, {column[idx]: s.as_fraction() for idx, s in f.coeffs.items()}))
     return SpanReport(len(basis), basis)

@@ -71,6 +71,17 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     return tuple(out)
 
 
+def poly_mul_pow(q: Poly, p: Poly, k: int) -> Poly:
+    """q * p**k for k >= 0, multiplying q by the squares p**(2**i) of k's bits."""
+    while k:
+        if k & 1:
+            q = poly_mul(p, q)
+        k >>= 1
+        if k:
+            p = poly_mul(p, p)
+    return q
+
+
 def poly_eval_hom(p: Poly, r: int, s: int) -> int:
     """s**deg(p) * p(r/s), by Horner's rule in integers."""
     acc, spow = 0, 1
@@ -232,10 +243,8 @@ def rf_add(x: RF, y: RF) -> RF:
     nx = poly_mul((x.c.numerator // g * (lcm // x.c.denominator),), x.num)
     ny = poly_mul((y.c.numerator // g * (lcm // y.c.denominator),), y.num)
     for b, m in union.items():
-        for _ in range(m - dx.get(b, 0)):
-            nx = poly_mul(nx, b)
-        for _ in range(m - dy.get(b, 0)):
-            ny = poly_mul(ny, b)
+        nx = poly_mul_pow(nx, b, m - dx.get(b, 0))
+        ny = poly_mul_pow(ny, b, m - dy.get(b, 0))
     if len(nx) < len(ny):
         nx, ny = ny, nx
     total = list(nx)
@@ -278,10 +287,7 @@ def rf_mul_base(x: RF, base: LinBase, power: int) -> RF:
     if have > power:
         den[base] = have - power
         return rf_make(x.c, x.num, den)
-    num = x.num
-    for _ in range(power - have):
-        num = poly_mul(num, base)
-    return rf_make(x.c, num, den)
+    return rf_make(x.c, poly_mul_pow(x.num, base, power - have), den)
 
 
 def rf_inverse(x: RF) -> RF:
@@ -290,8 +296,7 @@ def rf_inverse(x: RF) -> RF:
     content, factors = factor_poly_linear(x.num)
     num = POLY_ONE
     for b, m in x.den:
-        for _ in range(m):
-            num = poly_mul(num, b)
+        num = poly_mul_pow(num, b, m)
     return rf_make(1 / (x.c * content), num, factors)
 
 

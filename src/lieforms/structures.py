@@ -215,9 +215,9 @@ def _reeb_and_kernel(s: SU2Structure):
     latter has the kernel of e^k.
     """
     if all(c.is_rational() for c in s.eta.coeffs.values()):
-        row = [s.eta.coefficient((i,)).as_fraction() for i in range(1, 6)]
+        row = {i - 1: c.as_fraction() for (i,), c in s.eta.coeffs.items()}
     elif len(s.eta.coeffs) == 1:
-        row = [Fraction(int((i,) in s.eta.coeffs)) for i in range(1, 6)]
+        row = {i - 1: 1 for (i,) in s.eta.coeffs}
     else:
         raise UnsupportedScalarError(
             "parametric quadruplets need eta proportional to a single generator")
@@ -228,7 +228,7 @@ def _reeb_and_kernel(s: SU2Structure):
     inv = pairing.inverse()
     xi = [c * inv for c in xi]
     _check_reeb(s, xi)
-    return xi, fraction_nullspace([[e] for e in row], 1)
+    return xi, [[vec.get(i, Fraction(0)) for i in range(5)] for vec in fraction_nullspace([row], 5)]
 
 
 def _pfaffian_kernel_vector(omega3: Form) -> list[Scalar]:

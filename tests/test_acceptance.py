@@ -331,8 +331,8 @@ def test_criterion_10_holonomy_permutation_invariance():
         echelon, pivots = [], []
         for key in keys:
             mat = tensor[key]
-            insert_echelon_row(echelon, pivots,
-                               [mat[i][j] for i in range(6) for j in range(6)])
+            insert_echelon_row(echelon, pivots, {6 * i + j: mat[i][j] for i in range(6)
+                                                 for j in range(6) if mat[i][j]})
         assert len(echelon) == base
     print("PASS criterion 10f: holonomy span invariant under enumeration order")
 

@@ -29,7 +29,7 @@ from lieforms.algebras import (
 )
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.cli import main
-from lieforms.exterior import Form, exterior_derivative
+from lieforms.exterior import Form, exterior_derivative, sort_index
 from lieforms.scalars import Scalar, UnsupportedScalarError
 from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
 
@@ -438,12 +438,54 @@ def cohomology_algebras():
         two_step_nilpotent(seed) for seed in range(4)]
 
 
+def dense_d_columns(algebra, top):
+    """The dense, ``sort_index``-signed differentials that the bitmask-signed
+    sparse ``_d_columns`` replaced."""
+    n = algebra.dimension
+    consts = [[(ab, c.as_fraction()) for ab, c in d.coeffs.items()] for d in algebra.differentials]
+    scale = math.lcm(*(q.denominator for d in consts for _, q in d))
+    terms = [[(ab, int(q * scale)) for ab, q in d] for d in consts]
+    out = []
+    for k in range(top + 1):
+        target = {idx: pos for pos, idx in
+                  enumerate(itertools.combinations(range(1, n + 1), k + 1))}
+        vectors = []
+        for idx in itertools.combinations(range(1, n + 1), k):
+            vec = [0] * len(target)
+            for pos, i in enumerate(idx):
+                rest = idx[:pos] + idx[pos + 1:]
+                for ab, c in terms[i - 1]:
+                    sign, jdx = sort_index(ab + rest)
+                    if sign:
+                        vec[target[jdx]] += -sign * c if pos % 2 else sign * c
+            vectors.append(vec)
+        out.append(vectors)
+    return out
+
+
+def dense_columns(columns, n, k):
+    """Sparse degree-k columns over the degree-(k+1) basis as dense lists."""
+    return [[col.get(t, 0) for t in range(math.comb(n, k + 1))] for col in columns]
+
+
+def test_sparse_differentials_match_the_dense_oracle():
+    algs = [parse_equations(e.payload).algebra for e in catalog_manifest()] + [
+        two_step_nilpotent(seed) for seed in range(4)]
+    assert all(alg.is_rational() for alg in algs)
+    for alg in algs:
+        n = alg.dimension
+        sparse = _d_columns(alg, n)
+        assert [dense_columns(cols, n, k) for k, cols in enumerate(sparse)] == dense_d_columns(
+            alg, n)
+        assert all(v for cols in sparse for col in cols for v in col.values())
+
+
 def test_cohomology_differential_is_the_exterior_derivative():
     for alg in cohomology_algebras():
         n = alg.dimension
         scale = math.lcm(*(c.as_fraction().denominator
                            for d in alg.differentials for c in d.coeffs.values()))
-        columns = _d_columns(alg, n - 1)
+        columns = [dense_columns(cols, n, k) for k, cols in enumerate(_d_columns(alg, n - 1))]
         assert len(columns) == n
         for k, vectors in enumerate(columns):
             targets = list(itertools.combinations(range(1, n + 1), k + 1))

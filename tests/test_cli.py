@@ -7,8 +7,10 @@ from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import lieforms
 from lieforms import catalog, connection
-from lieforms.cli import main
+from lieforms.cli import build_parser, main
+from lieforms.scalars import Scalar
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -355,6 +357,27 @@ def test_benchmark_traced_names_exist():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     for module, funcs in tracer.LAYERS.items():
-        mod = importlib.import_module(f"lieforms.{module}")
+        importlib.import_module(f"lieforms.{module}")
+        mod = getattr(lieforms, module)  # the tracer reads the modules off the package
         for func in funcs:
             assert callable(getattr(mod, func, None)), f"{module}.{func}"
+    assert all(callable(vars(Scalar).get(op)) for op in tracer.SCALAR_OPS)
+    # cohomology's echelon calls are counted through this alias
+    assert lieforms.algebras._insert_row is lieforms._linalg.insert_echelon_row
+
+
+def test_parser_is_built_once_and_parses_afresh(tmp_path):
+    path = write(tmp_path, "iwasawa.alg", IWASAWA_STRUCTURE)
+    assert build_parser() is build_parser()
+    code, out = run_cli(["bismut", path, "--show", "torsion"])
+    assert code == 0 and out.startswith("T = ") and "Omega^" not in out
+    code, out = run_cli(["bismut", path])
+    assert code == 0
+    for section in ("T = ", "omega^1_5 = -e3", "Omega^1_2 = 2*e34", "nabla_E1 Omega^1_2"):
+        assert section in out
+    first = build_parser().parse_args(["bismut", path, "--show", "curvature"])
+    second = build_parser().parse_args(["holonomy", path, "--max-order", "2"])
+    third = build_parser().parse_args(["bismut", path])
+    assert first is not third and first.show == ["curvature"] and third.show is None
+    assert (second.command, second.max_order) == ("holonomy", 2)
+    assert not hasattr(first, "max_order")

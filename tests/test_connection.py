@@ -312,8 +312,8 @@ def test_holonomy_span_is_enumeration_invariant():
         echelon, pivots = [], []
         for key in keys:
             mat = tensor[key]
-            insert_echelon_row(echelon, pivots,
-                               [mat[i][j] for i in range(n) for j in range(n)])
+            insert_echelon_row(echelon, pivots, {i * n + j: mat[i][j] for i in range(n)
+                                                 for j in range(n) if mat[i][j]})
         # generation-0 span must not depend on enumeration order
         assert len(echelon) == holonomy_algebra(sheet, curv).generation_dimensions[0]
     assert base == 8
@@ -462,7 +462,8 @@ def assert_generations_match_tensor_spans(sheet, curv, order):
     echelon, pivots, ranks = [], [], []
     for tensor in [curv.tensor()] + covariant_derivative_curvature(sheet, curv, order):
         for mat in tensor.values():
-            insert_echelon_row(echelon, pivots, [v for row in mat for v in row])
+            insert_echelon_row(echelon, pivots,
+                               {c: v for c, v in enumerate(v for row in mat for v in row) if v})
         ranks.append(len(echelon))
     # once the span stops growing it stays put, so shorter generation lists extend
     assert ranks == [gens[min(k, len(gens) - 1)] for k in range(order + 1)]

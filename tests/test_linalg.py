@@ -1,9 +1,11 @@
 import functools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lieforms._linalg import (
     fraction_nullspace,
@@ -29,6 +31,63 @@ def fraction_gauss(rows):
             echelon.append(work)
             pivots.append(pivot)
     return grew, pivots, echelon
+
+
+def sparse(row):
+    """A dense row as the kernel's {column: nonzero value} mapping."""
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def dense(vec, ncols, zero=0):
+    return [vec.get(c, zero) for c in range(ncols)]
+
+
+def dense_insert_echelon_row(echelon, pivots, row):
+    """The dense-list kernel that the sparse ``insert_echelon_row`` replaced."""
+    den = lcm(*(x.denominator for x in row))
+    work = [x.numerator * (den // x.denominator) for x in row]
+    for erow, p in zip(echelon, pivots):
+        a = work[p]
+        if a:
+            b = erow[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            work = [b * x - a * y for x, y in zip(work, erow)]
+    pivot = next((c for c, v in enumerate(work) if v), None)
+    if pivot is None:
+        return False
+    g = gcd(*work)
+    echelon.append([x // g for x in work] if g > 1 else work)
+    pivots.append(pivot)
+    return True
+
+
+def dense_fraction_nullspace(columns, rows):
+    """The dense-list kernel that the sparse ``fraction_nullspace`` replaced:
+    the kernel of x -> sum x_c columns[c], ordered by free coordinate."""
+    ncols = len(columns)
+    if ncols == 0:
+        return []
+    echelon, pivots = [], []
+    for r in range(rows):
+        dense_insert_echelon_row(echelon, pivots, [col[r] for col in columns])
+    by_pivot = sorted(zip(pivots, echelon))
+    pivots, reduced = [p for p, _ in by_pivot], [row for _, row in by_pivot]
+    for i in range(len(reduced) - 1, 0, -1):
+        row, p = reduced[i], pivots[i]
+        for j in range(i):
+            a, b = reduced[j][p], row[p]
+            if a:
+                g = gcd(a, b)
+                reduced[j] = [b // g * x - a // g * y for x, y in zip(reduced[j], row)]
+    out = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, c in zip(reduced, pivots):
+            vec[c] = Fraction(-row[free], row[c])
+        out.append(vec)
+    return out
 
 
 def planted_rows(rng, ncols, rational):
@@ -62,10 +121,10 @@ def test_insert_echelon_row_matches_fraction_gauss(rational):
         rows = planted_rows(rng, ncols, rational)
         want_grew, want_pivots, want_echelon = fraction_gauss(rows)
         echelon, pivots = [], []
-        grew = [insert_echelon_row(echelon, pivots, row) for row in rows]
+        grew = [insert_echelon_row(echelon, pivots, sparse(row)) for row in rows]
         assert grew == want_grew
         assert pivots == want_pivots
-        for stored, reference, p in zip(echelon, want_echelon, pivots):
+        for stored, reference, p in zip([dense(r, ncols) for r in echelon], want_echelon, pivots):
             assert all(type(v) is int for v in stored)
             assert gcd(*stored) == 1
             # each stored row is a nonzero multiple of the rational one
@@ -116,14 +175,59 @@ def test_fraction_nullspace_matches_gauss_jordan(rational):
         rows = planted_rows(rng, ncols, rational)
         cases.append(([[row[c] for row in rows] for c in range(ncols)], len(rows)))
     for columns, nrows in cases:
-        kernel = fraction_nullspace(columns, nrows)
+        ncols = len(columns)
+        found = fraction_nullspace([sparse([col[r] for col in columns]) for r in range(nrows)],
+                                   ncols)
+        assert all(type(v) is Fraction and v for vec in found for v in vec.values())
+        kernel = [dense(vec, ncols, Fraction(0)) for vec in found]
         assert kernel == gauss_jordan_nullspace(columns, nrows)
-        assert all(type(v) is Fraction for vec in kernel for v in vec)
         rank = sum(fraction_gauss([[col[r] for col in columns] for r in range(nrows)])[0])
         assert len(kernel) == len(columns) - rank
         for vec in kernel:
             assert all(sum(x * col[r] for x, col in zip(vec, columns)) == 0
                        for r in range(nrows))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """(rows, ncols): sparse int or Fraction rows, some zero, some combinations
+    of earlier rows, so that rows are absorbed as well as inserted."""
+    ncols = draw(st.integers(0, 12))
+    rational = draw(st.booleans())
+    entry = (st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12)) if rational
+             else st.integers(-20, 20))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(("random", "random", "zero", "combination")))
+        if kind == "zero" or not ncols:
+            rows.append({})
+        elif kind == "combination" and rows:
+            acc = {}
+            for row in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                c = draw(entry)
+                for col, v in row.items():
+                    acc[col] = acc.get(col, 0) + c * v
+            rows.append({col: v for col, v in acc.items() if v})
+        else:
+            cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+            rows.append({col: v for col in sorted(cols) if (v := draw(entry))})
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_matrices())
+def test_sparse_kernel_matches_the_dense_oracle(matrix):
+    rows, ncols = matrix
+    echelon, pivots, want_echelon, want_pivots = [], [], [], []
+    for row in rows:
+        assert (insert_echelon_row(echelon, pivots, row)
+                == dense_insert_echelon_row(want_echelon, want_pivots, dense(row, ncols)))
+    assert set(pivots) == set(want_pivots)
+    assert [dense(r, ncols) for r in echelon] == want_echelon
+    columns = [[row.get(c, 0) for row in rows] for c in range(ncols)]
+    kernel = fraction_nullspace(rows, ncols)
+    assert [dense(vec, ncols, Fraction(0)) for vec in kernel] == dense_fraction_nullspace(
+        columns, len(rows))
 
 
 def cofactor_determinant(m):

@@ -261,6 +261,27 @@ def test_power_by_repeated_squaring(monkeypatch):
         assert len(calls) <= 2 * math.ceil(math.log2(k)) + 1, k
 
 
+def test_base_powers_by_repeated_squaring(monkeypatch):
+    x = Scalar.linear(1, 1)
+    x1000 = x**1000
+    assert x.rational_power(F(3001, 3)) == x1000 * x.rational_power(F(1, 3))
+    assert (x**-1000).inverse() == x1000
+    y = Scalar.linear(2, -1)
+    assert y**-3 + y**-5 == (y**2 + 1) / y**5
+    calls = []
+    mul = sc.poly_mul
+    monkeypatch.setattr(sc, "poly_mul", lambda p, q: calls.append(1) or mul(p, q))
+    for k in (1, 2, 3, 7, 8, 100, 255, 256):
+        bound = 2 * math.ceil(math.log2(k)) + 2
+        calls.clear()
+        x.rational_power(F(3 * k + 1, 3))  # rf_mul_base by (1 + t)^k
+        assert len(calls) <= bound, k
+        inv = x**-k
+        calls.clear()
+        inv.inverse()  # rf_inverse expands the denominator (1 + t)^k
+        assert len(calls) <= bound, k
+
+
 def test_linear_polynomials_are_factored_without_candidates(monkeypatch):
     calls = []
     hom = sc.poly_eval_hom

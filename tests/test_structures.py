@@ -420,13 +420,18 @@ def reeb_and_kernel_oracle(s):
     the nullspace of omega3's coefficient matrix, scaled to eta(xi) = 1."""
     w = [[s.omega3.coefficient((x + 1, y + 1)).as_fraction() for y in range(5)]
          for x in range(5)]
-    null = fraction_nullspace(w, 5)  # rows of w as columns: ker(w^T) = ker(-w) = ker(w)
+    null = dense_kernel([{y: v for y, v in enumerate(row) if v} for row in w])
     assert len(null) == 1
     eta_vec = [s.eta.coefficient((i + 1,)).as_fraction() for i in range(5)]
     pairing = sum(e * c for e, c in zip(eta_vec, null[0]))
     assert pairing != 0
     xi = [Scalar.rational(c / pairing) for c in null[0]]
-    return xi, fraction_nullspace([[e] for e in eta_vec], 1)
+    return xi, dense_kernel([{i: e for i, e in enumerate(eta_vec) if e}])
+
+
+def dense_kernel(rows):
+    """The kernel of sparse rows over five columns, as dense Fraction vectors."""
+    return [[vec.get(c, Fraction(0)) for c in range(5)] for vec in fraction_nullspace(rows, 5)]
 
 
 @pytest.mark.parametrize("name", SINGLE_ETA_RATIONAL)
