@@ -251,7 +251,7 @@ def suspend_family(family: ParamFamily) -> tuple[SuspendedStructure, ClosednessR
 
 @dataclass(frozen=True)
 class OrthonormalReport:
-    mismatches: tuple[tuple[int, int, Form], ...]  # placeholder-free rendering below
+    mismatches: tuple[tuple[int, int, Scalar], ...]
     passed: bool
 
     def render(self) -> str:
@@ -285,7 +285,7 @@ def verify_orthonormal_coframe(susp: SuspendedStructure,
                 got = got + alpha.coefficient((x,)) * alpha.coefficient((y,))
             diff = got - want
             if not diff.is_zero():
-                mismatches.append((x, y, Form(6, 0, {(): diff})))
+                mismatches.append((x, y, diff))
     return OrthonormalReport(tuple(mismatches), not mismatches)
 
 
