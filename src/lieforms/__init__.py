@@ -10,7 +10,6 @@ curvature and infinitesimal holonomy.
 from .algebras import (
     CohomologyReport,
     Interval,
-    JacobiReport,
     LieAlgebra,
     ParseError,
     StructureFile,
@@ -52,10 +51,12 @@ from .evolution import (
 from .exterior import (
     CoframeMap,
     Form,
+    Report,
     apply_coframe_map,
     contract,
     exterior_derivative,
     partial_t,
+    residual_report,
     span_rank,
     wedge,
     wedge_power,

@@ -37,18 +37,18 @@ from ._linalg import fraction_nullspace, insert_echelon_row, scalar_matrix_deter
 from .exterior import (
     CoframeMap,
     Form,
+    Report,
     apply_coframe_map,
     exterior_derivative,
+    residual_report,
     wedge,
     wedge_power,
 )
 from .scalars import Scalar, UnsupportedScalarError
 
 __all__ = [
-    "BasisChangeReport",
     "CohomologyReport",
     "Interval",
-    "JacobiReport",
     "LieAlgebra",
     "ParseError",
     "StructureFile",
@@ -102,27 +102,12 @@ class LieAlgebra:
                    for d in self.differentials for coeff in d.coeffs.values())
 
 
-@dataclass(frozen=True)
-class JacobiReport:
-    passed: bool
-    residuals: tuple[tuple[int, Form], ...]  # (generator, d(d e^i)) for failures
-
-    def render(self) -> str:
-        if self.passed:
-            return "jacobi: pass (d^2 = 0 on every generator)"
-        lines = ["jacobi: FAIL"]
-        for i, r in self.residuals:
-            lines.append(f"  d^2 e{i} = {r.render()}")
-        return "\n".join(lines)
-
-
-def check_jacobi(algebra: LieAlgebra) -> JacobiReport:
-    bad = []
-    for i, diff in enumerate(algebra.differentials, start=1):
-        residual = exterior_derivative(algebra, diff)
-        if not residual.is_zero():
-            bad.append((i, residual))
-    return JacobiReport(not bad, tuple(bad))
+def check_jacobi(algebra: LieAlgebra) -> Report:
+    """d^2 = 0 on every generator; the rows are the generators where it fails."""
+    return residual_report("jacobi", (
+        (f"d^2 e{i}", r) for i, diff in enumerate(algebra.differentials, start=1)
+        if not (r := exterior_derivative(algebra, diff)).is_zero()),
+        words=("pass (d^2 = 0 on every generator)", "FAIL"))
 
 
 # ---------------------------------------------------------------------------
@@ -780,29 +765,8 @@ def central_extension(algebra: LieAlgebra, curvature: Form) -> LieAlgebra:
     return LieAlgebra(n + 1, diffs)
 
 
-@dataclass(frozen=True)
-class BasisChangeReport:
-    passed: bool
-    computed: tuple[Form, ...]       # d f^i expressed in the e-basis
-    target_in_e: tuple[Form, ...]    # target differentials pushed through M
-    scalings: tuple[Scalar | None, ...]  # c_i with d f^i = c_i * target_i, if proportional
-
-    @property
-    def proportional(self) -> bool:
-        return all(c is not None for c in self.scalings)
-
-    def render(self) -> str:
-        lines = [f"basis change: {'pass' if self.passed else 'FAIL'}"]
-        for i, (lhs, c) in enumerate(zip(self.computed, self.scalings), start=1):
-            extra = ""
-            if not self.passed and c is not None:
-                extra = f"   (matches target up to factor {c.render()})"
-            lines.append(f"  d f{i} = {lhs.render()}{extra}")
-        return "\n".join(lines)
-
-
 def verify_basis_change(algebra: LieAlgebra, matrix: Sequence[Sequence[Scalar]],
-                        target: LieAlgebra) -> BasisChangeReport:
+                        target: LieAlgebra) -> Report:
     """Check d f^i = target differentials under f^i = sum_j M[i][j] e^j.
 
     Both sides are compared in the e-basis: the left side is sum_j M[i][j]
@@ -817,24 +781,22 @@ def verify_basis_change(algebra: LieAlgebra, matrix: Sequence[Sequence[Scalar]],
     if det.is_zero():
         raise ValueError("basis-change matrix is singular")
     cmap = CoframeMap([list(row) for row in matrix])
-    computed = []
-    target_in_e = []
-    scalings: list[Scalar | None] = []
-    all_exact = True
+    rows = []
+    exact = True
     for i in range(n):
         lhs = Form.zero(n, 2)
         for j in range(n):
             if not matrix[i][j].is_zero():
                 lhs = lhs + algebra.differentials[j].scale(matrix[i][j])
         rhs = apply_coframe_map(cmap, target.differentials[i])
-        computed.append(lhs)
-        target_in_e.append(rhs)
-        if lhs == rhs:
-            scalings.append(Scalar.one())
-            continue
-        all_exact = False
-        scalings.append(_proportionality(lhs, rhs))
-    return BasisChangeReport(all_exact, tuple(computed), tuple(target_in_e), tuple(scalings))
+        same = lhs == rhs
+        exact &= same
+        rows.append((f"d f{i + 1}", lhs, Scalar.one() if same else _proportionality(lhs, rhs)))
+    # off target, each d f^i with a target proportional to it shows the factor
+    return Report("basis change", exact, tuple(
+        (label, lhs) if exact or c is None
+        else (label, lhs, f"   (matches target up to factor {c.render()})")
+        for label, lhs, c in rows))
 
 
 def _proportionality(lhs: Form, rhs: Form) -> Scalar | None:

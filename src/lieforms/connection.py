@@ -73,9 +73,9 @@ class MetricFrame:
             raise ValueError("connection computations need rational structure constants")
         jacobi = check_jacobi(self.algebra)
         if not jacobi.passed:
-            i, residual = jacobi.residuals[0]
+            label, residual = jacobi.residuals[0]
             raise ValueError("connections need a Lie algebra, but the Jacobi identity "
-                             f"fails: d^2 e{i} = {residual.render()}")
+                             f"fails: {label} = {residual.render()}")
         if not self.J.squares_to_minus_identity():
             raise ValueError("J must square to minus the identity")
         if not self.J.is_orthogonal():

@@ -19,15 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebras import FamilySection, Interval, LieAlgebra
-from .exterior import Form, partial_t, wedge
+from .exterior import Form, Report, partial_t, residual_report, wedge
 from .scalars import Scalar, ScalarDomainError
 from .structures import SU2Structure, is_balanced_su2, su2_wedge_identities, suspension_forms
 
 __all__ = [
-    "ClosednessReport",
-    "EvolutionReport",
-    "FamilyValidationReport",
-    "OrthonormalReport",
     "ParamFamily",
     "SuspendedStructure",
     "VolumeReport",
@@ -76,41 +72,20 @@ def family_from_section(algebra: LieAlgebra, section: FamilySection,
                        forms["omega3"], domain=section.domain, name=name)
 
 
-@dataclass(frozen=True)
-class FamilyValidationReport:
-    wedge_identities: dict[str, bool]
-    volume_nonzero: bool
-    positivity_samples: tuple[tuple[Fraction, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return (all(self.wedge_identities.values()) and self.volume_nonzero
-                and all(ok for _, ok in self.positivity_samples))
-
-    def render(self) -> str:
-        lines = [f"family validity: {'pass' if self.passed else 'FAIL'}"]
-        for key, ok in self.wedge_identities.items():
-            lines.append(f"  {key}: {'ok' if ok else 'FAIL'}")
-        lines.append(f"  volume nonzero: {'ok' if self.volume_nonzero else 'FAIL'}")
-        for t0, ok in self.positivity_samples:
-            lines.append(f"  metric positive at t = {t0}: {'ok' if ok else 'FAIL'}")
-        return "\n".join(lines)
-
-
-def validate_family(family: ParamFamily, samples_per_interval: int = 3) -> FamilyValidationReport:
+def validate_family(family: ParamFamily, samples_per_interval: int = 3) -> Report:
     """Exact wedge identities in t; metric positivity sampled numerically."""
-    flags, v = su2_wedge_identities(family)
-    volume_ok = not wedge(v, family.eta).is_zero()
+    rows, v = su2_wedge_identities(family)
+    rows.append(("volume nonzero", not wedge(v, family.eta).is_zero()))
     geo = family.geometry
-    samples = []
     for t0 in family.sample_points(samples_per_interval):
         try:
             entries = [[geo.metric[i][j].evaluate_float(t0) for j in range(5)]
                        for i in range(5)]
-            samples.append((t0, _float_positive_definite(entries)))
+            positive = _float_positive_definite(entries)
         except (ScalarDomainError, ZeroDivisionError):
-            samples.append((t0, False))
-    return FamilyValidationReport(flags, volume_ok, tuple(samples))
+            positive = False
+        rows.append((f"metric positive at t = {t0}", positive))
+    return Report("family validity", all(ok for _, ok in rows), tuple(rows))
 
 
 def _float_positive_definite(m: list[list[float]]) -> bool:
@@ -133,31 +108,8 @@ def _float_det(m: list[list[float]]) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class EvolutionReport:
-    residuals: tuple[tuple[str, Form], ...]
-    balanced_at_fixed_t: tuple[tuple[str, Form], ...]
-
-    @property
-    def evolution_passed(self) -> bool:
-        return all(f.is_zero() for _, f in self.residuals)
-
-    @property
-    def passed(self) -> bool:
-        return self.evolution_passed and all(f.is_zero() for _, f in self.balanced_at_fixed_t)
-
-    def render(self) -> str:
-        lines = [f"evolution equations: {'pass' if self.evolution_passed else 'FAIL'}"]
-        for name, f in self.residuals:
-            lines.append(f"  {name} = {f.render()}")
-        lines.append("balanced at every t: "
-                     + ("yes" if all(f.is_zero() for _, f in self.balanced_at_fixed_t) else "NO"))
-        for name, f in self.balanced_at_fixed_t:
-            lines.append(f"  {name} = {f.render()}")
-        return "\n".join(lines)
-
-
-def verify_balanced_evolution(family: ParamFamily) -> EvolutionReport:
+def verify_balanced_evolution(family: ParamFamily) -> Report:
+    """The evolution equations, with balancedness at every fixed t as a part."""
     d = family.algebra.d
     eta, w1, w2, w3 = family.eta, family.omega1, family.omega2, family.omega3
     residuals = (
@@ -166,30 +118,12 @@ def verify_balanced_evolution(family: ParamFamily) -> EvolutionReport:
         ("dt(omega3^omega3) + 2 d(omega3^eta)",
          partial_t(wedge(w3, w3)) + d(wedge(w3, eta)).scale(2)),
     )
-    fixed_t = tuple(is_balanced_su2(family).residuals)
-    return EvolutionReport(residuals, fixed_t)
+    fixed_t = residual_report("balanced at every t", is_balanced_su2(family).residuals,
+                              words=("yes", "NO"))
+    return residual_report("evolution equations", residuals, parts=(fixed_t,))
 
 
-@dataclass(frozen=True)
-class HypoEvolutionReport:
-    residuals: tuple[tuple[str, Form], ...]
-    balanced_evolution_follows: bool | None
-
-    @property
-    def passed(self) -> bool:
-        return all(f.is_zero() for _, f in self.residuals)
-
-    def render(self) -> str:
-        lines = [f"hypo evolution equations: {'pass' if self.passed else 'FAIL'}"]
-        for name, f in self.residuals:
-            lines.append(f"  {name} = {f.render()}")
-        if self.passed:
-            lines.append("  balanced evolution follows: "
-                         + ("yes" if self.balanced_evolution_follows else "NO (unexpected)"))
-        return "\n".join(lines)
-
-
-def verify_hypo_evolution(family: ParamFamily) -> HypoEvolutionReport:
+def verify_hypo_evolution(family: ParamFamily) -> Report:
     """The hypo-type system dt(omega3) = -d(eta) plus the two shared equations.
 
     Any solution also solves the balanced evolution equations; the report
@@ -197,15 +131,16 @@ def verify_hypo_evolution(family: ParamFamily) -> HypoEvolutionReport:
     """
     d = family.algebra.d
     eta, w1, w2, w3 = family.eta, family.omega1, family.omega2, family.omega3
-    residuals = (
+    rows = (
         ("dt(omega1^eta) + d(omega2)", partial_t(wedge(w1, eta)) + d(w2)),
         ("dt(omega2^eta) - d(omega1)", partial_t(wedge(w2, eta)) - d(w1)),
         ("dt(omega3) + d(eta)", partial_t(w3) + d(eta)),
     )
-    follows = None
-    if all(f.is_zero() for _, f in residuals):
-        follows = verify_balanced_evolution(family).evolution_passed
-    return HypoEvolutionReport(residuals, follows)
+    ok = all(f.is_zero() for _, f in rows)
+    if ok:
+        follows = verify_balanced_evolution(family).ok
+        rows += (("balanced evolution follows", "yes" if follows else "NO (unexpected)"),)
+    return Report("hypo evolution equations", ok, rows)
 
 
 @dataclass
@@ -217,31 +152,16 @@ class SuspendedStructure:
     psi_minus: Form
 
 
-@dataclass(frozen=True)
-class ClosednessReport:
-    residuals: tuple[tuple[str, Form], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(f.is_zero() for _, f in self.residuals)
-
-    def render(self) -> str:
-        lines = [f"suspension closedness: {'pass' if self.passed else 'FAIL'}"]
-        for name, f in self.residuals:
-            lines.append(f"  {name} = {f.render()}")
-        return "\n".join(lines)
-
-
 def total_derivative(ambient: LieAlgebra, a: Form) -> Form:
     """d on the product with a line: d_N plus dt ^ partial_t."""
     dt = Form.generator(ambient.dimension, ambient.dimension)
     return ambient.d(a) + wedge(dt, partial_t(a))
 
 
-def suspend_family(family: ParamFamily) -> tuple[SuspendedStructure, ClosednessReport]:
+def suspend_family(family: ParamFamily) -> tuple[SuspendedStructure, Report]:
     ambient, f, psi_plus, psi_minus = suspension_forms(family)
     susp = SuspendedStructure(family, ambient, f, psi_plus, psi_minus)
-    report = ClosednessReport((
+    report = residual_report("suspension closedness", (
         ("d(F^F)", total_derivative(ambient, wedge(f, f))),
         ("d(psi+)", total_derivative(ambient, psi_plus)),
         ("d(psi-)", total_derivative(ambient, psi_minus)),
@@ -249,22 +169,8 @@ def suspend_family(family: ParamFamily) -> tuple[SuspendedStructure, ClosednessR
     return susp, report
 
 
-@dataclass(frozen=True)
-class OrthonormalReport:
-    mismatches: tuple[tuple[int, int, Scalar], ...]
-    passed: bool
-
-    def render(self) -> str:
-        if self.passed:
-            return "coframe orthonormality: pass (sum alpha_i x alpha_i = g exactly)"
-        lines = ["coframe orthonormality: FAIL"]
-        for a, b, diff in self.mismatches:
-            lines.append(f"  g(e{a}, e{b}) mismatch: {diff.render()}")
-        return "\n".join(lines)
-
-
 def verify_orthonormal_coframe(susp: SuspendedStructure,
-                               alphas: list[Form]) -> OrthonormalReport:
+                               alphas: list[Form]) -> Report:
     """A coframe is orthonormal iff sum_i alpha^i (x) alpha^i equals the metric.
 
     The identity is checked entry by entry as exact identities in t, using
@@ -285,8 +191,9 @@ def verify_orthonormal_coframe(susp: SuspendedStructure,
                 got = got + alpha.coefficient((x,)) * alpha.coefficient((y,))
             diff = got - want
             if not diff.is_zero():
-                mismatches.append((x, y, diff))
-    return OrthonormalReport(tuple(mismatches), not mismatches)
+                mismatches.append((f"g(e{x}, e{y}) mismatch", diff))
+    return Report("coframe orthonormality", not mismatches, tuple(mismatches),
+                  words=("pass (sum alpha_i x alpha_i = g exactly)", "FAIL"))
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,12 @@ Index = tuple[int, ...]
 __all__ = [
     "CoframeMap",
     "Form",
+    "Report",
     "SpanReport",
     "apply_coframe_map",
     "exterior_derivative",
     "partial_t",
+    "residual_report",
     "span_rank",
     "wedge",
 ]
@@ -177,6 +179,56 @@ class Form:
 
     def __repr__(self) -> str:
         return f"Form({self.dimension}d deg {self.degree}: {self.render()})"
+
+
+@dataclass(frozen=True)
+class Report:
+    """A pass/fail verdict: named rows under a title, then sub-reports.
+
+    A row is ``(label, value)`` or ``(label, value, note)``.  ``ok`` is the
+    verdict of this report's own checks, which need not all be rows shown;
+    ``passed`` also asks every part.  ``words`` are the header's verdicts for
+    ``ok`` and for its negation; an empty title drops the header line.
+    """
+
+    title: str
+    ok: bool
+    rows: tuple[tuple, ...] = ()
+    words: tuple[str, str] = ("pass", "FAIL")
+    parts: tuple[Report, ...] = ()
+
+    @property
+    def passed(self) -> bool:
+        return self.ok and all(part.passed for part in self.parts)
+
+    @property
+    def residuals(self) -> tuple[tuple[str, Form], ...]:
+        """The (label, form) rows."""
+        return tuple((row[0], row[1]) for row in self.rows if isinstance(row[1], Form))
+
+    def value(self, label: str):
+        """The value of the row labelled ``label``, None when there is none."""
+        return next((row[1] for row in self.rows if row[0] == label), None)
+
+    def render(self) -> str:
+        lines = [f"{self.title}: {self.words[not self.ok]}"] if self.title else []
+        for label, value, *note in self.rows:
+            if isinstance(value, bool):
+                lines.append(f"  {label}: {'ok' if value else 'FAIL'}")
+            elif isinstance(value, Form):
+                lines.append(f"  {label} = {value.render()}{''.join(note)}")
+            else:
+                lines.append(f"  {label}: {value}")
+        lines.extend(part.render() for part in self.parts)
+        return "\n".join(lines)
+
+
+def residual_report(title: str, residuals: Iterable[tuple],
+                    words: tuple[str, str] = ("pass", "FAIL"),
+                    parts: tuple[Report, ...] = ()) -> Report:
+    """A report that passes when every residual form vanishes."""
+    rows = tuple(residuals)
+    return Report(title, all(row[1].is_zero() for row in rows), rows, words, parts)
 
 
 def _coeff_text(coeff: Scalar, token: str) -> tuple[str, bool]:

@@ -28,7 +28,16 @@ from ._linalg import (
     symmetric,
 )
 from .algebras import LieAlgebra, central_extension, extend_by_line, lift_form
-from .exterior import CoframeMap, Form, apply_coframe_map, contract, wedge, wedge_power
+from .exterior import (
+    CoframeMap,
+    Form,
+    Report,
+    apply_coframe_map,
+    contract,
+    residual_report,
+    wedge,
+    wedge_power,
+)
 from .scalars import Scalar, UnsupportedScalarError
 
 __all__ = [
@@ -131,47 +140,17 @@ class Su2Geometry:
     proj: list[list[Scalar]]            # kernel coordinates of e_x - eta(e_x) xi
 
 
-@dataclass(frozen=True)
-class Su2ValidationReport:
-    wedge_identities: dict[str, bool]
-    volume_nonzero: bool
-    reeb_contractions_vanish: bool
-    quaternion_relations: bool
-    metric_symmetric: bool
-    metric_positive: bool | None   # None when positivity was not decidable exactly
-
-    @property
-    def passed(self) -> bool:
-        return (all(self.wedge_identities.values()) and self.volume_nonzero
-                and self.reeb_contractions_vanish and self.quaternion_relations
-                and self.metric_symmetric and bool(self.metric_positive))
-
-    def render(self) -> str:
-        lines = [f"su2 validation: {'pass' if self.passed else 'FAIL'}"]
-        for key, ok in self.wedge_identities.items():
-            lines.append(f"  {key}: {'ok' if ok else 'FAIL'}")
-        lines.append(f"  volume form nonzero: {'ok' if self.volume_nonzero else 'FAIL'}")
-        lines.append("  reeb contractions vanish: "
-                     + ("ok" if self.reeb_contractions_vanish else "FAIL"))
-        lines.append(f"  A^2 = B^2 = -1, AB = -BA: "
-                     + ("ok" if self.quaternion_relations else "FAIL"))
-        lines.append(f"  metric symmetric: {'ok' if self.metric_symmetric else 'FAIL'}")
-        lines.append(f"  metric positive-definite: "
-                     + ("ok" if self.metric_positive else "FAIL"))
-        return "\n".join(lines)
-
-
-def su2_wedge_identities(s: SU2Structure) -> tuple[dict[str, bool], Form]:
-    """The Prop-2.1-style identities omega_i ^ omega_j = delta_ij v, exactly."""
+def su2_wedge_identities(s: SU2Structure) -> tuple[list[tuple[str, bool]], Form]:
+    """The Prop-2.1-style identities omega_i ^ omega_j = delta_ij v, exactly,
+    as check rows, and v."""
     v = wedge(s.omega1, s.omega1)
-    flags = {
-        "omega1^omega1 = omega2^omega2": wedge(s.omega2, s.omega2) == v,
-        "omega1^omega1 = omega3^omega3": wedge(s.omega3, s.omega3) == v,
-        "omega1^omega2 = 0": wedge(s.omega1, s.omega2).is_zero(),
-        "omega1^omega3 = 0": wedge(s.omega1, s.omega3).is_zero(),
-        "omega2^omega3 = 0": wedge(s.omega2, s.omega3).is_zero(),
-    }
-    return flags, v
+    return [
+        ("omega1^omega1 = omega2^omega2", wedge(s.omega2, s.omega2) == v),
+        ("omega1^omega1 = omega3^omega3", wedge(s.omega3, s.omega3) == v),
+        ("omega1^omega2 = 0", wedge(s.omega1, s.omega2).is_zero()),
+        ("omega1^omega3 = 0", wedge(s.omega1, s.omega3).is_zero()),
+        ("omega2^omega3 = 0", wedge(s.omega2, s.omega3).is_zero()),
+    ], v
 
 
 def su2_geometry(s: SU2Structure) -> Su2Geometry:
@@ -315,29 +294,32 @@ def _kernel_coordinates(vec: list[Scalar], kernel: list[list[Fraction]]) -> list
     return coords
 
 
-def validate_su2(s: SU2Structure) -> Su2ValidationReport:
+def validate_su2(s: SU2Structure) -> Report:
     """Exact structure validation; raises for eta = 0 or degenerate omega3.
 
     Parametric quadruplets are validated symbolically except for metric
-    positivity, which is reported as None (families sample it numerically).
+    positivity: where it is not decidable exactly its row is False
+    (families sample it numerically).
     """
-    flags, v = su2_wedge_identities(s)
-    volume_ok = not wedge(v, s.eta).is_zero()
+    rows, v = su2_wedge_identities(s)
+    rows.append(("volume form nonzero", not wedge(v, s.eta).is_zero()))
     geo = s.geometry
-    reeb_ok = (contract(geo.xi, s.omega1).is_zero()
-               and contract(geo.xi, s.omega2).is_zero())
+    rows.append(("reeb contractions vanish", contract(geo.xi, s.omega1).is_zero()
+                 and contract(geo.xi, s.omega2).is_zero()))
     minus_id = scalar_mat_neg(scalar_identity(4))
     ab = scalar_mat_mul(geo.endo_a, geo.endo_b)
     ba = scalar_mat_mul(geo.endo_b, geo.endo_a)
-    quaternion = (scalar_mat_eq(scalar_mat_mul(geo.endo_a, geo.endo_a), minus_id)
-                  and scalar_mat_eq(scalar_mat_mul(geo.endo_b, geo.endo_b), minus_id)
-                  and scalar_mat_eq(ab, scalar_mat_neg(ba)))
-    sym = symmetric(geo.metric)
+    rows.append(("A^2 = B^2 = -1, AB = -BA",
+                 scalar_mat_eq(scalar_mat_mul(geo.endo_a, geo.endo_a), minus_id)
+                 and scalar_mat_eq(scalar_mat_mul(geo.endo_b, geo.endo_b), minus_id)
+                 and scalar_mat_eq(ab, scalar_mat_neg(ba))))
+    rows.append(("metric symmetric", symmetric(geo.metric)))
     try:
         positive = positive_definite(geo.metric)
     except UnsupportedScalarError:
-        positive = None
-    return Su2ValidationReport(flags, volume_ok, reeb_ok, quaternion, sym, positive)
+        positive = False
+    rows.append(("metric positive-definite", positive))
+    return Report("su2 validation", all(ok for _, ok in rows), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -345,38 +327,26 @@ def validate_su2(s: SU2Structure) -> Su2ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    residuals: tuple[tuple[str, Form], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(f.is_zero() for _, f in self.residuals)
-
-    def flags(self) -> dict[str, bool]:
-        return {name: f.is_zero() for name, f in self.residuals}
-
-    def render(self) -> str:
-        lines = []
-        for name, f in self.residuals:
-            lines.append(f"  {name} = {f.render()}" + ("" if f.is_zero() else "   [nonzero]"))
-        return "\n".join(lines)
+def _residual_list(residuals: tuple[tuple[str, Form], ...]) -> Report:
+    """The headerless residual list of the balanced and hypo checks."""
+    return residual_report("", ((name, f, "" if f.is_zero() else "   [nonzero]")
+                                for name, f in residuals))
 
 
-def is_balanced_su2(s: SU2Structure) -> ResidualReport:
+def is_balanced_su2(s: SU2Structure) -> Report:
     """Residuals of d(omega1^eta) = d(omega2^eta) = d(omega3^omega3) = 0."""
     d = s.algebra.d
-    return ResidualReport((
+    return _residual_list((
         ("d(omega1^eta)", d(wedge(s.omega1, s.eta))),
         ("d(omega2^eta)", d(wedge(s.omega2, s.eta))),
         ("d(omega3^omega3)", d(wedge(s.omega3, s.omega3))),
     ))
 
 
-def is_hypo(s: SU2Structure) -> ResidualReport:
+def is_hypo(s: SU2Structure) -> Report:
     """Residuals of d(omega1^eta) = d(omega2^eta) = d(omega3) = 0."""
     d = s.algebra.d
-    return ResidualReport((
+    return _residual_list((
         ("d(omega1^eta)", d(wedge(s.omega1, s.eta))),
         ("d(omega2^eta)", d(wedge(s.omega2, s.eta))),
         ("d(omega3)", d(s.omega3)),
@@ -388,40 +358,6 @@ def is_hypo(s: SU2Structure) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SunValidationReport:
-    j_squares_to_minus_id: bool
-    j_fixes_f: bool
-    metric_symmetric: bool
-    metric_positive: bool
-    rotation_identity: bool
-    psi_wedge_orthogonal: bool | None   # n = 4 only: psi+ ^ psi- = 0
-    psi_squares_match: bool | None      # n = 4 only: psi+^2 = psi-^2
-    volume_ratio: Fraction | None       # psi+ ^ psi- = ratio * F^n (or the n=4 analogue)
-
-    @property
-    def passed(self) -> bool:
-        extra = ((self.psi_wedge_orthogonal is not False)
-                 and (self.psi_squares_match is not False))
-        return (self.j_squares_to_minus_id and self.j_fixes_f and self.metric_symmetric
-                and self.metric_positive and self.rotation_identity and extra
-                and self.volume_ratio is not None and self.volume_ratio > 0)
-
-    def render(self) -> str:
-        lines = [f"su(n) validation: {'pass' if self.passed else 'FAIL'}"]
-        lines.append(f"  J^2 = -1: {'ok' if self.j_squares_to_minus_id else 'FAIL'}")
-        lines.append(f"  J(F) = F: {'ok' if self.j_fixes_f else 'FAIL'}")
-        lines.append(f"  metric symmetric: {'ok' if self.metric_symmetric else 'FAIL'}")
-        lines.append(f"  metric positive-definite: {'ok' if self.metric_positive else 'FAIL'}")
-        lines.append(f"  volume form rotation identity: "
-                     + ("ok" if self.rotation_identity else "FAIL"))
-        if self.volume_ratio is not None:
-            lines.append(f"  psi+ ^ psi- proportionality constant: {self.volume_ratio}")
-        else:
-            lines.append("  psi+ ^ psi- not proportional to F^n: FAIL")
-        return "\n".join(lines)
-
-
 def sun_metric_matrix(s: SUnStructure) -> list[list[Scalar]]:
     """g(x, y) = F(x, Jy) in the frame."""
     n = s.algebra.dimension
@@ -429,36 +365,42 @@ def sun_metric_matrix(s: SUnStructure) -> list[list[Scalar]]:
     return scalar_mat_mul(fmat, s.J.matrix)
 
 
-def validate_sun(s: SUnStructure) -> SunValidationReport:
+def validate_sun(s: SUnStructure) -> Report:
+    """J, the metric F(., J.) and the complex volume form psi+ + i psi-.
+
+    For n = 4 the verdict also asks psi+ ^ psi- = 0 and psi+^2 = psi-^2,
+    which have no row of their own.
+    """
     if s.J is None:
         raise ValueError("an SU(n)-structure needs its coframe map J")
-    dim = s.algebra.dimension
     n = s.n
-    j_sq = s.J.squares_to_minus_identity()
-    j_fix = apply_coframe_map(s.J, s.F) == s.F
+    rows = [("J^2 = -1", s.J.squares_to_minus_identity()),
+            ("J(F) = F", apply_coframe_map(s.J, s.F) == s.F)]
     g = sun_metric_matrix(s)
-    sym = symmetric(g)
+    rows.append(("metric symmetric", symmetric(g)))
     try:
-        pos = positive_definite(g)
+        rows.append(("metric positive-definite", positive_definite(g)))
     except UnsupportedScalarError:
-        pos = False
+        rows.append(("metric positive-definite", False))
     jp = apply_coframe_map(s.J, s.psi_plus)
     jm = apply_coframe_map(s.J, s.psi_minus)
     if n % 2:
         rotation = (jp == s.psi_minus) and (jm == -s.psi_plus)
     else:
         rotation = (jp == s.psi_plus) and (jm == s.psi_minus)
-    orth = None
-    squares = None
+    rows.append(("volume form rotation identity", rotation))
+    psi_ok = True
     if n == 3:
         top = wedge(s.psi_plus, s.psi_minus)
     else:
-        orth = wedge(s.psi_plus, s.psi_minus).is_zero()
-        squares = wedge_power(s.psi_plus, 2) == wedge_power(s.psi_minus, 2)
-        top = wedge_power(s.psi_plus, 2) + wedge_power(s.psi_minus, 2)
-    fn = wedge_power(s.F, n)
-    ratio = _top_form_ratio(top, fn, dim)
-    return SunValidationReport(j_sq, j_fix, sym, pos, rotation, orth, squares, ratio)
+        plus2, minus2 = wedge_power(s.psi_plus, 2), wedge_power(s.psi_minus, 2)
+        psi_ok = wedge(s.psi_plus, s.psi_minus).is_zero() and plus2 == minus2
+        top = plus2 + minus2
+    ratio = _top_form_ratio(top, wedge_power(s.F, n), s.algebra.dimension)
+    ok = all(v for _, v in rows) and psi_ok and ratio is not None and ratio > 0
+    rows.append(("psi+ ^ psi- proportionality constant", ratio) if ratio is not None
+                else ("psi+ ^ psi- not proportional to F^n", False))
+    return Report("su(n) validation", ok, tuple(rows))
 
 
 def _top_form_ratio(a: Form, b: Form, dim: int) -> Fraction | None:
@@ -476,41 +418,24 @@ def _top_form_ratio(a: Form, b: Form, dim: int) -> Fraction | None:
         return None
 
 
-@dataclass(frozen=True)
-class BalancedSunReport:
-    residuals: tuple[tuple[str, Form], ...]
-    df: Form
-    half_flat: bool
-    kaehler: bool
-
-    @property
-    def passed(self) -> bool:
-        return all(f.is_zero() for _, f in self.residuals)
-
-    def flags(self) -> dict[str, bool]:
-        return {name: f.is_zero() for name, f in self.residuals}
-
-    def render(self) -> str:
-        lines = [f"balanced: {'yes' if self.passed else 'NO'}"]
-        for name, f in self.residuals:
-            lines.append(f"  {name} = {f.render()}")
-        lines.append(f"  dF = {self.df.render()}")
-        lines.append(f"  kaehler (dF = 0): {'yes' if self.kaehler else 'no'}")
-        lines.append(f"  half-flat (dF^2 = dpsi+ = 0): {'yes' if self.half_flat else 'no'}")
-        return "\n".join(lines)
-
-
-def is_balanced_sun(s: SUnStructure) -> BalancedSunReport:
+def is_balanced_sun(s: SUnStructure) -> Report:
+    """Residuals of dF^{n-1} = dpsi+ = dpsi- = 0, then dF and the kaehler and
+    half-flat verdicts as values."""
     d = s.algebra.d
     n = s.n
     df = d(s.F)
+    dpsi_plus = d(s.psi_plus)
     residuals = (
         (f"dF^{n - 1}", d(wedge_power(s.F, n - 1))),
-        ("dpsi+", d(s.psi_plus)),
+        ("dpsi+", dpsi_plus),
         ("dpsi-", d(s.psi_minus)),
     )
-    half_flat = d(wedge_power(s.F, 2)).is_zero() and d(s.psi_plus).is_zero()
-    return BalancedSunReport(residuals, df, half_flat, df.is_zero())
+    half_flat = d(wedge_power(s.F, 2)).is_zero() and dpsi_plus.is_zero()
+    return Report("balanced", all(f.is_zero() for _, f in residuals), residuals + (
+        ("dF", df),
+        ("kaehler (dF = 0)", "yes" if df.is_zero() else "no"),
+        ("half-flat (dF^2 = dpsi+ = 0)", "yes" if half_flat else "no"),
+    ), words=("yes", "NO"))
 
 
 # ---------------------------------------------------------------------------
@@ -673,48 +598,23 @@ def circle_bundle_structure(base: LieAlgebra, omega1: Form, omega2: Form, omega3
     return out
 
 
-@dataclass(frozen=True)
-class ConformalCoupleReport:
-    closed_omega1: bool
-    closed_omega2: bool
-    orthogonality: dict[str, bool]
-    squares_equal: bool
-    squares_nonzero: bool
-    d_omega3: Form
-
-    @property
-    def passed(self) -> bool:
-        return (self.closed_omega1 and self.closed_omega2 and self.squares_equal
-                and self.squares_nonzero and all(self.orthogonality.values()))
-
-    def render(self) -> str:
-        lines = [f"conformal symplectic couple: {'pass' if self.passed else 'FAIL'}"]
-        lines.append(f"  d(omega1) = 0: {'ok' if self.closed_omega1 else 'FAIL'}")
-        lines.append(f"  d(omega2) = 0: {'ok' if self.closed_omega2 else 'FAIL'}")
-        for name, ok in self.orthogonality.items():
-            lines.append(f"  {name}: {'ok' if ok else 'FAIL'}")
-        lines.append(f"  omega1^2 = omega2^2 = omega3^2: "
-                     + ("ok" if self.squares_equal else "FAIL"))
-        lines.append(f"  squares are volume forms: {'ok' if self.squares_nonzero else 'FAIL'}")
-        lines.append(f"  d(omega3) = {self.d_omega3.render()}")
-        return "\n".join(lines)
-
-
 def check_conformal_couple(base: LieAlgebra, omega1: Form, omega2: Form,
-                           omega3: Form) -> ConformalCoupleReport:
+                           omega3: Form) -> Report:
+    """omega1, omega2 closed, the three 2-forms pairwise orthogonal with equal
+    nonzero squares; d(omega3) is shown as a value."""
     if base.dimension != 4:
         raise ValueError("conformal couples live on 4-dimensional algebras")
     d = base.d
     sq1 = wedge(omega1, omega1)
-    return ConformalCoupleReport(
-        closed_omega1=d(omega1).is_zero(),
-        closed_omega2=d(omega2).is_zero(),
-        orthogonality={
-            "omega1^omega2 = 0": wedge(omega1, omega2).is_zero(),
-            "omega1^omega3 = 0": wedge(omega1, omega3).is_zero(),
-            "omega2^omega3 = 0": wedge(omega2, omega3).is_zero(),
-        },
-        squares_equal=(wedge(omega2, omega2) == sq1 and wedge(omega3, omega3) == sq1),
-        squares_nonzero=not sq1.is_zero(),
-        d_omega3=d(omega3),
+    checks = (
+        ("d(omega1) = 0", d(omega1).is_zero()),
+        ("d(omega2) = 0", d(omega2).is_zero()),
+        ("omega1^omega2 = 0", wedge(omega1, omega2).is_zero()),
+        ("omega1^omega3 = 0", wedge(omega1, omega3).is_zero()),
+        ("omega2^omega3 = 0", wedge(omega2, omega3).is_zero()),
+        ("omega1^2 = omega2^2 = omega3^2",
+         wedge(omega2, omega2) == sq1 and wedge(omega3, omega3) == sq1),
+        ("squares are volume forms", not sq1.is_zero()),
     )
+    return Report("conformal symplectic couple", all(ok for _, ok in checks),
+                  checks + (("d(omega3)", d(omega3)),))

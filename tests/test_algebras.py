@@ -152,7 +152,7 @@ def test_jacobi_pass_and_fail():
     report = check_jacobi(bad)
     assert not report.passed
     gens = dict(report.residuals)
-    assert gens[5] == form(5, ("123", -1))
+    assert gens["d^2 e5"] == form(5, ("123", -1))
 
 
 def test_catalog_style_algebras_pass_jacobi():
@@ -270,9 +270,10 @@ def test_verify_basis_change_two_step_pattern():
     bc = sf.basis_change
     assert bc is not None
     report = verify_basis_change(sf.algebra, bc.matrix, bc.target)
-    # d f5 = f12 and d f6 = f34 hold exactly, with unit constants
+    # d f5 = f12 and d f6 = f34 hold exactly, with unit constants: no row
+    # carries a factor note
     assert report.passed
-    assert all(c == Scalar.one() for c in report.scalings)
+    assert [len(row) for row in report.rows] == [2] * 6
 
 
 def test_verify_basis_change_reverse_direction():
@@ -318,7 +319,7 @@ def test_verify_basis_change_scaling_hint():
     report = verify_basis_change(alg, doubled, target)
     # d f3 = 2 e12 while f1^f2 = 4 e12: proportional with factor 1/2, not a pass
     assert not report.passed
-    assert report.scalings[2] == Scalar.rational(F(1, 2))
+    assert report.rows[2][2] == "   (matches target up to factor 1/2)"
 
 
 def test_structure_section_and_j_line():

@@ -685,7 +685,7 @@ def test_balanced_agrees_with_the_codifferential():
     for label, sf in hermitian_structures():
         s = SUnStructure(sf.algebra, sf.forms["F"], sf.forms["psi_plus"],
                          sf.forms["psi_minus"], sf.coframe_map)
-        balanced = is_balanced_sun(s).flags()[f"dF^{s.n - 1}"]
+        balanced = is_balanced_sun(s).value(f"dF^{s.n - 1}").is_zero()
         delta = codifferential(levi_civita(MetricFrame(sf.algebra, sf.coframe_map)), s.F)
         assert (not any(delta)) == balanced, label
         verdicts.append((label, balanced))

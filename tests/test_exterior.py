@@ -414,7 +414,8 @@ def test_d_squared_residual_of_a_non_jacobi_algebra():
         diff = alg.differentials[i - 1]
         assert exterior_derivative(alg, diff) == want == d_oracle(alg, diff)
     report = check_jacobi(alg)
-    assert [(i, r.render()) for i, r in report.residuals] == [(2, "-e123"), (4, "-e134")]
+    assert [(label, r.render()) for label, r in report.residuals] == [
+        ("d^2 e2", "-e123"), ("d^2 e4", "-e134")]
     with pytest.raises(ValueError, match=r"algebra fails the Jacobi identity; d\^2 != 0"):
         ce_cohomology(alg)
 

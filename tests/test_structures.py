@@ -74,8 +74,8 @@ def test_flipping_omega2_breaks_positivity_only():
     s = standard_quadruplet(parse_compact("(0,0,0,12,14)"))
     flipped = SU2Structure(s.algebra, s.eta, s.omega1, -s.omega2, s.omega3)
     report = validate_su2(flipped)
-    assert all(report.wedge_identities.values())
-    assert report.metric_positive is False
+    assert [ok for label, ok in report.rows if label.startswith("omega")] == [True] * 5
+    assert report.value("metric positive-definite") is False
     assert not report.passed
 
 
@@ -83,7 +83,7 @@ def test_equal_omegas_fail_orthogonality():
     s = standard_quadruplet(parse_compact("(0,0,0,12,14)"))
     bad = SU2Structure(s.algebra, s.eta, s.omega1, s.omega1, s.omega3)
     report = validate_su2(bad)
-    assert report.wedge_identities["omega1^omega2 = 0"] is False
+    assert report.value("omega1^omega2 = 0") is False
 
 
 def test_degenerate_omega3_raises():
@@ -99,7 +99,7 @@ def test_balanced_but_not_hypo_on_the_three_nilpotent_algebras():
         assert is_balanced_su2(s).passed
         hypo = is_hypo(s)
         assert not hypo.passed
-        assert not hypo.flags()["d(omega3)"]
+        assert not hypo.value("d(omega3)").is_zero()
 
 
 def test_standard_quadruplet_on_abelian_is_hypo_and_balanced():
@@ -140,7 +140,7 @@ def test_validate_sun_iwasawa():
     s = iwasawa_structure()
     report = validate_sun(s)
     assert report.passed, report.render()
-    assert report.volume_ratio == F(2, 3)
+    assert report.value("psi+ ^ psi- proportionality constant") == F(2, 3)
 
 
 def test_validate_sun_standard_model_volume_constant():
@@ -154,25 +154,25 @@ def test_validate_sun_standard_model_volume_constant():
     assert wedge(s.psi_plus, s.psi_minus) == form(6, ("123456", 4))
     assert wedge_power(s.F, 3) == form(6, ("123456", 6))
     report = validate_sun(s)
-    assert report.passed and report.volume_ratio == F(2, 3)
+    assert report.passed and report.value("psi+ ^ psi- proportionality constant") == F(2, 3)
     balanced = is_balanced_sun(s)
-    assert balanced.passed and balanced.kaehler
+    assert balanced.passed and balanced.value("kaehler (dF = 0)") == "yes"
 
 
 def test_validate_sun_reversed_f_fails_positivity():
     s = iwasawa_structure()
     bad = SUnStructure(s.algebra, -s.F, s.psi_plus, s.psi_minus, s.J)
     report = validate_sun(bad)
-    assert not report.metric_positive
+    assert not report.value("metric positive-definite")
     assert not report.passed
 
 
 def test_iwasawa_is_balanced_not_kaehler():
     report = is_balanced_sun(iwasawa_structure())
     assert report.passed
-    assert not report.kaehler
-    assert report.half_flat
-    assert report.df == form(6, ("136", 1), ("145", -1), ("235", -1), ("246", -1))
+    assert report.value("kaehler (dF = 0)") == "no"
+    assert report.value("half-flat (dF^2 = dpsi+ = 0)") == "yes"
+    assert report.value("dF") == form(6, ("136", 1), ("145", -1), ("235", -1), ("246", -1))
 
 
 def test_restrictable_directions_iwasawa():
@@ -228,7 +228,7 @@ def test_suspension_of_standard_quadruplet_is_valid():
     assert suspended.F == form(6, ("23", 1), ("45", 1), ("16", 1))
     report = validate_sun(suspended)
     assert report.passed, report.render()
-    assert report.volume_ratio == F(2, 3)
+    assert report.value("psi+ ^ psi- proportionality constant") == F(2, 3)
 
 
 def test_suspend_then_restrict_is_identity():
@@ -270,16 +270,16 @@ def test_conformal_couple_on_circle_bundle_bases():
         assert report.passed, report.render()
         assert wedge(COUPLE["omega1"], COUPLE["omega1"]) == form(4, ("1234", 2))
         if eps == 0:
-            assert report.d_omega3.is_zero()
+            assert report.value("d(omega3)").is_zero()
         else:
-            assert report.d_omega3 == form(4, ("123", 1))
+            assert report.value("d(omega3)") == form(4, ("123", 1))
 
 
 def test_conformal_couple_failure():
     base = LieAlgebra.abelian(4)
     report = check_conformal_couple(base, COUPLE["omega1"], COUPLE["omega1"],
                                     COUPLE["omega3"])
-    assert not report.orthogonality["omega1^omega2 = 0"]
+    assert report.value("omega1^omega2 = 0") is False
 
 
 def test_circle_bundle_curvature_generators_satisfy_theta_universality():
