@@ -198,6 +198,11 @@ def _tokenize(text: str, lineno: int, col: int) -> list[tuple[str, str, int]]:
 _GENERATOR_RE = re.compile(r"^e([1-9])$")
 _ETOKEN_RE = re.compile(r"^e([1-9]+)$")
 
+# A scalar power costs time that grows with its exponent (the digits of a
+# rational constant, the degree of a polynomial in t), so exponents beyond this
+# are an input error rather than a stall; form powers vanish above the dimension.
+MAX_SCALAR_EXPONENT = 1000
+
 # Values carried through the expression parser: Fractions (rational constants
 # fold until they meet a Scalar or a Form), Scalars or Forms; _parse_expr lifts.
 Value = object
@@ -345,6 +350,11 @@ class _ExprParser:
         self.error("cannot multiply two forms with '*'; use '^' for wedge")
 
     def combine_power(self, a: Value, b: Value, op: str) -> Value:
+        if not isinstance(a, Form) and not isinstance(b, Form):
+            k = b if isinstance(b, Fraction) else b.as_fraction()
+            if abs(k) > MAX_SCALAR_EXPONENT:
+                self.error(f"scalar exponents are limited to {MAX_SCALAR_EXPONENT} "
+                           "in absolute value")
         if (isinstance(a, Fraction) and isinstance(b, Fraction) and b.denominator == 1
                 and (a or b >= 0)):
             return a ** int(b)
@@ -702,6 +712,8 @@ def _d_columns(algebra: LieAlgebra, top: int) -> list[list[dict[int, int]]]:
 def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> CohomologyReport:
     if not algebra.is_rational():
         raise UnsupportedScalarError("cohomology requires rational structure constants")
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"the maximum degree must be nonnegative, got {max_degree}")
     n = algebra.dimension
     top = n if max_degree is None else min(max_degree, n)
     tables = _d_columns(algebra, max(top, 2))

@@ -165,6 +165,9 @@ def cmd_holonomy(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    if args.name and args.action != "run":
+        print(f"error: catalog {args.action} takes no entry name")
+        return INPUT_ERROR
     if args.action == "list":
         for entry in catalog_manifest():
             print(f"{entry.name:28s} {entry.source:55s} {entry.description}")

@@ -429,6 +429,8 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     by exact elimination over the entries above the diagonal.  The scan stops
     one generation after the span stops growing, or at max_order.
     """
+    if max_order < 0:
+        raise ValueError(f"the maximum order must be nonnegative, got {max_order}")
     n = sheet.frame.algebra.dimension
     upper = [(r, i, j) for r, (i, j) in enumerate(itertools.combinations(range(n), 2))]
     lams = [_integral(_direction(sheet.gamma, m)) for m in range(n)]

@@ -562,12 +562,11 @@ def test_parse_equations_raises_only_parse_error(text):
     assert_scalar_values(sf)
 
 
-LONG_EXPONENT = re.compile(r"\^[\s(+-]*\d{4}")
 POSITIONED = re.compile(r"error: line \d+, column \d+: \S")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(mutated_payloads().filter(lambda text: not LONG_EXPONENT.search(text)))
+@given(mutated_payloads())
 def test_cli_keeps_the_exit_code_contract_on_mutated_files(tmp_path_factory, text):
     """validate and check exit 0, 1 or 2 with no traceback, and a parse error
     is printed as error: line L, column C: ..."""

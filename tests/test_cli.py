@@ -381,3 +381,41 @@ def test_parser_is_built_once_and_parses_afresh(tmp_path):
     assert first is not third and first.show == ["curvature"] and third.show is None
     assert (second.command, second.max_order) == ("holonomy", 2)
     assert not hasattr(first, "max_order")
+
+
+def test_cohomology_rejects_a_negative_max_degree(tmp_path):
+    path = write(tmp_path, "good.alg", GOOD_ALGEBRA)
+    code, out = run_cli(["cohomology", path, "--max-degree", "-1"])
+    assert (code, out) == (2, "error: the maximum degree must be nonnegative, got -1\n")
+    code, out = run_cli(["cohomology", path, "--max-degree", "0"])
+    assert (code, out) == (0, "b0 = 1  representatives: [1]\n")
+
+
+def test_holonomy_rejects_a_negative_max_order(tmp_path):
+    path = write(tmp_path, "iwasawa.alg", IWASAWA_STRUCTURE)
+    code, out = run_cli(["holonomy", path, "--max-order", "-1"])
+    assert (code, out) == (2, "error: the maximum order must be nonnegative, got -1\n")
+
+
+def test_catalog_list_rejects_an_entry_name():
+    code, out = run_cli(["catalog", "list", "x"])
+    assert (code, out) == (2, "error: catalog list takes no entry name\n")
+
+
+def test_catalog_run_all_rejects_an_entry_name():
+    code, out = run_cli(["catalog", "run-all", "x"])
+    assert (code, out) == (2, "error: catalog run-all takes no entry name\n")
+
+
+def test_large_scalar_exponents_are_input_errors(tmp_path):
+    # each used to run for seconds to minutes; the bound stops it at the '^'
+    bound = "scalar exponents are limited to 1000 in absolute value"
+    for k, (eta, column) in enumerate([("(t+1)^10000*e1", 12), ("(3/5)^3000000*e1", 12),
+                                       ("(t+1)^(3001/3)*e1", 12), ("2^(-1001)*e1", 8)]):
+        text = GOOD_ALGEBRA + f"\n[family]\nparam = t\neta = {eta}\n"
+        code, out = run_cli(["validate", write(tmp_path, f"pow{k}.alg", text)])
+        assert (code, out) == (2, f"error: line 6, column {column}: {bound}\n"), eta
+    # form powers vanish above the dimension, so they stay unbounded
+    text = GOOD_ALGEBRA + "\n[structure]\nG = e12^1000000000\n"
+    code, out = run_cli(["validate", write(tmp_path, "formpow.alg", text)])
+    assert code == 0
