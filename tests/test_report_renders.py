@@ -11,7 +11,6 @@ rewrite the fixture with
 """
 
 import dataclasses
-import sys
 from pathlib import Path
 
 from lieforms.algebras import LieAlgebra, check_jacobi, parse_equations, verify_basis_change
@@ -173,4 +172,3 @@ def test_report_renders_match_the_fixture():
 
 if __name__ == "__main__":
     FIXTURE.write_text(generate(), encoding="utf-8")
-    sys.exit(0)
