@@ -38,9 +38,11 @@ from .exterior import (
     CoframeMap,
     Form,
     Report,
+    _Sum,
     apply_coframe_map,
     exterior_derivative,
     residual_report,
+    sort_index,
     wedge,
     wedge_power,
 )
@@ -170,132 +172,125 @@ class ParseError(ValueError):
         self.column = column
 
 
+# a token after spaces or tabs, else the end (a comment or blanks), else a bad character
 _TOKEN_RE = re.compile(
-    r"[ \t]*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<arrow>->)|(?P<op>[+\-*/^(),:=|]))"
+    r"[ \t]*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>->|[+\-*/^(),:=|]))"
+    r"|(?P<end>#|\s*\Z)|(?P<bad>)"
 )
 
 
 def _tokenize(text: str, lineno: int, col: int) -> list[tuple[str, str, int]]:
-    """Tokens with their columns, for text that starts at column ``col``."""
+    """Tokens with their columns, for text that starts at column ``col``.  An
+    ("end", "", column just past the last token) token closes a nonempty list."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] == "#":
-            break
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r}", lineno, pos + col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append(("num" if kind == "num" else "name" if kind == "name" else "op",
-                       m.group(kind), m.start(kind) + col))
-        pos = m.end()
+        if kind == "end":
+            break
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[m.start()]!r}", lineno,
+                             m.start() + col)
+        tokens.append((kind, m.group(kind), m.start(kind) + col))
+    if tokens:
+        tokens.append(("end", "", tokens[-1][2] + len(tokens[-1][1])))
     return tokens
 
 
 _GENERATOR_RE = re.compile(r"^e([1-9])$")
 _ETOKEN_RE = re.compile(r"^e([1-9]+)$")
+_DIFF_KEY_RE = re.compile(r"^d\s*e([1-9])$")
+_ROW_KEY_RE = re.compile(r"^f([1-9])$")
 
 # A scalar power costs time that grows with its exponent (the digits of a
 # rational constant, the degree of a polynomial in t), so exponents beyond this
 # are an input error rather than a stall; form powers vanish above the dimension.
 MAX_SCALAR_EXPONENT = 1000
+# Parentheses, signs and powers nest by recursion: deeper input is an error.
+MAX_NESTING = 200
 
-# Values carried through the expression parser: Fractions (rational constants
-# fold until they meet a Scalar or a Form), Scalars or Forms; _parse_expr lifts.
+# Values carried through the expression parser: ints and Fractions (rational
+# constants fold until they meet a Scalar or a form), Scalars, or forms as a
+# _Sum of rational or Scalar coefficients; _parse_expr lifts to Scalar and Form.
 Value = object
+_RATIONAL = (int, Fraction)
 
 
 def _lift(value: Value) -> Value:
-    return Scalar.rational(value) if isinstance(value, Fraction) else value
+    if isinstance(value, _Sum):
+        return value.form()
+    return Scalar.rational(value) if isinstance(value, _RATIONAL) else value
 
 
 class _ExprParser:
-    """Pratt parser over a token list producing Scalar or Form values."""
+    """Pratt parser over a token list producing rational, Scalar or _Sum values."""
 
     def __init__(self, tokens, lineno: int, dimension: int, env: dict[str, Value],
                  allow_dt: bool, param_allowed: bool):
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
+        self.depth = 0
         self.dimension = dimension
         self.env = env
         self.allow_dt = allow_dt
         self.param_allowed = param_allowed
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def error(self, message: str):
-        if self.pos < len(self.tokens):
-            col = self.tokens[self.pos][2]
-        else:  # just past the last token
-            _, text, col = self.tokens[-1]
-            col += len(text)
-        raise ParseError(message, self.lineno, col)
+        raise ParseError(message, self.lineno, self.tokens[self.pos][2])
 
     def parse(self) -> Value:
         value = self.expression(0)
-        if self.pos != len(self.tokens):
+        if self.tokens[self.pos][0] != "end":
             self.error(f"unexpected trailing token {self.tokens[self.pos][1]!r}")
         return value
 
     def expression(self, min_prec: int) -> Value:
-        value = self.atom()
-        while True:
-            tok = self.peek()
-            if tok is None:
-                return value
-            kind, text, col = tok
-            if kind == "op" and text in ("+", "-") and min_prec <= 10:
-                self.pos += 1
-                value = self.combine(self.combine_add, value, self.expression(11), text, col)
-            elif kind == "op" and text in ("*", "/") and min_prec <= 20:
-                self.pos += 1
-                value = self.combine(self.combine_mul, value, self.expression(21), text, col)
-            elif kind == "op" and text == "^" and min_prec <= 30:
-                self.pos += 1
-                rhs = self.expression(30)  # right-assoc
-                value = self.combine(self.combine_power, value, rhs, text, col)
-            elif kind in ("num", "name") or (kind == "op" and text == "("):
-                if min_prec > 20:
-                    return value
-                value = self.combine(self.combine_mul, value, self.expression(21), "*", col)
-            else:
-                return value
-
-    def combine(self, how, a: Value, b: Value, op: str, col: int) -> Value:
-        """``how(a, b, op)``; operands that do not combine (forms of different
+        """An atom and each operator of precedence min_prec or more with its
+        right operand.  Operands that do not combine (forms of different
         degrees, a scalar plus a form) and arithmetic that fails (0^(1/2), x/0,
         even roots of negatives) are a ParseError at the operator, or at the
         right operand when the product is written by juxtaposition."""
-        try:
-            return how(a, b, op)
-        except (ZeroDivisionError, ValueError) as exc:  # ParseError is a ValueError
-            raise ParseError(getattr(exc, "message", str(exc)), self.lineno, col) from None
+        if self.depth == MAX_NESTING:
+            self.error(f"expressions nest at most {MAX_NESTING} levels deep")
+        self.depth += 1
+        value = self.atom()
+        while True:
+            kind, op, col = self.tokens[self.pos]
+            if op in ("+", "-") and min_prec <= 10:
+                how, prec = self.combine_add, 11
+            elif op in ("*", "/") and min_prec <= 20:
+                how, prec = self.combine_mul, 21
+            elif op == "^" and min_prec <= 30:  # right-associative
+                how, prec = self.combine_power, 30
+            elif (kind in ("num", "name") or op == "(") and min_prec <= 20:
+                how, prec, op = self.combine_mul, 21, "*"
+                self.pos -= 1  # juxtaposition: no operator token to skip
+            else:
+                break
+            self.pos += 1
+            rhs = self.expression(prec)
+            try:
+                value = how(value, rhs, op)
+            except (ZeroDivisionError, ValueError) as exc:  # ParseError is a ValueError
+                raise ParseError(getattr(exc, "message", str(exc)), self.lineno, col) from None
+        self.depth -= 1
+        return value
 
     def atom(self) -> Value:
-        tok = self.peek()
-        if tok is None:
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "end":
             self.error("expected an expression")
-        kind, text, _ = tok
-        if kind == "op" and text == "-":
+        if text in ("-", "+"):
             self.pos += 1
             value = self.expression(25)
-            return value.scale(-1) if isinstance(value, Form) else -value  # type: ignore[operator]
-        if kind == "op" and text == "+":
-            self.pos += 1
-            return self.expression(25)
+            return -value if text == "-" else value
         if kind == "num":
             self.pos += 1
-            return Fraction(int(text))
+            return int(text)
         if kind == "op" and text == "(":
             self.pos += 1
             value = self.expression(0)
-            tok = self.peek()
-            if tok is None or tok[1] != ")":
+            if self.tokens[self.pos][1] != ")":
                 self.error("expected ')'")
             self.pos += 1
             return value
@@ -308,64 +303,62 @@ class _ExprParser:
             if text == "dt":
                 if not self.allow_dt:
                     self.error("dt is only available in family sections")
-                return Form.generator(self.dimension, self.dimension)
-            m = _ETOKEN_RE.match(text)
-            if m:
+                return _Sum.of(Form.generator(self.dimension, self.dimension))
+            if m := _ETOKEN_RE.match(text):
                 digits = [int(c) for c in m.group(1)]
                 for d in digits:
                     if d > self.dimension:
                         self.error(f"generator e{d} exceeds dimension {self.dimension}")
-                return Form.from_terms(self.dimension, len(digits), [(digits, 1)])
+                sign, idx = sort_index(digits)
+                return _Sum(self.dimension, len(digits), {idx: sign} if sign else {})
             if text in self.env:
-                return self.env[text]
+                value = self.env[text]
+                return _Sum.of(value) if isinstance(value, Form) else value
             self.error(f"unknown name {text!r}")
         self.error(f"unexpected token {text!r}")
 
     def combine_add(self, a: Value, b: Value, op: str) -> Value:
-        if not (isinstance(a, Fraction) and isinstance(b, Fraction)):
-            a, b = _lift(a), _lift(b)
-        if isinstance(a, Form) == isinstance(b, Form):  # two Fractions, Scalars or Forms
-            return a + b if op == "+" else a - b
+        if isinstance(a, _Sum) and isinstance(b, _Sum):
+            return a.merge(b if op == "+" else -b)
         # allow `form + 0` style mixing only through explicit zeros
-        if isinstance(a, Form) and isinstance(b, Scalar) and b.is_zero():
+        if isinstance(a, _Sum) and not b:
             return a
-        if isinstance(a, Scalar) and a.is_zero() and isinstance(b, Form):
-            return b if op == "+" else b.scale(-1)
-        self.error("cannot add a scalar and a form")
+        if isinstance(b, _Sum) and not a:
+            return b if op == "+" else -b
+        if isinstance(a, _Sum) or isinstance(b, _Sum):
+            self.error("cannot add a scalar and a form")
+        return a + b if op == "+" else a - b
 
     def combine_mul(self, a: Value, b: Value, op: str) -> Value:
-        if isinstance(b, Fraction) and op == "/" and b:
-            b, op = 1 / b, "*"
-        if isinstance(a, Fraction) and isinstance(b, Fraction) and op == "*":
-            return a * b
-        a, b = _lift(a), _lift(b)
-        if isinstance(a, Scalar) and isinstance(b, Scalar):
-            return a * b if op == "*" else a / b
-        if isinstance(a, Scalar) and isinstance(b, Form):
-            if op == "/":
-                self.error("cannot divide a scalar by a form")
+        if isinstance(a, _RATIONAL) and isinstance(b, _RATIONAL) and (op == "*" or b):
+            return a * b if op == "*" else Fraction(a, b)
+        if isinstance(a, _Sum) and isinstance(b, _Sum):
+            self.error("cannot multiply two forms with '*'; use '^' for wedge")
+        if isinstance(b, _Sum) and op == "/":
+            self.error("cannot divide a scalar by a form")
+        if isinstance(b, _Sum):
             return b.scale(a)
-        if isinstance(a, Form) and isinstance(b, Scalar):
-            return a.scale(b) if op == "*" else a.scale(Scalar.one() / b)
-        self.error("cannot multiply two forms with '*'; use '^' for wedge")
+        if op == "/":  # x/0 raises in Scalar division, with its message
+            b = Fraction(1, b) if isinstance(b, _RATIONAL) and b else Scalar.one() / b
+        return a.scale(b) if isinstance(a, _Sum) else a * b
 
     def combine_power(self, a: Value, b: Value, op: str) -> Value:
-        if not isinstance(a, Form) and not isinstance(b, Form):
-            k = b if isinstance(b, Fraction) else b.as_fraction()
+        if not isinstance(a, _Sum) and not isinstance(b, _Sum):
+            k = b if isinstance(b, _RATIONAL) else b.as_fraction()
             if abs(k) > MAX_SCALAR_EXPONENT:
                 self.error(f"scalar exponents are limited to {MAX_SCALAR_EXPONENT} "
                            "in absolute value")
-        if (isinstance(a, Fraction) and isinstance(b, Fraction) and b.denominator == 1
+        if (isinstance(a, _RATIONAL) and isinstance(b, _RATIONAL) and b.denominator == 1
                 and (a or b >= 0)):
-            return a ** int(b)
+            return Fraction(a) ** int(b)
         a, b = _lift(a), _lift(b)
         if isinstance(a, Form) and isinstance(b, Form):
-            return wedge(a, b)
+            return _Sum.of(wedge(a, b))
         if isinstance(a, Form) and isinstance(b, Scalar):
             k = b.as_fraction()
             if k.denominator != 1 or k < 0:
                 self.error("form powers must be nonnegative integers")
-            return wedge_power(a, int(k))
+            return _Sum.of(wedge_power(a, int(k)))
         if isinstance(a, Scalar) and isinstance(b, Scalar):
             return a.rational_power(b.as_fraction())
         self.error("unsupported '^' operands")
@@ -489,9 +482,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             elif key == "compact":
                 compact = parse_compact(rhs, alg_name, lineno, col)
                 compact_at = (lineno, col)
-            elif re.match(r"^d\s*e[1-9]$", key):
-                m = re.match(r"^d\s*e([1-9])$", key)
-                assert m is not None
+            elif m := _DIFF_KEY_RE.match(key):
                 k = int(m.group(1))
                 if k in raw_diffs:
                     raise ParseError(f"duplicate definition of d e{k}", lineno, 1)
@@ -578,7 +569,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             if key == "target":
                 target = parse_compact(rhs, None, lineno, col)
                 continue
-            m = re.match(r"^f([1-9])$", key)
+            m = _ROW_KEY_RE.match(key)
             if not m:
                 raise ParseError(f"basis change rows are f1..f{n}, got {key!r}", lineno, 1)
             value = _parse_expr(rhs, n, {}, False, True, lineno, col)
@@ -617,7 +608,7 @@ def _parse_j_line(line: str, dimension: int, lineno: int, col: int) -> CoframeMa
         rows[i] = image
     if sorted(rows) != list(range(1, dimension + 1)):
         raise ParseError("J must specify the image of every generator", lineno, 1)
-    matrix = [[rows[i].coefficient((j,)) for j in range(1, dimension + 1)]
+    matrix = [[rows[i].coeffs.get((j,), Scalar.zero()) for j in range(1, dimension + 1)]
               for i in range(1, dimension + 1)]
     return CoframeMap(matrix)
 

@@ -7,8 +7,9 @@ structure equations of a Lie algebra (any object exposing ``dimension`` and
 ``differentials``); coefficients are constants on the group, so d never
 differentiates them.  The parameter derivative partial_t acts coefficient-wise.
 
-Products of coefficients are summed in a ``_Sum``: as a Fraction when both
-factors are rational, as a Scalar otherwise, one Scalar per index at the end.
+Products of coefficients are summed in a ``_Sum``: an index's sum stays a
+Fraction while every summand is rational, and one Scalar is made per index at
+the end.
 d takes one pass: c e^I adds (-1)^p c s e^{ab + I minus i_p} per term s e^{ab}
 of d e^{i_p}.
 """
@@ -58,6 +59,13 @@ def sort_index(indices: Sequence[int]) -> tuple[int, Index]:
         if a == b:
             return 0, ()
     return sign, tuple(idx)
+
+
+def _check_shapes(a: Form | _Sum, b: Form | _Sum) -> None:
+    if a.dimension != b.dimension:
+        raise ValueError("forms live over different coframe dimensions")
+    if a.degree != b.degree:
+        raise ValueError("forms have different degrees")
 
 
 @dataclass
@@ -116,16 +124,10 @@ class Form:
         value = self.coeffs.get(idx, Scalar.zero())
         return value if sign > 0 else -value
 
-    def _check_compatible(self, other: Form) -> None:
-        if self.dimension != other.dimension:
-            raise ValueError("forms live over different coframe dimensions")
-        if self.degree != other.degree:
-            raise ValueError("forms have different degrees")
-
     def __add__(self, other: Form) -> Form:
         if not isinstance(other, Form):
             return NotImplemented
-        self._check_compatible(other)
+        _check_shapes(self, other)
         coeffs = dict(self.coeffs)
         for idx, val in other.coeffs.items():
             acc = coeffs.get(idx, Scalar.zero()) + val
@@ -253,22 +255,46 @@ def _part(c: Scalar) -> Fraction | Scalar:
 
 
 class _Sum(dict):
-    """Signed products by index, in first-seen order, as (Fraction, Scalar or
-    None): a product of two Fractions adds to the first, any other to the second."""
+    """The coefficients of a form being built, by sorted index in first-seen
+    order: a rational (int or Fraction) while every summand is, else a Scalar."""
 
-    def add(self, idx: Index, sign: int, product: Fraction | Scalar) -> None:
-        q, s = self.get(idx, (0, None))
+    def __init__(self, dimension: int, degree: int, entries=()):
+        super().__init__(entries)
+        self.dimension, self.degree = dimension, degree
+
+    @staticmethod
+    def of(a: Form) -> _Sum:
+        return _Sum(a.dimension, a.degree, {idx: _part(c) for idx, c in a.coeffs.items()})
+
+    def add(self, idx: Index, sign: int, product: int | Fraction | Scalar) -> None:
         if sign < 0:
             product = -product
-        if isinstance(product, Fraction):
-            self[idx] = (q + product, s)
-        else:
-            self[idx] = (q, product if s is None else s + product)
+        self[idx] = self[idx] + product if idx in self else product
 
-    def form(self, dimension: int, degree: int) -> Form:
-        coeffs = {idx: Scalar.rational(q) if s is None else Scalar.rational(q) + s
-                  for idx, (q, s) in self.items()}
-        return Form(dimension, degree, {idx: c for idx, c in coeffs.items() if c})
+    def merge(self, other: _Sum) -> _Sum:
+        """self + other, in place.  As in Form.__add__, an index whose sum is
+        0 leaves at once, so a later term re-enters it at the end."""
+        _check_shapes(self, other)
+        for idx, c in other.items():
+            self.add(idx, 1, c)
+            if not self[idx]:
+                del self[idx]
+        return self
+
+    def scale(self, factor: int | Fraction | Scalar) -> _Sum:
+        """factor * self, in place; a zero factor leaves no index."""
+        if not factor:
+            self.clear()
+        self.update({idx: factor * c for idx, c in self.items()})
+        return self
+
+    def __neg__(self) -> _Sum:
+        return _Sum(self.dimension, self.degree, {idx: -c for idx, c in self.items()})
+
+    def form(self) -> Form:
+        return Form(self.dimension, self.degree, {
+            idx: c if isinstance(c, Scalar) else Scalar.rational(c)
+            for idx, c in self.items() if c})
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -276,14 +302,14 @@ def wedge(a: Form, b: Form) -> Form:
     if a.dimension != b.dimension:
         raise ValueError("forms live over different coframe dimensions")
     right = [(ib, _part(cb)) for ib, cb in b.coeffs.items()]
-    out = _Sum()
+    out = _Sum(a.dimension, a.degree + b.degree)
     for ia, ca in a.coeffs.items():
         x = _part(ca)
         for ib, y in right:
             sign, idx = sort_index(ia + ib)
             if sign:
                 out.add(idx, sign, x * y)
-    return out.form(a.dimension, a.degree + b.degree)
+    return out.form()
 
 
 def wedge_power(a: Form, k: int) -> Form:
@@ -306,13 +332,13 @@ def contract(vector: Sequence[Scalar | Fraction | int], a: Form) -> Form:
     if len(vector) != a.dimension:
         raise ValueError("vector has wrong number of components")
     comps = [_part(v) if isinstance(v, Scalar) else Fraction(v) for v in vector]
-    out = _Sum()
+    out = _Sum(a.dimension, a.degree - 1)
     for idx, coeff in a.coeffs.items():
         c = _part(coeff)
         for pos, i in enumerate(idx):
             if comps[i - 1]:
                 out.add(idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1, c * comps[i - 1])
-    return out.form(a.dimension, a.degree - 1)
+    return out.form()
 
 
 @dataclass
@@ -355,7 +381,7 @@ def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
     if a.degree == 0:
         return a
     rows = [[(j, _part(c)) for j, c in enumerate(row, start=1) if c] for row in cmap.matrix]
-    out = _Sum()
+    out = _Sum(a.dimension, a.degree)
     for idx, coeff in a.coeffs.items():
         # c e^{i_1..i_k} goes to c M[i_1][j_1]..M[i_k][j_k] e^{j_1..j_k}, j distinct
         products = [((), _part(coeff))]
@@ -365,7 +391,7 @@ def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
         for jdx, x in products:
             sign, kdx = sort_index(jdx)
             out.add(kdx, sign, x)
-    return out.form(a.dimension, a.degree)
+    return out.form()
 
 
 def exterior_derivative(algebra, a: Form) -> Form:
@@ -373,7 +399,7 @@ def exterior_derivative(algebra, a: Form) -> Form:
     if algebra.dimension != a.dimension:
         raise ValueError("form does not live on the given algebra")
     diffs = [[(ab, _part(s)) for ab, s in d.coeffs.items()] for d in algebra.differentials]
-    out = _Sum()
+    out = _Sum(a.dimension, a.degree + 1)
     for idx, coeff in a.coeffs.items():
         c = _part(coeff)
         for pos, i in enumerate(idx):
@@ -382,7 +408,7 @@ def exterior_derivative(algebra, a: Form) -> Form:
                 sign, jdx = sort_index(ab + rest)
                 if sign:
                     out.add(jdx, -sign if pos % 2 else sign, c * s)
-    return out.form(a.dimension, a.degree + 1)
+    return out.form()
 
 
 def partial_t(a: Form) -> Form:

@@ -140,8 +140,8 @@ def factor_int(n: int) -> dict[int, int]:
 def factor_poly_linear(p: Poly) -> tuple[int, dict[LinBase, int]]:
     """Split p into an integer content times canonical linear factors.
 
-    A linear p is read directly.  Higher degrees take one rational root r/s
-    at a time (r | p(0), s | lead) and divide its base out.  Raises
+    A linear p is read directly.  Higher degrees divide out each rational
+    root r/s (r | p(0), s | lead) as often as it divides, one search each.  Raises
     UnsupportedScalarError when p has an irreducible factor of degree >= 2
     (such a denominator cannot stay inside the class).
     """
@@ -155,8 +155,8 @@ def factor_poly_linear(p: Poly) -> tuple[int, dict[LinBase, int]]:
                 "polynomial with an irreducible non-linear factor is outside "
                 "the supported scalar class"
             )
-        p = poly_div_base(p, base)
-        factors[base] = factors.get(base, 0) + 1
+        while (quo := poly_div_base(p, base)) is not None:
+            p, factors[base] = quo, factors.get(base, 0) + 1
     if len(p) == 1:
         return p[0], factors
     base, content = linear_base(*p)
@@ -178,8 +178,10 @@ def _root_base(p: Poly) -> LinBase | None:
 
 
 def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, int(math.isqrt(n)) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
+    out = [1]
+    for prime, e in factor_int(n).items():
+        out = [d * prime**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +370,10 @@ class Scalar:
 
     @staticmethod
     def rational(q: Fraction | int) -> Scalar:
-        q = Fraction(q)
-        if q == 0:
-            return Scalar()
-        return Scalar({_EMPTY_SIG: RF(q, POLY_ONE, ())})
+        out = Scalar()
+        if q:
+            out._terms[_EMPTY_SIG] = RF(q if type(q) is Fraction else Fraction(q), POLY_ONE, ())
+        return out
 
     @staticmethod
     def t() -> Scalar:

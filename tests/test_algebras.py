@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -631,6 +632,24 @@ def test_rational_constants_are_folded_without_scalar_division(monkeypatch):
                for d in sf.algebra.differentials for c in d.coeffs.values())
     assert parse_form_expr("(1/3)^(-2)*e1/(2/7) - 2^3 e2", 2) == form(2, ("1", F(63, 2)),
                                                                       ("2", -8))
+
+
+def test_parsed_forms_are_summed_without_intermediate_forms(monkeypatch):
+    """A parsed form is one sum of Fraction coefficients: no Form per term and
+    one Scalar per nonzero coefficient, made when the value leaves the parser."""
+    text = rotated_file(lieforms, get_entry("ex4.5"), random.Random(1))
+    calls = Counter()
+    for owner, name in ((Scalar, "rational"), (Form, "from_terms")):
+        def counting(*args, fn=getattr(owner, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, staticmethod(counting))
+    sf = parse_equations(text)
+    assert sf.algebra.dimension == 8
+    coefficients = sum(len(f.coeffs) for f in (*sf.algebra.differentials, *sf.forms.values()))
+    j_entries = sum(1 for row in sf.coframe_map.matrix for c in row if c)
+    assert calls["from_terms"] == 0
+    assert 0 < calls["rational"] <= coefficients + j_entries
 
 
 def test_cohomology_reads_d_squared_from_its_tables(monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import lieforms
 from lieforms import catalog, connection
+from lieforms.algebras import MAX_NESTING
 from lieforms.cli import build_parser, main
 from lieforms.scalars import Scalar
 
@@ -189,6 +190,23 @@ def test_parse_errors_point_at_the_operator_or_value(tmp_path):
     for k, (text, message) in enumerate(cases):
         code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])
         assert code == 2 and out == message + "\n", text
+
+
+def test_deep_nesting_is_an_input_error(tmp_path):
+    """Past MAX_NESTING levels the parser stops at the token that is one level
+    too deep instead of exhausting the interpreter's stack."""
+    assert MAX_NESTING == 200
+    for opener in ("(", "-"):
+        rhs = opener * 1000 + "e12" + (")" * 1000 if opener == "(" else "")
+        path = write(tmp_path, "deep.alg", f"[algebra]\ndim = 4\nd e4 = {rhs}\n")
+        for command in ("validate", "check"):
+            code, out = run_cli([command, path])
+            assert code == 2, (opener, command)
+            assert out == "error: line 3, column 208: expressions nest at most 200 levels deep\n"
+    nested = "(" * 100 + "-" * 99 + "e12" + ")" * 100
+    code, out = run_cli(["validate", write(tmp_path, "nested.alg",
+                                           f"[algebra]\ndim = 4\nd e4 = {nested}\n")])
+    assert code == 0 and out == "jacobi: pass (d^2 = 0 on every generator)\n"
 
 
 def test_connection_is_built_once_per_file(monkeypatch, tmp_path):

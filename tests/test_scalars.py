@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieforms import scalars as sc
-from lieforms.algebras import parse_equations
+from lieforms.algebras import parse_equations, parse_scalar_expr
 from lieforms.catalog import get_entry
 from lieforms.scalars import (
     Scalar,
@@ -660,3 +661,33 @@ def test_shifted_family_coefficients_match_rf_oracle():
             for c in (c for f in forms for c in f.coeffs.values()):
                 evaluated += assert_matches_oracle(c, rf_oracle_from(c))
     assert evaluated > 500
+
+
+# inverses of powers of linear bases whose constant terms have many divisors;
+# trial division up to the square root of 3^36 took more than a minute
+HIGH_POWERS = {
+    "1/(t-3)^30": ("inv", ("pow", ("lin", F(-3), F(1)), F(30))),
+    "1/(t-3)^36": ("inv", ("pow", ("lin", F(-3), F(1)), F(36))),
+    "1/((t+1)^40*(2*t-3)^40)": ("inv", ("mul", ("pow", ("lin", F(1), F(1)), F(40)),
+                                        ("pow", ("lin", F(-3), F(2)), F(40)))),
+}
+
+
+def test_rational_roots_of_high_powers_are_found_from_prime_powers():
+    assert sc._divisors(1) == [1]
+    assert sc._divisors(360) == [d for d in range(1, 361) if 360 % d == 0]
+    start = time.perf_counter()
+    parsed = {expr: parse_scalar_expr(expr) for expr in HIGH_POWERS}
+    assert time.perf_counter() - start < 1.0
+    for expr, tree in HIGH_POWERS.items():
+        assert assert_matches_oracle(parsed[expr], rf_oracle(tree)) > 0, expr
+
+
+def test_one_root_search_per_distinct_root(monkeypatch):
+    calls = []
+    search = sc._root_base
+    monkeypatch.setattr(sc, "_root_base", lambda p: calls.append(p) or search(p))
+    for expr, roots in zip([*HIGH_POWERS, "1/((t+1)^3*(t-2)^2*(3*t+5)^4)"], (1, 1, 2, 3)):
+        calls.clear()
+        parse_scalar_expr(expr)
+        assert len(calls) == roots, expr
