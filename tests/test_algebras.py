@@ -635,7 +635,7 @@ def test_rational_constants_are_folded_without_scalar_division(monkeypatch):
 
 
 def test_parsed_forms_are_summed_without_intermediate_forms(monkeypatch):
-    """A parsed form is one sum of Fraction coefficients: no Form per term and
+    """A parsed form is one sum of rational coefficients: no Form per term and
     one Scalar per nonzero coefficient, made when the value leaves the parser."""
     text = rotated_file(lieforms, get_entry("ex4.5"), random.Random(1))
     calls = Counter()
