@@ -2,10 +2,10 @@
 
 Each report function runs on every catalog payload, on fixed sign-flip and
 doubled-line mutants of it, and on the constant family with the standard and
-a wrong coframe; the catalog runner runs on each mutant entry too, so the
-renders it embeds as failure details are pinned as well.  The text must equal
-``tests/fixtures/report_renders.txt``.  After a deliberate output change,
-rewrite the fixture with
+a wrong coframe; the catalog runner runs on each payload and each mutant
+entry too, so its full render, with the failure details it embeds, is pinned
+as well.  The text must equal ``tests/fixtures/report_renders.txt``.  After a
+deliberate output change, rewrite the fixture with
 
     PYTHONPATH=src python tests/test_report_renders.py
 """
@@ -154,8 +154,7 @@ def generate() -> str:
                 out.append(f"-- parse: error: {exc}")
                 continue
             structure_reports(out, StructureContext(sf))
-            if label != "payload":  # the catalog fixture pins the payloads' runs
-                entry_report(out, dataclasses.replace(entry, payload=text))
+            entry_report(out, dataclasses.replace(entry, payload=text))
     s = standard_quadruplet(LieAlgebra.abelian(5))
     constant = ParamFamily(s.algebra, s.eta, s.omega1, s.omega2, s.omega3)
     standard = [Form.generator(6, i) for i in range(1, 7)]
