@@ -172,10 +172,10 @@ class ParseError(ValueError):
         self.column = column
 
 
-# a token after spaces or tabs, else the end (a comment or blanks), else a bad character
+# after spaces or tabs: a token, else the end (a comment or blanks), else a bad character
 _TOKEN_RE = re.compile(
-    r"[ \t]*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>->|[+\-*/^(),:=|]))"
-    r"|(?P<end>#|\s*\Z)|(?P<bad>)"
+    r"[ \t]*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>->|[+\-*/^(),:=|])"
+    r"|(?P<end>#|\s*\Z)|(?P<bad>))"
 )
 
 
@@ -188,8 +188,8 @@ def _tokenize(text: str, lineno: int, col: int) -> list[tuple[str, str, int]]:
         if kind == "end":
             break
         if kind == "bad":
-            raise ParseError(f"unexpected character {text[m.start()]!r}", lineno,
-                             m.start() + col)
+            raise ParseError(f"unexpected character {text[m.end()]!r}", lineno,
+                             m.end() + col)
         tokens.append((kind, m.group(kind), m.start(kind) + col))
     if tokens:
         tokens.append(("end", "", tokens[-1][2] + len(tokens[-1][1])))

@@ -140,6 +140,15 @@ def test_parse_equations_errors_carry_position():
         parse_equations("[algebra]\ndim = 3\nomega = e7\n")
 
 
+def test_blanks_before_a_bad_character_or_a_comment_are_skipped():
+    cases = (("e12 $", 5, "$"), ("e12 \t$", 6, "$"), ("e12 \xa0+ e34", 5, "\xa0"))
+    for expr, column, char in cases:
+        with pytest.raises(ParseError) as err:
+            parse_form_expr(expr, 6)
+        assert (err.value.column, err.value.message) == (column, f"unexpected character {char!r}")
+    assert parse_form_expr("e12 #c", 6) == parse_form_expr("e12#c", 6) == form(6, ("12", 1))
+
+
 def test_parse_scalar_expr_radical():
     s = parse_scalar_expr("((2-3*t)/2)^(1/3)")
     assert s == Scalar.linear(1, F(-3, 2)).rational_power(F(1, 3))
