@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 
 from .algebras import (
     StructureFile,
@@ -125,20 +126,19 @@ def _ex44_entry(cvalue: Fraction, label: str) -> CatalogEntry:
     c = Fraction(cvalue)
     one_c = 1 + c
 
-    def lin(coeff: Fraction, a: str, b: str, sb: int) -> str:
-        f = Form.from_terms(8, 2, [([int(a[0]), int(a[1])], coeff),
-                                   ([int(b[0]), int(b[1])], sb * coeff)])
-        return f.render()
+    def two(a, ca, b, cb):
+        return Form.from_terms(8, 2, [([int(a[0]), int(a[1])], ca),
+                                      ([int(b[0]), int(b[1])], cb)]).render()
 
     payload = f"""\
 [algebra]
 dim = 8
 d e3 = e13 - e24
 d e4 = e14 + e23
-d e5 = {lin(c, '15', '26', -1)}
-d e6 = {lin(c, '16', '25', 1)}
-d e7 = {lin(-one_c, '17', '28', -1)}
-d e8 = {lin(-one_c, '18', '27', 1)}
+d e5 = {two('15', c, '26', -c)}
+d e6 = {two('16', c, '25', c)}
+d e7 = {two('17', -one_c, '28', one_c)}
+d e8 = {two('18', -one_c, '27', -one_c)}
 
 [structure]
 F = e12 + e34 + e56 + e78
@@ -151,10 +151,6 @@ F = e12 + e34 + e56 + e78
     torsion = (Form.from_terms(8, 3, [([2, 3, 4], -2)])
                + Form.from_terms(8, 3, [([2, 5, 6], -2 * c)])
                + Form.from_terms(8, 3, [([2, 7, 8], 2 * one_c)]))
-
-    def two(a, ca, b, cb):
-        return Form.from_terms(8, 2, [([int(a[0]), int(a[1])], ca),
-                                      ([int(b[0]), int(b[1])], cb)]).render()
 
     connection = {
         "1,3": "-e3", "1,4": "-e4",
@@ -961,6 +957,7 @@ class StructureContext:
 def run_entry(entry: CatalogEntry) -> EntryReport:
     lines: list[str] = []
     passed = True
+    exp = entry.expected
 
     def check(label: str, ok: bool, detail: str = "") -> None:
         nonlocal passed
@@ -968,52 +965,44 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         suffix = f"   ({detail})" if detail and not ok else ""
         lines.append(f"  [{'ok' if ok else 'FAIL'}] {label}{suffix}")
 
+    def verdict(key: str, label: str, report: Report, show: bool = False) -> Report:
+        """Check ``report`` against ``exp[key]``; ``{}`` in the label shows that value,
+        and ``show`` adds the render as the failure detail."""
+        check(label.replace("{}", str(exp[key])), report.passed == exp[key],
+              report.render() if show else "")
+        return report
+
+    def same(label: str, got: Form, expr: str) -> None:
+        """Check ``got`` against the form ``expr``, where "0" is the zero form."""
+        ok = got.is_zero() if expr == "0" else got == parse_form_expr(expr, n)
+        check(f"{label} = {expr}", ok, got.render())
+
     sf = parse_equations(entry.payload, name=entry.name)
     ctx = StructureContext(sf)
     alg = sf.algebra
-    exp = entry.expected
     n = alg.dimension
 
     jac = check_jacobi(alg)
     want_jac = exp.get("jacobi", True)
     check(f"jacobi = {'pass' if want_jac else 'fail'}", jac.passed == want_jac)
-    if "jacobi_residuals" in exp:
-        got = dict(jac.residuals)
-        for gen, expr in sorted(exp["jacobi_residuals"].items()):
-            want = parse_form_expr(expr, n)
-            check(f"d^2 e{gen} = {expr}", got.get(f"d^2 e{gen}") == want,
-                  got.get(f"d^2 e{gen}", Form.zero(n, 3)).render())
+    for gen, expr in sorted(exp.get("jacobi_residuals", {}).items()):
+        same(f"d^2 e{gen}", jac.value(f"d^2 e{gen}") or Form.zero(n, 3), expr)
     if not jac.passed:
         return EntryReport(entry.name, entry.source, passed, lines, dict(entry.source_states))
 
     if "su2_valid" in exp:
-        check(f"su2 validation = {exp['su2_valid']}",
-              validate_su2(ctx.su2).passed == exp["su2_valid"])
+        verdict("su2_valid", "su2 validation = {}", validate_su2(ctx.su2))
     if "balanced_su2" in exp:
-        rep = is_balanced_su2(ctx.su2)
-        check(f"balanced = {exp['balanced_su2']}", rep.passed == exp["balanced_su2"],
-              rep.render())
+        verdict("balanced_su2", "balanced = {}", is_balanced_su2(ctx.su2), show=True)
     if "hypo_su2" in exp:
-        rep = is_hypo(ctx.su2)
-        check(f"hypo = {exp['hypo_su2']}", rep.passed == exp["hypo_su2"])
-    if "residual_table" in exp:
-        d, su2 = alg.d, ctx.su2
-        values = {
-            "d(omega1^eta)": d(wedge(su2.omega1, su2.eta)),
-            "d(omega2^eta)": d(wedge(su2.omega2, su2.eta)),
-            "d(omega3^eta)": d(wedge(su2.omega3, su2.eta)),
-            "d(omega2^omega2)": d(wedge(su2.omega2, su2.omega2)),
-            "d(omega3^omega3)": d(wedge(su2.omega3, su2.omega3)),
-        }
-        for name, expr in exp["residual_table"].items():
-            want = (Form.zero(n, values[name].degree) if expr == "0"
-                    else parse_form_expr(expr, n))
-            check(f"{name} = {expr}", values[name] == want, values[name].render())
+        verdict("hypo_su2", "hypo = {}", is_hypo(ctx.su2))
+    for name, expr in exp.get("residual_table", {}).items():  # rows "d(a^b)"
+        a, b = name[2:-1].split("^")
+        same(name, alg.d(wedge(getattr(ctx.su2, a), getattr(ctx.su2, b))), expr)
     if "permuted_balanced" in exp:
         su2 = ctx.su2
-        permuted = SU2Structure(alg, su2.eta, su2.omega1, su2.omega3, su2.omega2)
-        check("balanced with omega2 and omega3 exchanged",
-              is_balanced_su2(permuted).passed == exp["permuted_balanced"])
+        verdict("permuted_balanced", "balanced with omega2 and omega3 exchanged",
+                is_balanced_su2(SU2Structure(alg, su2.eta, su2.omega1, su2.omega3, su2.omega2)))
 
     if "betti" in exp:
         top = max(int(k) for k in exp["betti"])
@@ -1026,46 +1015,38 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
             check(f"H^{deg} representatives = {reps}", got == reps, str(got))
 
     if "conformal_couple" in exp:
-        rep = check_conformal_couple(alg, sf.forms["omega1"], sf.forms["omega2"],
-                                     sf.forms["omega3"])
-        check("conformal symplectic couple", rep.passed == exp["conformal_couple"])
-    if "eq7_generators" in exp:
-        for expr in exp["eq7_generators"]:
-            gen_form = parse_form_expr(expr, n)
-            ok = (wedge(gen_form, sf.forms["omega1"]).is_zero()
-                  and wedge(gen_form, sf.forms["omega2"]).is_zero())
-            check(f"({expr}) ^ omega1 = ({expr}) ^ omega2 = 0", ok)
+        verdict("conformal_couple", "conformal symplectic couple",
+                check_conformal_couple(alg, sf.forms["omega1"], sf.forms["omega2"],
+                                       sf.forms["omega3"]))
+    for expr in exp.get("eq7_generators", ()):
+        gen_form = parse_form_expr(expr, n)
+        ok = (wedge(gen_form, sf.forms["omega1"]).is_zero()
+              and wedge(gen_form, sf.forms["omega2"]).is_zero())
+        check(f"({expr}) ^ omega1 = ({expr}) ^ omega2 = 0", ok)
     if "circle_balanced" in exp:
         theta = sf.theta or (F(1), F(0))
         bundle = circle_bundle_structure(alg, sf.forms["omega1"], sf.forms["omega2"],
                                          sf.forms["omega3"], sf.forms["Omega"], theta)
-        check("total space balanced", is_balanced_su2(bundle).passed == exp["circle_balanced"])
+        verdict("circle_balanced", "total space balanced", is_balanced_su2(bundle))
         if "circle_hypo" in exp:
-            check(f"total space hypo = {exp['circle_hypo']}",
-                  is_hypo(bundle).passed == exp["circle_hypo"])
+            verdict("circle_hypo", "total space hypo = {}", is_hypo(bundle))
         if "circle_valid" in exp:
-            check("total space su2 validation", validate_su2(bundle).passed)
+            verdict("circle_valid", "total space su2 validation", validate_su2(bundle))
         if "extension_differential" in exp:
             want = parse_form_expr(exp["extension_differential"], 5)
             check(f"d(rho) = {exp['extension_differential']}",
                   bundle.algebra.differentials[4] == want)
 
     if "family_valid" in exp:
-        rep = validate_family(ctx.family)
-        check("family is valid on its domain", rep.passed == exp["family_valid"],
-              rep.render())
+        verdict("family_valid", "family is valid on its domain", validate_family(ctx.family),
+                show=True)
     if "evolution" in exp:
-        rep = verify_balanced_evolution(ctx.family)
-        check("balanced evolution equations", rep.passed == exp["evolution"],
-              rep.render())
+        verdict("evolution", "balanced evolution equations",
+                verify_balanced_evolution(ctx.family), show=True)
     if "hypo_evolution" in exp:
-        rep = verify_hypo_evolution(ctx.family)
-        check(f"hypo evolution = {exp['hypo_evolution']}",
-              rep.passed == exp["hypo_evolution"])
+        rep = verdict("hypo_evolution", "hypo evolution = {}", verify_hypo_evolution(ctx.family))
         for name, expr in exp.get("hypo_residual", {}).items():
-            got = dict(rep.residuals)[name]
-            want = parse_form_expr(expr, 5)
-            check(f"{name} = {expr}", got == want, got.render())
+            same(name, rep.value(name), expr)
     if "suspension" in exp:
         susp = ctx.suspension[0]
         ok = (susp.F == sf.family.forms["F_expected"]
@@ -1073,14 +1054,12 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
               and susp.psi_minus == sf.family.forms["psi_minus_expected"])
         check("suspension matches the listed structure", ok == exp["suspension"])
     if "closed" in exp:
-        closed_rep = ctx.suspension[1]
-        check("d(F^F) = d(psi+) = d(psi-) = 0 on the product",
-              closed_rep.passed == exp["closed"], closed_rep.render())
+        verdict("closed", "d(F^F) = d(psi+) = d(psi-) = 0 on the product", ctx.suspension[1],
+                show=True)
     if "orthonormal" in exp:
         alphas = [sf.family.forms[f"alpha{i}"] for i in range(1, 7)]
-        rep = verify_orthonormal_coframe(ctx.suspension[0], alphas)
-        check("listed coframe is orthonormal", rep.passed == exp["orthonormal"],
-              rep.render())
+        verdict("orthonormal", "listed coframe is orthonormal",
+                verify_orthonormal_coframe(ctx.suspension[0], alphas), show=True)
     if "volume" in exp:
         rep = family_volume(ctx.family)
         want = parse_scalar_expr(exp["volume"])
@@ -1091,16 +1070,14 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
             check(f"orientation on {interval}: {sign:+d}", got == sign, str(got))
 
     if "sun_valid" in exp:
-        rep = validate_sun(ctx.sun)
-        check("su(n) validation", rep.passed == exp["sun_valid"], rep.render())
+        rep = verdict("sun_valid", "su(n) validation", validate_sun(ctx.sun), show=True)
         if "volume_ratio" in exp:
             ratio = rep.value("psi+ ^ psi- proportionality constant")
             check(f"psi+ ^ psi- = ({exp['volume_ratio']}) F^n",
                   ratio == F(exp["volume_ratio"]), str(ratio))
     if "balanced_sun" in exp:
-        rep = is_balanced_sun(ctx.sun)
-        check("balanced (dF^{n-1} = dpsi = 0)", rep.passed == exp["balanced_sun"],
-              rep.render())
+        rep = verdict("balanced_sun", "balanced (dF^{n-1} = dpsi = 0)", is_balanced_sun(ctx.sun),
+                      show=True)
         if "kaehler" in exp:
             check(f"kaehler = {exp['kaehler']}",
                   (rep.value("kaehler (dF = 0)") == "yes") == exp["kaehler"])
@@ -1108,53 +1085,37 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
             check(f"half-flat = {exp['half_flat']}",
                   (rep.value("half-flat (dF^2 = dpsi+ = 0)") == "yes") == exp["half_flat"])
     if "dF" in exp:
-        want = parse_form_expr(exp["dF"], n)
-        got = alg.d(sf.forms["F"])
-        check(f"dF = {exp['dF']}", got == want, got.render())
+        same("dF", alg.d(sf.forms["F"]), exp["dF"])
 
     sheet, curv = ctx.sheet, ctx.curv
+    pairs = list(combinations(range(1, n + 1), 2))
     if "torsion" in exp:
-        want = parse_form_expr(exp["torsion"], n)
-        check(f"T = {exp['torsion']}", sheet.torsion == want, sheet.torsion.render())
+        same("T", sheet.torsion, exp["torsion"])
     for key, val in sorted(exp.get("torsion_components", {}).items()):
         i, j, k = (int(x) for x in key.split(","))
         check(f"T_{i}{j}{k} = {val}", sheet.torsion_components.get((i, j, k)) == F(val))
     if "connection" in exp:
-        table = {key: parse_form_expr(expr, n)
-                 for key, expr in exp["connection"].items()}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                key = f"{i},{j}"
-                if key in table:
-                    got = sheet.omega(i, j)
-                    check(f"omega^{i}_{j} = {exp['connection'][key]}",
-                          got == table[key], got.render())
-                elif exp.get("connection_complete"):
-                    if not sheet.omega(i, j).is_zero():
-                        check(f"omega^{i}_{j} = 0", False, sheet.omega(i, j).render())
+        for i, j in pairs:
+            if f"{i},{j}" in exp["connection"]:
+                same(f"omega^{i}_{j}", sheet.omega(i, j), exp["connection"][f"{i},{j}"])
+            elif exp.get("connection_complete") and not sheet.omega(i, j).is_zero():
+                check(f"omega^{i}_{j} = 0", False, sheet.omega(i, j).render())
         check("first Cartan structure equation",
               all(r.is_zero() for r in sheet.cartan_residuals()))
         check("connection preserves J", sheet.preserves_j())
-    if "curvature" in exp:
-        for key, expr in sorted(exp["curvature"].items()):
-            i, j = (int(x) for x in key.split(","))
-            want = parse_form_expr(expr, n)
-            got = curv.omega_form(i, j)
-            check(f"Omega^{i}_{j} = {expr}", got == want, got.render())
+    for key, expr in sorted(exp.get("curvature", {}).items()):
+        i, j = (int(x) for x in key.split(","))
+        same(f"Omega^{i}_{j}", curv.omega_form(i, j), expr)
     if "curvature_rank" in exp:
-        rank = span_rank([curv.omega_form(i, j)
-                          for i in range(1, n + 1) for j in range(i + 1, n + 1)
-                          if not curv.omega_form(i, j).is_zero()]).rank
+        forms = [curv.omega_form(i, j) for i, j in pairs]
+        rank = span_rank([f for f in forms if not f.is_zero()]).rank
         check(f"independent curvature forms: {exp['curvature_rank']}",
               rank == exp["curvature_rank"], str(rank))
-    if "nabla" in exp:
-        for key, expr in sorted(exp["nabla"].items()):
-            direction, pair = key.split("|")
-            i, j = (int(x) for x in pair.split(","))
-            m = int(direction)
-            got = ctx.nabla(m).get((i, j), Form.zero(n, 2))
-            want = parse_form_expr(expr, n)
-            check(f"nabla_E{m} Omega^{i}_{j} = {expr}", got == want, got.render())
+    for key, expr in sorted(exp.get("nabla", {}).items()):
+        direction, pair = key.split("|")
+        i, j = (int(x) for x in pair.split(","))
+        m = int(direction)
+        same(f"nabla_E{m} Omega^{i}_{j}", ctx.nabla(m).get((i, j), Form.zero(n, 2)), expr)
     if "holonomy_dim" in exp:
         rep = holonomy_algebra(sheet, curv)
         check(f"holonomy dimension = {exp['holonomy_dim']}",
@@ -1172,9 +1133,8 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
                   str(rep.stabilized_at_order))
     if "basis_change" in exp:
         bc = sf.basis_change
-        rep = verify_basis_change(alg, bc.matrix, bc.target)
-        check("basis change reaches the target equations exactly",
-              rep.passed == exp["basis_change"], rep.render())
+        rep = verdict("basis_change", "basis change reaches the target equations exactly",
+                      verify_basis_change(alg, bc.matrix, bc.target), show=True)
         if rep.passed:  # exact, so every d f^i matches its target with factor 1
             check("scaling constants all 1", rep.passed)
     if "restrictions_balanced" in exp:

@@ -228,6 +228,27 @@ def test_connection_is_built_once_per_file(monkeypatch, tmp_path):
         assert calls == once, command
 
 
+# the reports the catalog runner reads several verdicts or rows from
+ONCE_PER_ENTRY = ("holonomy_algebra", "validate_sun", "is_balanced_sun", "ce_cohomology",
+                  "validate_family", "verify_balanced_evolution", "verify_hypo_evolution",
+                  "family_volume", "check_conformal_couple", "verify_basis_change")
+
+
+def test_catalog_runs_each_report_at_most_once_per_entry(monkeypatch):
+    calls, reached = Counter(), Counter()
+    for name in ONCE_PER_ENTRY:
+        def counted(*args, _fn=getattr(catalog, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(catalog, name, counted)
+    for entry in catalog.catalog_manifest():
+        calls.clear()
+        assert catalog.run_entry(entry).passed, entry.name
+        assert max(calls.values(), default=0) <= 1, (entry.name, calls)
+        reached.update(calls)
+    assert set(reached) == set(ONCE_PER_ENTRY)
+
+
 def test_catalog_list_has_all_entries():
     code, out = run_cli(["catalog", "list"])
     assert code == 0
