@@ -30,7 +30,7 @@ from lieforms.algebras import (
 )
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.cli import main
-from lieforms.exterior import Form, exterior_derivative, sort_index
+from lieforms.exterior import Form, exterior_derivative, sort_index, wedge
 from lieforms.scalars import Scalar, UnsupportedScalarError
 from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
 
@@ -527,6 +527,40 @@ def test_cohomology_max_degree_is_a_prefix_of_the_full_report():
         full, low = ce_cohomology(alg), ce_cohomology(alg, 3)
         assert low.betti == full.betti[:4]
         assert low.representatives == full.representatives[:4]
+
+
+def pairs_perfectly(reps, n):
+    """Poincare duality on printed classes: for each k the matrix of top
+    coefficients of reps[k][i] ^ reps[n-k][j] is square and nonsingular.  On a
+    unimodular algebra d(Lambda^{n-1}) = 0, so a coboundary pairs to zero with
+    every cocycle and this holds exactly when each list is a basis of H^k."""
+    top = tuple(range(1, n + 1))
+    for k in range(n + 1):
+        matrix = [[wedge(a, b).coefficient(top) for b in reps[n - k]] for a in reps[k]]
+        if len(reps[k]) != len(reps[n - k]) or (
+                matrix and scalar_matrix_determinant(matrix).is_zero()):
+            return False
+    return True
+
+
+def test_cohomology_representatives_satisfy_poincare_duality():
+    texts = [e.payload for e in catalog_manifest()] + [
+        rotated_file(lieforms, e, random.Random(seed))
+        for seed in (1, 7) for e in sun_entries(lieforms)]
+    algs = [a for a in (parse_equations(t).algebra for t in texts) if check_jacobi(a).passed]
+    assert len(algs) == 21 + 24
+    broken = 0
+    for alg in algs:
+        n, reps = alg.dimension, list(ce_cohomology(alg).representatives)
+        assert pairs_perfectly(reps, n)
+        # a class replaced by a nonzero coboundary breaks the pairing
+        boundary = next((d for d in alg.differentials if not d.is_zero()), None)
+        if boundary is not None:
+            assert reps[2], alg.name
+            reps[2] = (boundary, *reps[2][1:])
+            assert not pairs_perfectly(reps, n)
+            broken += 1
+    assert broken == len(algs) - 1  # all but the abelian circle-eps0
 
 
 # ---------------------------------------------------------------------------
