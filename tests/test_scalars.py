@@ -450,6 +450,37 @@ def o_rf_eval(x, t0):
     return val
 
 
+def o_primes(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d], n = out.get(d, 0) + 1, n // d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def o_content_power(content, r):
+    """content ** r as a rational coefficient times prime radicals in (0, 1)."""
+    sign = 1
+    if content < 0:
+        if r.denominator % 2 == 0:
+            raise UnsupportedScalarError("even root of a negative constant")
+        sign, content = (-1 if r.numerator % 2 else 1), -content
+    primes = {}
+    for n, e in ((content.numerator, r), (content.denominator, -r)):
+        for p, m in o_primes(n).items():
+            primes[p] = primes.get(p, F(0)) + m * e
+    coeff, rad = F(sign), {}
+    for p, exp in primes.items():
+        whole = math.floor(exp)
+        coeff *= F(p) ** whole
+        if exp - whole:
+            rad[("prime", p, 0)] = exp - whole
+    return coeff, rad
+
+
 class OracleScalar:
     """A Scalar's terms as {signature: (Fraction poly, den)}."""
 
@@ -518,7 +549,7 @@ class OracleScalar:
             factors[base] = factors.get(base, 0) - m
         for (a, b), m in factors.items():
             exps[("lin", a, b)] = exps.get(("lin", a, b), F(0)) + m * r
-        coeff, rad = sc._content_power(content, r)
+        coeff, rad = o_content_power(content, r)
         for key, exp in rad.items():
             exps[key] = exps.get(key, F(0)) + exp
         rf, out_sig = ((coeff,), ()), {}
