@@ -635,7 +635,10 @@ def outcome(build, tree):
 
 
 def assert_canonical(s):
-    for _sig, rf in s.terms():
+    for sig, rf in s.terms():
+        keys = [key for key, _ in sig]
+        assert keys == sorted(set(keys))
+        assert all(0 < exp < 1 for _, exp in sig)
         assert rf.c and rf.num[-1] > 0 and math.gcd(*rf.num) == 1
         assert all(isinstance(k, int) for k in rf.num)
         assert all(sc.poly_div_base(rf.num, b) is None for b, _ in rf.den)
