@@ -13,10 +13,11 @@ products, exact division by a linear base (integral by Gauss's lemma), and
 the rational-root search, by homogeneous Horner.  A rational constant is
 RF(q, (1,), ()), so its arithmetic is one Fraction operation.  Each radical
 factor pairs a canonical base B (a linear base or a prime integer) with a
-fractional exponent 0 < r < 1.  Terms are merged by radical signature, so
-equality and zero-testing are exact: distinct signatures are linearly
-independent over the rational functions, hence a Scalar is zero if and only
-if it has no terms.
+fractional exponent 0 < r < 1; _carry is the one place that rule lives, and
+every product, inverse and rational power ends in it.  Terms are merged by
+radical signature (_merge), so equality and zero-testing are exact: distinct
+signatures are linearly independent over the rational functions, hence a
+Scalar is zero if and only if it has no terms.
 
 The class is closed under +, -, *, d/dt and integer powers, and under
 division by any Scalar with a single radical signature.  Expressions that
@@ -342,10 +343,6 @@ Sig = tuple[tuple[BaseKey, Fraction], ...]
 _EMPTY_SIG: Sig = ()
 
 
-def _sig_sort(entries: dict[BaseKey, Fraction]) -> Sig:
-    return tuple(sorted(entries.items()))
-
-
 class Scalar:
     """Immutable exact scalar; see the module docstring for the term model."""
 
@@ -432,11 +429,7 @@ class Scalar:
             return NotImplemented
         out = dict(self._terms)
         for sig, rf in other._terms.items():
-            merged = rf_add(out.get(sig, RF_ZERO), rf)
-            if merged.is_zero():
-                out.pop(sig, None)
-            else:
-                out[sig] = merged
+            _merge(out, sig, rf)
         return Scalar(out)
 
     __radd__ = __add__
@@ -457,18 +450,14 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = Scalar()
         acc: dict[Sig, RF] = {}
         for sig1, rf1 in self._terms.items():
             for sig2, rf2 in other._terms.items():
-                sig, rf = _term_mul(sig1, rf1, sig2, rf2)
-                merged = rf_add(acc.get(sig, RF_ZERO), rf)
-                if merged.is_zero():
-                    acc.pop(sig, None)
-                else:
-                    acc[sig] = merged
-        out._terms.update(acc)
-        return out
+                exps = dict(sig1)
+                for key, exp in sig2:
+                    exps[key] = exps.get(key, 0) + exp
+                _merge(acc, *_carry(exps, rf_mul(rf1, rf2)))
+        return Scalar(acc)
 
     __rmul__ = __mul__
 
@@ -493,17 +482,8 @@ class Scalar:
                 "signature"
             )
         ((sig, rf),) = self._terms.items()
-        inv_sig: dict[BaseKey, Fraction] = {}
-        inv_rf = rf_inverse(rf)
-        for key, exp in sig:
-            kind, a, b = key
-            # base^-exp = base^-1 * base^(1-exp)
-            if kind == "lin":
-                inv_rf = rf_mul_base(inv_rf, (a, b), -1)
-            else:
-                inv_rf = rf_scale(inv_rf, Fraction(1, a))
-            inv_sig[key] = 1 - exp
-        return Scalar({_sig_sort(inv_sig): inv_rf})
+        inv_sig, inv_rf = _carry({key: -exp for key, exp in sig}, rf_inverse(rf))
+        return Scalar({inv_sig: inv_rf})
 
     def __pow__(self, k: int) -> Scalar:
         if not isinstance(k, int):
@@ -535,48 +515,37 @@ class Scalar:
         exps: dict[BaseKey, Fraction] = {key: exp * r for key, exp in sig}
         content, factors = factor_poly_linear(rf.num)
         content *= rf.c
+        sign = 1
+        if content < 0:
+            if r.denominator % 2 == 0:
+                raise UnsupportedScalarError(
+                    f"({content})^({r}) is not real-valued in the supported class"
+                )
+            sign, content = (-1 if r.numerator % 2 else 1), -content
         for base, m in rf.den:
             factors[base] = factors.get(base, 0) - m
-        for base, m in factors.items():
-            key = ("lin", base[0], base[1])
-            exps[key] = exps.get(key, Fraction(0)) + m * r
-        coeff, rad = _content_power(content, r)
-        for key, exp in rad.items():
-            exps[key] = exps.get(key, Fraction(0)) + exp
-        out_rf = RF(coeff, POLY_ONE, ())
-        out_sig: dict[BaseKey, Fraction] = {}
-        for key, exp in exps.items():
-            if exp == 0:
-                continue
-            kind, a, b = key
-            whole = Fraction(int(exp // 1))
-            frac = exp - whole
-            if kind == "lin":
-                out_rf = rf_mul_base(out_rf, (a, b), int(whole))
-            else:
-                out_rf = rf_scale(out_rf, Fraction(a) ** int(whole))
-            if frac:
-                out_sig[key] = frac
-        return Scalar({_sig_sort(out_sig): out_rf})
+        keyed = [(("lin", *base), m) for base, m in factors.items()]
+        keyed += [(("prime", p, 0), e) for p, e in factor_int(content.numerator).items()]
+        keyed += [(("prime", p, 0), -e) for p, e in factor_int(content.denominator).items()]
+        for key, m in keyed:
+            exps[key] = exps.get(key, 0) + m * r
+        out_sig, out_rf = _carry(exps, RF(Fraction(sign), POLY_ONE, ()))
+        return Scalar({out_sig: out_rf})
 
     # -- calculus -----------------------------------------------------------
 
     def diff(self) -> Scalar:
-        """Exact d/dt."""
-        out = Scalar.zero()
+        """Exact d/dt.  d/dt base^exp = exp * b * base^(exp - 1) is the term's own
+        radical over one more power of base, so each term differentiates
+        within its signature."""
+        out: dict[Sig, RF] = {}
         for sig, rf in self._terms.items():
-            pieces = rf_diff(rf)
-            if not pieces.is_zero():
-                out = out + Scalar({sig: pieces})
-            for key, exp in sig:
-                kind, a, b = key
-                if kind != "lin" or b == 0:
-                    continue
-                # d/dt base^exp = exp * b * base^(exp - 1)
-                contrib = rf_scale(rf, exp * b)
-                contrib = rf_mul_base(contrib, (a, b), -1)
-                out = out + Scalar({sig: contrib})
-        return out
+            total = rf_diff(rf)
+            for (kind, a, b), exp in sig:
+                if kind == "lin" and b:
+                    total = rf_add(total, rf_mul_base(rf_scale(rf, exp * b), (a, b), -1))
+            out[sig] = total
+        return Scalar(out)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -671,50 +640,32 @@ def _render_linear(a: int, b: int) -> str:
     return f"({a}{'+' if b > 0 else '-'}{bt.lstrip('-')})"
 
 
-def _term_mul(sig1: Sig, rf1: RF, sig2: Sig, rf2: RF) -> tuple[Sig, RF]:
-    rf = rf_mul(rf1, rf2)
-    exps: dict[BaseKey, Fraction] = dict(sig1)
-    for key, exp in sig2:
-        exps[key] = exps.get(key, Fraction(0)) + exp
-    out: dict[BaseKey, Fraction] = {}
+def _merge(acc: dict[Sig, RF], sig: Sig, rf: RF) -> None:
+    """acc[sig] += rf, dropping a sum that cancels, so a later term of that
+    signature enters again at the end."""
+    merged = rf_add(acc.get(sig, RF_ZERO), rf)
+    if merged.is_zero():
+        acc.pop(sig, None)
+    else:
+        acc[sig] = merged
+
+
+def _carry(exps: dict[BaseKey, Fraction], rf: RF) -> tuple[Sig, RF]:
+    """The canonical term rf * prod base^exp: each floor(exp) moves into rf,
+    and only exponents in (0, 1) stay in the signature."""
+    sig: dict[BaseKey, Fraction] = {}
     for key, exp in exps.items():
-        kind, a, b = key
-        if exp >= 1:
-            # carry the integer part into the rational-function prefactor
+        whole = exp.numerator // exp.denominator
+        if whole:
+            kind, a, b = key
             if kind == "lin":
-                rf = rf_mul_base(rf, (a, b), 1)
+                rf = rf_mul_base(rf, (a, b), whole)
             else:
-                rf = rf_scale(rf, Fraction(a))
-            exp -= 1
+                rf = rf_scale(rf, Fraction(a) ** whole)
+            exp -= whole
         if exp:
-            out[key] = exp
-    return _sig_sort(out), rf
-
-
-def _content_power(content: Fraction, r: Fraction) -> tuple[Fraction, dict[BaseKey, Fraction]]:
-    """content ** r as rational coefficient times prime radicals."""
-    sign = 1
-    if content < 0:
-        if r.denominator % 2 == 0:
-            raise UnsupportedScalarError(
-                f"({content})^({r}) is not real-valued in the supported class"
-            )
-        sign = -1 if r.numerator % 2 else 1
-        content = -content
-    primes: dict[int, Fraction] = {}
-    for p, e in factor_int(content.numerator).items():
-        primes[p] = primes.get(p, Fraction(0)) + e * r
-    for p, e in factor_int(content.denominator).items():
-        primes[p] = primes.get(p, Fraction(0)) - e * r
-    coeff = Fraction(sign)
-    rad: dict[BaseKey, Fraction] = {}
-    for p, exp in primes.items():
-        whole = Fraction(int(exp // 1))
-        frac = exp - whole
-        coeff *= Fraction(p) ** int(whole)
-        if frac:
-            rad[("prime", p, 0)] = frac
-    return coeff, rad
+            sig[key] = exp
+    return tuple(sorted(sig.items())), rf
 
 
 def var_t() -> Scalar:
