@@ -124,11 +124,23 @@ def poly_div_base(p: Poly, base: LinBase) -> Poly | None:
     return tuple(quo) if p[0] == a * carry else None
 
 
+# Trial division runs until the divisor's square passes what is left of n, so
+# a large prime factor costs time in its square root: tenfold for every two
+# digits (a 14-digit prime constant took most of a second).  Past this divisor
+# the search is an input error rather than a stall.
+MAX_TRIAL_DIVISOR = 10**6
+
+
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division."""
+    """Prime factorization of n >= 1 by trial division up to MAX_TRIAL_DIVISOR."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
+        if d > MAX_TRIAL_DIVISOR:
+            raise UnsupportedScalarError(
+                f"cannot factor an integer constant: it has a factor above "
+                f"{MAX_TRIAL_DIVISOR}^2 with no prime factor up to {MAX_TRIAL_DIVISOR}"
+            )
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

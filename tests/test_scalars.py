@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lieforms import scalars as sc
-from lieforms.algebras import parse_equations, parse_scalar_expr
+from lieforms.algebras import ParseError, parse_equations, parse_scalar_expr
 from lieforms.catalog import get_entry
 from lieforms.scalars import (
     Scalar,
@@ -725,3 +725,18 @@ def test_one_root_search_per_distinct_root(monkeypatch):
         calls.clear()
         parse_scalar_expr(expr)
         assert len(calls) == roots, expr
+
+
+def test_trial_division_stops_at_its_bound():
+    """A constant with a large prime factor is a parse error at its operator in
+    a fraction of a second; trial division to its square root took 0.8 s."""
+    assert sc.MAX_TRIAL_DIVISOR == 10**6
+    for expr, col in (("1/((t-99999999999973)*(t-2))", 2), ("(99999999999973)^(1/2)", 17)):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"line 1, column {col}: cannot factor"):
+            parse_scalar_expr(expr)
+        assert time.perf_counter() - start < 0.5, expr
+    assert sc.factor_int(999983 * 999979) == {999979: 1, 999983: 1}
+    half = F(1, 2)
+    assert parse_scalar_expr("(999983*999979)^(1/2)") == (
+        Scalar.rational(999983).rational_power(half) * Scalar.rational(999979).rational_power(half))
