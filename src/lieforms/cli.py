@@ -11,7 +11,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .algebras import ParseError, StructureFile, ce_cohomology, check_jacobi, parse_equations
+from .algebras import StructureFile, ce_cohomology, check_jacobi, parse_equations
 from .catalog import StructureContext, catalog_manifest, get_entry, run_entry
 from .connection import holonomy_algebra
 from .evolution import (
@@ -20,7 +20,6 @@ from .evolution import (
     verify_balanced_evolution,
     verify_hypo_evolution,
 )
-from .scalars import ScalarDomainError, UnsupportedScalarError
 from .structures import is_balanced_su2, is_balanced_sun, is_hypo, validate_su2, validate_sun
 
 PASS, MATH_FAIL, INPUT_ERROR = 0, 1, 2
@@ -268,10 +267,7 @@ def main(argv: list[str] | None = None) -> int:
         return INPUT_ERROR if exc.code else PASS
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"error: {exc}")
-        return INPUT_ERROR
-    except (UnsupportedScalarError, ScalarDomainError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ParseError and the scalar errors are ValueErrors
         print(f"error: {exc}")
         return INPUT_ERROR
 
