@@ -54,21 +54,10 @@ def test_parse_error_is_exit_two(tmp_path):
     assert code == 2 and "error" in out
     code, _ = run_cli(["validate", str(tmp_path / "missing.alg")])
     assert code == 2
-
-
-def test_a_path_that_is_not_a_readable_file_is_an_input_error(tmp_path):
-    code, out = run_cli(["validate", str(tmp_path)])
-    assert code == 2 and out == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
-    code, out = run_cli(["suspend", write(tmp_path, "family.alg", FAMILY), "-o", str(tmp_path)])
-    assert code == 2 and out == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
-
-
-def test_a_constant_too_large_to_factor_is_an_input_error(tmp_path):
-    path = write(tmp_path, "prime.alg", "[algebra]\ndim = 4\nd e4 = (99999999999973)^(1/2)*e12\n")
-    code, out = run_cli(["validate", path])
-    assert code == 2
-    assert out == ("error: line 3, column 24: cannot factor an integer constant: it has a "
-                   "factor above 1000000^2 with no prime factor up to 1000000\n")
+    family = write(tmp_path, "family.alg", FAMILY)
+    for argv in (["validate", str(tmp_path)], ["suspend", family, "-o", str(tmp_path)]):
+        code, out = run_cli(argv)
+        assert code == 2 and out == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_unknown_command_exits_two():
@@ -201,6 +190,9 @@ def test_parse_errors_point_at_the_operator_or_value(tmp_path):
          "error: line 3, column 11: scalar division by zero"),  # at the '/'
         ("[algebra]\ndim = 0 8\n",
          "error: line 2, column 7: dim must be a positive integer, got '0 8'"),  # the value
+        ("[algebra]\ndim = 4\nd e4 = (99999999999973)^(1/2)*e12\n",
+         "error: line 3, column 24: cannot factor an integer constant: it has a factor above "
+         "1000000^2 with no prime factor up to 1000000"),  # trial division stops at 10^6
     ]
     for k, (text, message) in enumerate(cases):
         code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])
