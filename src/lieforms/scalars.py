@@ -534,12 +534,12 @@ class Scalar:
                     f"({content})^({r}) is not real-valued in the supported class"
                 )
             sign, content = (-1 if r.numerator % 2 else 1), -content
-        for base, m in rf.den:
-            factors[base] = factors.get(base, 0) - m
-        keyed = [(("lin", *base), m) for base, m in factors.items()]
-        keyed += [(("prime", p, 0), e) for p, e in factor_int(content.numerator).items()]
-        keyed += [(("prime", p, 0), -e) for p, e in factor_int(content.denominator).items()]
-        for key, m in keyed:
+        # integer multiplicities; no base of den divides num, and content is reduced
+        mults = {("lin", *base): m for base, m in factors.items()}
+        mults.update((("lin", *base), -m) for base, m in rf.den)
+        mults.update((("prime", p, 0), e) for p, e in factor_int(content.numerator).items())
+        mults.update((("prime", p, 0), -e) for p, e in factor_int(content.denominator).items())
+        for key, m in mults.items():
             exps[key] = exps.get(key, 0) + m * r
         out_sig, out_rf = _carry(exps, RF(Fraction(sign), POLY_ONE, ()))
         return Scalar({out_sig: out_rf})
