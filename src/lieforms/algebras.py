@@ -38,6 +38,8 @@ from .exterior import (
     CoframeMap,
     Form,
     Report,
+    _d_basis,
+    _d_table,
     _Sum,
     apply_coframe_map,
     exterior_derivative,
@@ -672,32 +674,17 @@ class CohomologyReport:
 
 def _d_columns(algebra: LieAlgebra, top: int) -> list[list[dict[int, int]]]:
     """For k = 0..top, L*d(e^I) for each degree-k basis form e^I as a sparse
-    column {position in the degree-(k+1) basis: int}, L the lcm of the
-    structure-constant denominators.  Index sets are bitmasks (bit i for e^i).
-    A term c e^ab of d e^{i_pos} adds (-1)^pos c e^ab ^ e^rest; sorting it costs
-    (-1)^(|rest below a| + |rest below b|) = (-1)^|rest & mid|, mid the bits a..b-1."""
-    n = algebra.dimension
-    consts = [[(ab, c.as_fraction()) for ab, c in d.coeffs.items()] for d in algebra.differentials]
-    scale = lcm(*(q.denominator for d in consts for _, q in d))
-    terms = [[(1 << a | 1 << b, (1 << b) - (1 << a), int(q * scale)) for (a, b), q in d]
-             for d in consts]
-    combos = [list(itertools.combinations(range(1, n + 1), k)) for k in range(top + 2)]
-    masks = [[sum(1 << i for i in idx) for idx in indices] for indices in combos]
-    out = []
-    for k in range(top + 1):
-        target = {mask: pos for pos, mask in enumerate(masks[k + 1])}
-        columns = []
-        for idx, mask in zip(combos[k], masks[k]):
-            col: dict[int, int] = {}
-            for pos, i in enumerate(idx):
-                rest = mask ^ 1 << i
-                for ab, mid, c in terms[i - 1]:
-                    if not rest & ab:
-                        t = target[rest | ab]
-                        col[t] = col.get(t, 0) + (-c if (pos + (rest & mid).bit_count()) & 1 else c)
-            columns.append({t: v for t, v in col.items() if v})
-        out.append(columns)
-    return out
+    column {position in the degree-(k+1) basis: int}: ``exterior._d_basis``,
+    the popcount-signed kernel of d, on the structure table scaled by the lcm
+    L of its denominators."""
+    table = _d_table(algebra)
+    scale = lcm(*(s.denominator for d in table for _, _, s in d))
+    table = [[(ab, mid, int(s * scale)) for ab, mid, s in d] for d in table]
+    masks = [[sum(1 << i for i in idx) for idx in itertools.combinations(
+        range(1, algebra.dimension + 1), k)] for k in range(top + 2)]
+    position = {mask: pos for level in masks for pos, mask in enumerate(level)}
+    return [[{position[t]: v for t, v in _d_basis(table, mask).items() if v} for mask in level]
+            for level in masks[:top + 1]]
 
 
 def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> CohomologyReport:

@@ -156,8 +156,8 @@ def torsion_form(frame: MetricFrame, kaehler_form: Form) -> tuple[Form, dict]:
 
 
 def _torsion_lookup(components: dict, i: int, j: int, k: int) -> Fraction:
-    base = components.get(tuple(sorted((i, j, k))))
-    return sort_index((i, j, k))[0] * base if base else Fraction(0)
+    sign, key = sort_index((i, j, k))
+    return sign * components.get(key, Fraction(0))
 
 
 def _fractions(table: list[list[list[int]]], den: int) -> list[list[list[Fraction]]]:

@@ -1,17 +1,17 @@
 """Graded exterior algebra over an n-dimensional coframe with Scalar coefficients.
 
 Forms are stored as maps from strictly increasing index tuples (values 1..n)
-to Scalars; wedge uses the Koszul sign obtained by sorting concatenated
-indices.  The exterior derivative of a left-invariant form is driven by the
-structure equations of a Lie algebra (any object exposing ``dimension`` and
+to Scalars; a Koszul sign is the parity of inversions, counted by popcount.
+The exterior derivative of a left-invariant form is driven by the structure
+equations of a Lie algebra (any object exposing ``dimension`` and
 ``differentials``); coefficients are constants on the group, so d never
 differentiates them.  The parameter derivative partial_t acts coefficient-wise.
 
 Products of coefficients are summed in a ``_Sum``: an index's sum stays a
 Fraction while every summand is rational, and one Scalar is made per index at
 the end.
-d takes one pass: c e^I adds (-1)^p c s e^{ab + I minus i_p} per term s e^{ab}
-of d e^{i_p}.
+d is one kernel, ``_d_basis``, shared with the cohomology differentials: c e^I
+adds (-1)^p c s e^{ab + I minus i_p} per term s e^{ab} of d e^{i_p}.
 """
 
 from __future__ import annotations
@@ -46,19 +46,25 @@ __all__ = [
 
 
 def sort_index(indices: Sequence[int]) -> tuple[int, Index]:
-    """Sort an index tuple, returning the Koszul sign (0 on repeats)."""
-    idx = list(indices)
-    sign = 1
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(idx, idx[1:]):
-        if a == b:
+    """Sort an index tuple, returning the Koszul sign (0 on repeats): the
+    parity of the pairs out of order, counted as the earlier indices above each."""
+    seen = odd = 0
+    for i in indices:
+        if seen >> i & 1:
             return 0, ()
-    return sign, tuple(idx)
+        odd ^= (seen >> i).bit_count()
+        seen |= 1 << i
+    return -1 if odd & 1 else 1, tuple(sorted(indices))
+
+
+def _indices(mask: int) -> Index:
+    """The sorted index tuple of a bitmask with bit i for e^i."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def _check_shapes(a: Form | _Sum, b: Form | _Sum) -> None:
@@ -89,7 +95,7 @@ class Form:
     def from_terms(dimension: int, degree: int,
                    terms: Iterable[tuple[Sequence[int], Scalar | Fraction | int]]) -> Form:
         """Build a form from possibly unsorted index tuples, normalizing signs."""
-        coeffs: dict[Index, Scalar] = {}
+        out = _Sum(dimension, degree)
         for indices, value in terms:
             if len(indices) != degree:
                 raise ValueError(f"index {tuple(indices)} has wrong length for degree {degree}")
@@ -97,17 +103,10 @@ class Form:
                 if not 1 <= i <= dimension:
                     raise ValueError(f"index {i} out of range 1..{dimension}")
             sign, idx = sort_index(indices)
-            if sign == 0:
-                continue
-            scal = value if isinstance(value, Scalar) else Scalar.rational(value)
-            if sign < 0:
-                scal = -scal
-            acc = coeffs.get(idx, Scalar.zero()) + scal
-            if acc.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = acc
-        return Form(dimension, degree, coeffs)
+            if sign:
+                c = _part(value) if isinstance(value, Scalar) else value
+                out.merge(_Sum(dimension, degree, {idx: c if sign > 0 else -c}))
+        return out.form()
 
     @staticmethod
     def generator(dimension: int, index: int) -> Form:
@@ -127,15 +126,7 @@ class Form:
     def __add__(self, other: Form) -> Form:
         if not isinstance(other, Form):
             return NotImplemented
-        _check_shapes(self, other)
-        coeffs = dict(self.coeffs)
-        for idx, val in other.coeffs.items():
-            acc = coeffs.get(idx, Scalar.zero()) + val
-            if acc.is_zero():
-                coeffs.pop(idx, None)
-            else:
-                coeffs[idx] = acc
-        return Form(self.dimension, self.degree, coeffs)
+        return _Sum.of(self).merge(_Sum.of(other)).form()
 
     def __sub__(self, other: Form) -> Form:
         return self + (-other)
@@ -394,20 +385,41 @@ def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
     return out.form()
 
 
+def _d_table(algebra) -> list[list[tuple[int, int, Fraction | Scalar]]]:
+    """Each generator's terms s e^ab of d e^i as (mask of ab, mask of the bits
+    a..b-1, s), read once per call: the algebra's differentials may change."""
+    return [[(1 << a | 1 << b, (1 << b) - (1 << a), _part(s)) for (a, b), s in d.coeffs.items()]
+            for d in algebra.differentials]
+
+
+def _d_basis(table: list, mask: int) -> dict:
+    """d e^I for the bitmask I as {target mask: coefficient}, sums of 0 kept.  A term
+    s e^ab of d e^{i_pos} adds (-1)^pos s e^ab ^ e^rest, and (-1)^|rest & mid| sorts it."""
+    out: dict = {}
+    bits, pos = mask, 0
+    while bits:  # bit = 1 << i_pos, lowest first
+        bit = bits & -bits
+        bits ^= bit
+        rest = mask ^ bit
+        for ab, mid, s in table[bit.bit_length() - 2]:
+            if not rest & ab:
+                t = rest | ab
+                v = -s if (pos + (rest & mid).bit_count()) & 1 else s
+                out[t] = out[t] + v if t in out else v
+        pos += 1
+    return out
+
+
 def exterior_derivative(algebra, a: Form) -> Form:
     """d extended as an antiderivation from the algebra's structure equations."""
     if algebra.dimension != a.dimension:
         raise ValueError("form does not live on the given algebra")
-    diffs = [[(ab, _part(s)) for ab, s in d.coeffs.items()] for d in algebra.differentials]
+    table = _d_table(algebra)
     out = _Sum(a.dimension, a.degree + 1)
     for idx, coeff in a.coeffs.items():
         c = _part(coeff)
-        for pos, i in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            for ab, s in diffs[i - 1]:
-                sign, jdx = sort_index(ab + rest)
-                if sign:
-                    out.add(jdx, -sign if pos % 2 else sign, c * s)
+        for t, v in _d_basis(table, sum(1 << i for i in idx)).items():
+            out.add(_indices(t), 1, c * v)
     return out.form()
 
 

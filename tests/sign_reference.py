@@ -1,0 +1,17 @@
+"""An independent Koszul sign for the oracles: sorting by adjacent swaps."""
+
+
+def insertion_sort_index(indices):
+    """Sort an index tuple, returning the Koszul sign (0 on repeats)."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(idx, idx[1:]):
+        if a == b:
+            return 0, ()
+    return sign, tuple(idx)

@@ -30,9 +30,10 @@ from lieforms.algebras import (
 )
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.cli import main
-from lieforms.exterior import Form, exterior_derivative, sort_index, wedge
+from lieforms.exterior import Form, exterior_derivative, wedge
 from lieforms.scalars import Scalar, UnsupportedScalarError
 from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
+from sign_reference import insertion_sort_index
 
 F = Fraction
 
@@ -450,8 +451,8 @@ def cohomology_algebras():
 
 
 def dense_d_columns(algebra, top):
-    """The dense, ``sort_index``-signed differentials that the bitmask-signed
-    sparse ``_d_columns`` replaced."""
+    """The dense differentials, each term signed by an insertion sort, that
+    the bitmask-signed sparse ``_d_columns`` replaced."""
     n = algebra.dimension
     consts = [[(ab, c.as_fraction()) for ab, c in d.coeffs.items()] for d in algebra.differentials]
     scale = math.lcm(*(q.denominator for d in consts for _, q in d))
@@ -466,7 +467,7 @@ def dense_d_columns(algebra, top):
             for pos, i in enumerate(idx):
                 rest = idx[:pos] + idx[pos + 1:]
                 for ab, c in terms[i - 1]:
-                    sign, jdx = sort_index(ab + rest)
+                    sign, jdx = insertion_sort_index(ab + rest)
                     if sign:
                         vec[target[jdx]] += -sign * c if pos % 2 else sign * c
             vectors.append(vec)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from lieforms.exterior import (
 )
 from lieforms.scalars import Scalar, UnsupportedScalarError, var_t
 from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
+from sign_reference import insertion_sort_index
 
 F = Fraction
 
@@ -246,15 +248,29 @@ def test_form_render():
 # ---------------------------------------------------------------------------
 # Oracles: the forms layer in Scalar arithmetic throughout.  d is the Leibniz
 # sum of wedges, the coframe map wedges the images of the generators pairwise,
-# and every sum goes through Form addition.
+# and every sum goes through a Scalar addition of forms.  Signs come from an
+# insertion sort, not from the engine's sort_index.
 # ---------------------------------------------------------------------------
+
+
+def add_oracle(a, b):
+    """a + b in Scalar arithmetic; an index whose sum is 0 leaves at once."""
+    assert (a.dimension, a.degree) == (b.dimension, b.degree)
+    coeffs = dict(a.coeffs)
+    for idx, val in b.coeffs.items():
+        acc = coeffs.get(idx, Scalar.zero()) + val
+        if acc.is_zero():
+            coeffs.pop(idx, None)
+        else:
+            coeffs[idx] = acc
+    return Form(a.dimension, a.degree, coeffs)
 
 
 def wedge_oracle(a, b):
     out = {}
     for ia, ca in a.coeffs.items():
         for ib, cb in b.coeffs.items():
-            sign, idx = sort_index(ia + ib)
+            sign, idx = insertion_sort_index(ia + ib)
             if sign == 0:
                 continue
             term = ca * cb if sign > 0 else -(ca * cb)
@@ -272,7 +288,7 @@ def d_oracle(algebra, a):
         for pos, i in enumerate(idx):
             rest = Form(a.dimension, a.degree - 1, {idx[:pos] + idx[pos + 1:]: Scalar.one()})
             term = wedge_oracle(algebra.differentials[i - 1], rest).scale(coeff)
-            out = out + (-term if pos % 2 else term)
+            out = add_oracle(out, -term if pos % 2 else term)
     return out
 
 
@@ -287,7 +303,7 @@ def apply_coframe_map_oracle(cmap, a):
         piece = images[idx[0] - 1]
         for i in idx[1:]:
             piece = wedge_oracle(piece, images[i - 1])
-        out = out + piece.scale(coeff)
+        out = add_oracle(out, piece.scale(coeff))
     return out
 
 
@@ -299,8 +315,8 @@ def contract_oracle(vector, a):
             if comps[i - 1].is_zero():
                 continue
             term = coeff * comps[i - 1]
-            out = out + Form(a.dimension, a.degree - 1,
-                             {idx[:pos] + idx[pos + 1:]: -term if pos % 2 else term})
+            out = add_oracle(out, Form(a.dimension, a.degree - 1,
+                                       {idx[:pos] + idx[pos + 1:]: -term if pos % 2 else term}))
     return out
 
 
@@ -450,3 +466,33 @@ def test_wedge_power_past_the_dimension_is_zero_at_once(monkeypatch):
     assert parse_form_expr("e12^2", 4) == Form.zero(4, 4) and len(calls) == 1
     assert parse_form_expr("(e12 + e34)^2", 4) == form(4, ("1234", 2))
     assert parse_form_expr("e12^0", 4) == Form(4, 0, {(): Scalar.one()})
+
+
+def test_sort_index_matches_the_insertion_sort_reference():
+    """Every tuple of length <= 5 over 0..8, repeats, index 0 and () included."""
+    tuples = [t for k in range(6) for t in itertools.product(range(9), repeat=k)]
+    assert len(tuples) == 66_430
+    assert [sort_index(t) for t in tuples] == [insertion_sort_index(t) for t in tuples]
+    assert sort_index([3, 1, 2]) == (1, (1, 2, 3))
+
+
+def test_form_sums_keep_their_checks_and_order():
+    a, b = form(4, ("12", 1), ("34", 2)), form(4, ("12", -1), ("13", F(1, 2)))
+    t = var_t()
+    for x, y in ((a, b), (b, a), (a.scale(t), b), (a, -a), (a.scale(t), a.scale(-t))):
+        total = x + y
+        assert total == add_oracle(x, y) and list(total.coeffs) == list(add_oracle(x, y).coeffs)
+    # a sum of 0 leaves at once, so the index re-enters at the end
+    assert list(Form.from_terms(4, 2, [((1, 2), 1), ((3, 4), 1), ((2, 1), 1), ((1, 2), 2)])
+                .coeffs) == [(3, 4), (1, 2)]
+    assert Form.from_terms(4, 2, [((2, 1), t), ((1, 1), 5), ((1, 2), F(1, 2))]) == \
+        Form(4, 2, {(1, 2): Scalar.rational(F(1, 2)) - t})
+    for terms, message in (([((1, 2, 3), 1)], "index (1, 2, 3) has wrong length for degree 2"),
+                           ([((1, 5), 1)], "index 5 out of range 1..4"),
+                           ([((0, 1), 1)], "index 0 out of range 1..4")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Form.from_terms(4, 2, terms)
+    for other, message in ((form(5, ("12", 1)), "forms live over different coframe dimensions"),
+                           (form(4, ("123", 1)), "forms have different degrees")):
+        with pytest.raises(ValueError, match=message):
+            a + other

@@ -9,7 +9,7 @@ from lieforms._linalg import fraction_nullspace, scalar_mat_mul
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
 from lieforms.catalog import StructureContext, get_entry
 from lieforms.evolution import family_from_section
-from lieforms.exterior import CoframeMap, Form, apply_coframe_map, sort_index, wedge, wedge_power
+from lieforms.exterior import CoframeMap, Form, apply_coframe_map, wedge, wedge_power
 from lieforms.scalars import Scalar
 from lieforms.structures import (
     SU2Structure,
@@ -32,6 +32,7 @@ from lieforms.structures import (
     validate_su2,
     validate_sun,
 )
+from sign_reference import insertion_sort_index
 
 F = Fraction
 
@@ -378,7 +379,7 @@ def evaluate_oracle(form2, u, v):
     vectors = (u, v)
     for idx, coeff in form2.coeffs.items():
         for perm in itertools.permutations(range(form2.degree)):
-            prod = coeff * sort_index(perm)[0]
+            prod = coeff * insertion_sort_index(perm)[0]
             for slot, pos in enumerate(perm):
                 prod = prod * Scalar.rational(vectors[pos][idx[slot] - 1])
             total = total + prod
