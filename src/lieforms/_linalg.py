@@ -4,11 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 from .scalars import Scalar
 
 ScalarMatrix = list[list[Scalar]]
+R = TypeVar("R", int, float, Scalar)
 
 
 def insert_echelon_row(echelon: list[dict[int, int]], pivots: list[int],
@@ -101,41 +103,40 @@ def scalar_mat_eq(a: ScalarMatrix, b: ScalarMatrix) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
+def leading_minors(matrix: Sequence[Sequence[R]], zero: R, one: R) -> list[R]:
+    """The leading principal minors det A_k, k = 0..n, of a square matrix over
+    any commutative ring (int, Scalar, float), by Berkowitz's division-free
+    algorithm (Inf. Proc. Letters 18, 1984) in O(n^4) ring operations.
+
+    With A_{k+1} = [[A_k, c], [r, a]], the characteristic polynomial
+    det(x - A_{k+1}) is the lower-triangular Toeplitz matrix with first column
+    1, -a, -r c, -r A_k c, ..., -r A_k^(k-1) c times that of A_k; det A_k is
+    (-1)^k times its constant term.
+    """
+    def dot(xs: Sequence[R], ys: Sequence[R]) -> R:  # stops at the shorter of the two
+        return sum(map(mul, xs, ys), zero)
+
+    poly, minors = [one], [one]  # det(x - A_k), leading coefficient first
+    for k, row in enumerate(matrix):
+        col = [matrix[i][k] for i in range(k)]
+        t = [one, -row[k]]
+        for p in range(k):
+            t.append(-dot(row, col))
+            if p < k - 1:
+                col = [dot(matrix[i], col) for i in range(k)]
+        poly = [dot(t[i::-1], poly) for i in range(k + 2)]
+        minors.append(-poly[-1] if k % 2 == 0 else poly[-1])
+    return minors
+
+
 def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Rational matrices by one fraction-free (Bareiss) elimination of the
-    matrix cleared of denominators by L: the last pivot is L**n * det, with
-    the sign of the row swaps.  Cofactor expansion serves any other matrix."""
+    """The last leading minor: of the matrix cleared of denominators by L,
+    divided by L**n, when every entry is rational, else of the Scalar entries
+    (Scalar division by a sum of several radical signatures raises)."""
     if not all(c.is_rational() for row in matrix for c in row):
-        return _cofactor_determinant(matrix)
+        return leading_minors(matrix, Scalar.zero(), Scalar.one())[-1]
     den, a = _cleared(matrix)
-    n, sign, prev = len(a), 1, 1
-    for k in range(n):
-        swap = next((i for i in range(k, n) if a[i][k]), None)
-        if swap is None:
-            return Scalar.zero()
-        if swap != k:
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return Scalar.rational(Fraction(sign * prev, den**n))
-
-
-def _cofactor_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = Scalar.zero()
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
-        term = entry * _cofactor_determinant(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    return Scalar.rational(Fraction(leading_minors(a, 0, 1)[-1], den**len(a)))
 
 
 def _cleared(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
@@ -151,17 +152,7 @@ def symmetric(matrix: ScalarMatrix) -> bool:
 
 
 def positive_definite(matrix: ScalarMatrix) -> bool:
-    """Sylvester criterion for symmetric matrices with rational entries: the
-    pivots of one fraction-free (Bareiss) elimination of the matrix cleared of
-    denominators by L > 0 are the leading minors times powers of L."""
-    a = _cleared(matrix)[1]
-    n, prev = len(a), 1
-    for k in range(n):
-        pivot = a[k][k]
-        if pivot <= 0:
-            return False
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return True
+    """Sylvester's criterion for symmetric matrices with rational entries: the
+    leading minors of the matrix cleared of denominators by L > 0 are those
+    of the matrix times powers of L."""
+    return all(m > 0 for m in leading_minors(_cleared(matrix)[1], 0, 1))

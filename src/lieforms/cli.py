@@ -11,7 +11,13 @@ import functools
 import sys
 from pathlib import Path
 
-from .algebras import StructureFile, ce_cohomology, check_jacobi, parse_equations
+from .algebras import (
+    StructureFile,
+    ce_cohomology,
+    check_jacobi,
+    parse_equations,
+    verify_basis_change,
+)
 from .catalog import StructureContext, catalog_manifest, get_entry, run_entry
 from .connection import holonomy_algebra
 from .evolution import (
@@ -59,7 +65,7 @@ def cmd_check(args) -> int:
     if args.su4 and sf.algebra.dimension != 8:
         print("error: --su4 needs an 8-dimensional algebra")
         return INPUT_ERROR
-    if su2 is None and sun is None:
+    if su2 is None and sun is None and sf.basis_change is None:
         print("error: the file declares no checkable structure")
         return INPUT_ERROR
 
@@ -86,6 +92,10 @@ def cmd_check(args) -> int:
         print(report.render())
         if args.balanced or not args.hypo:
             ok &= report.passed
+    if sf.basis_change is not None:
+        report = verify_basis_change(sf.algebra, sf.basis_change.matrix, sf.basis_change.target)
+        print(report.render())
+        ok &= report.passed
     return PASS if ok else MATH_FAIL
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._linalg import leading_minors
 from .algebras import FamilySection, Interval, LieAlgebra
 from .exterior import Form, Report, partial_t, residual_report, wedge
 from .scalars import Scalar, ScalarDomainError
@@ -81,31 +82,11 @@ def validate_family(family: ParamFamily, samples_per_interval: int = 3) -> Repor
         try:
             entries = [[geo.metric[i][j].evaluate_float(t0) for j in range(5)]
                        for i in range(5)]
-            positive = _float_positive_definite(entries)
+            positive = all(m > 1e-12 for m in leading_minors(entries, 0.0, 1.0))
         except (ScalarDomainError, ZeroDivisionError):
             positive = False
         rows.append((f"metric positive at t = {t0}", positive))
     return Report("family validity", all(ok for _, ok in rows), tuple(rows))
-
-
-def _float_positive_definite(m: list[list[float]]) -> bool:
-    for k in range(1, len(m) + 1):
-        if _float_det([row[:k] for row in m[:k]]) <= 1e-12:
-            return False
-    return True
-
-
-def _float_det(m: list[list[float]]) -> float:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0.0
-    for j in range(n):
-        if m[0][j] == 0.0:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-        total += ((-1) ** j) * m[0][j] * _float_det(minor)
-    return total
 
 
 def verify_balanced_evolution(family: ParamFamily) -> Report:

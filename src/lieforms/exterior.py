@@ -242,7 +242,8 @@ def _coeff_text(coeff: Scalar, token: str) -> tuple[str, bool]:
 
 def _part(c: Scalar) -> Fraction | Scalar:
     """A coefficient as a Fraction when it is rational, else the Scalar itself."""
-    return c.as_fraction() if c.is_rational() else c
+    q = c.rational_value()
+    return c if q is None else q
 
 
 class _Sum(dict):
@@ -412,9 +413,13 @@ def _d_basis(table: list, mask: int) -> dict:
 
 def exterior_derivative(algebra, a: Form) -> Form:
     """d extended as an antiderivation from the algebra's structure equations."""
-    if algebra.dimension != a.dimension:
+    return _d_form(_d_table(algebra), a)
+
+
+def _d_form(table: list, a: Form) -> Form:
+    """d a from an algebra's ``_d_table``, one row per generator."""
+    if len(table) != a.dimension:
         raise ValueError("form does not live on the given algebra")
-    table = _d_table(algebra)
     out = _Sum(a.dimension, a.degree + 1)
     for idx, coeff in a.coeffs.items():
         c = _part(coeff)

@@ -410,19 +410,22 @@ class Scalar:
         return not self._terms
 
     def is_rational(self) -> bool:
+        return self.rational_value() is not None
+
+    def rational_value(self) -> Fraction | None:
+        """The value as a Fraction when it is a rational constant, else None."""
         if not self._terms:
-            return True
-        if set(self._terms) != {_EMPTY_SIG}:
-            return False
-        rf = self._terms[_EMPTY_SIG]
-        return not rf.den and len(rf.num) == 1
+            return Fraction(0)
+        rf = self._terms.get(_EMPTY_SIG)
+        if rf is None or len(self._terms) > 1 or rf.den or len(rf.num) > 1:
+            return None
+        return rf.c
 
     def as_fraction(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_rational():
+        q = self.rational_value()
+        if q is None:
             raise UnsupportedScalarError(f"not a rational constant: {self}")
-        return self._terms[_EMPTY_SIG].c
+        return q
 
     def depends_on_t(self) -> bool:
         for sig, rf in self._terms.items():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lieforms
-from lieforms import algebras, scalars
+from lieforms import algebras, exterior, scalars
 from lieforms._linalg import scalar_matrix_determinant
 from lieforms.algebras import (
     LieAlgebra,
@@ -694,6 +694,21 @@ def test_parsed_forms_are_summed_without_intermediate_forms(monkeypatch):
     j_entries = sum(1 for row in sf.coframe_map.matrix for c in row if c)
     assert calls["from_terms"] == 0
     assert 0 < calls["rational"] <= coefficients + j_entries
+
+
+def test_check_jacobi_reads_one_d_table(monkeypatch):
+    built = []
+
+    def counting(algebra, _fn=algebras._d_table):
+        built.append(algebra)
+        return _fn(algebra)
+
+    for module in (algebras, exterior):
+        monkeypatch.setattr(module, "_d_table", counting)
+    bad = parse_compact("(0,0,0,12,34)")
+    assert dict(check_jacobi(bad).residuals) == {"d^2 e5": Form.from_terms(5, 3, [((1, 2, 3), -1)])}
+    assert check_jacobi(SOLVABLE).passed
+    assert built == [bad, SOLVABLE]
 
 
 def test_cohomology_reads_d_squared_from_its_tables(monkeypatch):

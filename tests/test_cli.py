@@ -9,7 +9,7 @@ from pathlib import Path
 
 import lieforms
 from lieforms import catalog, connection
-from lieforms.algebras import MAX_NESTING
+from lieforms.algebras import MAX_NESTING, parse_equations, verify_basis_change
 from lieforms.cli import build_parser, main
 from lieforms.scalars import Scalar
 
@@ -332,6 +332,33 @@ def test_check_without_structure_is_input_error(tmp_path):
     path = write(tmp_path, "bare.alg", GOOD_ALGEBRA)
     code, out = run_cli(["check", path])
     assert code == 2 and "no checkable structure" in out
+
+
+H2_ALGEBRA = "[algebra]\ndim = 6\nd e5 = e13 - e24\nd e6 = -2 e12 + e14 + e23 + 2 e34\n"
+IDENTITY_6 = "".join(f"f{i} = e{i}\n" for i in range(1, 7))
+
+
+def test_check_reads_the_basis_change(tmp_path):
+    """check prints the basis-change report and folds its verdict into the
+    exit code; a singular matrix stays an input error."""
+    payload = catalog.get_entry("thm4.2-h2").payload
+    section = payload[payload.index("[basis_change]"):]
+    bc = parse_equations(H2_ALGEBRA + "\n" + section).basis_change
+    code, out = run_cli(["check", write(tmp_path, "h2.alg", H2_ALGEBRA + "\n" + section)])
+    assert code == 0
+    assert out == verify_basis_change(parse_equations(H2_ALGEBRA).algebra, bc.matrix,
+                                      bc.target).render() + "\n"
+    assert out.startswith("basis change: pass\n")
+    identity = H2_ALGEBRA + "\n[basis_change]\n" + IDENTITY_6 + "target = (0,0,0,0,12,34)\n"
+    code, out = run_cli(["check", write(tmp_path, "id.alg", identity)])
+    assert code == 1 and out.startswith("basis change: FAIL\n")
+    assert "  d f5 = e13 - e24\n" in out
+    singular = identity.replace("f6 = e6", "f6 = e5")
+    code, out = run_cli(["check", write(tmp_path, "singular.alg", singular)])
+    assert (code, out) == (2, "error: basis-change matrix is singular\n")
+    # with a structure, the basis change is reported after it
+    code, out = run_cli(["check", write(tmp_path, "full.alg", payload)])
+    assert code == 0 and out.index("balanced: yes") < out.index("basis change: pass")
 
 
 def test_console_entry_point_runs():

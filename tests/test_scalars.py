@@ -84,6 +84,21 @@ def test_integer_power_of_base_expands_into_polynomial():
     assert prod.depends_on_t()
 
 
+def test_rational_value_is_the_one_rational_test():
+    root2 = Scalar.rational(2).rational_power(F(1, 2))
+    cases = [(Scalar.zero(), F(0)), (Scalar.rational(F(-3, 4)), F(-3, 4)),
+             (root2 * root2, F(2)), (var_t(), None), (1 / var_t(), None),
+             (root2, None), (1 + root2, None)]
+    for x, want in cases:
+        assert x.rational_value() == want and type(x.rational_value()) is type(want)
+        assert x.is_rational() is (want is not None)
+        if want is None:
+            with pytest.raises(UnsupportedScalarError, match="not a rational constant"):
+                x.as_fraction()
+        else:
+            assert x.as_fraction() == want
+
+
 def test_eval_examples():
     t = var_t()
     assert (t**2).evaluate_float(3) == pytest.approx(9.0)

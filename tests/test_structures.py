@@ -5,8 +5,14 @@ from fractions import Fraction
 import pytest
 
 from lieforms import structures
-from lieforms._linalg import fraction_nullspace, scalar_mat_mul
-from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
+from lieforms._linalg import fraction_nullspace, insert_echelon_row, scalar_mat_mul
+from lieforms.algebras import (
+    LieAlgebra,
+    ce_cohomology,
+    check_jacobi,
+    parse_compact,
+    parse_equations,
+)
 from lieforms.catalog import StructureContext, get_entry
 from lieforms.evolution import family_from_section
 from lieforms.exterior import CoframeMap, Form, apply_coframe_map, wedge, wedge_power
@@ -510,3 +516,89 @@ def test_dense_pullback_quadruplet_is_valid_and_suspends():
     suspended = suspend_su2(s)
     sun = validate_sun(suspended)
     assert sun.passed, sun.render()
+
+
+# The nine 5-dimensional nilpotent Lie algebras in Salamon notation, each with
+# the permutation of e1..e5 that makes the standard quadruplet balanced on it.
+NILPOTENT_5 = {
+    "(0,0,0,0,0)": (0, 1, 2, 3, 4),
+    "(0,0,0,0,12)": (0, 1, 2, 3, 4),
+    "(0,0,0,12,13)": (0, 1, 2, 3, 4),
+    "(0,0,0,12,14)": (0, 1, 2, 3, 4),
+    "(0,0,0,0,12+34)": (0, 1, 4, 2, 3),
+    "(0,0,0,12,13+24)": (0, 1, 3, 2, 4),
+    "(0,0,12,13,14)": (0, 1, 2, 3, 4),
+    "(0,0,12,13,23)": (0, 1, 2, 3, 4),
+    "(0,0,12,13,14+23)": (0, 1, 2, 3, 4),
+}
+
+
+def permuted_quadruplet(algebra, perm):
+    """The standard quadruplet with each e^i renamed e^(perm[i-1]+1)."""
+    s = standard_quadruplet(algebra)
+    return SU2Structure(algebra, *(
+        Form.from_terms(5, a.degree, [(tuple(perm[i - 1] + 1 for i in idx), c)
+                                      for idx, c in a.coeffs.items()])
+        for a in (s.eta, s.omega1, s.omega2, s.omega3)))
+
+
+def bracket(algebra, i, x):
+    """[e_i, x] for x = {j: c}, from de^k(e_i, e_j) = -e^k([e_i, e_j])."""
+    out = {}
+    for k, dk in enumerate(algebra.differentials, start=1):
+        v = -sum(c * dk.coefficient((i, j)).as_fraction() * (1 if i < j else -1)
+                 for j, c in x.items() if j != i)
+        if v:
+            out[k] = v
+    return out
+
+
+def lower_central_series(algebra):
+    """Bases of g = g^1, g^2 = [g, g^1], ... up to the first term equal to the next."""
+    n = algebra.dimension
+    series = [[{i: 1} for i in range(1, n + 1)]]
+    while series[-1]:
+        echelon, pivots = [], []
+        for i in range(1, n + 1):
+            for x in series[-1]:
+                insert_echelon_row(echelon, pivots, bracket(algebra, i, x))
+        if len(echelon) == len(series[-1]):
+            break
+        series.append(echelon)
+    return series
+
+
+def centralizer_dimension(algebra, span):
+    """dim {x : [x, v] = 0 for every v in span}."""
+    n = algebra.dimension
+    rows = []
+    for v in span:
+        images = [bracket(algebra, i, v) for i in range(1, n + 1)]
+        rows += [{i: img[k] for i, img in enumerate(images) if k in img}
+                 for k in range(1, n + 1)]
+    return len(fraction_nullspace(rows, n))
+
+
+def test_every_five_dimensional_nilpotent_algebra_carries_a_balanced_su2_structure():
+    """The paper's nilmanifold claim on all nine algebras.  The invariants
+    (Betti numbers, dims of g^k, dims of the centralizers of g^k) tell the
+    nine apart; the centralizers are needed, since (0,0,0,12,14) and
+    (0,0,0,12,13+24), and (0,0,12,13,14) and (0,0,12,13,14+23), share the
+    other two."""
+    invariants = set()
+    for text, perm in NILPOTENT_5.items():
+        algebra = parse_compact(text)
+        assert check_jacobi(algebra).passed, text
+        series = lower_central_series(algebra)
+        assert not series[-1], text  # nilpotent: the series reaches 0
+        s = permuted_quadruplet(algebra, perm)
+        assert validate_su2(s).passed, text
+        assert is_balanced_su2(s).passed, text
+        invariants.add((ce_cohomology(algebra).betti, tuple(map(len, series)),
+                        tuple(centralizer_dimension(algebra, span) for span in series)))
+    assert len(invariants) == len(NILPOTENT_5)
+    assert len({(betti, dims) for betti, dims, _ in invariants}) == len(NILPOTENT_5) - 2
+    # the frame matters: unpermuted, the standard quadruplet on h5 is not balanced
+    h5 = parse_compact("(0,0,0,0,12+34)")
+    assert validate_su2(standard_quadruplet(h5)).passed
+    assert not is_balanced_su2(standard_quadruplet(h5)).passed
