@@ -133,15 +133,15 @@ def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     """The last leading minor: of the matrix cleared of denominators by L,
     divided by L**n, when every entry is rational, else of the Scalar entries
     (Scalar division by a sum of several radical signatures raises)."""
-    if not all(c.is_rational() for row in matrix for c in row):
+    rows = [[c.rational_value() for c in row] for row in matrix]
+    if any(q is None for row in rows for q in row):
         return leading_minors(matrix, Scalar.zero(), Scalar.one())[-1]
-    den, a = _cleared(matrix)
+    den, a = _cleared(rows)
     return Scalar.rational(Fraction(leading_minors(a, 0, 1)[-1], den**len(a)))
 
 
-def _cleared(matrix: Sequence[Sequence[Scalar]]) -> tuple[int, list[list[int]]]:
-    """(L, L * matrix) for rational entries, L the lcm of their denominators."""
-    rows = [[c.as_fraction() for c in row] for row in matrix]
+def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """(L, L * rows), L the lcm of the denominators of the entries."""
     den = lcm(*(q.denominator for row in rows for q in row))
     return den, [[q.numerator * (den // q.denominator) for q in row] for row in rows]
 
@@ -155,4 +155,5 @@ def positive_definite(matrix: ScalarMatrix) -> bool:
     """Sylvester's criterion for symmetric matrices with rational entries: the
     leading minors of the matrix cleared of denominators by L > 0 are those
     of the matrix times powers of L."""
-    return all(m > 0 for m in leading_minors(_cleared(matrix)[1], 0, 1))
+    rows = [[c.as_fraction() for c in row] for row in matrix]
+    return all(m > 0 for m in leading_minors(_cleared(rows)[1], 0, 1))

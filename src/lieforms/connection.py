@@ -11,11 +11,13 @@ independent code paths (Koszul plus torsion correction, and the closed-form
 solution of the first Cartan structure equation with prescribed skew torsion)
 must agree on every input.
 
-The connection, nabla J = 0, the curvature and the holonomy tests are
-computed on int tables: each reads the rational table it needs and scales it
-by the lcm of its denominators.  Curvature comes from the matrix identity
-R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m with
-Lambda_m = nabla_{e_m}, the second Cartan structure equation in matrix form.
+The connection, nabla J = 0, the Cartan residual check, the curvature and the
+holonomy tests are computed on int tables: each reads the rational table it
+needs and scales it by the lcm of its denominators.  Curvature comes from the
+matrix identity R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m
+with Lambda_m = nabla_{e_m}, the second Cartan structure equation in matrix
+form.  It keeps its int matrices den*R, which holonomy and nabla R read
+directly: dividing by a gcd gives the lcm scaling of the rational matrices.
 
 Holonomy uses Kostant's bracket iteration for invariant connections (Kostant,
 Trans. AMS 80, 1955): V_{k+1} = V_k + [nabla, V_k] from the span V_0 of the
@@ -30,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from ._linalg import insert_echelon_row
 from .algebras import LieAlgebra, check_jacobi
@@ -81,9 +83,6 @@ class MetricFrame:
         if not self.J.is_orthogonal():
             raise ValueError("J must preserve the frame metric")
 
-    def j_matrix(self) -> Matrix:
-        return self.J.as_fraction_matrix()
-
 
 @dataclass
 class ConnectionSheet:
@@ -94,24 +93,23 @@ class ConnectionSheet:
 
     def omega(self, i: int, j: int) -> Form:
         """Connection 1-form omega^i_j (1-based indices)."""
-        n = self.frame.algebra.dimension
-        return Form(n, 1, {(k + 1,): Scalar.rational(self.gamma[i - 1][j - 1][k])
-                           for k in range(n)
-                           if self.gamma[i - 1][j - 1][k] != 0})
+        row = self.gamma[i - 1][j - 1]
+        return Form(len(row), 1, {(k + 1,): Scalar.rational(q) for k, q in enumerate(row) if q})
 
     def cartan_residuals(self) -> list[Form]:
-        """de^i + sum_j omega^i_j ^ e^j - tau^i, all of which must vanish; its
-        e^ab coefficient (a < b) is de^i_ab + G[i][b][a] - G[i][a][b] - T_iab."""
+        """de^i + sum_j omega^i_j ^ e^j - tau^i, all of which must vanish.  The e^ab
+        coefficient (a < b), de^i_ab + G[i][b][a] - G[i][a][b] - T_iab, is summed as an
+        int over s*S from s*Lambda and S*(de - T), with Lambda read from gamma on every call."""
         n = self.frame.algebra.dimension
+        s, lams = _directions(self.gamma)
+        big_s, dval = _structure_table(self.frame.algebra, self.torsion_components)
         out = []
-        for i in range(1, n + 1):
-            diff, g = self.frame.algebra.differentials[i - 1], self.gamma[i - 1]
+        for i, plane in enumerate(dval):
             coeffs = {}
-            for a, b in itertools.combinations(range(1, n + 1), 2):
-                val = (diff.coefficient((a, b)).as_fraction() + g[b - 1][a - 1] - g[a - 1][b - 1]
-                       - _torsion_lookup(self.torsion_components, i, a, b))
+            for a, b in itertools.combinations(range(n), 2):
+                val = s * plane[a][b] + big_s * (lams[a][i][b] - lams[b][i][a])
                 if val:
-                    coeffs[(a, b)] = Scalar.rational(val)
+                    coeffs[(a + 1, b + 1)] = Scalar.rational(Fraction(val, s * big_s))
             out.append(Form(n, 2, coeffs))
         return out
 
@@ -121,19 +119,15 @@ class ConnectionSheet:
         Lambda_k is not assumed skew.
         """
         n = self.frame.algebra.dimension
-        jm = _integral(self.frame.j_matrix())
+        jm = _integral(self.frame.J.as_fraction_matrix())
         j_entries = _nonzero_entries(jm)
         return all(_product(j_entries, lam, n) == _product(_nonzero_entries(lam), jm, n)
                    for lam in _directions(self.gamma)[1])
 
     def render(self) -> str:
         n = self.frame.algebra.dimension
-        lines = []
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                form = self.omega(i, j)
-                if not form.is_zero():
-                    lines.append(f"omega^{i}_{j} = {form.render()}")
+        forms = {(i, j): self.omega(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)}
+        lines = [f"omega^{i}_{j} = {f.render()}" for (i, j), f in forms.items() if not f.is_zero()]
         return "\n".join(lines) if lines else "all connection forms vanish"
 
 
@@ -149,15 +143,7 @@ def torsion_form(frame: MetricFrame, kaehler_form: Form) -> tuple[Form, dict]:
         raise ValueError("F must equal g(J., .) in the orthonormal frame")
     df = frame.algebra.d(kaehler_form)
     torsion = apply_coframe_map(frame.J, df)
-    components: dict[tuple[int, int, int], Fraction] = {}
-    for idx, coeff in torsion.coeffs.items():
-        components[idx] = coeff.as_fraction()
-    return torsion, components
-
-
-def _torsion_lookup(components: dict, i: int, j: int, k: int) -> Fraction:
-    sign, key = sort_index((i, j, k))
-    return sign * components.get(key, Fraction(0))
+    return torsion, {idx: coeff.as_fraction() for idx, coeff in torsion.coeffs.items()}
 
 
 def _fractions(table: list[list[list[int]]], den: int) -> list[list[list[Fraction]]]:
@@ -214,11 +200,11 @@ def _differential_terms(algebra: LieAlgebra, denominators=()
     return s, [(i, a, b, q.numerator * (s // q.denominator)) for i, a, b, q in terms]
 
 
-def _cartan(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[int]]]]:
-    """2S and 2S times the Cartan solution, read from the differentials."""
-    n = frame.algebra.dimension
-    s, terms = _differential_terms(frame.algebra,
-                                   [q.denominator for q in components.values()])
+def _structure_table(algebra: LieAlgebra, components: dict) -> tuple[int, list[list[list[int]]]]:
+    """S and the int table S*D, D_{iab} = de^i(e_a, e_b) - T_{iab} (0-based);
+    S is the lcm of the denominators of the de^i and of T."""
+    n = algebra.dimension
+    s, terms = _differential_terms(algebra, [q.denominator for q in components.values()])
     dval = [[[0] * n for _ in range(n)] for _ in range(n)]
     for i, a, b, v in terms:
         dval[i][a][b], dval[i][b][a] = v, -v
@@ -226,6 +212,13 @@ def _cartan(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[i
         v = q.numerator * (s // q.denominator)
         for i, a, b in itertools.permutations(idx):
             dval[i - 1][a - 1][b - 1] -= sort_index((i, a, b))[0] * v
+    return s, dval
+
+
+def _cartan(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[int]]]]:
+    """2S and 2S times the Cartan solution, read from the differentials."""
+    n = frame.algebra.dimension
+    s, dval = _structure_table(frame.algebra, components)
     return 2 * s, [[[dval[i][j][k] + dval[j][k][i] - dval[k][i][j] for k in range(n)]
                     for j in range(n)] for i in range(n)]
 
@@ -245,7 +238,8 @@ def connection_from_cartan(frame: MetricFrame, components: dict,
 class CurvatureSheet:
     frame: MetricFrame
     forms: dict[tuple[int, int], Form]  # Omega^i_j for i < j; skew elsewhere
-    _matrices: dict[tuple[int, int], Matrix]  # nonzero R(e_k, e_l), k < l
+    den: int  # R(e_k, e_l) = matrices[(k, l)] / den
+    matrices: dict[tuple[int, int], list[list[int]]]  # nonzero den*R(e_k, e_l), k < l
 
     def omega_form(self, i: int, j: int) -> Form:
         n = self.frame.algebra.dimension
@@ -256,28 +250,24 @@ class CurvatureSheet:
         return -self.forms.get((j, i), Form.zero(n, 2))
 
     def tensor(self) -> dict[tuple[int, int], Matrix]:
-        """R(e_k, e_l) = [Omega^i_j(e_k, e_l)] for k < l, where nonzero."""
-        return self._matrices
+        """R(e_k, e_l) = [Omega^i_j(e_k, e_l)] for k < l, where nonzero: matrices / den."""
+        return {key: [[Fraction(v, self.den) for v in row] for row in mat]
+                for key, mat in self.matrices.items()}
 
     @cached_property
     def scaled_tensor(self) -> tuple[int, dict[tuple[int, int], list[list[int]]]]:
         """r and the int matrices r*R(e_k, e_l), 0-based, in both orders (k, l)
         and (l, k); r is the lcm of the denominators of the tensor."""
-        tensor = self.tensor()
-        r = _denominator(tensor.values())
+        r, ints = _reduced(self.den, list(self.matrices.values()))
         mats: dict[tuple[int, int], list[list[int]]] = {}
-        for (k, l), mat in tensor.items():
-            scaled = _integral(mat, r)
-            mats[(k - 1, l - 1)] = scaled
-            mats[(l - 1, k - 1)] = [[-v for v in row] for row in scaled]
+        for (k, l), mat in zip(self.matrices, ints):
+            mats[(k - 1, l - 1)] = mat
+            mats[(l - 1, k - 1)] = [[-v for v in row] for row in mat]
         return r, mats
 
     def render(self) -> str:
-        lines = []
-        for (i, j) in sorted(self.forms):
-            form = self.forms[(i, j)]
-            if not form.is_zero():
-                lines.append(f"Omega^{i}_{j} = {form.render()}")
+        lines = [f"Omega^{i}_{j} = {f.render()}" for (i, j), f in sorted(self.forms.items())
+                 if not f.is_zero()]
         return "\n".join(lines) if lines else "flat: all curvature forms vanish"
 
 
@@ -300,7 +290,7 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
     upper = list(itertools.combinations(range(n), 2))
     den = s * s * big_s
     coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
-    matrices: dict[tuple[int, int], Matrix] = {}
+    matrices: dict[tuple[int, int], list[list[int]]] = {}
     for k, l in upper:
         p = _product(entries[k], lams[l], n)
         q = _product(entries[l], lams[k], n)
@@ -310,14 +300,14 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
             val = big_s * (p[i][j] - q[i][j]) + sum(a * lam[i][j] for a, lam in extra)
             if val:
                 if mat is None:
-                    mat = [[_ZERO] * n for _ in range(n)]
-                q_ij = mat[i][j] = Fraction(val, den)
-                mat[j][i] = -q_ij
-                coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(q_ij)
+                    mat = [[0] * n for _ in range(n)]
+                mat[i][j], mat[j][i] = val, -val
+                omega_ij = coeffs.setdefault((i + 1, j + 1), {})
+                omega_ij[(k + 1, l + 1)] = Scalar.rational(Fraction(val, den))
         if mat is not None:
             matrices[(k + 1, l + 1)] = mat
     forms = {key: Form(n, 2, coeffs[key]) for key in sorted(coeffs)}
-    return CurvatureSheet(frame, forms, matrices)
+    return CurvatureSheet(frame, forms, den, matrices)
 
 
 def _nonzero_entries(mat: list[list]) -> list[tuple[int, int, object]]:
@@ -402,6 +392,13 @@ def _integral(mat: Matrix, den: int | None = None) -> list[list[int]]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
+def _reduced(den: int, mats: list[list[list[int]]]) -> tuple[int, list[list[list[int]]]]:
+    """r and the int matrices r*M for the rational matrices M = mat/den, r the
+    lcm of their denominators: r = den/g and r*M = mat/g, g = gcd(den, entries)."""
+    g = gcd(den, *(v for mat in mats for row in mat for v in row))
+    return den // g, [[[v // g for v in row] for row in mat] for mat in mats]
+
+
 def _direction(gamma: list[list[list[Fraction]]], m: int) -> Matrix:
     """Lambda_m = nabla_{e_m} as the matrix [gamma[i][j][m]] (0-based m)."""
     return [[g[m] for g in row] for row in gamma]
@@ -434,7 +431,7 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     n = sheet.frame.algebra.dimension
     upper = [(r, i, j) for r, (i, j) in enumerate(itertools.combinations(range(n), 2))]
     lams = [_integral(_direction(sheet.gamma, m)) for m in range(n)]
-    curvatures = [_integral(mat) for _, mat in sorted(curv.tensor().items())]
+    curvatures = [_reduced(curv.den, [mat])[1][0] for _, mat in sorted(curv.matrices.items())]
     if any(mat[i][j] != -mat[j][i] for mat in lams + curvatures
            for i in range(n) for j in range(i, n)):
         raise ValueError("holonomy needs a metric connection: skew connection "
@@ -460,7 +457,7 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
             stabilized = order - 1
             break
     # J is orthogonal with J^2 = -1, hence skew: [J, X] is a skew bracket
-    j_entries = _nonzero_entries(_integral(sheet.frame.j_matrix()))
+    j_entries = _nonzero_entries(_integral(sheet.frame.J.as_fraction_matrix()))
     in_u = not any(any(row) for mat in basis for row in _bracket(j_entries, mat, n))
     in_su = in_u and all(sum(v * mat[r][i] for i, r, v in j_entries) == 0 for mat in basis)
     frozen = tuple(tuple(tuple(row) for row in mat) for mat in basis)

@@ -1,5 +1,7 @@
 """An independent Koszul sign for the oracles: sorting by adjacent swaps."""
 
+from fractions import Fraction
+
 
 def insertion_sort_index(indices):
     """Sort an index tuple, returning the Koszul sign (0 on repeats)."""
@@ -15,3 +17,9 @@ def insertion_sort_index(indices):
         if a == b:
             return 0, ()
     return sign, tuple(idx)
+
+
+def torsion_lookup(components, i, j, k):
+    """T_ijk read from the components T_abc, a < b < c, of a skew 3-form."""
+    sign, key = insertion_sort_index((i, j, k))
+    return sign * components.get(key, Fraction(0))

@@ -23,7 +23,6 @@ from lieforms.connection import (
     levi_civita,
     torsion_form,
 )
-from lieforms.connection import _torsion_lookup
 from lieforms.evolution import family_from_section, family_volume
 from lieforms.exterior import CoframeMap, Form, apply_coframe_map, contract, wedge, wedge_power
 from lieforms.scalars import Scalar
@@ -39,6 +38,7 @@ from lieforms.structures import (
     standard_quadruplet,
     suspend_su2,
 )
+from sign_reference import torsion_lookup
 
 F = Fraction
 
@@ -311,7 +311,7 @@ def test_criterion_10_dual_path_connections():
             for j in range(n):
                 for k in range(n):
                     assert sheet.gamma[i][j][k] == lc.gamma[i][j][k] + \
-                        _torsion_lookup(components, k + 1, j + 1, i + 1) / 2
+                        torsion_lookup(components, k + 1, j + 1, i + 1) / 2
     print("PASS criterion 10e: Koszul-plus-torsion equals the Cartan solution "
           "on every catalog frame")
 

@@ -178,6 +178,54 @@ J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, e5 -> -e6, e6 -> e5
         assert out == "error: F must equal g(J., .) in the orthonormal frame\n"
 
 
+NON_UNIT_DENOMINATORS = """\
+[algebra]
+dim = 4
+d e4 = 1/3*e12 + 1/5*e13
+
+[structure]
+F = e12 + e34
+J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3
+"""
+
+
+def test_connection_output_on_non_unit_denominators(tmp_path):
+    # the curvature matrices have lcm denominators 90, 300, 100 and 300, the
+    # whole tensor 900: holonomy's per-matrix scaling and nabla R's differ
+    path = write(tmp_path, "thirds.alg", NON_UNIT_DENOMINATORS)
+    code, out = run_cli(["bismut", path])
+    assert code == 0
+    assert out == """\
+T = 1/3*e124
+  T_124 = 1/3
+omega^1_2 = -1/3*e4
+omega^1_3 = -1/10*e4
+omega^1_4 = -1/10*e3
+omega^3_4 = 1/10*e1
+Omega^1_2 = -1/9*e12 - 1/15*e13
+Omega^1_3 = -1/30*e12 - 3/100*e13
+Omega^1_4 = 1/100*e14
+Omega^2_4 = 1/30*e34
+Omega^3_4 = 1/100*e34
+nabla_E1 Omega^1_2 = 1/150*e14
+nabla_E1 Omega^1_3 = 1/250*e14
+nabla_E1 Omega^1_4 = 1/300*e12 + 1/250*e13
+nabla_E1 Omega^2_3 = 1/300*e34
+nabla_E3 Omega^1_2 = 1/90*e24 + 1/100*e34
+nabla_E3 Omega^1_3 = 1/300*e24 + 1/250*e34
+nabla_E3 Omega^2_4 = 1/90*e12 + 1/100*e13
+nabla_E3 Omega^3_4 = 1/300*e12 + 1/250*e13
+nabla_E4 Omega^1_2 = -1/90*e23
+nabla_E4 Omega^1_3 = -1/150*e23
+nabla_E4 Omega^1_4 = 1/300*e24 - 1/90*e34
+nabla_E4 Omega^2_3 = -1/300*e13
+"""
+    code, out = run_cli(["holonomy", path])
+    assert code == 0
+    assert out == ("holonomy: dim=6, generations=[4, 6, 6], u(n)=no, su(n)=no, "
+                   "stabilized at order 1\n")
+
+
 def test_parse_errors_point_at_the_operator_or_value(tmp_path):
     cases = [
         ("[algebra]\ndim = 4\n\n[structure]\nomega = e12 + 2 + e34\n",

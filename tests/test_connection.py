@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,8 +14,10 @@ from lieforms.connection import (
     CurvatureSheet,
     MetricFrame,
     bismut_connection,
+    _denominator,
     _direction,
-    _torsion_lookup,
+    _integral,
+    _reduced,
     connection_from_cartan,
     curvature,
     holonomy_algebra,
@@ -23,7 +26,9 @@ from lieforms.connection import (
     torsion_form,
 )
 from lieforms.exterior import CoframeMap, Form, span_rank, wedge, wedge_power
+from lieforms.scalars import Scalar
 from lieforms.structures import SUnStructure, is_balanced_sun
+from sign_reference import torsion_lookup
 
 F = Fraction
 
@@ -49,7 +54,7 @@ def is_metric(sheet):
 def tau(sheet, i):
     """Torsion 2-form tau^i = sum_{j<k} T_{ijk} e^jk."""
     n = sheet.frame.algebra.dimension
-    return Form.from_terms(n, 2, [((j, k), _torsion_lookup(sheet.torsion_components, i, j, k))
+    return Form.from_terms(n, 2, [((j, k), torsion_lookup(sheet.torsion_components, i, j, k))
                                   for j, k in itertools.combinations(range(1, n + 1), 2)])
 
 
@@ -63,6 +68,23 @@ def first_bianchi_residuals(sheet, curv):
             acc = acc + wedge(sheet.omega(i, j), tau(sheet, j))
             acc = acc - wedge(curv.omega_form(i, j), Form.generator(n, j))
         out.append(acc)
+    return out
+
+
+def cartan_residuals_oracle(sheet):
+    """The first structure equation in Fractions: the e^ab coefficient (a < b)
+    of de^i + sum_j omega^i_j ^ e^j - tau^i is de^i_ab + G[i][b][a] - G[i][a][b] - T_iab."""
+    n = sheet.frame.algebra.dimension
+    out = []
+    for i in range(1, n + 1):
+        diff, g = sheet.frame.algebra.differentials[i - 1], sheet.gamma[i - 1]
+        coeffs = {}
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            val = (diff.coefficient((a, b)).as_fraction() + g[b - 1][a - 1] - g[a - 1][b - 1]
+                   - torsion_lookup(sheet.torsion_components, i, a, b))
+            if val:
+                coeffs[(a, b)] = Scalar.rational(val)
+        out.append(Form(n, 2, coeffs))
     return out
 
 
@@ -186,6 +208,29 @@ def test_cartan_residuals_detect_a_perturbed_gamma():
     assert all(r.is_zero() for r in residuals[1:])
 
 
+def test_cartan_residuals_match_the_fraction_oracle():
+    sheets = [(name, catalog_sheet(name)[0]) for name in HOLONOMY_ENTRIES]
+    sheets += [("slow growth", slow_growth_sheet()), ("non-unit", non_unit_sheet()),
+               ("Levi-Civita", levi_civita(iwasawa_frame()[0]))]
+    ex43 = dict(sheets)["ex4.3"]
+    gamma = copy.deepcopy(ex43.gamma)
+    gamma[0][1][2] += 1
+    sheets.append(("perturbed gamma", dataclasses.replace(ex43, gamma=gamma)))
+    bismut = bismut_connection(*iwasawa_frame())
+    components = dict(bismut.torsion_components)
+    components[(1, 3, 5)] += F(1, 7)
+    perturbed = dataclasses.replace(bismut, torsion_components=components)
+    sheets.append(("perturbed torsion", perturbed))
+    assert len(sheets) == 17
+    for name, sheet in sheets:
+        assert sheet.cartan_residuals() == cartan_residuals_oracle(sheet), name
+    # T_135 enters tau^1, tau^3 and tau^5, each with its sign
+    zero = Form.zero(6, 2)
+    assert perturbed.cartan_residuals() == [
+        form(6, ("35", F(-1, 7))), zero, form(6, ("15", F(1, 7))), zero,
+        form(6, ("13", F(-1, 7))), zero]
+
+
 def test_bismut_connection_forms_iwasawa():
     frame, kf = iwasawa_frame()
     sheet = bismut_connection(frame, kf)
@@ -213,11 +258,10 @@ def test_bismut_equals_levi_civita_plus_half_torsion():
     sheet = bismut_connection(frame, kf)
     lc = levi_civita(frame)
     _, components = torsion_form(frame, kf)
-    from lieforms.connection import _torsion_lookup
     for i in range(6):
         for j in range(6):
             for k in range(6):
-                want = lc.gamma[i][j][k] + _torsion_lookup(
+                want = lc.gamma[i][j][k] + torsion_lookup(
                     components, k + 1, j + 1, i + 1) / 2
                 assert sheet.gamma[i][j][k] == want
 
@@ -487,11 +531,28 @@ def test_first_bianchi_identity_holds_on_catalog_connections():
     assert all(r.is_zero() for r in first_bianchi_residuals(lc, curvature(lc)))
 
 
+def slow_growth_sheet():
+    frame = MetricFrame(parse_compact("(0,0,0,12,14-23,15+34)"), STANDARD_J6)
+    return bismut_connection(frame, form(6, ("12", 1), ("34", 1), ("56", 1)))
+
+
+def non_unit_sheet():
+    # d e4 = 1/3 e12 + 1/5 e13: the curvature matrices have different contents
+    sf = parse_equations("""
+    [algebra]
+    dim = 4
+    d e4 = 1/3*e12 + 1/5*e13
+    [structure]
+    F = e12 + e34
+    J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3
+    """)
+    return bismut_connection(MetricFrame(sf.algebra, sf.coframe_map), sf.forms["F"])
+
+
 def test_holonomy_generations_match_tensor_derivatives_slow_growth():
     # J is not integrable here, but the skew-torsion connection is still metric,
     # and its span grows over three orders: generations 8, 14, 15, 15
-    frame = MetricFrame(parse_compact("(0,0,0,12,14-23,15+34)"), STANDARD_J6)
-    sheet = bismut_connection(frame, form(6, ("12", 1), ("34", 1), ("56", 1)))
+    sheet = slow_growth_sheet()
     curv = curvature(sheet)
     assert holonomy_algebra(sheet, curv).generation_dimensions == (8, 14, 15, 15)
     assert_generations_match_tensor_spans(sheet, curv, order=3)
@@ -560,24 +621,49 @@ def test_curvature_matches_second_cartan_equation_oracle():
 def test_curvature_tensor_is_built_once_per_sheet(monkeypatch):
     sheet, curv = catalog_sheet("ex4.3")
     n = sheet.frame.algebra.dimension
-    seen = []
-    tensor = CurvatureSheet.tensor
+    built = []
+    scale = CurvatureSheet.scaled_tensor.func
 
     def spy(self):
-        seen.append(tensor(self))
-        return seen[-1]
+        built.append(scale(self))
+        return built[-1]
+
+    def no_fractions(self):
+        raise AssertionError("curvature integers rebuilt from the Fraction matrices")
 
     def no_lookup(self, indices):
         raise AssertionError("curvature matrices re-read from the forms")
 
-    monkeypatch.setattr(CurvatureSheet, "tensor", spy)
+    scaled_tensor = functools.cached_property(spy)
+    scaled_tensor.__set_name__(CurvatureSheet, "scaled_tensor")
+    monkeypatch.setattr(CurvatureSheet, "scaled_tensor", scaled_tensor)
+    monkeypatch.setattr(CurvatureSheet, "tensor", no_fractions)
     monkeypatch.setattr(Form, "coefficient", no_lookup)
     holonomy_algebra(sheet, curv)
     for m in range(1, n + 1):
         nabla_matrices(sheet, curv, m)
-    # one read for holonomy, one for the int scaling shared by all directions
-    assert len(seen) == 2
-    assert all(t is seen[0] for t in seen)
+    # holonomy reads curvature's integers; one int scaling serves all directions
+    assert len(built) == 1
+
+
+def test_curvature_hands_its_integers_to_holonomy_and_nabla():
+    sheets = [catalog_sheet(name)[0] for name in HOLONOMY_ENTRIES]
+    sheets += [slow_growth_sheet(), non_unit_sheet()]
+    for sheet in sheets:
+        curv = curvature(sheet)
+        tensor = curv.tensor()
+        r = _denominator(tensor.values())
+        scaled = {}
+        for (k, l), mat in tensor.items():
+            scaled[(k - 1, l - 1)] = _integral(mat, r)
+            scaled[(l - 1, k - 1)] = [[-v for v in row] for row in _integral(mat, r)]
+        assert curv.scaled_tensor == (r, scaled)
+        # holonomy scales each curvature matrix by the lcm of its own denominators
+        assert ([_reduced(curv.den, [mat])[1][0] for mat in curv.matrices.values()]
+                == [_integral(mat) for mat in tensor.values()])
+        lcm_scaled = CurvatureSheet(curv.frame, curv.forms, 1,
+                                    {key: _integral(mat) for key, mat in tensor.items()})
+        assert holonomy_algebra(sheet, curv) == holonomy_algebra(sheet, lcm_scaled)
 
 
 def second_bianchi_holds(sheet, curv, torsion_sign=1):
@@ -589,12 +675,13 @@ def second_bianchi_holds(sheet, curv, torsion_sign=1):
     n = sheet.frame.algebra.dimension
     gamma, c = sheet.gamma, sheet.frame.algebra.structure_constants()
     zero = [[F(0)] * n for _ in range(n)]
+    tensor = curv.tensor()
     r = {}  # R(e_a, e_b), 0-based, every ordered pair
     for a, b in itertools.product(range(n), repeat=2):
         if a < b:
-            r[(a, b)] = curv.tensor().get((a + 1, b + 1), zero)
+            r[(a, b)] = tensor.get((a + 1, b + 1), zero)
         elif a > b:
-            r[(a, b)] = [[-v for v in row] for row in curv.tensor().get((b + 1, a + 1), zero)]
+            r[(a, b)] = [[-v for v in row] for row in tensor.get((b + 1, a + 1), zero)]
         else:
             r[(a, b)] = zero
     torsion = {(a, b): [torsion_sign * (gamma[x][b][a] - gamma[x][a][b] - c[a][b][x])
