@@ -690,6 +690,10 @@ def _d_columns(algebra: LieAlgebra, top: int) -> list[list[dict[int, int]]]:
 
 
 def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> CohomologyReport:
+    """Betti numbers and class representatives up to max_degree.  The RREF kernel basis of
+    d_k has one cocycle v_f per free column f, 1 at f and 0 at the other free columns, so a
+    coboundary w is sum_f w[f] v_f.  The pivot columns of d_{k-1} map onto the coboundaries;
+    in their echelon on the free coordinates, largest first, v_f is a class iff no row leads f."""
     if not algebra.is_rational():
         raise UnsupportedScalarError("cohomology requires rational structure constants")
     if max_degree is not None and max_degree < 0:
@@ -706,19 +710,22 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
         if any(image.values()):
             raise ValueError("algebra fails the Jacobi identity; d^2 != 0")
     reps: list[tuple[Form, ...]] = []
+    bounding: list[dict[int, int]] = []  # d e^J for the pivot columns J of d_{k-1}
     for k in range(top + 1):
         rows: list[dict[int, int]] = [{} for _ in range(comb(n, k + 1))]
         for c, col in enumerate(tables[k]):
             for r, v in col.items():
                 rows[r][c] = v
         kernel = fraction_nullspace(rows, len(tables[k]))
+        free = {max(vec) for vec in kernel}
         echelon: list[dict[int, int]] = []
         pivots: list[int] = []
-        for img in tables[k - 1] if k else ():  # images of degree k-1 in degree k coordinates
-            _insert_row(echelon, pivots, img)
+        for col in bounding:
+            _insert_row(echelon, pivots, {-f: v for f, v in col.items() if f in free})
+        bounding = [col for c, col in enumerate(tables[k]) if c not in free]
         basis = list(itertools.combinations(range(1, n + 1), k))
         reps.append(tuple(Form(n, k, {basis[i]: Scalar.rational(c) for i, c in vec.items()})
-                          for vec in kernel if _insert_row(echelon, pivots, vec)))
+                          for vec in kernel if -max(vec) not in pivots))
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from typing import Callable
 
 from .algebras import (
     StructureFile,
@@ -959,23 +960,23 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
     passed = True
     exp = entry.expected
 
-    def check(label: str, ok: bool, detail: str = "") -> None:
+    def check(label: str, ok: bool, detail: Callable[[], str] = str) -> None:
         nonlocal passed
         passed = passed and bool(ok)
-        suffix = f"   ({detail})" if detail and not ok else ""
+        suffix = f"   ({text})" if not ok and (text := detail()) else ""
         lines.append(f"  [{'ok' if ok else 'FAIL'}] {label}{suffix}")
 
     def verdict(key: str, label: str, report: Report, show: bool = False) -> Report:
         """Check ``report`` against ``exp[key]``; ``{}`` in the label shows that value,
         and ``show`` adds the render as the failure detail."""
         check(label.replace("{}", str(exp[key])), report.passed == exp[key],
-              report.render() if show else "")
+              report.render if show else str)
         return report
 
     def same(label: str, got: Form, expr: str) -> None:
         """Check ``got`` against the form ``expr``, where "0" is the zero form."""
         ok = got.is_zero() if expr == "0" else got == parse_form_expr(expr, n)
-        check(f"{label} = {expr}", ok, got.render())
+        check(f"{label} = {expr}", ok, got.render)
 
     sf = parse_equations(entry.payload, name=entry.name)
     ctx = StructureContext(sf)
@@ -1009,10 +1010,10 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         rep = ce_cohomology(alg, top)
         for deg, want in sorted(exp["betti"].items()):
             check(f"b{deg} = {want}", rep.betti[int(deg)] == want,
-                  str(rep.betti[int(deg)]))
+                  lambda: str(rep.betti[int(deg)]))
         for deg, reps in sorted(exp.get("betti_reps", {}).items()):
             got = [r.render() for r in rep.representatives[int(deg)]]
-            check(f"H^{deg} representatives = {reps}", got == reps, str(got))
+            check(f"H^{deg} representatives = {reps}", got == reps, lambda: str(got))
 
     if "conformal_couple" in exp:
         verdict("conformal_couple", "conformal symplectic couple",
@@ -1064,17 +1065,17 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         rep = family_volume(ctx.family)
         want = parse_scalar_expr(exp["volume"])
         check(f"omega1^2 ^ eta = ({exp['volume']}) e12345", rep.coefficient == want,
-              rep.coefficient.render())
+              rep.coefficient.render)
         for interval, sign in sorted(exp.get("volume_signs", {}).items()):
             got = dict(rep.interval_signs).get(interval)
-            check(f"orientation on {interval}: {sign:+d}", got == sign, str(got))
+            check(f"orientation on {interval}: {sign:+d}", got == sign, lambda: str(got))
 
     if "sun_valid" in exp:
         rep = verdict("sun_valid", "su(n) validation", validate_sun(ctx.sun), show=True)
         if "volume_ratio" in exp:
             ratio = rep.value("psi+ ^ psi- proportionality constant")
             check(f"psi+ ^ psi- = ({exp['volume_ratio']}) F^n",
-                  ratio == F(exp["volume_ratio"]), str(ratio))
+                  ratio == F(exp["volume_ratio"]), lambda: str(ratio))
     if "balanced_sun" in exp:
         rep = verdict("balanced_sun", "balanced (dF^{n-1} = dpsi = 0)", is_balanced_sun(ctx.sun),
                       show=True)
@@ -1099,7 +1100,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
             if f"{i},{j}" in exp["connection"]:
                 same(f"omega^{i}_{j}", sheet.omega(i, j), exp["connection"][f"{i},{j}"])
             elif exp.get("connection_complete") and not sheet.omega(i, j).is_zero():
-                check(f"omega^{i}_{j} = 0", False, sheet.omega(i, j).render())
+                check(f"omega^{i}_{j} = 0", False, sheet.omega(i, j).render)
         check("first Cartan structure equation",
               all(r.is_zero() for r in sheet.cartan_residuals()))
         check("connection preserves J", sheet.preserves_j())
@@ -1110,7 +1111,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         forms = [curv.omega_form(i, j) for i, j in pairs]
         rank = span_rank([f for f in forms if not f.is_zero()]).rank
         check(f"independent curvature forms: {exp['curvature_rank']}",
-              rank == exp["curvature_rank"], str(rank))
+              rank == exp["curvature_rank"], lambda: str(rank))
     for key, expr in sorted(exp.get("nabla", {}).items()):
         direction, pair = key.split("|")
         i, j = (int(x) for x in pair.split(","))
@@ -1119,18 +1120,18 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
     if "holonomy_dim" in exp:
         rep = holonomy_algebra(sheet, curv)
         check(f"holonomy dimension = {exp['holonomy_dim']}",
-              rep.span_dimension == exp["holonomy_dim"], rep.render())
+              rep.span_dimension == exp["holonomy_dim"], rep.render)
         if "holonomy_generations" in exp:
             check(f"generation dimensions = {exp['holonomy_generations']}",
                   list(rep.generation_dimensions) == exp["holonomy_generations"],
-                  str(list(rep.generation_dimensions)))
+                  lambda: str(list(rep.generation_dimensions)))
         if "su_n" in exp:
             check(f"contained in su({n // 2}) = {exp['su_n']}",
                   rep.contained_in_su_n == exp["su_n"])
         if "stabilized" in exp:
             check(f"stabilized at order {exp['stabilized']}",
                   rep.stabilized_at_order == exp["stabilized"],
-                  str(rep.stabilized_at_order))
+                  lambda: str(rep.stabilized_at_order))
     if "basis_change" in exp:
         bc = sf.basis_change
         rep = verdict("basis_change", "basis change reaches the target equations exactly",
@@ -1140,7 +1141,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
     if "restrictions_balanced" in exp:
         admissible = restrictable_directions(ctx.sun)
         check(f"admissible restriction directions = {exp['restrictions_balanced']}",
-              admissible == exp["restrictions_balanced"], str(admissible))
+              admissible == exp["restrictions_balanced"], lambda: str(admissible))
         for k in admissible:
             unit = [1 if i == k - 1 else 0 for i in range(n)]
             restricted = restrict_to_hypersurface(ctx.sun, unit)

@@ -442,17 +442,20 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     basis: list[list[list[int]]] = []
     generations: list[int] = []
 
-    def absorb(mats: list[list[list[int]]]) -> list[list[list[int]]]:
-        grew = [mat for mat in mats if insert_echelon_row(
-            echelon, pivots, {r: v for r, i, j in upper if (v := mat[i][j])})]
+    def absorb(products: list[list[list[int]]]) -> list[list[list[int]]]:
+        grew = [[[p[i][j] - p[j][i] for j in range(n)] for i in range(n)] for p in products
+                if insert_echelon_row(echelon, pivots,
+                                      {r: v for r, i, j in upper if (v := p[i][j] - p[j][i])})]
         basis.extend(grew)
         generations.append(len(basis))
         return grew
 
-    new = absorb(curvatures)
+    # absorb keeps P - P^T for each P that grows the span; P is X's upper triangle or Lambda X
+    new = absorb([[[v if i < j else 0 for j, v in enumerate(row)] for i, row in enumerate(mat)]
+                  for mat in curvatures])
     stabilized: int | None = None
     for order in range(1, max_order + 1):
-        new = absorb([_bracket(entries, mat, n) for mat in new for entries in directions])
+        new = absorb([_product(entries, mat, n) for mat in new for entries in directions])
         if not new:
             stabilized = order - 1
             break
@@ -460,6 +463,5 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     j_entries = _nonzero_entries(_integral(sheet.frame.J.as_fraction_matrix()))
     in_u = not any(any(row) for mat in basis for row in _bracket(j_entries, mat, n))
     in_su = in_u and all(sum(v * mat[r][i] for i, r, v in j_entries) == 0 for mat in basis)
-    frozen = tuple(tuple(tuple(row) for row in mat) for mat in basis)
-    return HolonomyReport(len(basis), tuple(generations), frozen, in_u, in_su,
-                          stabilized)
+    frozen = tuple(tuple(map(tuple, mat)) for mat in basis)
+    return HolonomyReport(len(basis), tuple(generations), frozen, in_u, in_su, stabilized)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 import lieforms
 from lieforms import algebras, exterior, scalars
-from lieforms._linalg import scalar_matrix_determinant
+from lieforms._linalg import fraction_nullspace, insert_echelon_row, scalar_matrix_determinant
 from lieforms.algebras import (
+    CohomologyReport,
     LieAlgebra,
     ParseError,
     _d_columns,
@@ -544,12 +545,18 @@ def pairs_perfectly(reps, n):
     return True
 
 
-def test_cohomology_representatives_satisfy_poincare_duality():
+def duality_algebras():
+    """The Lie algebras of the catalog and of its SU(n) entries rotated at seeds 1 and 7."""
     texts = [e.payload for e in catalog_manifest()] + [
         rotated_file(lieforms, e, random.Random(seed))
         for seed in (1, 7) for e in sun_entries(lieforms)]
     algs = [a for a in (parse_equations(t).algebra for t in texts) if check_jacobi(a).passed]
     assert len(algs) == 21 + 24
+    return algs
+
+
+def test_cohomology_representatives_satisfy_poincare_duality():
+    algs = duality_algebras()
     broken = 0
     for alg in algs:
         n, reps = alg.dimension, list(ce_cohomology(alg).representatives)
@@ -562,6 +569,66 @@ def test_cohomology_representatives_satisfy_poincare_duality():
             assert not pairs_perfectly(reps, n)
             broken += 1
     assert broken == len(algs) - 1  # all but the abelian circle-eps0
+
+
+def ce_cohomology_oracle(algebra, max_degree=None):
+    """The representatives chosen by inserting every kernel vector, as a Fraction
+    row, into the echelon of all the coboundaries d e^J: the elimination that
+    ``ce_cohomology`` replaced by reading the classes from pivot columns."""
+    n = algebra.dimension
+    top = n if max_degree is None else min(max_degree, n)
+    tables = _d_columns(algebra, top)
+    reps = []
+    for k in range(top + 1):
+        rows = [{} for _ in range(math.comb(n, k + 1))]
+        for c, col in enumerate(tables[k]):
+            for r, v in col.items():
+                rows[r][c] = v
+        echelon, pivots = [], []
+        for img in tables[k - 1] if k else ():
+            insert_echelon_row(echelon, pivots, img)
+        basis = list(itertools.combinations(range(1, n + 1), k))
+        reps.append(tuple(Form(n, k, {basis[i]: Scalar.rational(c) for i, c in vec.items()})
+                          for vec in fraction_nullspace(rows, len(tables[k]))
+                          if insert_echelon_row(echelon, pivots, vec)))
+    return CohomologyReport(tuple(map(len, reps)), tuple(reps))
+
+
+def random_solvable(rng, n):
+    """d e1 = 0 and d e^i a sum of at most two random rational multiples of e^ab,
+    a < b <= i and a < i: triangular, so solvable once the Jacobi identity holds."""
+    diffs = [Form.zero(n, 2)]
+    for i in range(2, n + 1):
+        pairs = [(a, b) for a, b in itertools.combinations(range(1, i + 1), 2) if a < i]
+        diffs.append(Form.from_terms(n, 2, [
+            (ab, F(rng.randint(-3, 3), rng.randint(1, 3)))
+            for ab in rng.sample(pairs, min(len(pairs), rng.randint(0, 2)))]))
+    return LieAlgebra(n, tuple(diffs))
+
+
+def random_solvable_algebras(count, seed=0):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        alg = random_solvable(rng, rng.randint(3, 7))
+        if check_jacobi(alg).passed and any(not d.is_zero() for d in alg.differentials):
+            out.append(alg)
+    return out
+
+
+def test_cohomology_matches_the_coboundary_insertion_oracle():
+    # the oracle's degree k reads only d_{k-1} and d_k, so its full report truncates
+    # to every max_degree; the dense 8d two-step algebras run the low degrees only
+    swept = duality_algebras() + random_solvable_algebras(60)
+    assert {a.dimension for a in swept} == set(range(3, 9))
+    cases = [(alg, range(alg.dimension)) for alg in swept]  # top n runs as None
+    cases += [(two_step_nilpotent(seed), range(4)) for seed in range(40)]
+    for alg, tops in cases:
+        want = ce_cohomology_oracle(alg)
+        for top in (None, *tops):
+            end = None if top is None else top + 1
+            assert ce_cohomology(alg, top) == CohomologyReport(
+                want.betti[:end], want.representatives[:end]), (alg.name, top)
 
 
 # ---------------------------------------------------------------------------
@@ -709,6 +776,30 @@ def test_check_jacobi_reads_one_d_table(monkeypatch):
     assert dict(check_jacobi(bad).residuals) == {"d^2 e5": Form.from_terms(5, 3, [((1, 2, 3), -1)])}
     assert check_jacobi(SOLVABLE).passed
     assert built == [bad, SOLVABLE]
+
+
+@pytest.mark.parametrize("name, calls", [("ex4.3", 351), ("ex4.4-c1", 375)])
+def test_cohomology_eliminates_on_integers_once_per_row(monkeypatch, name, calls):
+    alg = parse_equations(get_entry(name).payload).algebra
+    n = alg.dimension
+    ranks = []
+    for columns in _d_columns(alg, n):
+        echelon, pivots = [], []
+        ranks.append(sum(insert_echelon_row(echelon, pivots, col) for col in columns))
+    rows = []
+
+    def counting(echelon, pivots, row, _fn=insert_echelon_row):
+        rows.append(row)
+        return _fn(echelon, pivots, row)
+
+    monkeypatch.setattr(lieforms._linalg, "insert_echelon_row", counting)
+    monkeypatch.setattr(algebras, "_insert_row", counting)
+    rep = ce_cohomology(alg)
+    # the C(n, k+1) rows of each d_k in its kernel, then one coboundary per rank of d_{k-1}
+    assert len(rows) == calls == sum(math.comb(n, k + 1) for k in range(n + 1)) + sum(ranks)
+    assert all(type(v) is int for row in rows for v in row.values())
+    assert rep.betti == tuple(math.comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0)
+                              for k in range(n + 1))
 
 
 def test_cohomology_reads_d_squared_from_its_tables(monkeypatch):

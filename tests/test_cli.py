@@ -304,6 +304,20 @@ def test_catalog_runs_each_report_at_most_once_per_entry(monkeypatch):
     assert set(reached) == set(ONCE_PER_ENTRY)
 
 
+def test_passing_catalog_entries_render_no_failure_details(monkeypatch):
+    entries = catalog.catalog_manifest()
+    renders = Counter()
+    for cls in (lieforms.exterior.Form, lieforms.exterior.Report, connection.HolonomyReport):
+        def counted(self, _fn=cls.render, _name=cls.__name__):
+            renders[_name] += 1
+            return _fn(self)
+        monkeypatch.setattr(cls, "render", counted)
+    assert all(catalog.run_entry(entry).passed for entry in entries)
+    # only the H^k representatives that are compared as text get rendered
+    assert renders == Counter(Form=sum(len(reps) for entry in entries
+                                       for reps in entry.expected.get("betti_reps", {}).values()))
+
+
 def test_catalog_list_has_all_entries():
     code, out = run_cli(["catalog", "list"])
     assert code == 0

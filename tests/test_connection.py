@@ -12,11 +12,14 @@ from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.connection import (
     CurvatureSheet,
+    HolonomyReport,
     MetricFrame,
     bismut_connection,
+    _bracket,
     _denominator,
     _direction,
     _integral,
+    _nonzero_entries,
     _reduced,
     connection_from_cartan,
     curvature,
@@ -556,6 +559,52 @@ def test_holonomy_generations_match_tensor_derivatives_slow_growth():
     curv = curvature(sheet)
     assert holonomy_algebra(sheet, curv).generation_dimensions == (8, 14, 15, 15)
     assert_generations_match_tensor_spans(sheet, curv, order=3)
+
+
+def holonomy_algebra_oracle(sheet, curv, max_order=6):
+    """Kostant's iteration with every bracket [Lambda, X] built as a full skew
+    matrix before the echelon is asked whether it grows the span."""
+    n = sheet.frame.algebra.dimension
+    upper = [(r, i, j) for r, (i, j) in enumerate(itertools.combinations(range(n), 2))]
+    lams = [_integral(_direction(sheet.gamma, m)) for m in range(n)]
+    directions = [entries for entries in map(_nonzero_entries, lams) if entries]
+    echelon, pivots, basis, generations = [], [], [], []
+
+    def absorb(mats):
+        grew = [mat for mat in mats if insert_echelon_row(
+            echelon, pivots, {r: v for r, i, j in upper if (v := mat[i][j])})]
+        basis.extend(grew)
+        generations.append(len(basis))
+        return grew
+
+    new = absorb([_reduced(curv.den, [mat])[1][0] for _, mat in sorted(curv.matrices.items())])
+    stabilized = None
+    for order in range(1, max_order + 1):
+        new = absorb([_bracket(entries, mat, n) for mat in new for entries in directions])
+        if not new:
+            stabilized = order - 1
+            break
+    j_entries = _nonzero_entries(_integral(sheet.frame.J.as_fraction_matrix()))
+    in_u = not any(any(row) for mat in basis for row in _bracket(j_entries, mat, n))
+    in_su = in_u and all(sum(v * mat[r][i] for i, r, v in j_entries) == 0 for mat in basis)
+    return HolonomyReport(len(basis), tuple(generations),
+                          tuple(tuple(tuple(row) for row in mat) for mat in basis),
+                          in_u, in_su, stabilized)
+
+
+def test_holonomy_matches_the_full_bracket_oracle():
+    sheets = [(name, catalog_sheet(name)[0]) for name in HOLONOMY_ENTRIES]
+    sheets += [("slow growth", slow_growth_sheet()), ("non-unit", non_unit_sheet())]
+    sheets += [*rotated_sheets(1), *rotated_sheets(7)]
+    assert len(sheets) == 38
+    for name, sheet in sheets:
+        curv = curvature(sheet)
+        assert holonomy_algebra(sheet, curv) == holonomy_algebra_oracle(sheet, curv), name
+    # generations 8, 14, 15, 15: cut off before, at and after the span stops growing
+    sheet = slow_growth_sheet()
+    curv = curvature(sheet)
+    for order in range(5):
+        assert holonomy_algebra(sheet, curv, order) == holonomy_algebra_oracle(sheet, curv, order)
 
 
 def test_holonomy_rejects_non_metric_connection():

@@ -138,10 +138,11 @@ def test_insert_echelon_row_matches_fraction_gauss(rational):
 
 def gauss_jordan_nullspace(columns, rows):
     """The rational Gauss-Jordan kernel that ``fraction_nullspace`` replaced,
-    with its entries read as ``Fraction`` so that ``int`` input works too."""
+    with its entries read as ``Fraction`` so that ``int`` input works too, as
+    {free column: kernel vector}."""
     ncols = len(columns)
     if ncols == 0:
-        return []
+        return {}
     mat = [[Fraction(columns[c][r]) for c in range(ncols)] for r in range(rows)]
     pivot_of_col = {}
     rank = 0
@@ -158,7 +159,7 @@ def gauss_jordan_nullspace(columns, rows):
                 mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
         pivot_of_col[c] = rank
         rank += 1
-    out = []
+    out = {}
     for free in range(ncols):
         if free in pivot_of_col:
             continue
@@ -166,7 +167,7 @@ def gauss_jordan_nullspace(columns, rows):
         vec[free] = Fraction(1)
         for c, r in pivot_of_col.items():
             vec[c] = -mat[r][free]
-        out.append(vec)
+        out[free] = vec
     return out
 
 
@@ -184,7 +185,12 @@ def test_fraction_nullspace_matches_gauss_jordan(rational):
                                    ncols)
         assert all(type(v) is Fraction and v for vec in found for v in vec.values())
         kernel = [dense(vec, ncols, Fraction(0)) for vec in found]
-        assert kernel == gauss_jordan_nullspace(columns, nrows)
+        want = gauss_jordan_nullspace(columns, nrows)
+        assert kernel == list(want.values())
+        # each vector leads at its free column and is 0 at the other free columns
+        assert [max(vec) for vec in found] == list(want)
+        for f, vec in zip(want, found):
+            assert vec[f] == 1 and not any(vec.get(g) for g in want if g != f)
         rank = sum(fraction_gauss([[col[r] for col in columns] for r in range(nrows)])[0])
         assert len(kernel) == len(columns) - rank
         for vec in kernel:
