@@ -225,19 +225,47 @@ def _lift(value: Value) -> Value:
     return Scalar.rational(value) if isinstance(value, _RATIONAL) else value
 
 
+def _private(value: Value) -> Value:
+    """A copy the caller may change: a _Sum is changed in place, the others never."""
+    return _Sum(value.dimension, value.degree, value) if isinstance(value, _Sum) else value
+
+
+def _shareable_groups(tokens) -> dict[int, tuple[str, ...]]:
+    """The index of each '(' whose group closes and names nothing but t, dt
+    and generators, mapped to the texts of the tokens before its ')'."""
+    texts = tuple(tok[1] for tok in tokens)
+    opens, named, out = [], 0, {}  # opens: (index of '(', names seen before it)
+    for i, (kind, text, _) in enumerate(tokens):
+        if text == "(":
+            opens.append((i, named))
+        elif text == ")" and opens:
+            start, before = opens.pop()
+            if named == before:
+                out[start] = texts[start + 1:i]
+        elif kind == "name" and text not in ("t", "dt") and not _ETOKEN_RE.match(text):
+            named += 1  # a name may be reassigned by a later line
+    return out
+
+
 class _ExprParser:
-    """Pratt parser over a token list producing rational, Scalar or _Sum values."""
+    """Pratt parser over a token list producing rational, Scalar or _Sum values.
+
+    ``groups`` maps (dimension, allow_dt, param_allowed, token texts) of a
+    shareable parenthesized group to its value and to the nesting levels its
+    parse took, for every expression parsed with the same dict."""
 
     def __init__(self, tokens, lineno: int, dimension: int, env: dict[str, Value],
-                 allow_dt: bool, param_allowed: bool):
+                 allow_dt: bool, param_allowed: bool, groups: dict):
         self.tokens = tokens
         self.lineno = lineno
         self.pos = 0
-        self.depth = 0
+        self.depth = self.peak = 0
         self.dimension = dimension
         self.env = env
         self.allow_dt = allow_dt
         self.param_allowed = param_allowed
+        self.groups = groups
+        self.shareable: dict | None = None  # made at the first '('
 
     def error(self, message: str):
         raise ParseError(message, self.lineno, self.tokens[self.pos][2])
@@ -257,6 +285,8 @@ class _ExprParser:
         if self.depth == MAX_NESTING:
             self.error(f"expressions nest at most {MAX_NESTING} levels deep")
         self.depth += 1
+        if self.depth > self.peak:
+            self.peak = self.depth
         value = self.atom()
         while True:
             kind, op, col = self.tokens[self.pos]
@@ -292,12 +322,7 @@ class _ExprParser:
             self.pos += 1
             return int(text)
         if kind == "op" and text == "(":
-            self.pos += 1
-            value = self.expression(0)
-            if self.tokens[self.pos][1] != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return value
+            return self.group()
         if kind == "name":
             self.pos += 1
             if text == "t":
@@ -321,9 +346,33 @@ class _ExprParser:
             self.error(f"unknown name {text!r}")
         self.error(f"unexpected token {text!r}")
 
+    def group(self) -> Value:
+        """A parenthesized expression.  A shareable group already in ``groups``
+        is skipped and a private copy of its value returned, unless its levels
+        would pass MAX_NESTING here: then it is parsed again, to raise as before."""
+        if self.shareable is None:
+            self.shareable = _shareable_groups(self.tokens)
+        texts = self.shareable.get(self.pos)
+        key = texts is not None and (self.dimension, self.allow_dt, self.param_allowed, texts)
+        hit = self.groups.get(key)
+        if hit and self.depth + hit[1] <= MAX_NESTING:
+            self.pos += len(texts) + 2
+            self.peak = max(self.peak, self.depth + hit[1])
+            return _private(hit[0])
+        outer, self.peak = self.peak, self.depth
+        self.pos += 1
+        value = self.expression(0)
+        if self.tokens[self.pos][1] != ")":
+            self.error("expected ')'")
+        self.pos += 1
+        if key:
+            self.groups[key] = (_private(value), self.peak - self.depth)
+        self.peak = max(self.peak, outer)
+        return value
+
     def combine_add(self, a: Value, b: Value, op: str) -> Value:
         if isinstance(a, _Sum) and isinstance(b, _Sum):
-            return a.merge(b if op == "+" else -b)
+            return a.merge(b, 1 if op == "+" else -1)
         # allow `form + 0` style mixing only through explicit zeros
         if isinstance(a, _Sum) and not b:
             return a
@@ -387,11 +436,14 @@ def parse_scalar_expr(text: str, lineno: int = 1) -> Scalar:
     return value
 
 
-def _parse_expr(text: str, dimension: int, env, allow_dt, param_allowed, lineno, col=1):
+def _parse_expr(text: str, dimension: int, env, allow_dt, param_allowed, lineno, col=1,
+                groups: dict | None = None):
+    """One right-hand side; ``groups`` is shared by the expressions of one file."""
     tokens = _tokenize(text, lineno, col)
     if not tokens:
         raise ParseError("empty expression", lineno, col)
-    parser = _ExprParser(tokens, lineno, dimension, env or {}, allow_dt, param_allowed)
+    parser = _ExprParser(tokens, lineno, dimension, env or {}, allow_dt, param_allowed,
+                         {} if groups is None else groups)
     return _lift(parser.parse())
 
 
@@ -454,6 +506,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     family_lines: list[tuple[str, str, int, int]] = []
     basis_lines: list[tuple[str, str, int, int]] = []
     theta_text: tuple[str, int] | None = None
+    groups: dict = {}  # parenthesized groups shared by every expression of this file
 
     for lineno, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0]
@@ -518,7 +571,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
         for k in range(1, dim + 1):
             if k in raw_diffs:
                 rhs, lineno, col = raw_diffs[k]
-                value = _parse_expr(rhs, dim, {}, False, True, lineno, col)
+                value = _parse_expr(rhs, dim, {}, False, True, lineno, col, groups)
                 if isinstance(value, Scalar):
                     if not value.is_zero():
                         raise ParseError("a differential must be a 2-form or 0", lineno, col)
@@ -539,9 +592,9 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
 
     for key, rhs, lineno, col in structure_lines:
         if key == "J":
-            out.coframe_map = _parse_j_line(rhs, n, lineno, col)
+            out.coframe_map = _parse_j_line(rhs, n, lineno, col, groups)
             continue
-        value = _parse_expr(rhs, n, env, False, True, lineno, col)
+        value = _parse_expr(rhs, n, env, False, True, lineno, col, groups)
         env[key] = value
         if isinstance(value, Form):
             out.forms[key] = value
@@ -559,7 +612,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             elif key == "domain":
                 fam.domain = _parse_domain(rhs, lineno)
             else:
-                value = _parse_expr(rhs, n + 1, fam_env, True, True, lineno, col)
+                value = _parse_expr(rhs, n + 1, fam_env, True, True, lineno, col, groups)
                 if not isinstance(value, Form):
                     raise ParseError(f"{key} must be a form", lineno, col)
                 fam_env[key] = value
@@ -576,7 +629,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             m = _ROW_KEY_RE.match(key)
             if not m:
                 raise ParseError(f"basis change rows are f1..f{n}, got {key!r}", lineno, 1)
-            value = _parse_expr(rhs, n, {}, False, True, lineno, col)
+            value = _parse_expr(rhs, n, {}, False, True, lineno, col, groups)
             if not isinstance(value, Form) or value.degree != 1:
                 raise ParseError(f"{key} must be a 1-form", lineno, col)
             rows[int(m.group(1))] = [value.coefficient((j,)) for j in range(1, n + 1)]
@@ -589,7 +642,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     return out
 
 
-def _parse_j_line(line: str, dimension: int, lineno: int, col: int) -> CoframeMap:
+def _parse_j_line(line: str, dimension: int, lineno: int, col: int, groups: dict) -> CoframeMap:
     head = re.match(r"J\s*:", line)
     if not head:
         raise ParseError("expected 'J:'", lineno, col)
@@ -606,7 +659,7 @@ def _parse_j_line(line: str, dimension: int, lineno: int, col: int) -> CoframeMa
                              start + len(lhs) - len(lhs.lstrip()))
         i = int(m.group(1))
         rhs_col = start + len(lhs) + 2 + len(rhs) - len(rhs.lstrip())
-        image = _parse_expr(rhs.strip(), dimension, {}, False, True, lineno, rhs_col)
+        image = _parse_expr(rhs.strip(), dimension, {}, False, True, lineno, rhs_col, groups)
         if not isinstance(image, Form) or image.degree != 1:
             raise ParseError(f"J must map generators to 1-forms: {chunk!r}", lineno, rhs_col)
         rows[i] = image

@@ -105,7 +105,7 @@ class Form:
             sign, idx = sort_index(indices)
             if sign:
                 c = _part(value) if isinstance(value, Scalar) else value
-                out.merge(_Sum(dimension, degree, {idx: c if sign > 0 else -c}))
+                out.merge(_Sum(dimension, degree, {idx: c}), sign)
         return out.form()
 
     @staticmethod
@@ -263,21 +263,24 @@ class _Sum(dict):
             product = -product
         self[idx] = self[idx] + product if idx in self else product
 
-    def merge(self, other: _Sum) -> _Sum:
-        """self + other, in place.  As in Form.__add__, an index whose sum is
-        0 leaves at once, so a later term re-enters it at the end."""
+    def merge(self, other: _Sum, sign: int = 1) -> _Sum:
+        """self + sign*other, in place.  As in Form.__add__, an index whose sum
+        is 0 leaves at once, so a later term re-enters it at the end."""
         _check_shapes(self, other)
         for idx, c in other.items():
-            self.add(idx, 1, c)
+            self.add(idx, sign, c)
             if not self[idx]:
                 del self[idx]
         return self
 
     def scale(self, factor: int | Fraction | Scalar) -> _Sum:
-        """factor * self, in place; a zero factor leaves no index."""
+        """factor * self, in place; a zero factor leaves no index, and a unit
+        entry (rational +-1) takes factor or -factor with no product."""
         if not factor:
             self.clear()
-        self.update({idx: factor * c for idx, c in self.items()})
+        for idx, c in self.items():
+            unit = isinstance(c, (int, Fraction)) and c in (1, -1)
+            self[idx] = (factor if c > 0 else -factor) if unit else factor * c
         return self
 
     def __neg__(self) -> _Sum:

@@ -580,7 +580,7 @@ class Scalar:
                 if bval < 0:
                     if exp.denominator % 2 == 0:
                         raise ScalarDomainError(
-                            f"negative base ({a}+{b}*t) at t = {t0} under an "
+                            f"negative base {_render_linear(a, b)} at t = {t0} under an "
                             f"even-denominator exponent {exp}"
                         )
                     sign = -1.0 if exp.numerator % 2 else 1.0

@@ -755,3 +755,10 @@ def test_trial_division_stops_at_its_bound():
     half = F(1, 2)
     assert parse_scalar_expr("(999983*999979)^(1/2)") == (
         Scalar.rational(999983).rational_power(half) * Scalar.rational(999979).rational_power(half))
+
+
+def test_domain_error_renders_the_base_as_the_scalar_does():
+    with pytest.raises(ScalarDomainError) as exc:
+        parse_scalar_expr("(1-t)^(1/2)").evaluate_float(3)
+    assert str(exc.value) == ("negative base (1-t) at t = 3 under an even-denominator "
+                              "exponent 1/2")
