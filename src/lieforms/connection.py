@@ -11,9 +11,10 @@ independent code paths (Koszul plus torsion correction, and the closed-form
 solution of the first Cartan structure equation with prescribed skew torsion)
 must agree on every input.
 
-The connection, nabla J = 0, the Cartan residual check, the curvature and the
-holonomy tests are computed on int tables: each reads the rational table it
-needs and scales it by the lcm of its denominators.  Curvature comes from the
+A ConnectionSheet holds den, the lcm of the denominators of G, and the int
+matrices lams[m] = den*Lambda_m of Lambda_m = nabla_{e_m}, which nabla J = 0,
+the Cartan residual check and the curvature read directly; holonomy and nabla R
+divide one direction by its gcd with den.  Curvature comes from the
 matrix identity R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m
 with Lambda_m = nabla_{e_m}, the second Cartan structure equation in matrix
 form.  It keeps its int matrices den*R, which holonomy and nabla R read
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 Matrix = list[list[Fraction]]
-_ZERO = Fraction(0)
 
 
 @dataclass
@@ -84,24 +84,44 @@ class MetricFrame:
             raise ValueError("J must preserve the frame metric")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectionSheet:
+    """A metric connection as the int matrices den*Lambda_m, built by ``from_table``."""
+
     frame: MetricFrame
-    gamma: list[list[list[Fraction]]]       # gamma[i][j][k]: nabla_{e_k} e_j ~ e_i
+    den: int                                # the lcm of the denominators of G
+    lams: tuple[tuple[tuple[int, ...], ...], ...]  # lams[m][i][j] = den*G[i][j][m]
     torsion: Form | None                    # None for torsion-free
     torsion_components: dict[tuple[int, int, int], Fraction]
 
+    @classmethod
+    def from_table(cls, frame: MetricFrame, den: int, table: list[list[list[int]]],
+                   torsion: Form | None, components: dict) -> ConnectionSheet:
+        """The sheet of G = table/den, with table[i][j][k] laid out as gamma."""
+        g = gcd(den, *(v for plane in table for row in plane for v in row))
+        lams = tuple(tuple(tuple(row[m] // g for row in plane) for plane in table)
+                     for m in range(len(table)))
+        return cls(frame, den // g, lams, torsion, dict(components))
+
+    @cached_property
+    def gamma(self) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+        """gamma[i][j][k]: nabla_{e_k} e_j ~ e_i, a read-only rational view."""
+        n = len(self.lams)
+        return tuple(tuple(tuple(Fraction(lam[i][j], self.den) for lam in self.lams)
+                           for j in range(n)) for i in range(n))
+
     def omega(self, i: int, j: int) -> Form:
         """Connection 1-form omega^i_j (1-based indices)."""
-        row = self.gamma[i - 1][j - 1]
-        return Form(len(row), 1, {(k + 1,): Scalar.rational(q) for k, q in enumerate(row) if q})
+        coeffs = [lam[i - 1][j - 1] for lam in self.lams]
+        return Form(len(coeffs), 1, {(k + 1,): Scalar.rational(Fraction(v, self.den))
+                                     for k, v in enumerate(coeffs) if v})
 
     def cartan_residuals(self) -> list[Form]:
         """de^i + sum_j omega^i_j ^ e^j - tau^i, all of which must vanish.  The e^ab
         coefficient (a < b), de^i_ab + G[i][b][a] - G[i][a][b] - T_iab, is summed as an
-        int over s*S from s*Lambda and S*(de - T), with Lambda read from gamma on every call."""
+        int over s*S from s*Lambda and S*(de - T), with s = den and s*Lambda = lams."""
         n = self.frame.algebra.dimension
-        s, lams = _directions(self.gamma)
+        s, lams = self.den, self.lams
         big_s, dval = _structure_table(self.frame.algebra, self.torsion_components)
         out = []
         for i, plane in enumerate(dval):
@@ -122,7 +142,7 @@ class ConnectionSheet:
         jm = _integral(self.frame.J.as_fraction_matrix())
         j_entries = _nonzero_entries(jm)
         return all(_product(j_entries, lam, n) == _product(_nonzero_entries(lam), jm, n)
-                   for lam in _directions(self.gamma)[1])
+                   for lam in self.lams)
 
     def render(self) -> str:
         n = self.frame.algebra.dimension
@@ -146,17 +166,13 @@ def torsion_form(frame: MetricFrame, kaehler_form: Form) -> tuple[Form, dict]:
     return torsion, {idx: coeff.as_fraction() for idx, coeff in torsion.coeffs.items()}
 
 
-def _fractions(table: list[list[list[int]]], den: int) -> list[list[list[Fraction]]]:
-    return [[[Fraction(v, den) if v else _ZERO for v in row] for row in plane]
-            for plane in table]
-
-
 def _koszul(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[int]]]]:
     """2S and 2S times the Koszul table plus half the torsion T_{kji}, read from
     the structure constants; S is the lcm of all their and T's denominators."""
     n = frame.algebra.dimension
     c = frame.algebra.structure_constants()
-    s = lcm(_denominator(c), *(q.denominator for q in components.values()))
+    s = lcm(*(q.denominator for plane in c for row in plane for q in row),
+            *(q.denominator for q in components.values()))
     c = [_integral(plane, s) for plane in c]
     table = [[[c[k][j][i] - c[j][i][k] + c[i][k][j] for k in range(n)] for j in range(n)]
              for i in range(n)]
@@ -172,7 +188,7 @@ def _koszul(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[i
 def levi_civita(frame: MetricFrame) -> ConnectionSheet:
     """Koszul formula in an orthonormal left-invariant frame."""
     den, table = _koszul(frame, {})
-    return ConnectionSheet(frame, _fractions(table, den), None, {})
+    return ConnectionSheet.from_table(frame, den, table, None, {})
 
 
 def bismut_connection(frame: MetricFrame, kaehler_form: Form) -> ConnectionSheet:
@@ -186,7 +202,7 @@ def bismut_connection(frame: MetricFrame, kaehler_form: Form) -> ConnectionSheet
            for krow, crow in zip(kplane, cplane) for v, w in zip(krow, crow)):
         raise AssertionError(
             "Koszul-plus-torsion and Cartan-solution connection paths disagree")
-    return ConnectionSheet(frame, _fractions(koszul, den), torsion, components)
+    return ConnectionSheet.from_table(frame, den, koszul, torsion, components)
 
 
 def _differential_terms(algebra: LieAlgebra, denominators=()
@@ -231,7 +247,7 @@ def connection_from_cartan(frame: MetricFrame, components: dict,
     gamma^i_{jk} = (D_{ijk} + D_{jki} - D_{kij}) / 2.
     """
     den, table = _cartan(frame, components)
-    return ConnectionSheet(frame, _fractions(table, den), torsion, dict(components))
+    return ConnectionSheet.from_table(frame, den, table, torsion, components)
 
 
 @dataclass
@@ -281,7 +297,7 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
     """
     frame = sheet.frame
     n = frame.algebra.dimension
-    s, lams = _directions(sheet.gamma)
+    s, lams = sheet.den, sheet.lams
     big_s, terms = _differential_terms(frame.algebra)
     de: dict[tuple[int, int], list] = {}  # (k, l): [(s*S*de^m(e_k, e_l), s*Lambda_m)]
     for m, k, l, v in terms:
@@ -343,10 +359,10 @@ def nabla_matrices(sheet: ConnectionSheet, curv: CurvatureSheet,
     with Lambda_m = nabla_{e_m}, on int matrices s*Lambda_m and r*R.
     """
     n = sheet.frame.algebra.dimension
-    lam = _direction(sheet.gamma, direction - 1)
+    if not 1 <= direction <= n:
+        raise ValueError(f"the direction must be in 1..{n}, got {direction}")
     r, mats = curv.scaled_tensor
-    s = _denominator([lam])
-    lam = _integral(lam, s)
+    s, (lam,) = _reduced(sheet.den, [sheet.lams[direction - 1]])
     entries = _nonzero_entries(lam)
     zero = [[0] * n for _ in range(n)]
     coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
@@ -381,14 +397,9 @@ class HolonomyReport:
                 f"stabilized at order {stab}")
 
 
-def _denominator(mats) -> int:
-    """The lcm of the denominators of rational matrices."""
-    return lcm(*(x.denominator for mat in mats for row in mat for x in row))
-
-
 def _integral(mat: Matrix, den: int | None = None) -> list[list[int]]:
     """The rational matrix times den, by default the lcm of its denominators."""
-    den = den or _denominator([mat])
+    den = den or lcm(*(x.denominator for row in mat for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
@@ -397,18 +408,6 @@ def _reduced(den: int, mats: list[list[list[int]]]) -> tuple[int, list[list[list
     lcm of their denominators: r = den/g and r*M = mat/g, g = gcd(den, entries)."""
     g = gcd(den, *(v for mat in mats for row in mat for v in row))
     return den // g, [[[v // g for v in row] for row in mat] for mat in mats]
-
-
-def _direction(gamma: list[list[list[Fraction]]], m: int) -> Matrix:
-    """Lambda_m = nabla_{e_m} as the matrix [gamma[i][j][m]] (0-based m)."""
-    return [[g[m] for g in row] for row in gamma]
-
-
-def _directions(gamma: list[list[list[Fraction]]]) -> tuple[int, list[list[list[int]]]]:
-    """s and the int matrices s*Lambda_m, s the lcm of all denominators of gamma."""
-    lams = [_direction(gamma, m) for m in range(len(gamma))]
-    s = _denominator(lams)
-    return s, [_integral(lam, s) for lam in lams]
 
 
 def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
@@ -430,7 +429,7 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
         raise ValueError(f"the maximum order must be nonnegative, got {max_order}")
     n = sheet.frame.algebra.dimension
     upper = [(r, i, j) for r, (i, j) in enumerate(itertools.combinations(range(n), 2))]
-    lams = [_integral(_direction(sheet.gamma, m)) for m in range(n)]
+    lams = [_reduced(sheet.den, [lam])[1][0] for lam in sheet.lams]
     curvatures = [_reduced(curv.den, [mat])[1][0] for _, mat in sorted(curv.matrices.items())]
     if any(mat[i][j] != -mat[j][i] for mat in lams + curvatures
            for i in range(n) for j in range(i, n)):

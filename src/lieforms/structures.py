@@ -93,8 +93,14 @@ class SUnStructure:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.algebra.dimension % 2:
+        dim = self.algebra.dimension
+        if dim % 2:
             raise ValueError("SU(n)-structures live on even-dimensional algebras")
+        for f, deg in ((self.F, 2), (self.psi_plus, dim // 2), (self.psi_minus, dim // 2)):
+            if f.dimension != dim or f.degree != deg:
+                raise ValueError("(F, psi_plus, psi_minus) has wrong degrees or dimension")
+        if self.J.dimension != dim:
+            raise ValueError("J dimension mismatch")
 
     @property
     def n(self) -> int:

@@ -390,6 +390,16 @@ def test_suspend_without_family_is_input_error(tmp_path):
     assert code == 2
 
 
+def test_check_rejects_an_f_that_is_not_a_two_form(tmp_path):
+    payload = catalog.get_entry("thm4.1-I").payload
+    assert "F = e12 + e34 + e56" in payload
+    path = write(tmp_path, "f3.alg", payload.replace("F = e12 + e34 + e56", "F = e123"))
+    for command in (["check", path], ["check", path, "--su3", "--balanced"]):
+        code, out = run_cli(command)
+        assert code == 2, command
+        assert out == "error: (F, psi_plus, psi_minus) has wrong degrees or dimension\n"
+
+
 def test_check_without_structure_is_input_error(tmp_path):
     path = write(tmp_path, "bare.alg", GOOD_ALGEBRA)
     code, out = run_cli(["check", path])

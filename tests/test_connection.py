@@ -1,7 +1,7 @@
-import copy
 import dataclasses
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -11,13 +11,12 @@ from lieforms._linalg import insert_echelon_row
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.connection import (
+    ConnectionSheet,
     CurvatureSheet,
     HolonomyReport,
     MetricFrame,
     bismut_connection,
     _bracket,
-    _denominator,
-    _direction,
     _integral,
     _nonzero_entries,
     _reduced,
@@ -46,6 +45,26 @@ def form(dim, *terms):
 # first Bianchi identity, and the covariant derivatives of the curvature
 # tensor as a holonomy oracle.
 # ---------------------------------------------------------------------------
+
+
+def _denominator(mats):
+    """The lcm of the denominators of rational matrices."""
+    return math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
+
+
+def _direction(gamma, m):
+    """Lambda_m = nabla_{e_m} as the matrix [gamma[i][j][m]] (0-based m)."""
+    return [[g[m] for g in row] for row in gamma]
+
+
+def edited_sheet(sheet, i, j, k, value):
+    """``sheet`` with gamma[i][j][k] set to ``value``, rebuilt through ``from_table``
+    from an edited copy of its rational table."""
+    gamma = [[list(row) for row in plane] for plane in sheet.gamma]
+    gamma[i][j][k] = F(value)
+    den = _denominator(gamma)
+    return ConnectionSheet.from_table(sheet.frame, den, [_integral(plane, den) for plane in gamma],
+                                      sheet.torsion, sheet.torsion_components)
 
 
 def is_metric(sheet):
@@ -204,9 +223,8 @@ def test_levi_civita_satisfies_torsion_free_cartan():
 def test_cartan_residuals_detect_a_perturbed_gamma():
     sheet, _ = catalog_sheet("ex4.3")
     assert all(r.is_zero() for r in sheet.cartan_residuals())
-    gamma = copy.deepcopy(sheet.gamma)
-    gamma[0][1][2] += 1  # omega^1_2 gains e^3, so de^1 + omega^1_j ^ e^j gains -e^23
-    residuals = dataclasses.replace(sheet, gamma=gamma).cartan_residuals()
+    # omega^1_2 gains e^3, so de^1 + omega^1_j ^ e^j gains -e^23
+    residuals = edited_sheet(sheet, 0, 1, 2, sheet.gamma[0][1][2] + 1).cartan_residuals()
     assert residuals[0] == form(sheet.frame.algebra.dimension, ("23", -1))
     assert all(r.is_zero() for r in residuals[1:])
 
@@ -216,9 +234,7 @@ def test_cartan_residuals_match_the_fraction_oracle():
     sheets += [("slow growth", slow_growth_sheet()), ("non-unit", non_unit_sheet()),
                ("Levi-Civita", levi_civita(iwasawa_frame()[0]))]
     ex43 = dict(sheets)["ex4.3"]
-    gamma = copy.deepcopy(ex43.gamma)
-    gamma[0][1][2] += 1
-    sheets.append(("perturbed gamma", dataclasses.replace(ex43, gamma=gamma)))
+    sheets.append(("perturbed gamma", edited_sheet(ex43, 0, 1, 2, ex43.gamma[0][1][2] + 1)))
     bismut = bismut_connection(*iwasawa_frame())
     components = dict(bismut.torsion_components)
     components[(1, 3, 5)] += F(1, 7)
@@ -500,6 +516,14 @@ def test_nabla_matrices_match_first_order_tensor(name):
         assert nabla_matrices(sheet, curv, m) == want, m
 
 
+def test_nabla_matrices_rejects_a_direction_outside_the_frame():
+    sheet, curv = catalog_sheet("ex4.3")
+    n = sheet.frame.algebra.dimension
+    for direction in (0, n + 1):
+        with pytest.raises(ValueError, match=rf"direction must be in 1\.\.{n}, got {direction}"):
+            nabla_matrices(sheet, curv, direction)
+
+
 HOLONOMY_ENTRIES = [e.name for e in catalog_manifest() if "holonomy_dim" in e.expected]
 
 
@@ -611,9 +635,46 @@ def test_holonomy_rejects_non_metric_connection():
     frame, kf = iwasawa_frame()
     sheet = bismut_connection(frame, kf)
     curv = curvature(sheet)
-    sheet.gamma[0][0][0] = F(1)  # nabla_{e_1} e_1 gains an e_1 part: not skew
+    sheet = edited_sheet(sheet, 0, 0, 0, 1)  # nabla_{e_1} e_1 gains an e_1 part: not skew
     with pytest.raises(ValueError, match="metric connection"):
         holonomy_algebra(sheet, curv)
+
+
+def test_connection_layer_reads_its_ints_not_the_gamma_view(monkeypatch):
+    def no_view(self):
+        raise AssertionError("the rational gamma view was read")
+
+    monkeypatch.setattr(ConnectionSheet, "gamma", property(no_view))
+    assert len(HOLONOMY_ENTRIES) == 12
+    for name in HOLONOMY_ENTRIES:
+        sheet, curv = catalog_sheet(name)
+        assert all(r.is_zero() for r in sheet.cartan_residuals()), name
+        assert sheet.preserves_j(), name
+        sheet.render()
+        for m in range(1, sheet.frame.algebra.dimension + 1):
+            nabla_matrices(sheet, curv, m)
+        holonomy_algebra(sheet, curv)
+
+
+def test_from_table_keeps_the_lcm_scaling_and_freezes_the_sheet():
+    sheets = [catalog_sheet(name)[0] for name in HOLONOMY_ENTRIES]
+    sheets += [slow_growth_sheet(), non_unit_sheet(), levi_civita(iwasawa_frame()[0])]
+    for sheet in sheets:
+        n = sheet.frame.algebra.dimension
+        table = [[[lam[i][j] for lam in sheet.lams] for j in range(n)] for i in range(n)]
+        args = (sheet.torsion, sheet.torsion_components)
+        assert ConnectionSheet.from_table(sheet.frame, sheet.den, table, *args) == sheet
+        scaled = [[[6 * v for v in row] for row in plane] for plane in table]
+        assert ConnectionSheet.from_table(sheet.frame, 6 * sheet.den, scaled, *args) == sheet
+        assert sheet.den == _denominator(sheet.gamma)
+        assert all(sheet.gamma[i][j][k] == F(table[i][j][k], sheet.den)
+                   for i in range(n) for j in range(n) for k in range(n))
+    sheet = non_unit_sheet()
+    assert sheet.den > 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sheet.den = 1
+    with pytest.raises(TypeError):
+        sheet.gamma[0][0][0] = F(1)
 
 
 def test_metric_frame_rejects_non_lie_algebra():

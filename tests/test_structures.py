@@ -174,6 +174,17 @@ def test_validate_sun_reversed_f_fails_positivity():
     assert not report.passed
 
 
+def test_sun_structure_rejects_wrong_degrees_and_dimension():
+    s = iwasawa_structure()
+    e123 = form(6, ("123", 1))
+    for bad in (dict(F=e123), dict(psi_plus=s.F), dict(psi_minus=form(5, ("123", 1)))):
+        with pytest.raises(ValueError, match="wrong degrees or dimension"):
+            dataclasses.replace(s, **bad)
+    j4 = CoframeMap.from_rows([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    with pytest.raises(ValueError, match="J dimension mismatch"):
+        dataclasses.replace(s, J=j4)
+
+
 def test_iwasawa_is_balanced_not_kaehler():
     report = is_balanced_sun(iwasawa_structure())
     assert report.passed
