@@ -7,9 +7,9 @@ equations of a Lie algebra (any object exposing ``dimension`` and
 ``differentials``); coefficients are constants on the group, so d never
 differentiates them.  The parameter derivative partial_t acts coefficient-wise.
 
-Products of coefficients are summed in a ``_Sum``: an index's sum stays a
-Fraction while every summand is rational, and one Scalar is made per index at
-the end.
+Products of coefficients are summed in a ``_Sum``: an index's sum stays an
+int or Fraction while every summand is rational, and one Scalar is made per
+index at the end.
 d is one kernel, ``_d_basis``, shared with the cohomology differentials: c e^I
 adds (-1)^p c s e^{ab + I minus i_p} per term s e^{ab} of d e^{i_p}.
 """
@@ -240,9 +240,9 @@ def _coeff_text(coeff: Scalar, token: str) -> tuple[str, bool]:
     return f"{text}*{token}", negative
 
 
-def _part(c: Scalar) -> Fraction | Scalar:
-    """A coefficient as a Fraction when it is rational, else the Scalar itself."""
-    q = c.rational_value()
+def _part(c: Scalar) -> int | Fraction | Scalar:
+    """A coefficient as an int or Fraction when it is rational, else the Scalar."""
+    q = c.rational_number()
     return c if q is None else q
 
 

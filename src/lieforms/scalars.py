@@ -2,22 +2,23 @@
 
 A Scalar is a finite sum of terms
 
-    c * num(t) / prod_j L_j(t) ** m_j  *  prod_i B_i ** r_i
+    n/d * num(t) / prod_j L_j(t) ** m_j  *  prod_i B_i ** (p_i/q_i)
 
-The rational function in front is one RF(c, num, den): c is a nonzero
-Fraction, num a primitive integer polynomial with positive leading
-coefficient, and den the canonical linear bases L_j (primitive integer
+The rational function in front is one RF(n, d, num, den): n/d a nonzero
+reduced int pair with d > 0, num a primitive integer polynomial with positive
+leading coefficient, and den the canonical linear bases L_j (primitive integer
 a + b*t, first nonzero entry positive) with their multiplicities, none of
-which divides num.  So every polynomial operation runs on int coefficients:
-products, exact division by a linear base (integral by Gauss's lemma), and
-the rational-root search, by homogeneous Horner.  A rational constant is
-RF(q, (1,), ()), so its arithmetic is one Fraction operation.  Each radical
-factor pairs a canonical base B (a linear base or a prime integer) with a
-fractional exponent 0 < r < 1; _carry is the one place that rule lives, and
-every product, inverse and rational power ends in it.  Terms are merged by
-radical signature (_merge), so equality and zero-testing are exact: distinct
-signatures are linearly independent over the rational functions, hence a
-Scalar is zero if and only if it has no terms.
+which divides num.  So every operation runs on ints: contents by Henrici's
+cross gcds (Knuth, TAOCP vol. 2, 4.5.1), and polynomial products, exact
+division by a linear base (integral by Gauss's lemma) and the rational-root
+search, by homogeneous Horner.  Fraction appears only at the boundary
+(rational_value, render, messages).  Each radical factor pairs a canonical
+base B (a linear base or a prime integer) with an exponent p/q, a reduced int
+pair with 0 < p < q; _carry is the one place that rule lives, and every
+product of radicals, inverse and rational power ends in it.  Terms are merged
+by radical signature (_merge), so equality and zero-testing are exact:
+distinct signatures are linearly independent over the rational functions,
+hence a Scalar is zero if and only if it has no terms.
 
 The class is closed under +, -, *, d/dt and integer powers, and under
 division by any Scalar with a single radical signature.  Expressions that
@@ -205,30 +206,46 @@ Den = tuple[tuple[LinBase, int], ...]
 
 
 class RF(NamedTuple):
-    """c * num / prod(base^mult), canonical: c a nonzero Fraction, num a
-    primitive int polynomial with positive leading coefficient that no base
-    of den divides.  The zero function is (0, (), ())."""
+    """n/d * num / prod(base^mult), canonical: n/d a nonzero reduced int pair
+    with d > 0, num a primitive int polynomial with positive leading
+    coefficient that no base of den divides.  The zero function is
+    (0, 1, (), ())."""
 
-    c: Fraction
+    n: int
+    d: int
     num: Poly
     den: Den
+
+    @property
+    def c(self) -> Fraction:
+        """The content n/d as a Fraction, a read-only view for tests."""
+        return Fraction(self.n, self.d)
 
     def is_zero(self) -> bool:
         return not self.num
 
 
-RF_ZERO = RF(Fraction(0), (), ())
-RF_ONE = RF(Fraction(1), POLY_ONE, ())
+RF_ZERO = RF(0, 1, (), ())
+RF_ONE = RF(1, 1, POLY_ONE, ())
 
 
-def rf_make(c: Fraction, num: Poly, den: dict[LinBase, int]) -> RF:
-    """The canonical form of c * num / prod(base^mult) for a nonzero int num."""
+def q_mul(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
+    """n1/d1 * n2/d2 for reduced pairs, reduced by Henrici's cross gcds."""
+    if d1 == 1 and d2 == 1:
+        return n1 * n2, 1
+    g1, g2 = math.gcd(n1, d2), math.gcd(n2, d1)
+    return (n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)
+
+
+def rf_make(n: int, d: int, num: Poly, den: dict[LinBase, int]) -> RF:
+    """The canonical form of n/d * num / prod(base^mult) for a reduced n/d and
+    a nonzero int num."""
     k = math.gcd(*num)
     if num[-1] < 0:
         k = -k
     if k != 1:
         num = tuple(x // k for x in num)
-        c = c * k
+        n, d = q_mul(n, d, k, 1)
     if len(num) > 1:
         for base, m in den.items():
             while m:
@@ -238,8 +255,8 @@ def rf_make(c: Fraction, num: Poly, den: dict[LinBase, int]) -> RF:
                 num, m = quo, m - 1
             den[base] = m
         if num[-1] < 0:
-            num, c = tuple(-x for x in num), -c
-    return RF(c, num, tuple(sorted((b, m) for b, m in den.items() if m)))
+            num, n = tuple(-x for x in num), -n
+    return RF(n, d, num, tuple(sorted((b, m) for b, m in den.items() if m)))
 
 
 def rf_add(x: RF, y: RF) -> RF:
@@ -248,15 +265,18 @@ def rf_add(x: RF, y: RF) -> RF:
     if not y.num:
         return x
     if x.num == y.num and x.den == y.den:
-        c = x.c + y.c
-        return RF(c, x.num, x.den) if c else RF_ZERO
-    # one content c = gcd(numerators) / lcm(denominators): x.c / c and y.c / c are ints
-    g, lcm = math.gcd(x.c.numerator, y.c.numerator), math.lcm(x.c.denominator, y.c.denominator)
-    c = Fraction(g, lcm)
+        n, d = x.n * y.d + y.n * x.d, x.d * y.d
+        if d != 1:
+            g = math.gcd(n, d)
+            n, d = n // g, d // g
+        return RF(n, d, x.num, x.den) if n else RF_ZERO
+    # one content g/lcm with g = gcd(numerators), lcm = lcm(denominators): it is
+    # reduced, and x's and y's contents are int multiples of it
+    g, lcm = math.gcd(x.n, y.n), math.lcm(x.d, y.d)
     dx, dy = dict(x.den), dict(y.den)
     union = {b: max(dx.get(b, 0), dy.get(b, 0)) for b in dx.keys() | dy.keys()}
-    nx = poly_mul((x.c.numerator // g * (lcm // x.c.denominator),), x.num)
-    ny = poly_mul((y.c.numerator // g * (lcm // y.c.denominator),), y.num)
+    nx = poly_mul((x.n // g * (lcm // x.d),), x.num)
+    ny = poly_mul((y.n // g * (lcm // y.d),), y.num)
     for b, m in union.items():
         nx = poly_mul_pow(nx, b, m - dx.get(b, 0))
         ny = poly_mul_pow(ny, b, m - dy.get(b, 0))
@@ -267,30 +287,31 @@ def rf_add(x: RF, y: RF) -> RF:
         total[i] += v
     while total and not total[-1]:
         total.pop()
-    return rf_make(c, tuple(total), union) if total else RF_ZERO
+    return rf_make(g, lcm, tuple(total), union) if total else RF_ZERO
 
 
 def rf_neg(x: RF) -> RF:
-    return RF(-x.c, x.num, x.den)
+    return RF(-x.n, x.d, x.num, x.den)
 
 
 def rf_mul(x: RF, y: RF) -> RF:
     if not x.num or not y.num:
         return RF_ZERO
-    c = x.c * y.c
+    n, d = q_mul(x.n, x.d, y.n, y.d)
     if not x.den and not y.den:
         # Gauss's lemma: a product of primitive polynomials is primitive
-        return RF(c, poly_mul(x.num, y.num), ())
+        return RF(n, d, poly_mul(x.num, y.num), ())
     den = dict(x.den)
     for b, m in y.den:
         den[b] = den.get(b, 0) + m
-    return rf_make(c, poly_mul(x.num, y.num), den)
+    return rf_make(n, d, poly_mul(x.num, y.num), den)
 
 
-def rf_scale(x: RF, c: Fraction) -> RF:
-    if c == 0 or not x.num:
+def rf_scale(x: RF, n: int, d: int) -> RF:
+    """x * n/d for a reduced pair n/d with d > 0."""
+    if not n or not x.num:
         return RF_ZERO
-    return RF(x.c * c, x.num, x.den)
+    return RF(*q_mul(x.n, x.d, n, d), x.num, x.den)
 
 
 def rf_mul_base(x: RF, base: LinBase, power: int) -> RF:
@@ -301,8 +322,8 @@ def rf_mul_base(x: RF, base: LinBase, power: int) -> RF:
     have = den.pop(base, 0)
     if have > power:
         den[base] = have - power
-        return rf_make(x.c, x.num, den)
-    return rf_make(x.c, poly_mul_pow(x.num, base, power - have), den)
+        return rf_make(x.n, x.d, x.num, den)
+    return rf_make(x.n, x.d, poly_mul_pow(x.num, base, power - have), den)
 
 
 def rf_inverse(x: RF) -> RF:
@@ -312,7 +333,8 @@ def rf_inverse(x: RF) -> RF:
     num = POLY_ONE
     for b, m in x.den:
         num = poly_mul_pow(num, b, m)
-    return rf_make(1 / (x.c * content), num, factors)
+    n, d = q_mul(x.n, x.d, content, 1)
+    return rf_make(d, n, num, factors) if n > 0 else rf_make(-d, -n, num, factors)
 
 
 def rf_diff(x: RF) -> RF:
@@ -320,15 +342,16 @@ def rf_diff(x: RF) -> RF:
         return RF_ZERO
     num, out = x.num, RF_ZERO
     if len(num) > 1:
-        out = rf_make(x.c, tuple(k * num[k] for k in range(1, len(num))), dict(x.den))
+        out = rf_make(x.n, x.d, tuple(k * num[k] for k in range(1, len(num))), dict(x.den))
     for base, m in x.den:
         den = dict(x.den)
         den[base] += 1
-        out = rf_add(out, rf_make(x.c * (-m * base[1]), num, den))
+        out = rf_add(out, rf_make(*q_mul(x.n, x.d, -m * base[1], 1), num, den))
     return out
 
 
-def rf_eval(x: RF, t0: Fraction) -> Fraction:
+def rf_eval(x: RF, t0: Fraction | int) -> tuple[int, int]:
+    """x(t0) as an int pair (top, bottom), not reduced."""
     r, s = t0.numerator, t0.denominator
     top, bottom, shift = poly_eval_hom(x.num, r, s), 1, 1 - len(x.num)
     for (a, b), m in x.den:
@@ -341,7 +364,7 @@ def rf_eval(x: RF, t0: Fraction) -> Fraction:
         top *= s**shift
     else:
         bottom *= s**-shift
-    return x.c * Fraction(top, bottom)
+    return x.n * top, x.d * bottom
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +373,8 @@ def rf_eval(x: RF, t0: Fraction) -> Fraction:
 
 # ("lin", a, b) for a primitive linear base, ("prime", p, 0) for a prime.
 BaseKey = tuple[str, int, int]
-Sig = tuple[tuple[BaseKey, Fraction], ...]
+# Each exponent is a reduced int pair (p, q) with 0 < p < q.
+Sig = tuple[tuple[BaseKey, tuple[int, int]], ...]
 
 _EMPTY_SIG: Sig = ()
 
@@ -361,11 +385,8 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: dict[Sig, RF] | None = None):
-        self._terms: dict[Sig, RF] = {}
-        if terms:
-            for sig, rf in terms.items():
-                if not rf.is_zero():
-                    self._terms[sig] = rf
+        """terms must be canonical: nonzero RFs keyed by carried signatures."""
+        self._terms: dict[Sig, RF] = {} if terms is None else terms
 
     # -- constructors -------------------------------------------------------
 
@@ -379,19 +400,18 @@ class Scalar:
 
     @staticmethod
     def rational(q: Fraction | int) -> Scalar:
-        out = Scalar()
-        if q:
-            out._terms[_EMPTY_SIG] = RF(q if type(q) is Fraction else Fraction(q), POLY_ONE, ())
-        return out
+        if not q:
+            return Scalar()
+        return Scalar({_EMPTY_SIG: RF(q.numerator, q.denominator, POLY_ONE, ())})
 
     @staticmethod
     def t() -> Scalar:
-        return Scalar({_EMPTY_SIG: RF(Fraction(1), (0, 1), ())})
+        return Scalar({_EMPTY_SIG: RF(1, 1, (0, 1), ())})
 
     @staticmethod
     def linear(a: Fraction | int, b: Fraction | int) -> Scalar:
         """The polynomial a + b*t."""
-        return Scalar.rational(Fraction(a)) + Scalar.rational(Fraction(b)) * Scalar.t()
+        return Scalar.rational(a) + Scalar.rational(b) * Scalar.t()
 
     # -- helpers ------------------------------------------------------------
 
@@ -403,23 +423,30 @@ class Scalar:
             return Scalar.rational(value)
         return NotImplemented  # type: ignore[return-value]
 
-    def terms(self) -> Iterator[tuple[Sig, RF]]:
-        return iter(sorted(self._terms.items()))
+    def terms(self) -> Iterator[tuple[tuple[tuple[BaseKey, Fraction], ...], RF]]:
+        """The sorted terms with Fraction exponents, a read-only view for tests."""
+        return iter(sorted((tuple((key, Fraction(p, q)) for key, (p, q) in sig), rf)
+                           for sig, rf in self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_rational(self) -> bool:
-        return self.rational_value() is not None
+        return self.rational_number() is not None
 
-    def rational_value(self) -> Fraction | None:
-        """The value as a Fraction when it is a rational constant, else None."""
+    def rational_number(self) -> int | Fraction | None:
+        """The value as an int or Fraction when it is a rational constant, else None."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         rf = self._terms.get(_EMPTY_SIG)
         if rf is None or len(self._terms) > 1 or rf.den or len(rf.num) > 1:
             return None
-        return rf.c
+        return rf.n if rf.d == 1 else Fraction(rf.n, rf.d)
+
+    def rational_value(self) -> Fraction | None:
+        """The value as a Fraction when it is a rational constant, else None."""
+        q = self.rational_number()
+        return Fraction(q) if type(q) is int else q
 
     def as_fraction(self) -> Fraction:
         q = self.rational_value()
@@ -427,21 +454,16 @@ class Scalar:
             raise UnsupportedScalarError(f"not a rational constant: {self}")
         return q
 
-    def depends_on_t(self) -> bool:
-        for sig, rf in self._terms.items():
-            if len(rf.num) > 1 or rf.den:
-                return True
-            for (kind, _, b), _exp in sig:
-                if kind == "lin" and b != 0:
-                    return True
-        return False
-
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: Scalar | Fraction | int) -> Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
         for sig, rf in other._terms.items():
             _merge(out, sig, rf)
@@ -468,9 +490,16 @@ class Scalar:
         acc: dict[Sig, RF] = {}
         for sig1, rf1 in self._terms.items():
             for sig2, rf2 in other._terms.items():
+                if not sig1 or not sig2:
+                    # a canonical signature is already carried
+                    _merge(acc, sig1 or sig2, rf_mul(rf1, rf2))
+                    continue
                 exps = dict(sig1)
-                for key, exp in sig2:
-                    exps[key] = exps.get(key, 0) + exp
+                for key, (p, q) in sig2:
+                    if key in exps:
+                        p0, q0 = exps[key]
+                        p, q = p0 * q + p * q0, q0 * q
+                    exps[key] = (p, q)
                 _merge(acc, *_carry(exps, rf_mul(rf1, rf2)))
         return Scalar(acc)
 
@@ -480,7 +509,7 @@ class Scalar:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("scalar division by zero")
-            return self * Scalar.rational(Fraction(1, 1) / Fraction(other))
+            return self * Scalar.rational(Fraction(other.denominator, other.numerator))
         if not isinstance(other, Scalar):
             return NotImplemented
         return self * other.inverse()
@@ -497,7 +526,7 @@ class Scalar:
                 "signature"
             )
         ((sig, rf),) = self._terms.items()
-        inv_sig, inv_rf = _carry({key: -exp for key, exp in sig}, rf_inverse(rf))
+        inv_sig, inv_rf = _carry({key: (-p, q) for key, (p, q) in sig}, rf_inverse(rf))
         return Scalar({inv_sig: inv_rf})
 
     def __pow__(self, k: int) -> Scalar:
@@ -527,24 +556,26 @@ class Scalar:
                 "radical signature"
             )
         ((sig, rf),) = self._terms.items()
-        exps: dict[BaseKey, Fraction] = {key: exp * r for key, exp in sig}
+        rp, rq = r.numerator, r.denominator
+        exps = {key: (p * rp, q * rq) for key, (p, q) in sig}
         content, factors = factor_poly_linear(rf.num)
-        content *= rf.c
+        n, d = q_mul(rf.n, rf.d, content, 1)
         sign = 1
-        if content < 0:
-            if r.denominator % 2 == 0:
+        if n < 0:
+            if rq % 2 == 0:
                 raise UnsupportedScalarError(
-                    f"({content})^({r}) is not real-valued in the supported class"
+                    f"({Fraction(n, d)})^({r}) is not real-valued in the supported class"
                 )
-            sign, content = (-1 if r.numerator % 2 else 1), -content
-        # integer multiplicities; no base of den divides num, and content is reduced
+            sign, n = (-1 if rp % 2 else 1), -n
+        # integer multiplicities; no base of den divides num, and n/d is reduced
         mults = {("lin", *base): m for base, m in factors.items()}
         mults.update((("lin", *base), -m) for base, m in rf.den)
-        mults.update((("prime", p, 0), e) for p, e in factor_int(content.numerator).items())
-        mults.update((("prime", p, 0), -e) for p, e in factor_int(content.denominator).items())
+        mults.update((("prime", p, 0), e) for p, e in factor_int(n).items())
+        mults.update((("prime", p, 0), -e) for p, e in factor_int(d).items())
         for key, m in mults.items():
-            exps[key] = exps.get(key, 0) + m * r
-        out_sig, out_rf = _carry(exps, RF(Fraction(sign), POLY_ONE, ()))
+            p, q = exps.get(key, (0, 1))
+            exps[key] = (p * rq + m * rp * q, q * rq)
+        out_sig, out_rf = _carry(exps, RF(sign, 1, POLY_ONE, ()))
         return Scalar({out_sig: out_rf})
 
     # -- calculus -----------------------------------------------------------
@@ -556,38 +587,43 @@ class Scalar:
         out: dict[Sig, RF] = {}
         for sig, rf in self._terms.items():
             total = rf_diff(rf)
-            for (kind, a, b), exp in sig:
+            for (kind, a, b), (p, q) in sig:
                 if kind == "lin" and b:
-                    total = rf_add(total, rf_mul_base(rf_scale(rf, exp * b), (a, b), -1))
-            out[sig] = total
+                    total = rf_add(total, rf_mul_base(rf_scale(rf, *q_mul(p, q, b, 1)), (a, b), -1))
+            if total.num:
+                out[sig] = total
         return Scalar(out)
 
     # -- evaluation ---------------------------------------------------------
 
     def evaluate_float(self, t0: Fraction | int) -> float:
-        t0 = Fraction(t0)
+        """The value at t0 as a float; ScalarDomainError at a pole, under an
+        even root of a negative base, or when a value leaves the float range."""
+        r, s = t0.numerator, t0.denominator
         total = 0.0
-        for sig, rf in self._terms.items():
-            val = float(rf_eval(rf, t0))
-            for (kind, a, b), exp in sig:
-                if kind == "prime":
-                    val *= float(a) ** float(exp)
-                    continue
-                bval = a + b * t0
-                if bval == 0:
-                    val = 0.0
-                    break
-                if bval < 0:
-                    if exp.denominator % 2 == 0:
+        try:
+            for sig, rf in self._terms.items():
+                top, bottom = rf_eval(rf, t0)
+                val = top / bottom
+                for (kind, a, b), (p, q) in sig:
+                    if kind == "prime":
+                        val *= float(a) ** (p / q)
+                        continue
+                    bval = a * s + b * r  # s * (a + b*t0), and s > 0
+                    if bval == 0:
+                        val = 0.0
+                        break
+                    if bval < 0 and q % 2 == 0:
                         raise ScalarDomainError(
                             f"negative base {_render_linear(a, b)} at t = {t0} under an "
-                            f"even-denominator exponent {exp}"
+                            f"even-denominator exponent {p}/{q}"
                         )
-                    sign = -1.0 if exp.numerator % 2 else 1.0
-                    val *= sign * float(abs(bval)) ** float(exp)
-                else:
-                    val *= float(bval) ** float(exp)
-            total += val
+                    val *= (-1.0 if bval < 0 and p % 2 else 1.0) * (abs(bval) / s) ** (p / q)
+                total += val
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ScalarDomainError(f"value outside the float range at t = {t0}")
         return total
 
     # -- comparisons / rendering -------------------------------------------
@@ -610,14 +646,12 @@ class Scalar:
             return "0"
         monomials = []
         for sig, rf in self._terms.items():
-            factors: list[tuple] = []
-            for (kind, a, b), exp in sig:
-                factors.append((kind, a, b, exp))
-            for (a, b), m in rf.den:
-                factors.append(("lin", a, b, Fraction(-m)))
+            factors = [(kind, a, b, Fraction(p, q)) for (kind, a, b), (p, q) in sig]
+            factors += [("lin", a, b, -m) for (a, b), m in rf.den]
+            factors.sort()
             for k, coeff in enumerate(rf.num):
                 if coeff:
-                    monomials.append((k, tuple(sorted(factors)), rf.c * coeff))
+                    monomials.append((k, tuple(factors), Fraction(rf.n * coeff, rf.d)))
         monomials.sort(key=lambda m: (m[0], m[1]))
         parts: list[str] = []
         for k, factors, coeff in monomials:
@@ -658,29 +692,36 @@ def _render_linear(a: int, b: int) -> str:
 def _merge(acc: dict[Sig, RF], sig: Sig, rf: RF) -> None:
     """acc[sig] += rf, dropping a sum that cancels, so a later term of that
     signature enters again at the end."""
-    merged = rf_add(acc.get(sig, RF_ZERO), rf)
-    if merged.is_zero():
-        acc.pop(sig, None)
-    else:
+    old = acc.get(sig)
+    if old is None:
+        acc[sig] = rf
+        return
+    merged = rf_add(old, rf)
+    if merged.num:
         acc[sig] = merged
+    else:
+        del acc[sig]
 
 
-def _carry(exps: dict[BaseKey, Fraction], rf: RF) -> tuple[Sig, RF]:
-    """The canonical term rf * prod base^exp: each floor(exp) moves into rf,
-    and only exponents in (0, 1) stay in the signature."""
-    sig: dict[BaseKey, Fraction] = {}
-    for key, exp in exps.items():
-        whole = exp.numerator // exp.denominator
+def _carry(exps: dict[BaseKey, tuple[int, int]], rf: RF) -> tuple[Sig, RF]:
+    """The canonical term rf * prod base^(p/q) for int pairs with q > 0: each
+    floor p // q moves into rf, and only exponents in (0, 1) stay in the
+    signature, reduced."""
+    sig = []
+    for key, (p, q) in exps.items():
+        whole = p // q
         if whole:
             kind, a, b = key
             if kind == "lin":
                 rf = rf_mul_base(rf, (a, b), whole)
             else:
-                rf = rf_scale(rf, Fraction(a) ** whole)
-            exp -= whole
-        if exp:
-            sig[key] = exp
-    return tuple(sorted(sig.items())), rf
+                rf = rf_scale(rf, a**whole, 1) if whole > 0 else rf_scale(rf, 1, a**-whole)
+            p -= whole * q
+        if p:
+            g = math.gcd(p, q)
+            sig.append((key, (p // g, q // g)))
+    sig.sort()
+    return tuple(sig), rf
 
 
 def var_t() -> Scalar:

@@ -139,7 +139,7 @@ class Su2Geometry:
     """Derived frame data: Reeb vector, kernel basis, endomorphisms, metric, projections."""
 
     xi: list[Scalar]                    # frame components of the Reeb vector
-    kernel_basis: list[list[Fraction]]  # four rational frame vectors spanning ker eta
+    kernel_basis: list[list[int | Fraction]]  # four rational frame vectors spanning ker eta
     endo_a: list[list[Scalar]]          # omega1 = omega3(A., .) on ker eta
     endo_b: list[list[Scalar]]
     metric: list[list[Scalar]]          # 5x5 frame metric
@@ -213,7 +213,8 @@ def _reeb_and_kernel(s: SU2Structure):
     inv = pairing.inverse()
     xi = [c * inv for c in xi]
     _check_reeb(s, xi)
-    return xi, [[vec.get(i, Fraction(0)) for i in range(5)] for vec in fraction_nullspace([row], 5)]
+    kernel = [[vec.get(i, 0) for i in range(5)] for vec in fraction_nullspace([row], 5)]
+    return xi, [[q.numerator if q.denominator == 1 else q for q in u] for u in kernel]
 
 
 def _pfaffian_kernel_vector(omega3: Form) -> list[Scalar]:
@@ -239,7 +240,7 @@ def _check_reeb(s: SU2Structure, xi) -> None:
         raise ValueError("the Reeb direction must contract omega3 to zero")
 
 
-def _restricted_matrix(form2: Form, kernel: list[list[Fraction]]) -> list[list[Scalar]]:
+def _restricted_matrix(form2: Form, kernel: list[list[int | Fraction]]) -> list[list[Scalar]]:
     """The skew [omega(u_p, u_q)] for rational u_p, upper triangle mirrored, from
     omega(u, v) = sum_{a<b} c_ab (u_a v_b - u_b v_a), skipping zero factors."""
     out = [[Scalar.zero()] * len(kernel) for _ in kernel]

@@ -433,6 +433,21 @@ def test_check_reads_the_basis_change(tmp_path):
     assert code == 0 and out.index("balanced: yes") < out.index("basis change: pass")
 
 
+def test_evolve_verify_fails_a_sample_beyond_the_float_range(tmp_path):
+    # the metric at t = 10^400 + k has entries too large for a float: its
+    # positivity row fails and the orientation is undetermined, with no traceback
+    big = 10**400
+    payload = catalog.get_entry("family-nil5-12-13-23").payload
+    assert "domain = (-inf, 2) | (2, inf)" in payload
+    path = write(tmp_path, "far.alg", payload.replace("(-inf, 2) | (2, inf)", f"({big}, inf)"))
+    proc = subprocess.run([sys.executable, "-m", "lieforms.cli", "evolve-verify", path],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    for k in (1, 2, 3):
+        assert f"  metric positive at t = {big + k}: FAIL\n" in proc.stdout
+    assert f"  orientation on ({big}, inf): undetermined\n" in proc.stdout
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "lieforms.cli", "catalog", "list"],
                           capture_output=True, text=True)
