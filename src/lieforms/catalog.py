@@ -1,14 +1,12 @@
-"""Built-in catalog of reproduced computations.
+"""Built-in catalog of reproduced computations: the entry runner.
 
-Each entry carries a structure file (the same grammar the CLI reads), the
-expected results as data, and a source locator.  Where exact computation
-disagrees with a printed value, the entry stores the verified value and
-preserves the printed claim under ``source_states`` — the reports show both.
+The entries are data in ``catalog.json``, read by ``manifest``;
+``run_entry`` checks one against the engine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -49,7 +47,6 @@ from .structures import (
     SUnStructure,
     check_conformal_couple,
     circle_bundle_structure,
-    complex_volume_forms,
     is_balanced_su2,
     is_balanced_sun,
     is_hypo,
@@ -58,21 +55,12 @@ from .structures import (
     validate_su2,
     validate_sun,
 )
+from .manifest import CatalogEntry, catalog_manifest, get_entry
 
 __all__ = ["CatalogEntry", "EntryReport", "StructureContext", "catalog_manifest", "get_entry",
            "run_entry"]
 
 F = Fraction
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    source: str
-    description: str
-    payload: str
-    expected: dict
-    source_states: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -88,797 +76,6 @@ class EntryReport:
         for key in sorted(self.source_states):
             out.append(f"  note: source states {key}: {self.source_states[key]}")
         return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# Payload helpers.
-# ---------------------------------------------------------------------------
-
-STANDARD_QUADRUPLET = """\
-[structure]
-eta = e1
-omega1 = e24 + e53
-omega2 = e25 + e34
-omega3 = e23 + e45
-"""
-
-J_STANDARD_6 = "J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, e5 -> -e6, e6 -> e5"
-J_STANDARD_8 = ("J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, "
-                "e5 -> -e6, e6 -> e5, e7 -> -e8, e8 -> e7")
-
-
-def _gen(dim: int, i: int, sign: int = 1) -> Form:
-    return Form.from_terms(dim, 1, [((i,), sign)])
-
-
-def _psi_lines(dim: int, pairs: list[tuple[tuple[int, int], tuple[int, int]]]) -> str:
-    """psi_plus/psi_minus lines for the complex volume form of signed pairs."""
-    built = [( _gen(dim, abs(re), 1 if re > 0 else -1),
-               _gen(dim, abs(im), 1 if im > 0 else -1)) for re, im in pairs]
-    plus, minus = complex_volume_forms(built)
-    return f"psi_plus = {plus.render()}\npsi_minus = {minus.render()}"
-
-
-PAIRS_123456 = [(1, 2), (3, 4), (5, 6)]
-PAIRS_12345678 = [(1, 2), (3, 4), (5, 6), (7, 8)]
-
-
-def _ex44_entry(cvalue: Fraction, label: str) -> CatalogEntry:
-    c = Fraction(cvalue)
-    one_c = 1 + c
-
-    def two(a, ca, b, cb):
-        return Form.from_terms(8, 2, [([int(a[0]), int(a[1])], ca),
-                                      ([int(b[0]), int(b[1])], cb)]).render()
-
-    payload = f"""\
-[algebra]
-dim = 8
-d e3 = e13 - e24
-d e4 = e14 + e23
-d e5 = {two('15', c, '26', -c)}
-d e6 = {two('16', c, '25', c)}
-d e7 = {two('17', -one_c, '28', one_c)}
-d e8 = {two('18', -one_c, '27', -one_c)}
-
-[structure]
-F = e12 + e34 + e56 + e78
-{_psi_lines(8, PAIRS_12345678)}
-{J_STANDARD_8}
-"""
-    df = (Form.from_terms(8, 3, [([1, 3, 4], 2)])
-          + Form.from_terms(8, 3, [([1, 5, 6], 2 * c)])
-          + Form.from_terms(8, 3, [([1, 7, 8], -2 * one_c)]))
-    torsion = (Form.from_terms(8, 3, [([2, 3, 4], -2)])
-               + Form.from_terms(8, 3, [([2, 5, 6], -2 * c)])
-               + Form.from_terms(8, 3, [([2, 7, 8], 2 * one_c)]))
-
-    connection = {
-        "1,3": "-e3", "1,4": "-e4",
-        "1,5": _gen(8, 5, 1).scale(-c).render(), "1,6": _gen(8, 6, 1).scale(-c).render(),
-        "1,7": _gen(8, 7, 1).scale(one_c).render(), "1,8": _gen(8, 8, 1).scale(one_c).render(),
-        "2,3": "e4", "2,4": "-e3",
-        "2,5": _gen(8, 6, 1).scale(c).render(), "2,6": _gen(8, 5, 1).scale(-c).render(),
-        "2,7": _gen(8, 8, 1).scale(-one_c).render(), "2,8": _gen(8, 7, 1).scale(one_c).render(),
-        "3,4": "2*e2",
-        "5,6": _gen(8, 2, 1).scale(2 * c).render(),
-        "7,8": _gen(8, 2, 1).scale(-2 * one_c).render(),
-    }
-    curvature_listed = {
-        "1,3": two("13", -1, "24", -1),
-        "1,4": two("14", -1, "23", 1),
-        "1,5": two("15", -c * c, "26", -c * c),
-        "1,6": two("16", -c * c, "25", c * c),
-        "1,7": two("17", -one_c * one_c, "28", -one_c * one_c),
-        "1,8": two("18", -one_c * one_c, "27", one_c * one_c),
-        "3,4": "-2*e34",
-        "3,5": two("35", -c, "46", -c),
-        "3,6": two("36", -c, "45", c),
-        "3,7": two("37", one_c, "48", one_c),
-        "3,8": two("38", one_c, "47", -one_c),
-        "5,6": Form.from_terms(8, 2, [([5, 6], -2 * c * c)]).render(),
-        "5,7": two("57", c * one_c, "68", c * one_c),
-        "5,8": two("58", c * one_c, "67", -c * one_c),
-        "7,8": Form.from_terms(8, 2, [([7, 8], -2 * one_c * one_c)]).render(),
-    }
-    return CatalogEntry(
-        name=label,
-        source=f"Example 4.4, c = {c}",
-        description=f"8d solvable algebra with parameter c = {c}; Bismut holonomy su(4)",
-        payload=payload,
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "volume_ratio": "2/3",
-            "balanced_sun": True,
-            "kaehler": False,
-            "dF": df.render(),
-            "torsion": torsion.render(),
-            "connection": connection,
-            "connection_complete": True,
-            "curvature": curvature_listed,
-            "curvature_rank": 15,
-            "holonomy_dim": 15,
-            "holonomy_generations": [15, 15],
-            "su_n": True,
-            "stabilized": 0,
-        },
-        source_states={
-            "omega^3_5, omega^3_6": "printed as 2c e2 and -2(1+c) e2; the verified "
-                                    "entries are omega^5_6 = 2c e2 and omega^7_8 = "
-                                    "-2(1+c) e2 (first structure equation)",
-            "curvature symbols": "printed with alpha^{ij}; read as e^{ij}",
-        },
-    )
-
-
-def _entries() -> list[CatalogEntry]:
-    out: list[CatalogEntry] = []
-
-    out.append(CatalogEntry(
-        name="bad-jacobi-12-34",
-        source="seeded negative case",
-        description="(0,0,0,12,34) fails the Jacobi identity",
-        payload="[algebra]\ncompact = (0,0,0,12,34)\n",
-        expected={"jacobi": False, "jacobi_residuals": {"5": "-e123"}},
-    ))
-
-    for compact, slug in (("(0,0,0,12,14)", "12-14"),
-                          ("(0,0,12,13,23)", "12-13-23"),
-                          ("(0,0,12,13,14+23)", "12-13-14p23")):
-        out.append(CatalogEntry(
-            name=f"nil5-{slug}",
-            source="Sec. 2, balanced quadruplet on the three hypo-free nilpotent algebras",
-            description=f"standard quadruplet on {compact}: balanced, not hypo",
-            payload=f"[algebra]\ncompact = {compact}\n" + STANDARD_QUADRUPLET,
-            expected={
-                "jacobi": True,
-                "su2_valid": True,
-                "balanced_su2": True,
-                "hypo_su2": False,
-            },
-        ))
-
-    out.append(CatalogEntry(
-        name="solvable-sol3",
-        source="Sec. 2, solvable example over Sol(3)",
-        description="5d solvable algebra: cohomology and the five candidate identities",
-        payload="""\
-[algebra]
-dim = 5
-d e3 = e13
-d e4 = -e14
-d e5 = e34
-""" + STANDARD_QUADRUPLET,
-        expected={
-            "jacobi": True,
-            "su2_valid": True,
-            "betti": {"0": 1, "1": 2, "2": 1},
-            "betti_reps": {"1": ["e1", "e2"], "2": ["e12"]},
-            "residual_table": {
-                "d(omega1^eta)": "0",
-                "d(omega2^eta)": "e1234",
-                "d(omega3^eta)": "0",
-                "d(omega2^omega2)": "0",
-                "d(omega3^omega3)": "0",
-            },
-            "balanced_su2": False,
-            "permuted_balanced": True,
-        },
-        source_states={
-            "balancedness": "the displayed identities d(omega1^eta) = d(omega3^eta) = "
-                            "d(omega2^2) = 0 certify the quadruplet with omega2 and "
-                            "omega3 exchanged; the literal ordering fails "
-                            "d(omega2^eta) = 0 (residual e1234)",
-        },
-    ))
-
-    couple = """\
-omega1 = e12 + e34
-omega2 = e13 - e24
-omega3 = e14 + e23
-"""
-    out.append(CatalogEntry(
-        name="circle-eps0",
-        source="Sec. 2, Prop 2.6 over the 4-torus",
-        description="circle bundle over the torus with holomorphic symplectic couple",
-        payload="[algebra]\ndim = 4\n\n[structure]\n" + couple
-                + "Omega = e12 - e34\ntheta = 0\n",
-        expected={
-            "jacobi": True,
-            "conformal_couple": True,
-            "eq7_generators": ["e12 - e34", "e13 + e24", "e23", "e14"],
-            "circle_balanced": True,
-            "circle_hypo": True,
-            "circle_valid": True,
-            "extension_differential": "e12 - e34",
-        },
-    ))
-    out.append(CatalogEntry(
-        name="circle-eps1",
-        source="Sec. 2, Prop 2.6 over the Kodaira-Thurston surface",
-        description="circle bundle over the Kodaira-Thurston surface; balanced, not hypo",
-        payload="[algebra]\ndim = 4\nd e4 = -e23\n\n[structure]\n" + couple
-                + "Omega = e23\ntheta = 0\n",
-        expected={
-            "jacobi": True,
-            "conformal_couple": True,
-            # all four generators satisfy the wedge identities; e14 is closed
-            # only over the torus, so the bundle here is built from e23
-            "eq7_generators": ["e12 - e34", "e13 + e24", "e23", "e14"],
-            "circle_balanced": True,
-            "circle_hypo": False,
-            "circle_valid": True,
-            "extension_differential": "e23",
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="family-kodaira-thurston",
-        source="Sec. 3, first evolution family and structure (11)",
-        description="family on the Kodaira-Thurston surface times a line",
-        payload="""\
-[algebra]
-dim = 5
-d e4 = -e23
-
-[family]
-param = t
-domain = (-inf, inf)
-eta = e5
-omega1 = e12 + e3^(e4 - t*e5)
-omega2 = e13 + (e4 - t*e5)^e2
-omega3 = e1^(e4 - t*e5) + e23
-F_expected = e14 + e23 - t*e15 + e5^dt
-psi_plus_expected = e125 + e345 - (e13 - e24 + t*e25)^dt
-psi_minus_expected = e135 - e245 + (e12 + e34 - t*e35)^dt
-""",
-        expected={
-            "jacobi": True,
-            "family_valid": True,
-            "evolution": True,
-            "hypo_evolution": False,
-            "hypo_residual": {"dt(omega3) + d(eta)": "-e15"},
-            "suspension": True,
-            "closed": True,
-            "volume": "2",
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="family-nil5-12-14",
-        source="Sec. 3, cube-root family on (0,0,0,12,14) and structure (12)",
-        description="cube-root evolution family with orientation flip at t = 2/3",
-        payload="""\
-[algebra]
-compact = (0,0,0,12,14)
-
-[family]
-param = t
-domain = (-inf, 2/3) | (2/3, inf)
-eta = ((2-3*t)/2)^(1/3)*e1
-omega1 = (1/2)*((2/(2-3*t))^(1/3) - (2-3*t)/2)*e23 + ((2-3*t)/2)^(1/3)*e24 - (2/(2-3*t))^(1/3)*e35
-omega2 = (2/(2-3*t))^(1/3)*e25 + ((2-3*t)/2)^(1/3)*e34
-omega3 = e23 - (1/2)*(1 - ((2-3*t)/2)*((2-3*t)/2)^(1/3))*e24 + e45
-alpha1 = e2
-alpha2 = e3
-alpha3 = ((2-3*t)/2)^(1/3)*e4
-alpha4 = (1/2)*(2/(2-3*t))^(1/3)*(e2 + 2*e5) - ((2-3*t)/4)*e2
-alpha5 = ((2-3*t)/2)^(1/3)*e1
-alpha6 = dt
-F_expected = e23 - (1/2)*e24 + e45 + ((2-3*t)/4)*((2-3*t)/2)^(1/3)*e24 + ((2-3*t)/2)^(1/3)*e1^dt
-psi_plus_expected = (1/2)*e123 - e135 - ((2-3*t)/4)*((2-3*t)/2)^(1/3)*e123 + (((2-3*t)^2)/4)^(1/3)*e124 - ((2/(2-3*t))^(1/3)*e25 + ((2-3*t)/2)^(1/3)*e34)^dt
-psi_minus_expected = e125 + (((2-3*t)^2)/4)^(1/3)*e134 + ((1/2)*(2/(2-3*t))^(1/3)*e23 - ((2-3*t)/4)*e23 + ((2-3*t)/2)^(1/3)*e24 - (2/(2-3*t))^(1/3)*e35)^dt
-""",
-        expected={
-            "jacobi": True,
-            "family_valid": True,
-            "evolution": True,
-            "suspension": True,
-            "closed": True,
-            "orthonormal": True,
-            "volume": "2*((2-3*t)/2)^(1/3)",
-            "volume_signs": {"(-inf, 2/3)": 1, "(2/3, inf)": -1},
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="family-nil5-12-13-23",
-        source="Sec. 3, rational family on (0,0,12,13,23) and structure (13)",
-        description="rational evolution family; volume coefficient t - 2",
-        payload="""\
-[algebra]
-compact = (0,0,12,13,23)
-
-[family]
-param = t
-domain = (-inf, 2) | (2, inf)
-eta = (2/(2-t))*e3
-omega1 = ((2-t)/2)*(e15 + e42)
-omega2 = (t*(2-t)*(t-4)/4)*e12 + ((2-t)/2)*(e14 + e25)
-omega3 = e12 - (t*(2-t)^2*(t-4)/8)*e25 - ((2-t)^2/4)*e45
-alpha1 = e1
-alpha2 = e2
-alpha3 = ((2-t)/2)*e5
-alpha4 = (t*(2-t)*(t-4)/4)*e2 + ((2-t)/2)*e4
-alpha5 = (2/(2-t))*e3
-alpha6 = dt
-F_expected = e12 - (t*(2-t)^2*(t-4)/8)*e25 - ((2-t)^2/4)*e45 + (2/(2-t))*e3^dt
-psi_plus_expected = -e135 + e234 - ((2-t)/2)*((t*(t-4)/2)*e12 + e14 + e25)^dt
-psi_minus_expected = -e134 - e235 + (t*(t-4)/2)*e123 + ((2-t)/2)*(e15 - e24)^dt
-""",
-        expected={
-            "jacobi": True,
-            "family_valid": True,
-            "evolution": True,
-            "suspension": True,
-            "closed": True,
-            "orthonormal": True,
-            "volume": "t - 2",
-            "volume_signs": {"(-inf, 2)": -1, "(2, inf)": 1},
-        },
-        source_states={
-            "volume": "-2 e12345, 'remains constant'; exact computation gives "
-                      "(t-2) e12345, confirmed by the listed orthonormal coframe",
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="thm4.1-I",
-        source="Theorem 4.1, case (I) (Iwasawa group)",
-        description="balanced structure on the Iwasawa algebra; Bismut holonomy su(3)",
-        payload="[algebra]\ncompact = (0,0,0,0,13+42,14+23)\n\n[structure]\n"
-                "F = e12 + e34 + e56\n"
-                + _psi_lines(6, PAIRS_123456) + "\n" + J_STANDARD_6 + "\n",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "volume_ratio": "2/3",
-            "balanced_sun": True,
-            "kaehler": False,
-            "half_flat": True,
-            "dF": "e136 - e145 - e235 - e246",
-            "torsion": "-e135 - e146 - e236 + e245",
-            "connection": {
-                "1,5": "-e3", "1,6": "-e4", "2,5": "e4", "2,6": "-e3",
-                "3,5": "e1", "3,6": "e2", "4,5": "-e2", "4,6": "e1",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,2": "2*e34", "1,3": "-e13 - e24",
-                "2,3": "e14 - e23", "3,4": "2*e12",
-            },
-            "curvature_rank": 4,
-            "nabla": {
-                "1|1,2": "-2*e36 + 2*e45",
-                "2|1,2": "2*e35 + 2*e46",
-                "3|3,4": "2*e16 - 2*e25",
-                "4|3,4": "-2*e15 - 2*e26",
-            },
-            "holonomy_dim": 8,
-            "holonomy_generations": [4, 8, 8],
-            "su_n": True,
-            "stabilized": 1,
-            "restrictions_balanced": [1, 2, 3, 4],
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="thm4.1-II",
-        source="Theorem 4.1, case (II)",
-        description="second complex-parallelizable solvable group; holonomy su(3)",
-        payload="""\
-[algebra]
-dim = 6
-d e3 = e13 - e24
-d e4 = e14 + e23
-d e5 = -e15 + e26
-d e6 = -e16 - e25
-
-[structure]
-F = e12 + e34 + e56
-""" + _psi_lines(6, PAIRS_123456) + "\n" + J_STANDARD_6 + "\n",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "balanced_sun": True,
-            "dF": "2*e134 - 2*e156",
-            "torsion": "-2*e234 + 2*e256",
-            "connection": {
-                "1,3": "-e3", "1,4": "-e4", "1,5": "e5", "1,6": "e6",
-                "2,3": "e4", "2,4": "-e3", "2,5": "-e6", "2,6": "e5",
-                "3,4": "2*e2", "5,6": "-2*e2",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,3": "-e13 - e24", "1,4": "-e14 + e23",
-                "1,5": "-e15 - e26", "1,6": "-e16 + e25",
-                "3,4": "-2*e34", "3,5": "e35 + e46",
-                "3,6": "e36 - e45", "5,6": "-2*e56",
-            },
-            "curvature_rank": 8,
-            "holonomy_dim": 8,
-            "holonomy_generations": [8, 8],
-            "su_n": True,
-            "stabilized": 0,
-            "restrictions_balanced": [1, 2],
-        },
-        source_states={
-            "connection": "printed table repeats case (I); the verified case (II) "
-                          "table is recorded here (omega^1_3 = -e3 ... omega^5_6 = -2e2)",
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="thm4.2-h2",
-        source="Theorem 4.2, structure equations (16)",
-        description="two-step algebra with balanced structure; basis change to (0,0,0,0,12,34)",
-        payload="""\
-[algebra]
-dim = 6
-d e5 = e13 - e24
-d e6 = -2 e12 + e14 + e23 + 2 e34
-
-[structure]
-F = e12 + e34 + e56
-""" + _psi_lines(6, PAIRS_123456) + "\n" + J_STANDARD_6 + """
-
-[basis_change]
-f1 = -2*e2 + 3^(1/2)*e3 + e4
-f2 = e1 - 3^(1/2)*e2 + 2*e3
-f3 = 2*e2 + 3^(1/2)*e3 - e4
-f4 = e1 + 3^(1/2)*e2 + 2*e3
-f5 = -3^(1/2)*e5 - e6
-f6 = -3^(1/2)*e5 + e6
-target = (0,0,0,0,12,34)
-""",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "volume_ratio": "2/3",
-            "balanced_sun": True,
-            "dF": "2*e125 + e136 - e145 - e235 - e246 - 2*e345",
-            "torsion": "-2*e126 - e135 - e146 - e236 + e245 + 2*e346",
-            "connection": {
-                "1,2": "2*e6", "1,5": "-e3", "1,6": "-e4",
-                "2,5": "e4", "2,6": "-e3", "3,4": "-2*e6",
-                "3,5": "e1", "3,6": "e2", "4,5": "-e2", "4,6": "e1",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,2": "-4*e12 + 2*e14 + 2*e23 + 6*e34",
-                "1,3": "-e13 - e24", "1,4": "-e14 + e23",
-                "1,5": "-2*e46", "1,6": "2*e36",
-                "3,4": "6*e12 - 2*e14 - 2*e23 - 4*e34",
-                "3,5": "-2*e26", "3,6": "2*e16",
-            },
-            "curvature_rank": 8,
-            "holonomy_dim": 8,
-            "holonomy_generations": [8, 8],
-            "su_n": True,
-            "stabilized": 0,
-            "basis_change": True,
-            "restrictions_balanced": [1, 2, 3, 4],
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="thm4.2-h19m",
-        source="Theorem 4.2, three-step algebra (0,0,0,12,23,14-35)",
-        description="balanced structure on the unique three-step algebra; holonomy su(3)",
-        payload="[algebra]\ncompact = (0,0,0,12,23,14-35)\n\n[structure]\n"
-                "F = -e13 - e26 + e45\n"
-                + _psi_lines(6, [(1, -3), (2, -6), (4, 5)]) + "\n"
-                + "J: e1 -> e3, e2 -> e6, e3 -> -e1, e4 -> -e5, e5 -> e4, e6 -> -e2\n",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "volume_ratio": "2/3",
-            "balanced_sun": True,
-            "dF": "-e124 + e125 - e234 - e235",
-            "torsion": "e146 - e156 - e346 - e356",
-            "connection": {
-                "1,2": "-1/2*e4", "1,4": "-1/2*e2 - e6", "1,5": "1/2*e6",
-                "1,6": "-1/2*e5", "2,3": "-1/2*e5", "2,4": "1/2*e1",
-                "2,5": "-1/2*e3", "3,4": "1/2*e6", "3,5": "1/2*e2 + e6",
-                "3,6": "-1/2*e4", "4,6": "1/2*e3", "5,6": "1/2*e1",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,2": "-3/4*e12 - 1/2*e16 - 1/4*e36",
-                "1,3": "1/2*e26 + 1/2*e45",
-                "1,4": "-3/4*e14 + 3/4*e35",
-                "1,5": "1/2*e14 - 1/4*e15 - 1/4*e34 - 1/2*e35",
-                "1,6": "-1/4*e16 - 3/4*e23 + 1/2*e36",
-                "2,4": "1/4*e24 - 1/2*e46 - 1/4*e56",
-                "2,5": "1/4*e25 + 1/4*e46 - 1/2*e56",
-                "2,6": "1/2*e13 - 1/2*e45",
-            },
-            "curvature_rank": 8,
-            "holonomy_dim": 8,
-            "holonomy_generations": [8, 8],
-            "su_n": True,
-            "stabilized": 0,
-            "restrictions_balanced": [1, 2, 3],
-        },
-        source_states={
-            "J": "printed with Je2 = 4e6, Je6 = -(1/4)e2; the unit-scaled orthogonal J "
-                 "reproduces the printed torsion and is used here",
-            "omega^2_6": "printed as (1/2)e6; verified entry is omega^3_4 = (1/2)e6 "
-                         "(first structure equation)",
-            "Omega^1_6": "printed e36-coefficient -1/2; verified +1/2 "
-                         "(second structure equation)",
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="solv6d",
-        source="Sec. 4.1, completely solvable 6d example",
-        description="completely solvable algebra; balanced, holonomy su(3), no Kaehler",
-        payload="""\
-[algebra]
-dim = 6
-d e3 = e13
-d e4 = -e14
-d e5 = e15
-d e6 = -e16
-
-[structure]
-F = e12 + e35 + e46
-""" + _psi_lines(6, [(1, 2), (3, 5), (4, 6)]) + "\n"
-                + "J: e1 -> -e2, e2 -> e1, e3 -> -e5, e4 -> -e6, e5 -> e3, e6 -> e4\n",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "balanced_sun": True,
-            "kaehler": False,
-            "dF": "2*e135 - 2*e146",
-            "torsion": "-2*e235 + 2*e246",
-            "torsion_components": {"2,3,5": "-2", "2,4,6": "2"},
-            "connection": {
-                "1,3": "-e3", "1,4": "e4", "1,5": "-e5", "1,6": "e6",
-                "2,3": "e5", "2,4": "-e6", "2,5": "-e3", "2,6": "e4",
-                "3,5": "e2", "4,6": "-e2",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,2": "2*e35 + 2*e46",
-                "1,3": "-e13 - e25", "1,4": "-e14 - e26",
-                "1,5": "-e15 + e23", "1,6": "-e16 + e24",
-                "2,3": "e15 - e23", "2,4": "e16 - e24",
-                "2,5": "-e13 - e25", "2,6": "-e14 - e26",
-                "3,4": "e34 + e56", "3,5": "-2*e35",
-                "3,6": "e36 + e45", "4,5": "e36 + e45",
-                "4,6": "-2*e46", "5,6": "e34 + e56",
-            },
-            "curvature_rank": 8,
-            "holonomy_dim": 8,
-            "su_n": True,
-            "restrictions_balanced": [1, 2, 3, 4, 5, 6],
-        },
-        source_states={
-            "F": "displayed as sum of e^{2i-1,2i}; the J-adapted form e12 + e35 + e46 "
-                 "is the one reproducing the displayed dF",
-            "omega^3_4": "printed as e5; verified 0 (contradicts the first structure "
-                         "equation and the printed curvature)",
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="ex4.3",
-        source="Example 4.3",
-        description="8d nilpotent-type solvable example; holonomy su(4) after one derivative",
-        payload="""\
-[algebra]
-dim = 8
-d e5 = -e13 + e24
-d e6 = -e14 - e23
-d e7 = -2 e15 + 2 e26
-d e8 = -2 e16 - 2 e25
-
-[structure]
-F = e12 + e34 + e56 + e78
-""" + _psi_lines(8, PAIRS_12345678) + "\n" + J_STANDARD_8 + "\n",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "volume_ratio": "2/3",
-            "balanced_sun": True,
-            "dF": "-e136 + e145 - 2*e158 + 2*e167 + e235 + e246 + 2*e257 + 2*e268",
-            "torsion": "e135 + e146 + 2*e157 + 2*e168 + e236 - e245 + 2*e258 - 2*e267",
-            "connection": {
-                "1,5": "e3", "1,6": "e4", "1,7": "2*e5", "1,8": "2*e6",
-                "2,5": "-e4", "2,6": "e3", "2,7": "-2*e6", "2,8": "2*e5",
-                "3,5": "-e1", "3,6": "-e2", "4,5": "e2", "4,6": "-e1",
-                "5,7": "-2*e1", "5,8": "-2*e2", "6,7": "2*e2", "6,8": "-2*e1",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,3": "-e13 - e24", "1,4": "-e14 + e23",
-                "1,5": "-4*e15 - 4*e26", "1,6": "-4*e16 + 4*e25",
-                "3,4": "2*e12", "5,6": "6*e12 - 2*e34",
-                "5,7": "-2*e35 - 2*e46", "5,8": "-2*e36 + 2*e45",
-                "7,8": "-8*e12 - 8*e56",
-            },
-            "curvature_rank": 9,
-            "nabla": {
-                "2|1,2": "6*e35 + 6*e46 - 16*e57 - 16*e68",
-                "5|1,3": "-2*e37 - 2*e48",
-                "6|1,3": "-2*e38 + 2*e47",
-                "6|1,5": "4*e36 - 4*e45 - 8*e58 + 8*e67",
-                "5|3,4": "-4*e18 + 4*e27",
-                "6|3,4": "4*e17 + 4*e28",
-            },
-            "holonomy_dim": 15,
-            "holonomy_generations": [9, 15, 15],
-            "su_n": True,
-            "stabilized": 1,
-        },
-        source_states={
-            "nabla_E2 Omega^1_2": "printed -16(e57+e68); the 6(e35+e46) part (inside "
-                                  "the curvature span) also appears in the exact value",
-            "nabla_E6 Omega^1_5": "printed -8(e58-e67); the 4(e36-e45) part (inside "
-                                  "the curvature span) also appears in the exact value",
-        },
-    ))
-
-    out.append(_ex44_entry(F(1), "ex4.4-c1"))
-    out.append(_ex44_entry(F(2), "ex4.4-c2"))
-    out.append(_ex44_entry(F(-1, 2), "ex4.4-cneg1half"))
-    out.append(_ex44_entry(F(-3), "ex4.4-cneg3"))
-
-    out.append(CatalogEntry(
-        name="ex4.5",
-        source="Example 4.5",
-        description="8d example with mixed structure equations; 15 curvature forms",
-        payload="""\
-[algebra]
-dim = 8
-d e3 = e13 - e24
-d e4 = e14 + e23
-d e5 = -2 e15 + 2 e26
-d e6 = -2 e16 - 2 e25
-d e7 = -e13 + e17 + e24 - e28
-d e8 = -e14 + e18 - e23 + e27
-
-[structure]
-F = e12 + e34 + e56 + e78
-""" + _psi_lines(8, PAIRS_12345678) + "\n" + J_STANDARD_8 + "\n",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "balanced_sun": True,
-            "dF": "2*e134 - e138 + e147 - 4*e156 + 2*e178 + e237 + e248",
-            "torsion": "e137 + e148 - 2*e234 + e238 - e247 + 4*e256 - 2*e278",
-            "connection": {
-                "1,3": "-e3", "1,4": "-e4", "1,5": "2*e5", "1,6": "2*e6",
-                "1,7": "e3 - e7", "1,8": "e4 - e8",
-                "2,3": "e4", "2,4": "-e3", "2,5": "-2*e6", "2,6": "2*e5",
-                "2,7": "-e4 + e8", "2,8": "e3 - e7",
-                "3,4": "2*e2", "3,7": "-e1", "3,8": "-e2",
-                "4,7": "e2", "4,8": "-e1", "5,6": "-4*e2", "7,8": "2*e2",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,3": "-2*e13 + e17 - 2*e24 + e28",
-                "1,4": "-2*e14 + e18 + 2*e23 - e27",
-                "1,5": "-4*e15 - 4*e26", "1,6": "-4*e16 + 4*e25",
-                "1,7": "e13 - e17 + e24 - e28",
-                "1,8": "e14 - e18 - e23 + e27",
-                "3,4": "2*e12 - 2*e34",
-                "3,5": "2*e35 + 2*e46", "3,6": "2*e36 - 2*e45",
-                "3,7": "-e37 - e48", "3,8": "2*e34 - e38 + e47",
-                "5,6": "-8*e56",
-                "5,7": "2*e35 + 2*e46 + 2*e57 + 2*e68",
-                "5,8": "-2*e36 + 2*e45 + 2*e58 - 2*e67",
-                "7,8": "-2*e12 - 2*e34 + 2*e38 - 2*e47 - 2*e78",
-            },
-            "curvature_rank": 15,
-            "holonomy_dim": 15,
-            "holonomy_generations": [15, 15],
-            "su_n": True,
-            "stabilized": 0,
-        },
-        source_states={
-            "Omega^3_8": "printed '2e34 - e38 - 2e43 + e47'; the -2e43 term is garbled, "
-                         "the verified value is 2e34 - e38 + e47",
-        },
-    ))
-
-    out.append(CatalogEntry(
-        name="ex4.6",
-        source="Example 4.6 and Prop 4.7",
-        description="holomorphic parallelizable 8d solvmanifold; tables (18) and (19)",
-        payload="""\
-[algebra]
-dim = 8
-d e3 = e13 - e24
-d e4 = e14 + e23
-d e5 = -e15 + e26
-d e6 = -e16 - e25
-d e7 = -e35 + e46
-d e8 = -e36 - e45
-
-[structure]
-F = e12 + e34 + e56 + e78
-""" + _psi_lines(8, PAIRS_12345678) + "\n" + J_STANDARD_8 + "\n",
-        expected={
-            "jacobi": True,
-            "sun_valid": True,
-            "volume_ratio": "2/3",
-            "balanced_sun": True,
-            "dF": "2*e134 - 2*e156 - e358 + e367 + e457 + e468",
-            "torsion": "-2*e234 + 2*e256 + e357 + e368 + e458 - e467",
-            "connection": {
-                "1,3": "-e3", "1,4": "-e4", "1,5": "e5", "1,6": "e6",
-                "2,3": "e4", "2,4": "-e3", "2,5": "-e6", "2,6": "e5",
-                "3,4": "2*e2", "3,7": "e5", "3,8": "e6",
-                "4,7": "-e6", "4,8": "e5", "5,6": "-2*e2",
-                "5,7": "-e3", "5,8": "-e4", "6,7": "e4", "6,8": "-e3",
-            },
-            "connection_complete": True,
-            "curvature": {
-                "1,2": "2*e34 + 2*e56",
-                "1,3": "-e13 - e24", "1,4": "-e14 + e23",
-                "1,5": "-e15 - e26", "1,6": "-e16 + e25",
-                "2,3": "e14 - e23", "2,4": "-e13 - e24",
-                "2,5": "e16 - e25", "2,6": "-e15 - e26",
-                "3,4": "-2*e34 + 2*e56",
-                "3,7": "-e15 - e26", "3,8": "-e16 + e25",
-                "4,7": "e16 - e25", "4,8": "-e15 - e26",
-                "5,6": "2*e34 - 2*e56",
-                "5,7": "-e13 - e24", "5,8": "-e14 + e23",
-                "6,7": "e14 - e23", "6,8": "-e13 - e24",
-                "7,8": "-2*e34 - 2*e56",
-            },
-            "curvature_rank": 6,
-            "nabla": {
-                "3|1,2": "2*e58 - 2*e67",
-                "4|1,2": "-2*e57 - 2*e68",
-                "5|1,2": "-2*e38 + 2*e47",
-                "6|1,2": "2*e37 + 2*e48",
-                "6|1,4": "-e17 - e28 - e35 - e46",
-                "4|1,5": "-e18 + e27 + e36 - e45",
-                "3|1,6": "-e18 + e27 - e36 + e45",
-                "4|1,6": "e17 + e28 - e35 - e46",
-                "5|1,6": "-2*e12 - 2*e56",
-            },
-            "holonomy_dim": 6,
-            "holonomy_generations": [6, 6],
-            "su_n": True,
-            "stabilized": 0,
-        },
-        source_states={
-            "J": "printed Je4 = -e3 fails J^2 = -Id; Je4 = +e3 is forced by F and "
-                 "reproduces the printed dF and torsion",
-            "holonomy": "claimed su(4), dim 15 via 6 + 9 independent 2-forms; the "
-                        "endomorphism span (Ambrose-Singer) stabilizes at dim 6, "
-                        "bracket-closed, through four derivative generations; "
-                        "independence of forms bounds a different tensor flattening",
-            "nabla Omega^1_2": "the four printed values carry extra components inside "
-                               "the curvature span; e.g. the e14-part of "
-                               "nabla_{e3} Omega^1_2 evaluates to 0, not -2",
-        },
-    ))
-
-    return sorted(out, key=lambda e: e.name)
-
-
-_CATALOG: list[CatalogEntry] | None = None
-
-
-def catalog_manifest() -> list[CatalogEntry]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _entries()
-    return _CATALOG
-
-
-def get_entry(name: str) -> CatalogEntry:
-    for entry in catalog_manifest():
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no catalog entry named {name!r}")
 
 
 # ---------------------------------------------------------------------------
