@@ -252,8 +252,7 @@ class _ExprParser:
 
     ``groups`` maps (dimension, allow_dt, param_allowed, token texts) of a
     shareable parenthesized group to its value and to the nesting levels its
-    parse took, and ("^", base, exponent) of a scalar power to its value, for
-    every expression parsed with the same dict."""
+    parse took, for every expression parsed with the same dict."""
 
     def __init__(self, tokens, lineno: int, dimension: int, env: dict[str, Value],
                  allow_dt: bool, param_allowed: bool, groups: dict):
@@ -414,10 +413,7 @@ class _ExprParser:
                 self.error("form powers must be nonnegative integers")
             return _Sum.of(wedge_power(a, int(k)))
         if isinstance(a, Scalar) and isinstance(b, Scalar):
-            key = ("^", a, b.as_fraction())  # Scalars are immutable: the value is shared
-            if key not in self.groups:
-                self.groups[key] = a.rational_power(key[2])
-            return self.groups[key]
+            return a.rational_power(b.as_fraction())
         self.error("unsupported '^' operands")
 
 

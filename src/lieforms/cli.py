@@ -2,6 +2,9 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (residuals are
 printed), 2 parse or input error.
+
+Each command imports the engine modules it uses when it runs, so ``catalog
+list``, ``--help`` and usage errors load no engine module.
 """
 
 from __future__ import annotations
@@ -11,32 +14,21 @@ import functools
 import sys
 from pathlib import Path
 
-from .algebras import (
-    StructureFile,
-    ce_cohomology,
-    check_jacobi,
-    parse_equations,
-    verify_basis_change,
-)
-from .catalog import StructureContext, catalog_manifest, get_entry, run_entry
-from .connection import holonomy_algebra
-from .evolution import (
-    family_volume,
-    validate_family,
-    verify_balanced_evolution,
-    verify_hypo_evolution,
-)
-from .structures import is_balanced_su2, is_balanced_sun, is_hypo, validate_su2, validate_sun
+from .manifest import catalog_manifest, get_entry
 
 PASS, MATH_FAIL, INPUT_ERROR = 0, 1, 2
 
 
-def _load(path: str) -> StructureFile:
+def _load(path: str):
+    from .algebras import parse_equations
+
     text = Path(path).read_text(encoding="utf-8")
     return parse_equations(text, name=Path(path).stem)
 
 
 def cmd_validate(args) -> int:
+    from .algebras import check_jacobi
+
     sf = _load(args.file)
     report = check_jacobi(sf.algebra)
     print(report.render())
@@ -44,6 +36,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .algebras import ce_cohomology
+
     sf = _load(args.file)
     report = ce_cohomology(sf.algebra, args.max_degree)
     print(report.render())
@@ -51,6 +45,10 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .algebras import verify_basis_change
+    from .catalog import StructureContext
+    from .structures import is_balanced_su2, is_balanced_sun, is_hypo, validate_su2, validate_sun
+
     ctx = StructureContext(_load(args.file))
     sf, su2, sun = ctx.sf, ctx.su2, ctx.sun
     if args.su2 and su2 is None:
@@ -100,6 +98,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_evolve_verify(args) -> int:
+    from .catalog import StructureContext
+    from .evolution import (
+        family_volume,
+        validate_family,
+        verify_balanced_evolution,
+        verify_hypo_evolution,
+    )
+
     family = StructureContext(_load(args.file)).family
     if family is None:
         print("error: the file has no [family] section")
@@ -116,6 +122,8 @@ def cmd_evolve_verify(args) -> int:
 
 
 def cmd_suspend(args) -> int:
+    from .catalog import StructureContext
+
     suspension = StructureContext(_load(args.file)).suspension
     if suspension is None:
         print("error: the file has no [family] section")
@@ -141,6 +149,8 @@ def cmd_suspend(args) -> int:
 
 
 def cmd_bismut(args) -> int:
+    from .catalog import StructureContext
+
     ctx = StructureContext(_load(args.file))
     if ctx.frame is None:
         print("error: the file needs F and J in a [structure] section")
@@ -164,6 +174,9 @@ def cmd_bismut(args) -> int:
 
 
 def cmd_holonomy(args) -> int:
+    from .catalog import StructureContext
+    from .connection import holonomy_algebra
+
     ctx = StructureContext(_load(args.file))
     if ctx.frame is None:
         print("error: the file needs F and J in a [structure] section")
@@ -186,6 +199,8 @@ def cmd_catalog(args) -> int:
             print("error: catalog run needs an entry name")
             return INPUT_ERROR
         return cmd_report(args)
+    from .catalog import run_entry
+
     results = [run_entry(entry) for entry in catalog_manifest()]
     width = max(len(r.name) for r in results)
     for rep in results:
@@ -201,6 +216,8 @@ def cmd_report(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}")
         return INPUT_ERROR
+    from .catalog import run_entry
+
     report = run_entry(entry)
     print(report.render())
     if args.command == "report":

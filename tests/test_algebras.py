@@ -732,27 +732,6 @@ def test_arithmetic_errors_keep_their_text_and_column(expr, column, message):
     assert str(err.value) == f"line 4, column {column + 10}: {message}"
 
 
-def test_each_radical_power_of_a_file_is_computed_once(monkeypatch):
-    """A scalar power spelled again in one file, in or out of a shared group,
-    reuses the value of its first spelling; other files compute it again."""
-    calls = Counter()
-
-    def counting(self, r, _fn=Scalar.rational_power):
-        calls["rational_power"] += 1
-        return _fn(self, r)
-
-    monkeypatch.setattr(Scalar, "rational_power", counting)
-    for name, want in (("family-nil5-12-14", 4), ("family-nil5-12-13-23", 1)):
-        calls.clear()
-        parse_equations(get_entry(name).payload)
-        assert calls["rational_power"] == want, name
-    calls.clear()
-    sf = parse_equations("[algebra]\ndim = 4\n[structure]\n"
-                         "A = 2^(1/2)*e1 + (2*t)^(1/3)*e2\nB = (2^(1/2) + 1)*e3 - 2^(1/2)*e4\n")
-    assert calls["rational_power"] == 2
-    assert sf.forms["B"] == parse_form_expr("(2^(1/2) + 1)*e3 - 2^(1/2)*e4", 4)
-
-
 def test_rational_constants_are_folded_without_scalar_division(monkeypatch):
     def refuse(*args):
         raise AssertionError("a rational constant went through Scalar division")

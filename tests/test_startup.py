@@ -1,8 +1,8 @@
 """The package's start-up contract, checked in fresh interpreters.
 
-``import lieforms`` and ``catalog_manifest()`` load no engine module; every
-public name resolves lazily to the object its submodule defines, and the
-resolution stores nothing in the package namespace.
+``import lieforms``, ``catalog_manifest()`` and ``lieforms catalog list`` load
+no engine module; every public name resolves lazily to the object its
+submodule defines, and the resolution stores nothing in the package namespace.
 """
 
 import json
@@ -54,6 +54,17 @@ def test_the_manifest_loads_no_engine_module():
                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lieforms'))))")
     assert loaded == ["lieforms", "lieforms.manifest"]
     assert not {f"lieforms.{m}" for m in ENGINE} & set(loaded)
+
+
+def test_catalog_list_loads_only_the_cli_and_the_manifest():
+    loaded = run("import contextlib, io, json\nfrom lieforms.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                 "    assert main(['catalog', 'list']) == 0\n"
+                 "    assert main(['report', 'no-such-entry']) == 2\n"
+                 "    assert main(['catalog', 'frobnicate']) == 2\n"
+                 "assert len(out.getvalue().splitlines()) == 23\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lieforms'))))")
+    assert loaded == ["lieforms", "lieforms.cli", "lieforms.manifest"]
 
 
 def test_every_public_name_is_its_submodule_object():
