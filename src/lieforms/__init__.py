@@ -13,7 +13,7 @@ without one.
 
 import importlib
 
-# submodule -> the public names the package re-exports from it
+# the one list of the package's public names: submodule -> the names it defines
 _EXPORTS = {name: module for module, names in {
     "algebras": "CohomologyReport Interval LieAlgebra ParseError StructureFile ce_cohomology "
                 "central_extension check_jacobi extend_by_line parse_compact parse_equations "

@@ -136,14 +136,15 @@ def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     rows = [[c.rational_value() for c in row] for row in matrix]
     if any(q is None for row in rows for q in row):
         return leading_minors(matrix, Scalar.zero(), Scalar.one())[-1]
-    den, a = _cleared(rows)
-    return Scalar.rational(Fraction(leading_minors(a, 0, 1)[-1], den**len(a)))
-
-
-def _cleared(rows: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """(L, L * rows), L the lcm of the denominators of the entries."""
     den = lcm(*(q.denominator for row in rows for q in row))
-    return den, [[q.numerator * (den // q.denominator) for q in row] for row in rows]
+    det = leading_minors(_integral(rows, den), 0, 1)[-1]
+    return Scalar.rational(Fraction(det, den**len(rows)))
+
+
+def _integral(mat: Sequence[Sequence[Fraction]], den: int | None = None) -> list[list[int]]:
+    """The rational matrix times den, by default the lcm of its denominators."""
+    den = den or lcm(*(x.denominator for row in mat for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
 def symmetric(matrix: ScalarMatrix) -> bool:
@@ -156,4 +157,4 @@ def positive_definite(matrix: ScalarMatrix) -> bool:
     leading minors of the matrix cleared of denominators by L > 0 are those
     of the matrix times powers of L."""
     rows = [[c.as_fraction() for c in row] for row in matrix]
-    return all(m > 0 for m in leading_minors(_cleared(rows)[1], 0, 1))
+    return all(m > 0 for m in leading_minors(_integral(rows), 0, 1))

@@ -51,23 +51,6 @@ from .exterior import (
 )
 from .scalars import Scalar, UnsupportedScalarError
 
-__all__ = [
-    "CohomologyReport",
-    "Interval",
-    "LieAlgebra",
-    "ParseError",
-    "StructureFile",
-    "central_extension",
-    "ce_cohomology",
-    "check_jacobi",
-    "extend_by_line",
-    "parse_compact",
-    "parse_equations",
-    "parse_form_expr",
-    "parse_scalar_expr",
-    "verify_basis_change",
-]
-
 
 @dataclass
 class LieAlgebra:
@@ -782,6 +765,8 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 
+# kept, not an idle alias: perfbench's layer tracer counts cohomology's echelon rows through
+# this name (test_benchmark_traced_names_exist pins it)
 _insert_row = insert_echelon_row
 
 

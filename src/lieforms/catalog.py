@@ -55,10 +55,8 @@ from .structures import (
     validate_su2,
     validate_sun,
 )
+# re-exported: perfbench reads lieforms.catalog.get_entry and .catalog_manifest
 from .manifest import CatalogEntry, catalog_manifest, get_entry
-
-__all__ = ["CatalogEntry", "EntryReport", "StructureContext", "catalog_manifest", "get_entry",
-           "run_entry"]
 
 F = Fraction
 

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed (residuals are
-printed), 2 parse or input error.
+Each command returns whether its checks passed, or raises ``ValueError`` on
+an input error.  ``main`` alone maps these to the exit codes: 0 all checks
+pass, 1 a mathematical check failed (residuals are printed), 2 parse or input
+error.
 
 Each command imports the engine modules it uses when it runs, so ``catalog
 list``, ``--help`` and usage errors load no engine module.
@@ -26,25 +28,25 @@ def _load(path: str):
     return parse_equations(text, name=Path(path).stem)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> bool:
     from .algebras import check_jacobi
 
     sf = _load(args.file)
     report = check_jacobi(sf.algebra)
     print(report.render())
-    return PASS if report.passed else MATH_FAIL
+    return report.passed
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> bool:
     from .algebras import ce_cohomology
 
     sf = _load(args.file)
     report = ce_cohomology(sf.algebra, args.max_degree)
     print(report.render())
-    return PASS
+    return True
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> bool:
     from .algebras import verify_basis_change
     from .catalog import StructureContext
     from .structures import is_balanced_su2, is_balanced_sun, is_hypo, validate_su2, validate_sun
@@ -52,20 +54,15 @@ def cmd_check(args) -> int:
     ctx = StructureContext(_load(args.file))
     sf, su2, sun = ctx.sf, ctx.su2, ctx.sun
     if args.su2 and su2 is None:
-        print("error: no SU(2) quadruplet (eta, omega1..omega3) in the file")
-        return INPUT_ERROR
+        raise ValueError("no SU(2) quadruplet (eta, omega1..omega3) in the file")
     if (args.su3 or args.su4) and sun is None:
-        print("error: no (F, psi_plus, psi_minus, J) structure in the file")
-        return INPUT_ERROR
+        raise ValueError("no (F, psi_plus, psi_minus, J) structure in the file")
     if args.su3 and sf.algebra.dimension != 6:
-        print("error: --su3 needs a 6-dimensional algebra")
-        return INPUT_ERROR
+        raise ValueError("--su3 needs a 6-dimensional algebra")
     if args.su4 and sf.algebra.dimension != 8:
-        print("error: --su4 needs an 8-dimensional algebra")
-        return INPUT_ERROR
+        raise ValueError("--su4 needs an 8-dimensional algebra")
     if su2 is None and sun is None and sf.basis_change is None:
-        print("error: the file declares no checkable structure")
-        return INPUT_ERROR
+        raise ValueError("the file declares no checkable structure")
 
     ok = True
     if su2 is not None:
@@ -94,10 +91,10 @@ def cmd_check(args) -> int:
         report = verify_basis_change(sf.algebra, sf.basis_change.matrix, sf.basis_change.target)
         print(report.render())
         ok &= report.passed
-    return PASS if ok else MATH_FAIL
+    return ok
 
 
-def cmd_evolve_verify(args) -> int:
+def cmd_evolve_verify(args) -> bool:
     from .catalog import StructureContext
     from .evolution import (
         family_volume,
@@ -108,8 +105,7 @@ def cmd_evolve_verify(args) -> int:
 
     family = StructureContext(_load(args.file)).family
     if family is None:
-        print("error: the file has no [family] section")
-        return INPUT_ERROR
+        raise ValueError("the file has no [family] section")
     validity = validate_family(family)
     print(validity.render())
     evolution = verify_balanced_evolution(family)
@@ -118,16 +114,15 @@ def cmd_evolve_verify(args) -> int:
     print(hypo.render())
     volume = family_volume(family)
     print(volume.render())
-    return PASS if (validity.passed and evolution.passed) else MATH_FAIL
+    return validity.passed and evolution.passed
 
 
-def cmd_suspend(args) -> int:
+def cmd_suspend(args) -> bool:
     from .catalog import StructureContext
 
     suspension = StructureContext(_load(args.file)).suspension
     if suspension is None:
-        print("error: the file has no [family] section")
-        return INPUT_ERROR
+        raise ValueError("the file has no [family] section")
     susp, closed = suspension
     lines = ["[algebra]", f"dim = {susp.ambient.dimension}"]
     for i, diff in enumerate(susp.ambient.differentials, start=1):
@@ -145,16 +140,15 @@ def cmd_suspend(args) -> int:
     else:
         print(text, end="")
     print(closed.render())
-    return PASS if closed.passed else MATH_FAIL
+    return closed.passed
 
 
-def cmd_bismut(args) -> int:
+def cmd_bismut(args) -> bool:
     from .catalog import StructureContext
 
     ctx = StructureContext(_load(args.file))
     if ctx.frame is None:
-        print("error: the file needs F and J in a [structure] section")
-        return INPUT_ERROR
+        raise ValueError("the file needs F and J in a [structure] section")
     sheet = ctx.sheet
     show = args.show or ["torsion", "connection", "curvature", "nabla"]
     if "torsion" in show:
@@ -170,34 +164,31 @@ def cmd_bismut(args) -> int:
             table = ctx.nabla(m)
             for (i, j) in sorted(table):
                 print(f"nabla_E{m} Omega^{i}_{j} = {table[(i, j)].render()}")
-    return PASS
+    return True
 
 
-def cmd_holonomy(args) -> int:
+def cmd_holonomy(args) -> bool:
     from .catalog import StructureContext
     from .connection import holonomy_algebra
 
     ctx = StructureContext(_load(args.file))
     if ctx.frame is None:
-        print("error: the file needs F and J in a [structure] section")
-        return INPUT_ERROR
+        raise ValueError("the file needs F and J in a [structure] section")
     report = holonomy_algebra(ctx.sheet, ctx.curv, max_order=args.max_order)
     print(report.render())
-    return PASS
+    return True
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> bool:
     if args.name and args.action != "run":
-        print(f"error: catalog {args.action} takes no entry name")
-        return INPUT_ERROR
+        raise ValueError(f"catalog {args.action} takes no entry name")
     if args.action == "list":
         for entry in catalog_manifest():
             print(f"{entry.name:28s} {entry.source:55s} {entry.description}")
-        return PASS
+        return True
     if args.action == "run":
         if not args.name:
-            print("error: catalog run needs an entry name")
-            return INPUT_ERROR
+            raise ValueError("catalog run needs an entry name")
         return cmd_report(args)
     from .catalog import run_entry
 
@@ -206,16 +197,15 @@ def cmd_catalog(args) -> int:
     for rep in results:
         print(f"{'PASS' if rep.passed else 'FAIL'}  {rep.name:{width}s}  [{rep.source}]")
     print(f"{sum(r.passed for r in results)}/{len(results)} entries passed")
-    return PASS if all(r.passed for r in results) else MATH_FAIL
+    return all(r.passed for r in results)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> bool:
     """``report NAME``, and ``catalog run NAME`` without the structure file."""
     try:
         entry = get_entry(args.name)
     except KeyError as exc:
-        print(f"error: {exc.args[0]}")
-        return INPUT_ERROR
+        raise ValueError(exc.args[0]) from None
     from .catalog import run_entry
 
     report = run_entry(entry)
@@ -224,7 +214,7 @@ def cmd_report(args) -> int:
         print("structure file:")
         for line in entry.payload.rstrip().splitlines():
             print(f"    {line}")
-    return PASS if report.passed else MATH_FAIL
+    return report.passed
 
 
 @functools.cache
@@ -293,8 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors, which matches the contract
         return INPUT_ERROR if exc.code else PASS
     try:
-        return args.func(args)
-    except (OSError, ValueError) as exc:  # ParseError and the scalar errors are ValueErrors
+        return PASS if args.func(args) else MATH_FAIL
+    except (OSError, ValueError) as exc:  # ParseError and the scalar errors are ValueErrors too
         print(f"error: {exc}")
         return INPUT_ERROR
 

@@ -35,24 +35,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from ._linalg import insert_echelon_row
+from ._linalg import _integral, insert_echelon_row
 from .algebras import LieAlgebra, check_jacobi
 from .exterior import CoframeMap, Form, apply_coframe_map, sort_index
 from .scalars import Scalar
-
-__all__ = [
-    "ConnectionSheet",
-    "CurvatureSheet",
-    "HolonomyReport",
-    "MetricFrame",
-    "bismut_connection",
-    "connection_from_cartan",
-    "curvature",
-    "holonomy_algebra",
-    "levi_civita",
-    "nabla_matrices",
-    "torsion_form",
-]
 
 Matrix = list[list[Fraction]]
 
@@ -395,12 +381,6 @@ class HolonomyReport:
                 f"u(n)={'yes' if self.contained_in_u_n else 'no'}, "
                 f"su(n)={'yes' if self.contained_in_su_n else 'no'}, "
                 f"stabilized at order {stab}")
-
-
-def _integral(mat: Matrix, den: int | None = None) -> list[list[int]]:
-    """The rational matrix times den, by default the lcm of its denominators."""
-    den = den or lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
 def _reduced(den: int, mats: list[list[list[int]]]) -> tuple[int, list[list[list[int]]]]:

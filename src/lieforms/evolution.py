@@ -24,19 +24,6 @@ from .exterior import Form, Report, partial_t, residual_report, wedge
 from .scalars import Scalar, ScalarDomainError
 from .structures import SU2Structure, is_balanced_su2, su2_wedge_identities, suspension_forms
 
-__all__ = [
-    "ParamFamily",
-    "SuspendedStructure",
-    "VolumeReport",
-    "family_from_section",
-    "family_volume",
-    "suspend_family",
-    "validate_family",
-    "verify_balanced_evolution",
-    "verify_hypo_evolution",
-    "verify_orthonormal_coframe",
-]
-
 
 @dataclass(frozen=True)
 class ParamFamily(SU2Structure):

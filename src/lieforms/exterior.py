@@ -31,19 +31,6 @@ from .scalars import Scalar
 
 Index = tuple[int, ...]
 
-__all__ = [
-    "CoframeMap",
-    "Form",
-    "Report",
-    "SpanReport",
-    "apply_coframe_map",
-    "exterior_derivative",
-    "partial_t",
-    "residual_report",
-    "span_rank",
-    "wedge",
-]
-
 
 def sort_index(indices: Sequence[int]) -> tuple[int, Index]:
     """Sort an index tuple, returning the Koszul sign (0 on repeats): the

@@ -13,8 +13,6 @@ import json
 import os
 from dataclasses import dataclass, field
 
-__all__ = ["CatalogEntry", "catalog_manifest", "get_entry"]
-
 
 @dataclass(frozen=True)
 class CatalogEntry:

@@ -35,14 +35,6 @@ from typing import Iterator, NamedTuple
 
 Rational = Fraction
 
-__all__ = [
-    "Rational",
-    "Scalar",
-    "ScalarDomainError",
-    "UnsupportedScalarError",
-    "var_t",
-]
-
 
 class UnsupportedScalarError(ValueError):
     """The requested operation leaves the supported expression class."""

@@ -40,25 +40,6 @@ from .exterior import (
 )
 from .scalars import Scalar, UnsupportedScalarError
 
-__all__ = [
-    "SU2Structure",
-    "SUnStructure",
-    "check_conformal_couple",
-    "circle_bundle_preconditions",
-    "circle_bundle_structure",
-    "complex_volume_forms",
-    "is_balanced_su2",
-    "is_balanced_sun",
-    "is_hypo",
-    "restrict_to_hypersurface",
-    "restrictable_directions",
-    "standard_quadruplet",
-    "suspend_su2",
-    "suspension_forms",
-    "validate_su2",
-    "validate_sun",
-]
-
 
 @dataclass(frozen=True)
 class SU2Structure:

@@ -680,21 +680,26 @@ POSITIONED = re.compile(r"error: line \d+, column \d+: \S")
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(mutated_payloads())
 def test_cli_keeps_the_exit_code_contract_on_mutated_files(tmp_path_factory, text):
-    """validate and check exit 0, 1 or 2 with no traceback, and a parse error
-    is printed as error: line L, column C: ..."""
-    path = tmp_path_factory.mktemp("mutant") / "mutant.txt"
+    """Every file command exits 0, 1 or 2 with no traceback, an exit 2 ends
+    with an error: line, and a parse error is printed as error: line L,
+    column C: ..."""
+    folder = tmp_path_factory.mktemp("mutant")
+    path = folder / "mutant.txt"
     path.write_text(text, encoding="utf-8")
     try:
         parse_equations(text)
         parse_error = None
     except ParseError as exc:
         parse_error = f"error: {exc}"
-    for command in ("validate", "check"):
+    for command in (["validate"], ["check"], ["cohomology"], ["check", "--balanced"],
+                    ["check", "--hypo"], ["evolve-verify"],
+                    ["suspend", "-o", str(folder / "suspended.txt")], ["bismut"], ["holonomy"]):
         out = io.StringIO()
         with redirect_stdout(out):
-            code = main([command, str(path)])
+            code = main([*command, str(path)])
         lines = out.getvalue().splitlines()
         assert code in (0, 1, 2), (command, code)
+        assert code != 2 or lines[-1].startswith("error: "), (command, lines[-1:])
         assert all(POSITIONED.match(line) for line in lines if line.startswith("error: line"))
         if parse_error is not None:
             assert code == 2 and parse_error in lines, (command, lines)
