@@ -130,15 +130,8 @@ def leading_minors(matrix: Sequence[Sequence[R]], zero: R, one: R) -> list[R]:
 
 
 def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """The last leading minor: of the matrix cleared of denominators by L,
-    divided by L**n, when every entry is rational, else of the Scalar entries
-    (Scalar division by a sum of several radical signatures raises)."""
-    rows = [[c.rational_value() for c in row] for row in matrix]
-    if any(q is None for row in rows for q in row):
-        return leading_minors(matrix, Scalar.zero(), Scalar.one())[-1]
-    den = lcm(*(q.denominator for row in rows for q in row))
-    det = leading_minors(_integral(rows, den), 0, 1)[-1]
-    return Scalar.rational(Fraction(det, den**len(rows)))
+    """The last leading minor, over the Scalar entries."""
+    return leading_minors(matrix, Scalar.zero(), Scalar.one())[-1]
 
 
 def _integral(mat: Sequence[Sequence[Fraction]], den: int | None = None) -> list[list[int]]:

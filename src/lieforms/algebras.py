@@ -67,10 +67,6 @@ class LieAlgebra:
             if d.dimension != self.dimension or d.degree != 2:
                 raise ValueError("differentials must be degree-2 forms in the algebra dimension")
 
-    @staticmethod
-    def abelian(dimension: int, name: str | None = None) -> LieAlgebra:
-        return LieAlgebra(dimension, tuple(Form.zero(dimension, 2) for _ in range(dimension)), name)
-
     def d(self, a: Form) -> Form:
         return exterior_derivative(self, a)
 
@@ -435,16 +431,16 @@ class Interval:
     lo: Fraction | None  # None = -inf
     hi: Fraction | None  # None = +inf
 
-    def samples(self, count: int = 3) -> list[Fraction]:
+    def samples(self) -> list[Fraction]:
+        """Three points of the interval: its quarter points when it is bounded,
+        else steps of 1 inward from its finite end, or -1, 0, 1."""
         if self.lo is None and self.hi is None:
-            return [Fraction(-1), Fraction(0), Fraction(1)][:count]
+            return [Fraction(-1), Fraction(0), Fraction(1)]
         if self.lo is None:
-            assert self.hi is not None
-            return [self.hi - k for k in range(1, count + 1)]
+            return [self.hi - k for k in (1, 2, 3)]
         if self.hi is None:
-            return [self.lo + k for k in range(1, count + 1)]
-        width = self.hi - self.lo
-        return [self.lo + width * Fraction(k, count + 1) for k in range(1, count + 1)]
+            return [self.lo + k for k in (1, 2, 3)]
+        return [self.lo + (self.hi - self.lo) * Fraction(k, 4) for k in (1, 2, 3)]
 
     def render(self) -> str:
         lo = "-inf" if self.lo is None else str(self.lo)
@@ -480,7 +476,6 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     lines = text.splitlines()
     section = "algebra"
     dim: int | None = None
-    alg_name = name
     # values are kept as (text, line, column of the text in its line)
     raw_diffs: dict[int, tuple[str, int, int]] = {}
     compact: LieAlgebra | None = None
@@ -517,10 +512,8 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
                     raise ParseError(f"dim must be a positive integer, got {rhs!r}",
                                      lineno, col)
                 dim = int(rhs)
-            elif key == "name":
-                alg_name = rhs
             elif key == "compact":
-                compact = parse_compact(rhs, alg_name, lineno, col)
+                compact = parse_compact(rhs, name, lineno, col)
                 compact_at = (lineno, col)
             elif m := _DIFF_KEY_RE.match(key):
                 k = int(m.group(1))
@@ -567,7 +560,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
         for k, (rhs, lineno, _) in raw_diffs.items():
             if k > dim:
                 raise ParseError(f"generator e{k} exceeds dimension {dim}", lineno, 1)
-        algebra = LieAlgebra(dim, tuple(diffs), alg_name)
+        algebra = LieAlgebra(dim, tuple(diffs), name)
 
     out = StructureFile(algebra)
     env: dict[str, Value] = {}

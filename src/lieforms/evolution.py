@@ -38,11 +38,8 @@ class ParamFamily(SU2Structure):
         if not self.algebra.is_rational():
             raise ValueError("the algebra of a family must have rational structure constants")
 
-    def sample_points(self, per_interval: int = 3) -> list[Fraction]:
-        out: list[Fraction] = []
-        for interval in self.domain:
-            out.extend(interval.samples(per_interval))
-        return out
+    def sample_points(self) -> list[Fraction]:
+        return [t0 for interval in self.domain for t0 in interval.samples()]
 
 
 def family_from_section(algebra: LieAlgebra, section: FamilySection,
@@ -60,12 +57,12 @@ def family_from_section(algebra: LieAlgebra, section: FamilySection,
                        forms["omega3"], domain=section.domain, name=name)
 
 
-def validate_family(family: ParamFamily, samples_per_interval: int = 3) -> Report:
+def validate_family(family: ParamFamily) -> Report:
     """Exact wedge identities in t; metric positivity sampled numerically."""
     rows, v = su2_wedge_identities(family)
     rows.append(("volume nonzero", not wedge(v, family.eta).is_zero()))
     geo = family.geometry
-    for t0 in family.sample_points(samples_per_interval):
+    for t0 in family.sample_points():
         try:
             entries = [[geo.metric[i][j].evaluate_float(t0) for j in range(5)]
                        for i in range(5)]

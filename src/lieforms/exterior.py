@@ -129,11 +129,6 @@ class Form:
         return Form(self.dimension, self.degree,
                     {idx: scal * val for idx, val in self.coeffs.items()})
 
-    def __mul__(self, factor: Scalar | Fraction | int) -> Form:
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
             return NotImplemented

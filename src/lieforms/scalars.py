@@ -208,14 +208,6 @@ class RF(NamedTuple):
     num: Poly
     den: Den
 
-    @property
-    def c(self) -> Fraction:
-        """The content n/d as a Fraction, a read-only view for tests."""
-        return Fraction(self.n, self.d)
-
-    def is_zero(self) -> bool:
-        return not self.num
-
 
 RF_ZERO = RF(0, 1, (), ())
 RF_ONE = RF(1, 1, POLY_ONE, ())
@@ -498,11 +490,8 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar | Fraction | int) -> Scalar:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("scalar division by zero")
-            return self * Scalar.rational(Fraction(other.denominator, other.numerator))
-        if not isinstance(other, Scalar):
+        other = Scalar._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 

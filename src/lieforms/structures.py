@@ -264,16 +264,10 @@ def _pfaffian_inverse(w: list[list[Scalar]]) -> list[list[Scalar]]:
 def _kernel_coordinates(vec: list[Scalar], kernel: list[list[Fraction]]) -> list[Scalar]:
     """Coordinates of vec in the kernel basis.
 
-    Each kernel vector has an indicator position where it is the only basis
-    vector with a nonzero entry (the free coordinate of the nullspace), so
-    coordinates read off directly.
+    Each kernel vector is 1 at its free column, its last nonzero entry, where
+    every other basis vector vanishes, so coordinates read off directly.
     """
-    coords = []
-    for i, kvec in enumerate(kernel):
-        indicator = next(
-            p for p, c in enumerate(kvec)
-            if c and all(not kernel[j][p] for j in range(len(kernel)) if j != i))
-        coords.append(_times(vec[indicator], Fraction(1) / kvec[indicator]))
+    coords = [vec[max(p for p, c in enumerate(kvec) if c)] for kvec in kernel]
     residual = list(vec)
     for coord, kvec in zip(coords, kernel):
         residual = [r - _times(coord, k) if k else r for r, k in zip(residual, kvec)]
@@ -359,8 +353,6 @@ def validate_sun(s: SUnStructure) -> Report:
     For n = 4 the verdict also asks psi+ ^ psi- = 0 and psi+^2 = psi-^2,
     which have no row of their own.
     """
-    if s.J is None:
-        raise ValueError("an SU(n)-structure needs its coframe map J")
     n = s.n
     rows = [("J^2 = -1", s.J.squares_to_minus_identity()),
             ("J(F) = F", apply_coframe_map(s.J, s.F) == s.F)]

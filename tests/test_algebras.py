@@ -159,7 +159,7 @@ def test_parse_scalar_expr_radical():
 
 def test_jacobi_pass_and_fail():
     assert check_jacobi(SOLVABLE).passed
-    assert check_jacobi(LieAlgebra.abelian(4)).passed
+    assert check_jacobi(parse_compact("(0,0,0,0)")).passed
     bad = parse_compact("(0,0,0,12,34)")
     report = check_jacobi(bad)
     assert not report.passed
@@ -183,7 +183,7 @@ def test_cohomology_solvable_example():
 
 
 def test_cohomology_abelian_binomials():
-    rep = ce_cohomology(LieAlgebra.abelian(5))
+    rep = ce_cohomology(parse_compact("(0,0,0,0,0)"))
     import math
     assert list(rep.betti) == [math.comb(5, k) for k in range(6)]
 
@@ -226,7 +226,7 @@ def test_extend_by_line():
 
 
 def test_central_extension():
-    torus = LieAlgebra.abelian(4)
+    torus = parse_compact("(0,0,0,0)")
     ext = central_extension(torus, form(4, ("12", 1), ("34", -1)))
     assert ext.dimension == 5
     assert ext.differentials[4] == form(5, ("12", 1), ("34", -1))
@@ -244,7 +244,7 @@ def test_central_extension():
 
 
 def test_central_extension_b1_growth():
-    torus = LieAlgebra.abelian(4)
+    torus = parse_compact("(0,0,0,0)")
     b1 = ce_cohomology(torus, 1).betti[1]
     exact = central_extension(torus, Form.zero(4, 2))
     assert ce_cohomology(exact, 1).betti[1] == b1 + 1  # Omega = 0 is exact
@@ -257,7 +257,7 @@ def test_verify_basis_change_identity_and_permutation():
     eye = [[Scalar.rational(1 if i == j else 0) for j in range(5)] for i in range(5)]
     assert verify_basis_change(alg, eye, alg).passed
 
-    ab = LieAlgebra.abelian(4)
+    ab = parse_compact("(0,0,0,0)")
     perm = [[Scalar.rational(1 if j == (i + 1) % 4 else 0) for j in range(4)]
             for i in range(4)]
     assert verify_basis_change(ab, perm, ab).passed
@@ -321,7 +321,7 @@ def test_matrix_determinant_and_inverse():
     with pytest.raises(ValueError):
         matrix_inverse(singular)
     with pytest.raises(ValueError):
-        verify_basis_change(LieAlgebra.abelian(2), singular, LieAlgebra.abelian(2))
+        verify_basis_change(parse_compact("(0,0)"), singular, parse_compact("(0,0)"))
 
 
 def test_verify_basis_change_scaling_hint():
@@ -651,6 +651,72 @@ def mutated_payloads(draw):
     return text
 
 
+COEFFICIENT = re.compile(r"(?<![e\d])\d+")  # a number that is not part of an index
+
+
+def expressions(line):
+    """(start, end, compact) of each expression a line assigns: its right-hand
+    side, or each entry of a compact declaration."""
+    key, eq, rhs = line.partition("=")
+    key = key.strip()
+    if not eq or key in ("dim", "param", "domain", "theta"):
+        return []
+    at = len(line) - len(rhs)
+    if key not in ("compact", "target"):
+        return [(at, len(line), False)]
+    out, pos = [], line.index("(", at) + 1
+    for chunk in line[pos:line.rindex(")")].split(","):
+        out.append((pos, pos + len(chunk), True))
+        pos += len(chunk) + 1
+    return out
+
+
+def term_spans(expr):
+    """(start, end) of each term of a sum outside parentheses, its sign included."""
+    starts, depth, prev = [0], 0, "="
+    for i, ch in enumerate(expr):
+        depth += (ch == "(") - (ch == ")")
+        if ch in "+-" and depth == 0 and i and prev not in "*/^(=,:+-":
+            starts.append(i)
+        if not ch.isspace():
+            prev = ch
+    return list(zip(starts, starts[1:] + [len(expr)]))
+
+
+@st.composite
+def grammar_keeping_payloads(draw):
+    """A catalog payload with a few token edits that keep the grammar: a
+    coefficient changed, two indices of a monomial swapped, or one term of a
+    sum dropped (a lone term becomes 0)."""
+    text = draw(st.sampled_from(PAYLOADS))
+    for _ in range(draw(st.integers(1, 3))):
+        lines = text.split("\n")
+        k, (a, b, compact) = draw(st.sampled_from(
+            [(k, span) for k, line in enumerate(lines) for span in expressions(line)]))
+        expr = lines[k][a:b]
+        kind = draw(st.sampled_from(("coefficient", "swap", "drop")))
+        monomial = re.compile(r"(?<!\d)\d\d(?!\d)" if compact else r"(?<=e)\d{2,}")
+        if kind == "coefficient" and not compact and (found := list(COEFFICIENT.finditer(expr))):
+            m = draw(st.sampled_from(found))
+            expr = expr[:m.start()] + str(draw(st.sampled_from((0, 1, 2, 3, 5)))) + expr[m.end():]
+        elif kind == "swap" and (found := list(monomial.finditer(expr))):
+            m = draw(st.sampled_from(found))
+            digits = list(m.group())
+            i, j = draw(st.permutations(range(len(digits))))[:2]
+            digits[i], digits[j] = digits[j], digits[i]
+            expr = expr[:m.start()] + "".join(digits) + expr[m.end():]
+        elif kind == "drop":
+            spans = term_spans(expr)
+            if len(spans) == 1:
+                expr = " 0"
+            else:
+                start, end = draw(st.sampled_from(spans))
+                expr = " " + (expr[:start] + expr[end:]).strip().lstrip("+").strip()
+        lines[k] = lines[k][:a] + expr + lines[k][b:]
+        text = "\n".join(lines)
+    return text
+
+
 def assert_scalar_values(sf):
     """Every coefficient, J entry and basis-change entry is a Scalar."""
     forms = [*sf.algebra.differentials, *sf.forms.values()]
@@ -677,13 +743,10 @@ def test_parse_equations_raises_only_parse_error(text):
 POSITIONED = re.compile(r"error: line \d+, column \d+: \S")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(mutated_payloads())
-def test_cli_keeps_the_exit_code_contract_on_mutated_files(tmp_path_factory, text):
+def assert_exit_code_contract(folder, text):
     """Every file command exits 0, 1 or 2 with no traceback, an exit 2 ends
     with an error: line, and a parse error is printed as error: line L,
     column C: ..."""
-    folder = tmp_path_factory.mktemp("mutant")
     path = folder / "mutant.txt"
     path.write_text(text, encoding="utf-8")
     try:
@@ -703,6 +766,19 @@ def test_cli_keeps_the_exit_code_contract_on_mutated_files(tmp_path_factory, tex
         assert all(POSITIONED.match(line) for line in lines if line.startswith("error: line"))
         if parse_error is not None:
             assert code == 2 and parse_error in lines, (command, lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(mutated_payloads())
+def test_cli_keeps_the_exit_code_contract_on_mutated_files(tmp_path_factory, text):
+    assert_exit_code_contract(tmp_path_factory.mktemp("mutant"), text)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(grammar_keeping_payloads())
+def test_cli_keeps_the_exit_code_contract_on_files_that_still_parse(tmp_path_factory, text):
+    # these mostly parse, so the commands' semantic checks run on them
+    assert_exit_code_contract(tmp_path_factory.mktemp("edited"), text)
 
 
 def test_parsed_values_are_scalars():

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import lieforms
+from lieforms.catalog import run_entry
 from lieforms.exterior import Form
 from lieforms.manifest import CatalogEntry, catalog_manifest
 from lieforms.structures import complex_volume_forms
@@ -112,7 +113,6 @@ F = e12 + e34 + e56 + e78
             "dF": df.render(),
             "torsion": torsion.render(),
             "connection": connection,
-            "connection_complete": True,
             "curvature": curvature_listed,
             "curvature_rank": 15,
             "holonomy_dim": 15,
@@ -168,6 +168,34 @@ def test_every_complex_volume_form_matches_its_f_line():
             assert "\n".join(lines[k:k + 2]) == psi_lines(2 * len(pairs), pairs), entry.name
             checked += 1
     assert checked == 12
+
+
+class ReadRecorder(dict):
+    """A dict that records every key looked up or tested."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def test_run_entry_reads_every_expectation_key():
+    # a misspelled or unused key in the data file would otherwise be skipped silently
+    for entry in catalog_manifest():
+        expected = ReadRecorder(entry.expected)
+        assert run_entry(dataclasses.replace(entry, expected=expected)).passed, entry.name
+        assert set(expected) <= expected.read, (entry.name, set(expected) - expected.read)
 
 
 if __name__ == "__main__":

@@ -117,6 +117,21 @@ def test_evolve_verify_and_suspend(tmp_path):
     sf = parse_equations(text)
     assert sf.algebra.dimension == 6
     assert not sf.forms["F"].is_zero()
+    # without -o the file goes to stdout, followed by the same closedness report
+    report = out.removeprefix(f"wrote {out_path}\n")
+    assert run_cli(["suspend", path]) == (0, text + report)
+
+
+def test_evolve_verify_samples_a_bounded_domain_at_its_quarter_points(tmp_path):
+    payload = catalog.get_entry("family-nil5-12-14").payload
+    assert "domain = (-inf, 2/3) | (2/3, inf)" in payload
+    path = write(tmp_path, "bounded.alg",
+                 payload.replace("(-inf, 2/3) | (2/3, inf)", "(0, 2/3)"))
+    code, out = run_cli(["evolve-verify", path])
+    assert code == 0
+    assert [line for line in out.splitlines() if "metric positive" in line] == [
+        f"  metric positive at t = {t0}: ok" for t0 in ("1/6", "1/3", "1/2")]
+    assert "  orientation on (0, 2/3): positive\n" in out
 
 
 IWASAWA_STRUCTURE = """\
@@ -475,6 +490,15 @@ def test_compact_errors_point_into_the_file(tmp_path):
          "error: line 3, column 11: dim contradicts the compact declaration"),
         ("# header\n[algebra]\n  compact =  (0,0,0,12)\nd e4 = e13\n",
          "error: line 3, column 14: cannot mix compact and explicit differentials"),
+        ("[algebra]\ndim = 3\ndim = 3\n",
+         "error: line 3, column 1: duplicate dim declaration"),
+        ("[algebra]\nd e3 = e12\n",
+         "error: line 1, column 1: missing dim declaration"),
+        ("[algebra]\nname = heisenberg\ncompact = (0,0,12)\n",
+         "error: line 2, column 1: unknown algebra statement 'name'"),
+        ("[algebra]\ndim = 5\n\n[structure]\ntheta = 1\n",
+         "error: line 5, column 1: theta must be 0, pi/2, pi, 3pi/2 or a rational "
+         "(cos, sin) pair"),
     ]
     for k, (text, message) in enumerate(cases):
         code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])
@@ -482,32 +506,51 @@ def test_compact_errors_point_into_the_file(tmp_path):
 
 
 def test_malformed_families_are_input_errors(tmp_path):
-    # a family is an SU(2) quadruplet in t, so both commands check its degrees
-    wrong_degree = write(tmp_path, "deg.alg", GOOD_ALGEBRA + """
-[family]
-param = t
-eta = e12
-omega1 = t*e24 + e53
-omega2 = e25 + e34
-omega3 = e23 + e45
-""")
-    for command in ("evolve-verify", "suspend"):
-        code, out = run_cli([command, wrong_degree])
-        assert (code, out) == (2, "error: quadruplet has wrong degrees or dimension\n")
-    four_dim = write(tmp_path, "four.alg", """\
-[algebra]
-compact = (0,0,0,12)
+    # a family is an SU(2) quadruplet in t, so both commands check it
+    family = "\n[family]\nparam = t\n"
+    quadruplet = "eta = e1\nomega1 = e24 + e53\nomega2 = e25 + e34\nomega3 = e23 + e45\n"
+    cases = [
+        (GOOD_ALGEBRA + family + quadruplet.replace("eta = e1", "eta = e12"),
+         "error: quadruplet has wrong degrees or dimension"),
+        ("[algebra]\ncompact = (0,0,0,12)\n" + family
+         + "eta = e1\nomega1 = t*e24\nomega2 = e23\nomega3 = e34\n",
+         "error: families live on 5-dimensional algebras"),
+        (GOOD_ALGEBRA + family + quadruplet.replace("omega2 = e25 + e34\n", ""),
+         "error: family section is missing omega2"),
+        (GOOD_ALGEBRA + family + quadruplet.replace("eta = e1", "eta = e1 + dt"),
+         "error: eta may not involve dt"),
+        ("[algebra]\ndim = 5\nd e4 = -2^(1/2)*e23\n" + family + quadruplet,
+         "error: the algebra of a family must have rational structure constants"),
+    ]
+    for k, (text, message) in enumerate(cases):
+        path = write(tmp_path, f"case{k}.alg", text)
+        for command in ("evolve-verify", "suspend"):
+            code, out = run_cli([command, path])
+            assert (code, out) == (2, message + "\n"), (command, text)
 
-[family]
-param = t
-eta = e1
-omega1 = t*e24
-omega2 = e23
-omega3 = e34
+
+def test_commands_reject_files_without_what_they_check(tmp_path):
+    files = {name: write(tmp_path, f"{name}.alg", catalog.get_entry(name).payload)
+             for name in ("thm4.1-I", "ex4.3")}
+    files["su2"] = write(tmp_path, "su2.alg", GOOD_ALGEBRA + QUADRUPLET)
+    files["hermitian5"] = write(tmp_path, "hermitian5.alg", GOOD_ALGEBRA + """
+[structure]
+F = e12 + e34
+J: e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3, e5 -> e5
 """)
-    for command in ("evolve-verify", "suspend"):
-        code, out = run_cli([command, four_dim])
-        assert (code, out) == (2, "error: families live on 5-dimensional algebras\n")
+    cases = [
+        (["check", "--su2", files["thm4.1-I"]],
+         "error: no SU(2) quadruplet (eta, omega1..omega3) in the file"),
+        (["check", "--su3", files["su2"]],
+         "error: no (F, psi_plus, psi_minus, J) structure in the file"),
+        (["check", "--su3", files["ex4.3"]], "error: --su3 needs a 6-dimensional algebra"),
+        (["check", "--su4", files["thm4.1-I"]], "error: --su4 needs an 8-dimensional algebra"),
+        (["catalog", "run"], "error: catalog run needs an entry name"),
+        (["bismut", files["hermitian5"]], "error: Hermitian frames need even dimension"),
+    ]
+    for argv, message in cases:
+        code, out = run_cli(argv)
+        assert (code, out) == (2, message + "\n"), argv
 
 
 def test_benchmark_traced_names_exist():

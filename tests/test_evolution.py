@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieforms.algebras import LieAlgebra, parse_equations
+from lieforms.algebras import parse_compact, parse_equations
 from lieforms.evolution import (
     family_from_section,
     family_volume,
@@ -94,7 +94,7 @@ def load_family(text, name):
 
 
 def constant_family():
-    s = standard_quadruplet(LieAlgebra.abelian(5))
+    s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     from lieforms.evolution import ParamFamily
     return ParamFamily(s.algebra, s.eta, s.omega1, s.omega2, s.omega3)
 

@@ -310,21 +310,6 @@ def test_positive_definite_is_rational_only():
         positive_definite([[var_t(), Scalar.zero()], [Scalar.zero(), Scalar.one()]])
 
 
-def test_determinant_tests_each_entry_for_rationality_once(monkeypatch):
-    calls = []
-    rational_value = Scalar.rational_value
-
-    def counted(self):
-        calls.append(self)
-        return rational_value(self)
-
-    monkeypatch.setattr(Scalar, "rational_value", counted)
-    m = scalars([[Fraction(1, 2), 3, 0], [2, Fraction(-1, 3), 1], [0, 5, 7]])
-    det = scalar_matrix_determinant(m)
-    assert len(calls) == 9
-    assert det == Scalar.rational(Fraction(-137, 3))
-
-
 def random_square(rng, n):
     """A seeded rational matrix, made singular about a third of the time by a
     zero row or a row that combines two others."""

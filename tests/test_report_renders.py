@@ -13,7 +13,7 @@ deliberate output change, rewrite the fixture with
 import dataclasses
 from pathlib import Path
 
-from lieforms.algebras import LieAlgebra, check_jacobi, parse_equations, verify_basis_change
+from lieforms.algebras import check_jacobi, parse_compact, parse_equations, verify_basis_change
 from lieforms.catalog import StructureContext, catalog_manifest, run_entry
 from lieforms.evolution import (
     ParamFamily,
@@ -155,7 +155,7 @@ def generate() -> str:
                 continue
             structure_reports(out, StructureContext(sf))
             entry_report(out, dataclasses.replace(entry, payload=text))
-    s = standard_quadruplet(LieAlgebra.abelian(5))
+    s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     constant = ParamFamily(s.algebra, s.eta, s.omega1, s.omega2, s.omega3)
     standard = [Form.generator(6, i) for i in range(1, 7)]
     for label, alphas in (("standard coframe", standard),

@@ -651,7 +651,7 @@ def rf_oracle_from(s):
     """A Scalar re-reduced on the Fraction-coefficient layer, term by term."""
     out = {}
     for sig, rf in s.terms():
-        out[sig] = o_rf(tuple(rf.c * k for k in rf.num), dict(rf.den))
+        out[sig] = o_rf(tuple(Fraction(rf.n, rf.d) * k for k in rf.num), dict(rf.den))
     return OracleScalar(out)
 
 
@@ -684,7 +684,7 @@ def assert_canonical(s):
         keys = [key for key, _ in sig]
         assert keys == sorted(set(keys))
         assert all(0 < exp < 1 for _, exp in sig)
-        assert rf.c and rf.num[-1] > 0 and math.gcd(*rf.num) == 1
+        assert Fraction(rf.n, rf.d) and rf.num[-1] > 0 and math.gcd(*rf.num) == 1
         assert all(isinstance(k, int) for k in rf.num)
         assert all(sc.poly_div_base(rf.num, b) is None for b, _ in rf.den)
 

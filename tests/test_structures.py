@@ -94,7 +94,7 @@ def test_equal_omegas_fail_orthogonality():
 
 
 def test_degenerate_omega3_raises():
-    s = standard_quadruplet(LieAlgebra.abelian(5))
+    s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     degenerate = SU2Structure(s.algebra, s.eta, s.omega1, s.omega2, form(5, ("23", 1)))
     with pytest.raises(ValueError):
         validate_su2(degenerate)
@@ -110,7 +110,7 @@ def test_balanced_but_not_hypo_on_the_three_nilpotent_algebras():
 
 
 def test_standard_quadruplet_on_abelian_is_hypo_and_balanced():
-    s = standard_quadruplet(LieAlgebra.abelian(5))
+    s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     assert is_hypo(s).passed
     assert is_balanced_su2(s).passed
 
@@ -152,7 +152,7 @@ def test_validate_sun_iwasawa():
 
 def test_validate_sun_standard_model_volume_constant():
     s = SUnStructure(
-        LieAlgebra.abelian(6),
+        parse_compact("(0,0,0,0,0,0)"),
         F=form(6, ("12", 1), ("34", 1), ("56", 1)),
         psi_plus=form(6, ("135", 1), ("146", -1), ("236", -1), ("245", -1)),
         psi_minus=form(6, ("136", 1), ("145", 1), ("235", 1), ("246", -1)),
@@ -240,7 +240,7 @@ def test_restrict_requires_unit_frame_vector():
 
 
 def test_suspension_of_standard_quadruplet_is_valid():
-    s = standard_quadruplet(LieAlgebra.abelian(5))
+    s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     suspended = suspend_su2(s)
     assert suspended.algebra.dimension == 6
     assert suspended.F == form(6, ("23", 1), ("45", 1), ("16", 1))
@@ -262,7 +262,7 @@ def test_suspend_then_restrict_is_identity():
 
 
 def test_suspension_of_invalid_structure_rejected():
-    s = standard_quadruplet(LieAlgebra.abelian(5))
+    s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     broken = SU2Structure(s.algebra, s.eta, s.omega1, -s.omega2, s.omega3)
     with pytest.raises(ValueError):
         suspend_su2(broken)
@@ -270,7 +270,7 @@ def test_suspension_of_invalid_structure_rejected():
 
 def kodaira_thurston_base(eps: int) -> LieAlgebra:
     if eps == 0:
-        return LieAlgebra.abelian(4, "torus")
+        return parse_compact("(0,0,0,0)", "torus")
     return parse_equations("[algebra]\ndim = 4\nd e4 = -e23\n", name="kodaira-thurston").algebra
 
 
@@ -294,7 +294,7 @@ def test_conformal_couple_on_circle_bundle_bases():
 
 
 def test_conformal_couple_failure():
-    base = LieAlgebra.abelian(4)
+    base = parse_compact("(0,0,0,0)")
     report = check_conformal_couple(base, COUPLE["omega1"], COUPLE["omega1"],
                                     COUPLE["omega3"])
     assert report.value("omega1^omega2 = 0") is False
@@ -428,7 +428,7 @@ def dense_pullback_quadruplet():
                               [F(-1, 3), 1, 2, 1, 1],
                               [1, 0, -2, 1, F(2, 5)],
                               [3, -1, 1, 1, 2]])
-    s = standard_quadruplet(LieAlgebra.abelian(5))
+    s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     return SU2Structure(s.algebra, *(apply_coframe_map(p, f)
                                      for f in (s.eta, s.omega1, s.omega2, s.omega3)))
 
