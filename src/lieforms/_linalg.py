@@ -7,7 +7,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Mapping, Sequence, TypeVar
 
-from .scalars import Scalar
+from .scalars import Scalar, UnsupportedScalarError
 
 ScalarMatrix = list[list[Scalar]]
 R = TypeVar("R", int, float, Scalar)
@@ -134,10 +134,19 @@ def scalar_matrix_determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     return leading_minors(matrix, Scalar.zero(), Scalar.one())[-1]
 
 
-def _integral(mat: Sequence[Sequence[Fraction]], den: int | None = None) -> list[list[int]]:
-    """The rational matrix times den, by default the lcm of its denominators."""
-    den = den or lcm(*(x.denominator for row in mat for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
+def _rational_pair(x: Scalar) -> tuple[int, int]:
+    q = x.rational_pair()
+    if q is None:
+        raise UnsupportedScalarError(f"not a rational constant: {x}")
+    return q
+
+
+def _integral(mat: Iterable[Iterable[Scalar]]) -> list[list[int]]:
+    """The rational Scalar matrix times the lcm of its denominators, read as
+    int pairs; an entry that is not a rational constant raises."""
+    pairs = [[_rational_pair(x) for x in row] for row in mat]
+    den = lcm(*(d for row in pairs for _, d in row))
+    return [[n * (den // d) for n, d in row] for row in pairs]
 
 
 def symmetric(matrix: ScalarMatrix) -> bool:
@@ -149,5 +158,4 @@ def positive_definite(matrix: ScalarMatrix) -> bool:
     """Sylvester's criterion for symmetric matrices with rational entries: the
     leading minors of the matrix cleared of denominators by L > 0 are those
     of the matrix times powers of L."""
-    rows = [[c.as_fraction() for c in row] for row in matrix]
-    return all(m > 0 for m in leading_minors(_integral(rows), 0, 1))
+    return all(m > 0 for m in leading_minors(_integral(matrix), 0, 1))

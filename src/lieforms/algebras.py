@@ -33,7 +33,12 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Sequence
 
-from ._linalg import fraction_nullspace, insert_echelon_row, scalar_matrix_determinant
+from ._linalg import (
+    _rational_pair,
+    fraction_nullspace,
+    insert_echelon_row,
+    scalar_matrix_determinant,
+)
 from .exterior import (
     CoframeMap,
     Form,
@@ -70,20 +75,31 @@ class LieAlgebra:
     def d(self, a: Form) -> Form:
         return exterior_derivative(self, a)
 
-    def structure_constants(self) -> list[list[list[Fraction]]]:
-        """c[a][b][i] with [e_a, e_b] = sum_i c[a][b][i] e_i, from d e^i = -e^i([.,.])."""
+    def structure_constants(self) -> tuple[int, list[list[list[int]]]]:
+        """S and the int table S*c, c[a][b][i] with [e_a, e_b] = sum_i c[a][b][i] e_i
+        from d e^i = -e^i([.,.]) (0-based); S is the lcm of the denominators of c."""
         n = self.dimension
-        c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i, diff in enumerate(self.differentials):
-            for (a, b), coeff in diff.coeffs.items():
-                q = coeff.as_fraction()
-                c[a - 1][b - 1][i] = -q
-                c[b - 1][a - 1][i] = q
-        return c
+        s, terms = _differential_terms(self)
+        c = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, a, b, v in terms:
+            c[a][b][i], c[b][a][i] = -v, v
+        return s, c
 
     def is_rational(self) -> bool:
         return all(coeff.is_rational()
                    for d in self.differentials for coeff in d.coeffs.values())
+
+
+def _differential_terms(algebra: LieAlgebra, denominators=()
+                        ) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """S and the terms (i, a, b, S*q), 0-based with a < b, of de^i = sum q e^ab,
+    read as int pairs; S is the lcm of the denominators of the q and of
+    ``denominators``."""
+    terms = [(i, a - 1, b - 1, _rational_pair(coeff))
+             for i, diff in enumerate(algebra.differentials)
+             for (a, b), coeff in diff.coeffs.items()]
+    s = lcm(*(d for *_, (_, d) in terms), *denominators)
+    return s, [(i, a, b, n * (s // d)) for i, a, b, (n, d) in terms]
 
 
 def check_jacobi(algebra: LieAlgebra) -> Report:
@@ -160,6 +176,10 @@ _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>->|[+\-*/^(),:=|])"
     r"|(?P<end>#|\s*\Z)|(?P<bad>))"
 )
+# one group matches, numbered by the match's lastindex: a token's kind is the
+# group's name, and the end and bad groups come last
+_TOKEN_KINDS = (None, *sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))
+_END = _TOKEN_RE.groupindex["end"]
 
 
 def _tokenize(text: str, lineno: int, col: int) -> list[tuple[str, str, int]]:
@@ -167,13 +187,13 @@ def _tokenize(text: str, lineno: int, col: int) -> list[tuple[str, str, int]]:
     ("end", "", column just past the last token) token closes a nonempty list."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "end":
-            break
-        if kind == "bad":
+        k = m.lastindex
+        if k >= _END:
+            if k == _END:
+                break
             raise ParseError(f"unexpected character {text[m.end()]!r}", lineno,
                              m.end() + col)
-        tokens.append((kind, m.group(kind), m.start(kind) + col))
+        tokens.append((_TOKEN_KINDS[k], m[k], m.start(k) + col))
     if tokens:
         tokens.append(("end", "", tokens[-1][2] + len(tokens[-1][1])))
     return tokens
@@ -206,7 +226,9 @@ def _lift(value: Value) -> Value:
 
 def _private(value: Value) -> Value:
     """A copy the caller may change: a _Sum is changed in place, the others never."""
-    return _Sum(value.dimension, value.degree, value) if isinstance(value, _Sum) else value
+    if isinstance(value, _Sum):
+        return _Sum(value.dimension, value.degree, value, value.den)
+    return value
 
 
 def _shareable_groups(tokens) -> dict[int, tuple[str, ...]]:
@@ -706,11 +728,9 @@ class CohomologyReport:
 def _d_columns(algebra: LieAlgebra, top: int) -> list[list[dict[int, int]]]:
     """For k = 0..top, L*d(e^I) for each degree-k basis form e^I as a sparse
     column {position in the degree-(k+1) basis: int}: ``exterior._d_basis``,
-    the popcount-signed kernel of d, on the structure table scaled by the lcm
-    L of its denominators."""
-    table = _d_table(algebra)
-    scale = lcm(*(s.denominator for d in table for _, _, s in d))
-    table = [[(ab, mid, int(s * scale)) for ab, mid, s in d] for d in table]
+    the popcount-signed kernel of d, on ``_d_table``'s int structure table over
+    the lcm L of its denominators."""
+    _, table = _d_table(algebra)
     masks = [[sum(1 << i for i in idx) for idx in itertools.combinations(
         range(1, algebra.dimension + 1), k)] for k in range(top + 2)]
     position = {mask: pos for level in masks for pos, mask in enumerate(level)}

@@ -25,18 +25,24 @@ Trans. AMS 80, 1955): V_{k+1} = V_k + [nabla, V_k] from the span V_0 of the
 curvature endomorphisms.  V_k is the span of R and its covariant derivatives
 through order k, by the identity
 (nabla_W nabla^k R)(...) = [nabla_W, nabla^k R(...)] - sum nabla^k R(..., nabla_W ., ...).
+The span has a ceiling, n = 2m: su(m) when every Lambda_m and curvature
+matrix commutes with J and the curvature matrices are J-traceless, u(m) when
+they only commute with J, else so(n); [u(m), u(m)] lies in su(m), so every
+later bracket stays inside, and the scan eliminates nothing once the span
+reaches it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from ._linalg import _integral, insert_echelon_row
-from .algebras import LieAlgebra, check_jacobi
+from .algebras import LieAlgebra, _differential_terms, check_jacobi
 from .exterior import CoframeMap, Form, apply_coframe_map, sort_index
 from .scalars import Scalar
 
@@ -99,7 +105,7 @@ class ConnectionSheet:
     def omega(self, i: int, j: int) -> Form:
         """Connection 1-form omega^i_j (1-based indices)."""
         coeffs = [lam[i - 1][j - 1] for lam in self.lams]
-        return Form(len(coeffs), 1, {(k + 1,): Scalar.rational(Fraction(v, self.den))
+        return Form(len(coeffs), 1, {(k + 1,): Scalar.rational(v, self.den)
                                      for k, v in enumerate(coeffs) if v})
 
     def cartan_residuals(self) -> list[Form]:
@@ -115,7 +121,7 @@ class ConnectionSheet:
             for a, b in itertools.combinations(range(n), 2):
                 val = s * plane[a][b] + big_s * (lams[a][i][b] - lams[b][i][a])
                 if val:
-                    coeffs[(a + 1, b + 1)] = Scalar.rational(Fraction(val, s * big_s))
+                    coeffs[(a + 1, b + 1)] = Scalar.rational(val, s * big_s)
             out.append(Form(n, 2, coeffs))
         return out
 
@@ -125,7 +131,7 @@ class ConnectionSheet:
         Lambda_k is not assumed skew.
         """
         n = self.frame.algebra.dimension
-        jm = _integral(self.frame.J.as_fraction_matrix())
+        jm = _integral(self.frame.J.matrix)
         j_entries = _nonzero_entries(jm)
         return all(_product(j_entries, lam, n) == _product(_nonzero_entries(lam), jm, n)
                    for lam in self.lams)
@@ -156,11 +162,10 @@ def _koszul(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[i
     """2S and 2S times the Koszul table plus half the torsion T_{kji}, read from
     the structure constants; S is the lcm of all their and T's denominators."""
     n = frame.algebra.dimension
-    c = frame.algebra.structure_constants()
-    s = lcm(*(q.denominator for plane in c for row in plane for q in row),
-            *(q.denominator for q in components.values()))
-    c = [_integral(plane, s) for plane in c]
-    table = [[[c[k][j][i] - c[j][i][k] + c[i][k][j] for k in range(n)] for j in range(n)]
+    s_c, c = frame.algebra.structure_constants()
+    s = lcm(s_c, *(q.denominator for q in components.values()))
+    f = s // s_c
+    table = [[[(c[k][j][i] - c[j][i][k] + c[i][k][j]) * f for k in range(n)] for j in range(n)]
              for i in range(n)]
     for (a, b, d), q in components.items():
         v = q.numerator * (s // q.denominator)
@@ -189,17 +194,6 @@ def bismut_connection(frame: MetricFrame, kaehler_form: Form) -> ConnectionSheet
         raise AssertionError(
             "Koszul-plus-torsion and Cartan-solution connection paths disagree")
     return ConnectionSheet.from_table(frame, den, koszul, torsion, components)
-
-
-def _differential_terms(algebra: LieAlgebra, denominators=()
-                        ) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """S and the terms (i, a, b, S*q), 0-based with a < b, of de^i = sum q e^ab;
-    S is the lcm of the denominators of the q and of ``denominators``."""
-    terms = [(i, a - 1, b - 1, coeff.as_fraction())
-             for i, diff in enumerate(algebra.differentials)
-             for (a, b), coeff in diff.coeffs.items()]
-    s = lcm(*(q.denominator for *_, q in terms), *denominators)
-    return s, [(i, a, b, q.numerator * (s // q.denominator)) for i, a, b, q in terms]
 
 
 def _structure_table(algebra: LieAlgebra, components: dict) -> tuple[int, list[list[list[int]]]]:
@@ -305,7 +299,7 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
                     mat = [[0] * n for _ in range(n)]
                 mat[i][j], mat[j][i] = val, -val
                 omega_ij = coeffs.setdefault((i + 1, j + 1), {})
-                omega_ij[(k + 1, l + 1)] = Scalar.rational(Fraction(val, den))
+                omega_ij[(k + 1, l + 1)] = Scalar.rational(val, den)
         if mat is not None:
             matrices[(k + 1, l + 1)] = mat
     forms = {key: Form(n, 2, coeffs[key]) for key in sorted(coeffs)}
@@ -359,8 +353,7 @@ def nabla_matrices(sheet: ConnectionSheet, curv: CurvatureSheet,
         for i, j in itertools.combinations(range(n), 2):
             val = bracket[i][j] - sum(a * mat[i][j] for a, mat in terms)
             if val:
-                coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(
-                    Fraction(val, s * r))
+                coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(val, s * r)
     return {key: Form(n, 2, c) for key, c in coeffs.items()}
 
 
@@ -403,7 +396,11 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     and the correction terms already lie in V_k.  All matrices are skew and
     are scaled to integers, which leaves every span unchanged; spans are taken
     by exact elimination over the entries above the diagonal.  The scan stops
-    one generation after the span stops growing, or at max_order.
+    one generation after the span stops growing, or at max_order.  It inserts
+    nothing more once the span reaches its ceiling: su(m), n = 2m, when every
+    Lambda_m and curvature matrix commutes with J and every curvature matrix is
+    J-traceless, u(m) when they commute with J, else so(n); since
+    [u(m), u(m)] lies in su(m), each later bracket stays inside the ceiling.
     """
     if max_order < 0:
         raise ValueError(f"the maximum order must be nonnegative, got {max_order}")
@@ -415,32 +412,49 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
            for i in range(n) for j in range(i, n)):
         raise ValueError("holonomy needs a metric connection: skew connection "
                          "and curvature matrices")
+    # J is orthogonal with J^2 = -1, hence skew: [J, X] is a skew bracket
+    j_entries = _nonzero_entries(_integral(sheet.frame.J.matrix))
+
+    def in_u(mat: list[list[int]]) -> bool:
+        return not any(any(row) for row in _bracket(j_entries, mat, n))
+
+    def j_trace(mat: list[list[int]]) -> int:
+        return sum(v * mat[r][i] for i, r, v in j_entries)
+
+    m = n // 2
+    if all(map(in_u, lams + curvatures)):
+        ceiling = m * m - (not any(map(j_trace, curvatures)))
+    else:
+        ceiling = n * (n - 1) // 2
     directions = [entries for entries in map(_nonzero_entries, lams) if entries]
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
     basis: list[list[list[int]]] = []
     generations: list[int] = []
 
-    def absorb(products: list[list[list[int]]]) -> list[list[list[int]]]:
-        grew = [[[p[i][j] - p[j][i] for j in range(n)] for i in range(n)] for p in products
-                if insert_echelon_row(echelon, pivots,
-                                      {r: v for r, i, j in upper if (v := p[i][j] - p[j][i])})]
+    def absorb(products: Iterable[list[list[int]]]) -> list[list[list[int]]]:
+        """P - P^T for each P that grows the span, none once it reaches the ceiling."""
+        grew = []
+        for p in products if len(basis) < ceiling else ():
+            if insert_echelon_row(echelon, pivots,
+                                  {r: v for r, i, j in upper if (v := p[i][j] - p[j][i])}):
+                grew.append([[p[i][j] - p[j][i] for j in range(n)] for i in range(n)])
+                if len(basis) + len(grew) == ceiling:
+                    break
         basis.extend(grew)
         generations.append(len(basis))
         return grew
 
-    # absorb keeps P - P^T for each P that grows the span; P is X's upper triangle or Lambda X
-    new = absorb([[[v if i < j else 0 for j, v in enumerate(row)] for i, row in enumerate(mat)]
-                  for mat in curvatures])
+    # P is X's upper triangle at order 0, then Lambda X, whose P - P^T is [Lambda, X]
+    new = absorb([[v if i < j else 0 for j, v in enumerate(row)] for i, row in enumerate(mat)]
+                 for mat in curvatures)
     stabilized: int | None = None
     for order in range(1, max_order + 1):
-        new = absorb([_product(entries, mat, n) for mat in new for entries in directions])
+        new = absorb(_product(entries, mat, n) for mat in new for entries in directions)
         if not new:
             stabilized = order - 1
             break
-    # J is orthogonal with J^2 = -1, hence skew: [J, X] is a skew bracket
-    j_entries = _nonzero_entries(_integral(sheet.frame.J.as_fraction_matrix()))
-    in_u = not any(any(row) for mat in basis for row in _bracket(j_entries, mat, n))
-    in_su = in_u and all(sum(v * mat[r][i] for i, r, v in j_entries) == 0 for mat in basis)
+    in_u_n = all(map(in_u, basis))
+    in_su_n = in_u_n and not any(map(j_trace, basis))
     frozen = tuple(tuple(map(tuple, mat)) for mat in basis)
-    return HolonomyReport(len(basis), tuple(generations), frozen, in_u, in_su, stabilized)
+    return HolonomyReport(len(basis), tuple(generations), frozen, in_u_n, in_su_n, stabilized)

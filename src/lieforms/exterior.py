@@ -7,20 +7,27 @@ equations of a Lie algebra (any object exposing ``dimension`` and
 ``differentials``); coefficients are constants on the group, so d never
 differentiates them.  The parameter derivative partial_t acts coefficient-wise.
 
-Products of coefficients are summed in a ``_Sum``: an index's sum stays an
-int or Fraction while every summand is rational, and one Scalar is made per
-index at the end.
+Products of coefficients are summed in a ``_Sum`` over one denominator: each
+input form's coefficients are read once, as int numerators over the lcm of
+their denominators (a coefficient that is not a rational constant stays a
+Scalar, times that lcm), so products of rational coefficients are products of
+ints.  One Scalar is made per index at the end, from its numerator and the
+denominator with one gcd: no Fraction is built on the way (Knuth, TAOCP vol. 2,
+4.5.1).
 d is one kernel, ``_d_basis``, shared with the cohomology differentials: c e^I
-adds (-1)^p c s e^{ab + I minus i_p} per term s e^{ab} of d e^{i_p}.
+adds (-1)^p c s e^{ab + I minus i_p} per term s e^{ab} of d e^{i_p}, on the
+structure constants as int numerators over their lcm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Sequence
 
 from ._linalg import (
+    _integral,
     insert_echelon_row,
     scalar_identity,
     scalar_mat_eq,
@@ -91,8 +98,9 @@ class Form:
                     raise ValueError(f"index {i} out of range 1..{dimension}")
             sign, idx = sort_index(indices)
             if sign:
-                c = _part(value) if isinstance(value, Scalar) else value
-                out.merge(_Sum(dimension, degree, {idx: c}), sign)
+                den, c = _numerators(
+                    {idx: value if isinstance(value, Scalar) else Scalar.rational(value)})
+                out.merge(_Sum(dimension, degree, c, den), sign)
         return out.form()
 
     @staticmethod
@@ -222,55 +230,96 @@ def _coeff_text(coeff: Scalar, token: str) -> tuple[str, bool]:
     return f"{text}*{token}", negative
 
 
-def _part(c: Scalar) -> int | Fraction | Scalar:
-    """A coefficient as an int or Fraction when it is rational, else the Scalar."""
-    q = c.rational_number()
-    return c if q is None else q
+def _numerators(coeffs: Mapping) -> tuple[int, dict]:
+    """L and each value of ``coeffs`` times L, each read once as its reduced int
+    pair: an int when the value is a rational constant, else a Scalar; L is the
+    lcm of the rational denominators."""
+    out, den = {}, 1
+    for key, c in coeffs.items():
+        q = c.rational_pair()
+        if q is None:
+            out[key] = c
+        elif q[1] == 1:
+            out[key] = q[0]
+        else:
+            out[key] = q
+            den = lcm(den, q[1])
+    if den != 1:
+        for key, p in out.items():
+            out[key] = p[0] * (den // p[1]) if type(p) is tuple else p * den
+    return den, out
+
+
+def _mask(idx: Index) -> int:
+    mask = 0
+    for i in idx:
+        mask |= 1 << i
+    return mask
 
 
 class _Sum(dict):
     """The coefficients of a form being built, by sorted index in first-seen
-    order: a rational (int or Fraction) while every summand is, else a Scalar."""
+    order, as numerators over the one denominator ``den``: an int while every
+    summand is rational, else a Scalar."""
 
-    def __init__(self, dimension: int, degree: int, entries=()):
+    def __init__(self, dimension: int, degree: int, entries=(), den: int = 1):
         super().__init__(entries)
-        self.dimension, self.degree = dimension, degree
+        self.dimension, self.degree, self.den = dimension, degree, den
 
     @staticmethod
     def of(a: Form) -> _Sum:
-        return _Sum(a.dimension, a.degree, {idx: _part(c) for idx, c in a.coeffs.items()})
+        den, nums = _numerators(a.coeffs)
+        return _Sum(a.dimension, a.degree, nums, den)
 
-    def add(self, idx: Index, sign: int, product: int | Fraction | Scalar) -> None:
+    def add(self, idx: Index, sign: int, product: int | Scalar) -> None:
         if sign < 0:
             product = -product
         self[idx] = self[idx] + product if idx in self else product
 
     def merge(self, other: _Sum, sign: int = 1) -> _Sum:
-        """self + sign*other, in place.  As in Form.__add__, an index whose sum
-        is 0 leaves at once, so a later term re-enters it at the end."""
+        """self + sign*other, in place, over the lcm of the two denominators.  As
+        in Form.__add__, an index whose sum is 0 leaves at once, so a later term
+        re-enters it at the end."""
         _check_shapes(self, other)
+        k = 1
+        if other.den != self.den:
+            den = lcm(self.den, other.den)
+            k, j = den // other.den, den // self.den
+            if j != 1:
+                for idx, c in self.items():
+                    self[idx] = c * j
+                self.den = den
         for idx, c in other.items():
-            self.add(idx, sign, c)
+            self.add(idx, sign, c * k if k != 1 else c)
             if not self[idx]:
                 del self[idx]
         return self
 
     def scale(self, factor: int | Fraction | Scalar) -> _Sum:
-        """factor * self, in place; a zero factor leaves no index, and a unit
-        entry (rational +-1) takes factor or -factor with no product."""
+        """factor * self, in place; a zero factor leaves no index.  A rational
+        p/q multiplies each numerator by p and den by q; a Scalar makes each
+        entry a Scalar."""
         if not factor:
             self.clear()
-        for idx, c in self.items():
-            unit = isinstance(c, (int, Fraction)) and c in (1, -1)
-            self[idx] = (factor if c > 0 else -factor) if unit else factor * c
+        elif isinstance(factor, Scalar):
+            for idx, c in self.items():
+                self[idx] = factor * c
+        else:
+            p = factor.numerator
+            if p != 1:
+                for idx, c in self.items():
+                    self[idx] = c * p
+            self.den *= factor.denominator
         return self
 
     def __neg__(self) -> _Sum:
-        return _Sum(self.dimension, self.degree, {idx: -c for idx, c in self.items()})
+        return _Sum(self.dimension, self.degree, {idx: -c for idx, c in self.items()}, self.den)
 
     def form(self) -> Form:
+        den = self.den
         return Form(self.dimension, self.degree, {
-            idx: c if isinstance(c, Scalar) else Scalar.rational(c)
+            idx: Scalar.rational(c, den) if type(c) is int
+            else c if den == 1 else c * Scalar.rational(1, den)
             for idx, c in self.items() if c})
 
 
@@ -278,13 +327,15 @@ def wedge(a: Form, b: Form) -> Form:
     """Exterior product with the Koszul sign convention."""
     if a.dimension != b.dimension:
         raise ValueError("forms live over different coframe dimensions")
-    right = [(ib, _part(cb)) for ib, cb in b.coeffs.items()]
-    out = _Sum(a.dimension, a.degree + b.degree)
-    for ia, ca in a.coeffs.items():
-        x = _part(ca)
-        for ib, y in right:
-            sign, idx = sort_index(ia + ib)
-            if sign:
+    da, left = _numerators(a.coeffs)
+    db, right = _numerators(b.coeffs)
+    right = [(ib, _mask(ib), y) for ib, y in right.items()]
+    out = _Sum(a.dimension, a.degree + b.degree, den=da * db)
+    for ia, x in left.items():
+        ma = _mask(ia)
+        for ib, mb, y in right:
+            if not ma & mb:  # overlapping indices wedge to 0
+                sign, idx = sort_index(ia + ib)
                 out.add(idx, sign, x * y)
     return out.form()
 
@@ -308,13 +359,14 @@ def contract(vector: Sequence[Scalar | Fraction | int], a: Form) -> Form:
         raise ValueError("cannot contract a degree-0 form")
     if len(vector) != a.dimension:
         raise ValueError("vector has wrong number of components")
-    comps = [_part(v) if isinstance(v, Scalar) else Fraction(v) for v in vector]
-    out = _Sum(a.dimension, a.degree - 1)
-    for idx, coeff in a.coeffs.items():
-        c = _part(coeff)
+    dv, comps = _numerators({i: v if isinstance(v, Scalar) else Scalar.rational(v)
+                             for i, v in enumerate(vector, start=1)})
+    da, coeffs = _numerators(a.coeffs)
+    out = _Sum(a.dimension, a.degree - 1, den=da * dv)
+    for idx, c in coeffs.items():
         for pos, i in enumerate(idx):
-            if comps[i - 1]:
-                out.add(idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1, c * comps[i - 1])
+            if comps[i]:
+                out.add(idx[:pos] + idx[pos + 1:], -1 if pos % 2 else 1, c * comps[i])
     return out.form()
 
 
@@ -347,9 +399,6 @@ class CoframeMap:
         transpose = [list(col) for col in zip(*m)]
         return scalar_mat_eq(scalar_mat_mul(m, transpose), scalar_identity(len(m)))
 
-    def as_fraction_matrix(self) -> list[list[Fraction]]:
-        return [[c.as_fraction() for c in row] for row in self.matrix]
-
 
 def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
     """Extend the coframe map to k-forms factor-wise (algebra morphism)."""
@@ -357,11 +406,16 @@ def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
         raise ValueError("coframe map dimension mismatch")
     if a.degree == 0:
         return a
-    rows = [[(j, _part(c)) for j, c in enumerate(row, start=1) if c] for row in cmap.matrix]
-    out = _Sum(a.dimension, a.degree)
-    for idx, coeff in a.coeffs.items():
+    dm, entries = _numerators({(i, j): c for i, row in enumerate(cmap.matrix)
+                               for j, c in enumerate(row, start=1) if c})
+    rows: list[list[tuple[int, int | Scalar]]] = [[] for _ in cmap.matrix]
+    for (i, j), m in entries.items():
+        rows[i].append((j, m))
+    da, coeffs = _numerators(a.coeffs)
+    out = _Sum(a.dimension, a.degree, den=da * dm**a.degree)
+    for idx, c in coeffs.items():
         # c e^{i_1..i_k} goes to c M[i_1][j_1]..M[i_k][j_k] e^{j_1..j_k}, j distinct
-        products = [((), _part(coeff))]
+        products = [((), c)]
         for i in idx:
             products = [(jdx + (j,), x * m) for jdx, x in products
                         for j, m in rows[i - 1] if j not in jdx]
@@ -371,11 +425,17 @@ def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
     return out.form()
 
 
-def _d_table(algebra) -> list[list[tuple[int, int, Fraction | Scalar]]]:
-    """Each generator's terms s e^ab of d e^i as (mask of ab, mask of the bits
-    a..b-1, s), read once per call: the algebra's differentials may change."""
-    return [[(1 << a | 1 << b, (1 << b) - (1 << a), _part(s)) for (a, b), s in d.coeffs.items()]
-            for d in algebra.differentials]
+def _d_table(algebra) -> tuple[int, list[list[tuple[int, int, int | Scalar]]]]:
+    """L and each generator's terms s e^ab of d e^i as (mask of ab, mask of the
+    bits a..b-1, L*s), L the lcm of the denominators of the rational s, read
+    once per call: the algebra's differentials may change."""
+    diffs = algebra.differentials
+    den, nums = _numerators({(i, a, b): s for i, d in enumerate(diffs)
+                             for (a, b), s in d.coeffs.items()})
+    rows: list[list] = [[] for _ in diffs]
+    for (i, a, b), s in nums.items():
+        rows[i].append((1 << a | 1 << b, (1 << b) - (1 << a), s))
+    return den, rows
 
 
 def _d_basis(table: list, mask: int) -> dict:
@@ -401,14 +461,15 @@ def exterior_derivative(algebra, a: Form) -> Form:
     return _d_form(_d_table(algebra), a)
 
 
-def _d_form(table: list, a: Form) -> Form:
+def _d_form(table: tuple[int, list], a: Form) -> Form:
     """d a from an algebra's ``_d_table``, one row per generator."""
-    if len(table) != a.dimension:
+    den, rows = table
+    if len(rows) != a.dimension:
         raise ValueError("form does not live on the given algebra")
-    out = _Sum(a.dimension, a.degree + 1)
-    for idx, coeff in a.coeffs.items():
-        c = _part(coeff)
-        for t, v in _d_basis(table, sum(1 << i for i in idx)).items():
+    da, coeffs = _numerators(a.coeffs)
+    out = _Sum(a.dimension, a.degree + 1, den=da * den)
+    for idx, c in coeffs.items():
+        for t, v in _d_basis(rows, _mask(idx)).items():
             out.add(_indices(t), 1, c * v)
     return out.form()
 
@@ -440,5 +501,5 @@ def span_rank(forms: Sequence[Form]) -> SpanReport:
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
     basis = tuple(i for i, f in enumerate(forms) if insert_echelon_row(
-        echelon, pivots, {column[idx]: s.as_fraction() for idx, s in f.coeffs.items()}))
+        echelon, pivots, dict(zip(map(column.get, f.coeffs), _integral([f.coeffs.values()])[0]))))
     return SpanReport(len(basis), basis)

@@ -383,10 +383,17 @@ class Scalar:
         return Scalar({_EMPTY_SIG: RF_ONE})
 
     @staticmethod
-    def rational(q: Fraction | int) -> Scalar:
+    def rational(q: Fraction | int, d: int = 1) -> Scalar:
+        """The rational constant q, or q/d for an int q and an int d > 1,
+        reduced by one gcd."""
         if not q:
             return Scalar()
-        return Scalar({_EMPTY_SIG: RF(q.numerator, q.denominator, POLY_ONE, ())})
+        if d != 1:
+            g = math.gcd(q, d)
+            q, d = q // g, d // g
+        elif type(q) is not int:
+            q, d = q.numerator, q.denominator
+        return Scalar({_EMPTY_SIG: RF(q, d, POLY_ONE, ())})
 
     @staticmethod
     def t() -> Scalar:
@@ -416,21 +423,22 @@ class Scalar:
         return not self._terms
 
     def is_rational(self) -> bool:
-        return self.rational_number() is not None
+        return self.rational_pair() is not None
 
-    def rational_number(self) -> int | Fraction | None:
-        """The value as an int or Fraction when it is a rational constant, else None."""
+    def rational_pair(self) -> tuple[int, int] | None:
+        """The value as a reduced int pair (n, d), d > 0, when it is a rational
+        constant, else None: the RF content, read with no Fraction."""
         if not self._terms:
-            return 0
+            return 0, 1
         rf = self._terms.get(_EMPTY_SIG)
         if rf is None or len(self._terms) > 1 or rf.den or len(rf.num) > 1:
             return None
-        return rf.n if rf.d == 1 else Fraction(rf.n, rf.d)
+        return rf.n, rf.d
 
     def rational_value(self) -> Fraction | None:
         """The value as a Fraction when it is a rational constant, else None."""
-        q = self.rational_number()
-        return Fraction(q) if type(q) is int else q
+        q = self.rational_pair()
+        return None if q is None else Fraction(*q)
 
     def as_fraction(self) -> Fraction:
         q = self.rational_value()
@@ -468,6 +476,11 @@ class Scalar:
         return Scalar._coerce(other) + (-self)
 
     def __mul__(self, other: Scalar | Fraction | int) -> Scalar:
+        if type(other) is int:  # an int scales each term's content
+            if other == 1:
+                return self
+            return Scalar({sig: rf_scale(rf, other, 1) for sig, rf in self._terms.items()}
+                          if other else None)
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lieforms import connection
 from lieforms._linalg import insert_echelon_row
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
 from lieforms.catalog import catalog_manifest, get_entry
@@ -17,7 +18,6 @@ from lieforms.connection import (
     MetricFrame,
     bismut_connection,
     _bracket,
-    _integral,
     _nonzero_entries,
     _reduced,
     connection_from_cartan,
@@ -50,6 +50,12 @@ def form(dim, *terms):
 def _denominator(mats):
     """The lcm of the denominators of rational matrices."""
     return math.lcm(*(x.denominator for mat in mats for row in mat for x in row))
+
+
+def _integral(mat, den=None):
+    """The rational matrix times den, by default the lcm of its denominators."""
+    den = den or _denominator([mat])
+    return [[x.numerator * (den // x.denominator) for x in row] for row in mat]
 
 
 def _direction(gamma, m):
@@ -302,9 +308,9 @@ def test_bismut_paths_read_their_inputs_separately(monkeypatch):
     read = LieAlgebra.structure_constants
 
     def misread(self):
-        c = read(self)
+        s, c = read(self)
         c[0][2], c[2][0] = c[2][0], c[0][2]  # [e1, e3] read with the wrong sign
-        return c
+        return s, c
 
     monkeypatch.setattr(LieAlgebra, "structure_constants", misread)
     with pytest.raises(AssertionError, match="paths disagree"):
@@ -608,7 +614,8 @@ def holonomy_algebra_oracle(sheet, curv, max_order=6):
         if not new:
             stabilized = order - 1
             break
-    j_entries = _nonzero_entries(_integral(sheet.frame.J.as_fraction_matrix()))
+    j_entries = _nonzero_entries(_integral([[c.as_fraction() for c in row]
+                                            for row in sheet.frame.J.matrix]))
     in_u = not any(any(row) for mat in basis for row in _bracket(j_entries, mat, n))
     in_su = in_u and all(sum(v * mat[r][i] for i, r, v in j_entries) == 0 for mat in basis)
     return HolonomyReport(len(basis), tuple(generations),
@@ -629,6 +636,37 @@ def test_holonomy_matches_the_full_bracket_oracle():
     curv = curvature(sheet)
     for order in range(5):
         assert holonomy_algebra(sheet, curv, order) == holonomy_algebra_oracle(sheet, curv, order)
+
+
+def levi_civita_sheet(name):
+    sf = parse_equations(get_entry(name).payload, name=name)
+    return levi_civita(MetricFrame(sf.algebra, sf.coframe_map))
+
+
+@pytest.mark.parametrize("name, generations", [("ex4.3", (24, 28, 28)), ("thm4.2-h2", (15, 15))])
+def test_levi_civita_holonomy_reaches_so_n_as_the_oracle_does(name, generations):
+    # Levi-Civita does not preserve J here, so the scan's ceiling is so(n)
+    sheet = levi_civita_sheet(name)
+    curv = curvature(sheet)
+    assert holonomy_algebra(sheet, curv).generation_dimensions == generations
+    for order in range(4):
+        assert holonomy_algebra(sheet, curv, order) == holonomy_algebra_oracle(sheet, curv, order)
+
+
+def test_holonomy_inserts_no_bracket_once_the_span_is_su_n(monkeypatch):
+    # the curvature of ex4.4-c1 already spans su(4): no order-1 product is eliminated
+    sheet, curv = catalog_sheet("ex4.4-c1")
+    rows = []
+    real = connection.insert_echelon_row
+    monkeypatch.setattr(connection, "insert_echelon_row",
+                        lambda echelon, pivots, row: rows.append(row) or real(echelon, pivots, row))
+    report = holonomy_algebra(sheet, curv)
+    assert report.generation_dimensions == (15, 15) and report.stabilized_at_order == 0
+    upper = list(itertools.combinations(range(sheet.frame.algebra.dimension), 2))
+    curvature_rows = [{r: mat[i][j] for r, (i, j) in enumerate(upper) if mat[i][j]}
+                      for mat in (_reduced(curv.den, [m])[1][0]
+                                  for _, m in sorted(curv.matrices.items()))]
+    assert rows == curvature_rows[:len(rows)]
 
 
 def test_holonomy_rejects_non_metric_connection():
@@ -783,7 +821,7 @@ def second_bianchi_holds(sheet, curv, torsion_sign=1):
     gamma and the structure constants; ``torsion_sign=-1`` flips it.
     """
     n = sheet.frame.algebra.dimension
-    gamma, c = sheet.gamma, sheet.frame.algebra.structure_constants()
+    gamma, (s, c) = sheet.gamma, sheet.frame.algebra.structure_constants()
     zero = [[F(0)] * n for _ in range(n)]
     tensor = curv.tensor()
     r = {}  # R(e_a, e_b), 0-based, every ordered pair
@@ -794,7 +832,7 @@ def second_bianchi_holds(sheet, curv, torsion_sign=1):
             r[(a, b)] = [[-v for v in row] for row in tensor.get((b + 1, a + 1), zero)]
         else:
             r[(a, b)] = zero
-    torsion = {(a, b): [torsion_sign * (gamma[x][b][a] - gamma[x][a][b] - c[a][b][x])
+    torsion = {(a, b): [torsion_sign * (gamma[x][b][a] - gamma[x][a][b] - F(c[a][b][x], s))
                         for x in range(n)]
                for a, b in itertools.product(range(n), repeat=2)}
     nabla = [nabla_matrices(sheet, curv, m + 1) for m in range(n)]

@@ -15,6 +15,7 @@ from lieforms.algebras import (
     parse_form_expr,
 )
 from lieforms.catalog import catalog_manifest, get_entry
+from lieforms.connection import MetricFrame, bismut_connection, curvature, nabla_matrices
 from lieforms.exterior import (
     CoframeMap,
     Form,
@@ -437,21 +438,40 @@ def test_d_squared_residual_of_a_non_jacobi_algebra():
 
 
 def test_products_of_rationals_are_summed_as_fractions(monkeypatch):
-    """Rational inputs make no Scalar product or sum; the result is exact."""
+    """Rational inputs make no Scalar product or sum and construct no Fraction
+    (counted at Fraction.__new__): they are summed as ints over one
+    denominator, and the result is exact.  So are the curvature and its
+    covariant derivatives of a rotated sheet."""
     sf = parse_equations(rotated_file(lieforms, sun_entries(lieforms)[0], random.Random(1)))
     a, b = sf.forms["F"], sf.forms["psi_plus"]
+    sheet = bismut_connection(MetricFrame(sf.algebra, sf.coframe_map), a)
+    n = sf.algebra.dimension
 
     def refuse(*args):
         raise AssertionError("Scalar arithmetic on rational coefficients")
 
+    fractions = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        fractions.append(args)
+        return new(cls, *args, **kwargs)
+
     want = (wedge_oracle(a, b), d_oracle(sf.algebra, b),
             apply_coframe_map_oracle(sf.coframe_map, b), contract_oracle([1] * 8, b))
+    want_curv = curvature(sheet)
+    want_nabla = [nabla_matrices(sheet, want_curv, m) for m in range(1, n + 1)]
     for op in ("__add__", "__radd__", "__mul__", "__rmul__", "__neg__", "__sub__"):
         monkeypatch.setattr(Scalar, op, refuse)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     got = (wedge(a, b), exterior_derivative(sf.algebra, b),
            apply_coframe_map(sf.coframe_map, b), contract([1] * 8, b))
+    curv = curvature(sheet)
+    nabla = [nabla_matrices(sheet, curv, m) for m in range(1, n + 1)]
     monkeypatch.undo()
     assert got == want
+    assert curv == want_curv and nabla == want_nabla
+    assert fractions == []
 
 
 def test_wedge_power_past_the_dimension_is_zero_at_once(monkeypatch):

@@ -643,6 +643,8 @@ def rf_oracle(tree):
         return rf_oracle(tree[1]).inverse()
     if op == "pow":
         return rf_oracle(tree[1]).rational_power(tree[2])
+    if op == "scale":
+        return rf_oracle(("mul", tree[1], ("lin", F(tree[2]), F(0))))
     x, y = rf_oracle(tree[1]), rf_oracle(tree[2])
     return x + y if op == "add" else x * y
 
@@ -663,6 +665,8 @@ def evaluate(tree):
         return evaluate(tree[1]).inverse()
     if op == "pow":
         return evaluate(tree[1]).rational_power(tree[2])
+    if op == "scale":  # by a Python int
+        return evaluate(tree[1]) * tree[2]
     x, y = evaluate(tree[1]), evaluate(tree[2])
     return x + y if op == "add" else x * y
 
@@ -716,6 +720,7 @@ rf_trees = st.recursive(
         st.tuples(st.just("inv"), kids),
         st.tuples(st.just("pow"), kids,
                   st.sampled_from([F(2), F(-1), F(3), F(1, 3), F(-2, 3), F(1, 2), F(5, 2)])),
+        st.tuples(st.just("scale"), kids, st.sampled_from([1, -1, 2, -3, 12])),
     ),
     max_leaves=6,
 )
