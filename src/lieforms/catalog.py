@@ -283,7 +283,12 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
     if "dF" in exp:
         same("dF", alg.d(sf.forms["F"]), exp["dF"])
 
-    sheet, curv = ctx.sheet, ctx.curv
+    try:
+        sheet = ctx.sheet
+    except ValueError as exc:  # F and J that admit no connection, as failed Jacobi above
+        check("Bismut connection", False, lambda: str(exc))
+        return EntryReport(entry.name, entry.source, passed, lines, dict(entry.source_states))
+    curv = ctx.curv
     pairs = list(combinations(range(1, n + 1), 2))
     if "torsion" in exp:
         same("T", sheet.torsion, exp["torsion"])

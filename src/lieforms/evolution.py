@@ -59,30 +59,38 @@ def family_from_section(algebra: LieAlgebra, section: FamilySection,
 
 def validate_family(family: ParamFamily) -> Report:
     """Exact wedge identities in t; metric positivity sampled numerically."""
-    rows, v = su2_wedge_identities(family)
+    rows, v = su2_wedge_identities(family.omega1, family.omega2, family.omega3)
     rows.append(("volume nonzero", not wedge(v, family.eta).is_zero()))
-    geo = family.geometry
-    for t0 in family.sample_points():
-        try:
-            entries = [[geo.metric[i][j].evaluate_float(t0) for j in range(5)]
-                       for i in range(5)]
-            positive = all(m > 1e-12 for m in leading_minors(entries, 0.0, 1.0))
-        except (ScalarDomainError, ZeroDivisionError):
-            positive = False
+    metric = family.geometry.metric
+    for t0 in family.sample_points():  # a NaN entry makes the last minor NaN
+        entries = [[_sample_float(c, t0) for c in row] for row in metric]
+        positive = all(m > 1e-12 for m in leading_minors(entries, 0.0, 1.0))
         rows.append((f"metric positive at t = {t0}", positive))
     return Report("family validity", all(ok for _, ok in rows), tuple(rows))
 
 
+def _sample_float(c: Scalar, t0: Fraction) -> float:
+    """c(t0), or NaN where c is not real or has a pole: the one float a verdict reads."""
+    try:
+        return c.evaluate_float(t0)
+    except (ScalarDomainError, ZeroDivisionError):
+        return float("nan")
+
+
+def _shared_equations(family: ParamFamily) -> tuple[tuple[str, Form], ...]:
+    """dt(omega1^eta) = -d(omega2) and dt(omega2^eta) = d(omega1), the first two
+    equations of both the balanced and the hypo evolution."""
+    d, eta, w1, w2 = family.algebra.d, family.eta, family.omega1, family.omega2
+    return (("dt(omega1^eta) + d(omega2)", partial_t(wedge(w1, eta)) + d(w2)),
+            ("dt(omega2^eta) - d(omega1)", partial_t(wedge(w2, eta)) - d(w1)))
+
+
 def verify_balanced_evolution(family: ParamFamily) -> Report:
     """The evolution equations, with balancedness at every fixed t as a part."""
-    d = family.algebra.d
-    eta, w1, w2, w3 = family.eta, family.omega1, family.omega2, family.omega3
-    residuals = (
-        ("dt(omega1^eta) + d(omega2)", partial_t(wedge(w1, eta)) + d(w2)),
-        ("dt(omega2^eta) - d(omega1)", partial_t(wedge(w2, eta)) - d(w1)),
+    w3 = family.omega3
+    residuals = _shared_equations(family) + (
         ("dt(omega3^omega3) + 2 d(omega3^eta)",
-         partial_t(wedge(w3, w3)) + d(wedge(w3, eta)).scale(2)),
-    )
+         partial_t(wedge(w3, w3)) + family.algebra.d(wedge(w3, family.eta)).scale(2)),)
     fixed_t = residual_report("balanced at every t", is_balanced_su2(family).residuals,
                               words=("yes", "NO"))
     return residual_report("evolution equations", residuals, parts=(fixed_t,))
@@ -94,13 +102,8 @@ def verify_hypo_evolution(family: ParamFamily) -> Report:
     Any solution also solves the balanced evolution equations; the report
     re-verifies that implication whenever the hypo system passes.
     """
-    d = family.algebra.d
-    eta, w1, w2, w3 = family.eta, family.omega1, family.omega2, family.omega3
-    rows = (
-        ("dt(omega1^eta) + d(omega2)", partial_t(wedge(w1, eta)) + d(w2)),
-        ("dt(omega2^eta) - d(omega1)", partial_t(wedge(w2, eta)) - d(w1)),
-        ("dt(omega3) + d(eta)", partial_t(w3) + d(eta)),
-    )
+    rows = _shared_equations(family) + (
+        ("dt(omega3) + d(eta)", partial_t(family.omega3) + family.algebra.d(family.eta)),)
     ok = all(f.is_zero() for _, f in rows)
     if ok:
         follows = verify_balanced_evolution(family).ok
@@ -180,12 +183,7 @@ def family_volume(family: ParamFamily) -> VolumeReport:
     signs = []
     for interval in family.domain:
         sign: int | None = None
-        values = []
-        for t0 in interval.samples():
-            try:
-                values.append(coeff.evaluate_float(t0))
-            except (ScalarDomainError, ZeroDivisionError):
-                values.append(float("nan"))
+        values = [_sample_float(coeff, t0) for t0 in interval.samples()]
         if values and all(v > 1e-12 for v in values):
             sign = 1
         elif values and all(v < -1e-12 for v in values):

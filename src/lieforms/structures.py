@@ -127,16 +127,17 @@ class Su2Geometry:
     proj: list[list[Scalar]]            # kernel coordinates of e_x - eta(e_x) xi
 
 
-def su2_wedge_identities(s: SU2Structure) -> tuple[list[tuple[str, bool]], Form]:
+def su2_wedge_identities(omega1: Form, omega2: Form,
+                         omega3: Form) -> tuple[list[tuple[str, bool]], Form]:
     """The Prop-2.1-style identities omega_i ^ omega_j = delta_ij v, exactly,
-    as check rows, and v."""
-    v = wedge(s.omega1, s.omega1)
+    as check rows (the two squares, then the three products), and v."""
+    v = wedge(omega1, omega1)
     return [
-        ("omega1^omega1 = omega2^omega2", wedge(s.omega2, s.omega2) == v),
-        ("omega1^omega1 = omega3^omega3", wedge(s.omega3, s.omega3) == v),
-        ("omega1^omega2 = 0", wedge(s.omega1, s.omega2).is_zero()),
-        ("omega1^omega3 = 0", wedge(s.omega1, s.omega3).is_zero()),
-        ("omega2^omega3 = 0", wedge(s.omega2, s.omega3).is_zero()),
+        ("omega1^omega1 = omega2^omega2", wedge(omega2, omega2) == v),
+        ("omega1^omega1 = omega3^omega3", wedge(omega3, omega3) == v),
+        ("omega1^omega2 = 0", wedge(omega1, omega2).is_zero()),
+        ("omega1^omega3 = 0", wedge(omega1, omega3).is_zero()),
+        ("omega2^omega3 = 0", wedge(omega2, omega3).is_zero()),
     ], v
 
 
@@ -283,7 +284,7 @@ def validate_su2(s: SU2Structure) -> Report:
     positivity: where it is not decidable exactly its row is False
     (families sample it numerically).
     """
-    rows, v = su2_wedge_identities(s)
+    rows, v = su2_wedge_identities(s.omega1, s.omega2, s.omega3)
     rows.append(("volume form nonzero", not wedge(v, s.eta).is_zero()))
     geo = s.geometry
     rows.append(("reeb contractions vanish", contract(geo.xi, s.omega1).is_zero()
@@ -309,30 +310,24 @@ def validate_su2(s: SU2Structure) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _residual_list(residuals: tuple[tuple[str, Form], ...]) -> Report:
-    """The headerless residual list of the balanced and hypo checks."""
+def _residual_list(s: SU2Structure, last: tuple[str, Form]) -> Report:
+    """The headerless residual list of the balanced and hypo checks: the rows
+    d(omega1^eta) and d(omega2^eta) they share, then ``last``."""
+    d = s.algebra.d
+    residuals = (("d(omega1^eta)", d(wedge(s.omega1, s.eta))),
+                 ("d(omega2^eta)", d(wedge(s.omega2, s.eta))), last)
     return residual_report("", ((name, f, "" if f.is_zero() else "   [nonzero]")
                                 for name, f in residuals))
 
 
 def is_balanced_su2(s: SU2Structure) -> Report:
     """Residuals of d(omega1^eta) = d(omega2^eta) = d(omega3^omega3) = 0."""
-    d = s.algebra.d
-    return _residual_list((
-        ("d(omega1^eta)", d(wedge(s.omega1, s.eta))),
-        ("d(omega2^eta)", d(wedge(s.omega2, s.eta))),
-        ("d(omega3^omega3)", d(wedge(s.omega3, s.omega3))),
-    ))
+    return _residual_list(s, ("d(omega3^omega3)", s.algebra.d(wedge(s.omega3, s.omega3))))
 
 
 def is_hypo(s: SU2Structure) -> Report:
     """Residuals of d(omega1^eta) = d(omega2^eta) = d(omega3) = 0."""
-    d = s.algebra.d
-    return _residual_list((
-        ("d(omega1^eta)", d(wedge(s.omega1, s.eta))),
-        ("d(omega2^eta)", d(wedge(s.omega2, s.eta))),
-        ("d(omega3)", d(s.omega3)),
-    ))
+    return _residual_list(s, ("d(omega3)", s.algebra.d(s.omega3)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +485,11 @@ def restrict_to_hypersurface(s: SUnStructure, unit: list[Scalar | Fraction | int
                         name=(s.name or "structure") + f" | e{k}")
 
 
-def suspend_su2(s: SU2Structure, validate: bool = True) -> SUnStructure:
-    """The 6-dimensional structure F = omega3 + eta^dt, psi = (omega1 + i omega2)(eta + i dt)."""
-    if validate and not validate_su2(s).passed:
-        raise ValueError("cannot suspend an invalid SU(2)-structure")
+def suspend_su2(s: SU2Structure) -> SUnStructure:
+    """The 6-dimensional structure F = omega3 + eta^dt, psi = (omega1 + i omega2)(eta + i dt).
+    Raises ``ValueError`` only where J cannot be built (eta = 0, omega3 degenerate
+    on ker eta); ``validate_su2`` and ``validate_sun`` report whether ``s`` and
+    the result are valid."""
     ambient, f, psi_plus, psi_minus = suspension_forms(s)
     cmap = suspension_coframe_map(s)
     return SUnStructure(ambient, f, psi_plus, psi_minus, cmap, name=s.name)
@@ -530,52 +526,24 @@ def suspension_coframe_map(s: SU2Structure) -> CoframeMap:
 # ---------------------------------------------------------------------------
 
 
-def circle_bundle_preconditions(base: LieAlgebra, omega1: Form, omega2: Form,
-                                omega3: Form, curvature: Form,
-                                theta: tuple[Fraction, Fraction]) -> dict[str, bool]:
-    d = base.d
-    cos_t, sin_t = theta
-    w1t = omega1.scale(cos_t) + omega2.scale(sin_t)
-    w2t = omega1.scale(-sin_t) + omega2.scale(cos_t)
-    sq = wedge(omega1, omega1)
-    return {
-        "d(omega1) = 0": d(omega1).is_zero(),
-        "d(omega2) = 0": d(omega2).is_zero(),
-        "squares equal": (wedge(omega2, omega2) == sq and wedge(omega3, omega3) == sq),
-        "squares nonzero": not sq.is_zero(),
-        "pairwise orthogonal": (wedge(omega1, omega2).is_zero()
-                                and wedge(omega1, omega3).is_zero()
-                                and wedge(omega2, omega3).is_zero()),
-        "d(curvature) = 0": d(curvature).is_zero(),
-        "curvature^omega1_theta = 0": wedge(curvature, w1t).is_zero(),
-        "curvature^omega2_theta = 0": wedge(curvature, w2t).is_zero(),
-    }
-
-
 def circle_bundle_structure(base: LieAlgebra, omega1: Form, omega2: Form, omega3: Form,
                             curvature: Form,
                             theta: tuple[Fraction, Fraction] = (Fraction(1), Fraction(0)),
                             ) -> SU2Structure:
-    """The quadruplet (rho, rotated omega1, rotated omega2, omega3) on the total space."""
+    """The quadruplet (rho, rotated omega1, rotated omega2, omega3) on the total space.
+    Raises ``ValueError`` only for a base that is not 4-dimensional, a theta off the
+    unit circle or a curvature that is not closed; ``check_conformal_couple``, the
+    wedges curvature ^ omega1 = curvature ^ omega2 = 0 (the catalog's
+    ``eq7_generators``) and ``validate_su2``/``is_balanced_su2`` report the rest."""
     if base.dimension != 4:
         raise ValueError("the base of the circle bundle must be 4-dimensional")
     cos_t, sin_t = theta
     if cos_t * cos_t + sin_t * sin_t != 1:
         raise ValueError("theta must be given by a rational (cos, sin) pair on the circle")
-    pre = circle_bundle_preconditions(base, omega1, omega2, omega3, curvature, theta)
-    bad = [name for name, ok in pre.items() if not ok]
-    if bad:
-        raise ValueError("circle bundle preconditions failed: " + "; ".join(bad))
     total = central_extension(base, curvature)
     w1t = lift_form(omega1.scale(cos_t) + omega2.scale(sin_t), 5)
     w2t = lift_form(omega1.scale(-sin_t) + omega2.scale(cos_t), 5)
-    w3t = lift_form(omega3, 5)
-    out = SU2Structure(total, Form.generator(5, 5), w1t, w2t, w3t)
-    residual = is_balanced_su2(out)
-    if not residual.passed:
-        raise ValueError("constructed circle-bundle structure is not balanced: "
-                         + residual.render())
-    return out
+    return SU2Structure(total, Form.generator(5, 5), w1t, w2t, lift_form(omega3, 5))
 
 
 def check_conformal_couple(base: LieAlgebra, omega1: Form, omega2: Form,
@@ -585,15 +553,12 @@ def check_conformal_couple(base: LieAlgebra, omega1: Form, omega2: Form,
     if base.dimension != 4:
         raise ValueError("conformal couples live on 4-dimensional algebras")
     d = base.d
-    sq1 = wedge(omega1, omega1)
+    ((_, same2), (_, same3), *products), sq1 = su2_wedge_identities(omega1, omega2, omega3)
     checks = (
         ("d(omega1) = 0", d(omega1).is_zero()),
         ("d(omega2) = 0", d(omega2).is_zero()),
-        ("omega1^omega2 = 0", wedge(omega1, omega2).is_zero()),
-        ("omega1^omega3 = 0", wedge(omega1, omega3).is_zero()),
-        ("omega2^omega3 = 0", wedge(omega2, omega3).is_zero()),
-        ("omega1^2 = omega2^2 = omega3^2",
-         wedge(omega2, omega2) == sq1 and wedge(omega3, omega3) == sq1),
+        *products,
+        ("omega1^2 = omega2^2 = omega3^2", same2 and same3),
         ("squares are volume forms", not sq1.is_zero()),
     )
     return Report("conformal symplectic couple", all(ok for _, ok in checks),

@@ -14,7 +14,7 @@ import dataclasses
 from pathlib import Path
 
 from lieforms.algebras import check_jacobi, parse_compact, parse_equations, verify_basis_change
-from lieforms.catalog import StructureContext, catalog_manifest, run_entry
+from lieforms.catalog import EntryReport, StructureContext, catalog_manifest, run_entry
 from lieforms.evolution import (
     ParamFamily,
     family_volume,
@@ -106,9 +106,9 @@ def structure_reports(out, ctx):
         for fn in (validate_su2, is_balanced_su2, is_hypo):
             _call(out, fn.__name__, fn, ctx.su2)
         _call(out, "validate_sun(suspend_su2)",
-              lambda s: validate_sun(suspend_su2(s, validate=False)), ctx.su2)
+              lambda s: validate_sun(suspend_su2(s)), ctx.su2)
         _call(out, "is_balanced_sun(suspend_su2)",
-              lambda s: is_balanced_sun(suspend_su2(s, validate=False)), ctx.su2)
+              lambda s: is_balanced_sun(suspend_su2(s)), ctx.su2)
     if ctx.sun is not None:
         for fn in (validate_sun, is_balanced_sun):
             _call(out, fn.__name__, fn, ctx.sun)
@@ -167,6 +167,23 @@ def generate() -> str:
 
 def test_report_renders_match_the_fixture():
     assert generate() == FIXTURE.read_text(encoding="utf-8")
+
+
+def test_run_entry_ends_in_a_report_on_every_mutant():
+    """A structure rejected at its input boundary is one FAIL row, not an exception."""
+    bismut = "  [FAIL] Bismut connection   (F must equal g(J., .) in the orthonormal frame)"
+    ends_at_bismut = 0
+    for entry in catalog_manifest():
+        for _, text in [("payload", entry.payload), *mutants(entry.name, entry.payload)]:
+            try:
+                parse_equations(text, name=entry.name)
+            except ValueError:
+                continue
+            rep = run_entry(dataclasses.replace(entry, payload=text))
+            assert isinstance(rep, EntryReport)
+            assert bismut not in rep.lines[:-1]
+            ends_at_bismut += rep.lines[-1] == bismut
+    assert ends_at_bismut == 6
 
 
 if __name__ == "__main__":

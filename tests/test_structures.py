@@ -24,7 +24,6 @@ from lieforms.structures import (
     _reeb_and_kernel,
     _restricted_matrix,
     check_conformal_couple,
-    circle_bundle_preconditions,
     circle_bundle_structure,
     is_balanced_su2,
     is_balanced_sun,
@@ -262,10 +261,11 @@ def test_suspend_then_restrict_is_identity():
 
 
 def test_suspension_of_invalid_structure_rejected():
+    # the suspension is built; the verdicts reject the quadruplet and its lift
     s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     broken = SU2Structure(s.algebra, s.eta, s.omega1, -s.omega2, s.omega3)
-    with pytest.raises(ValueError):
-        suspend_su2(broken)
+    assert not validate_su2(broken).passed
+    assert not validate_sun(suspend_su2(broken)).passed
 
 
 def kodaira_thurston_base(eps: int) -> LieAlgebra:
@@ -307,14 +307,15 @@ def test_circle_bundle_curvature_generators_satisfy_theta_universality():
                       form(4, ("23", 1))]
         if eps == 0:
             generators.append(form(4, ("14", 1)))
+        cos_t, sin_t = F(3, 5), F(4, 5)
+        w1t = COUPLE["omega1"].scale(cos_t) + COUPLE["omega2"].scale(sin_t)
+        w2t = COUPLE["omega1"].scale(-sin_t) + COUPLE["omega2"].scale(cos_t)
         for omega in generators:
+            assert base.d(omega).is_zero()
             assert wedge(omega, COUPLE["omega1"]).is_zero()
             assert wedge(omega, COUPLE["omega2"]).is_zero()
-            pre = circle_bundle_preconditions(base, COUPLE["omega1"], COUPLE["omega2"],
-                                              COUPLE["omega3"], omega,
-                                              (F(3, 5), F(4, 5)))
-            assert pre["curvature^omega1_theta = 0"]
-            assert pre["curvature^omega2_theta = 0"]
+            assert wedge(omega, w1t).is_zero()
+            assert wedge(omega, w2t).is_zero()
 
 
 def test_circle_bundle_structure_eps1_balanced_non_hypo():
@@ -348,6 +349,26 @@ def test_circle_bundle_rejects_non_closed_curvature():
     with pytest.raises(ValueError):
         circle_bundle_structure(base, COUPLE["omega1"], COUPLE["omega2"],
                                 COUPLE["omega3"], form(4, ("14", 1)))
+
+
+def test_circle_bundle_reports_a_broken_couple_and_rejects_bad_input():
+    base = kodaira_thurston_base(0)
+    doubled = COUPLE["omega2"].scale(2)  # omega2^2 = 4 omega1^2
+    s = circle_bundle_structure(base, COUPLE["omega1"], doubled, COUPLE["omega3"],
+                                form(4, ("23", 1)))
+    couple = check_conformal_couple(base, COUPLE["omega1"], doubled, COUPLE["omega3"])
+    assert couple.value("omega1^2 = omega2^2 = omega3^2") is False and not couple.passed
+    report = validate_su2(s)
+    assert report.value("omega1^omega1 = omega2^omega2") is False and not report.passed
+    bad_inputs = [
+        (parse_compact("(0,0,0)"), Form.zero(3, 2), (F(1), F(0)), "4-dimensional"),
+        (base, form(4, ("23", 1)), (F(1), F(1)), "on the circle"),
+        (kodaira_thurston_base(1), form(4, ("14", 1)), (F(1), F(0)), "must be closed"),
+    ]
+    for alg, curvature, theta, message in bad_inputs:
+        with pytest.raises(ValueError, match=message):
+            circle_bundle_structure(alg, COUPLE["omega1"], COUPLE["omega2"],
+                                    COUPLE["omega3"], curvature, theta)
 
 
 def test_circle_bundle_rotation_by_theta():
