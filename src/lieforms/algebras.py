@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
@@ -171,6 +172,23 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _number(text: str, lineno: int, col: int) -> int:
+    """The int of a literal of digits, signed or not, at ``col``; a literal over
+    the interpreter's int-string limit is a ParseError there."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"number literal longer than {sys.get_int_max_str_digits()} digits",
+                         lineno, col) from None
+
+
+def _fraction(text: str, lineno: int, col: int) -> Fraction:
+    """The rational literal p, -p or p/q at ``col``, each part read by ``_number``."""
+    num, _, den = text.partition("/")
+    p = _number(num, lineno, col)
+    return Fraction(p, _number(den, lineno, col + len(num) + 1)) if den else Fraction(p)
+
+
 # after spaces or tabs: a token, else the end (a comment or blanks), else a bad character
 _TOKEN_RE = re.compile(
     r"[ \t]*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>->|[+\-*/^(),:=|])"
@@ -312,7 +330,7 @@ class _ExprParser:
         return value
 
     def atom(self) -> Value:
-        kind, text, _ = self.tokens[self.pos]
+        kind, text, col = self.tokens[self.pos]
         if kind == "end":
             self.error("expected an expression")
         if text in ("-", "+"):
@@ -321,7 +339,7 @@ class _ExprParser:
             return -value if text == "-" else value
         if kind == "num":
             self.pos += 1
-            return int(text)
+            return _number(text, self.lineno, col)
         if kind == "op" and text == "(":
             return self.group()
         if kind == "name":
@@ -437,9 +455,58 @@ def parse_scalar_expr(text: str, lineno: int = 1) -> Scalar:
     return value
 
 
+# one term of a linear right-hand side, [+|-] [p[/q]] [*] eIJK, with spaces or
+# tabs between its parts; after the last term, what ends a token list
+_LINEAR_TERM = re.compile(
+    r"[ \t]*([+-]?)[ \t]*(?:([0-9]+)[ \t]*(?:/[ \t]*([0-9]+)[ \t]*)?\*?[ \t]*)?e([1-9]+)")
+_LINEAR_END = re.compile(r"[ \t]*(?:#|\s*\Z)")
+
+
+def _linear_form(text: str, dimension: int) -> Form | None:
+    """The form of a right-hand side that is wholly a sum of rational multiples
+    of generators, as the Pratt parser reads it: int numerators summed over the
+    lcm of the denominators in first-seen order, an index dropped as soon as its
+    sum cancels.  None for any other text, and for a term that the parser
+    rejects (a zero denominator, a generator above the dimension, a degree
+    unlike the first term's, a literal that int() refuses), so that the parser
+    raises its error."""
+    found, pos = [], 0
+    while m := _LINEAR_TERM.match(text, pos):
+        if found and not m[1]:  # forms side by side multiply, which is an error
+            return None
+        found.append(m.groups())
+        pos = m.end()
+    if not found or not _LINEAR_END.match(text, pos):
+        return None
+    degree = len(found[0][3])
+    terms = []
+    for sign, p, q, digits in found:
+        try:
+            num, d = int(sign + (p or "1")), int(q or 1)
+        except ValueError:  # over the interpreter's int-string limit
+            return None
+        gens = [*map(int, digits)]
+        if not d or len(gens) != degree or max(gens) > dimension:
+            return None
+        koszul, idx = sort_index(gens)
+        terms.append((idx, koszul * num, d))
+    den = lcm(*(d for *_, d in terms))
+    sums: dict = {}
+    for idx, num, d in terms:
+        if s := sums.get(idx, 0) + num * (den // d):
+            sums[idx] = s
+        else:
+            sums.pop(idx, None)
+    return _Sum(dimension, degree, sums, den).form()
+
+
 def _parse_expr(text: str, dimension: int, env, allow_dt, param_allowed, lineno, col=1,
                 groups: dict | None = None):
-    """One right-hand side; ``groups`` is shared by the expressions of one file."""
+    """One right-hand side; ``groups`` is shared by the expressions of one file.
+    A linear sum of generators is read by ``_linear_form``, anything else by
+    the tokenizer and the Pratt parser."""
+    if (form := _linear_form(text, dimension)) is not None:
+        return form
     tokens = _tokenize(text, lineno, col)
     if not tokens:
         raise ParseError("empty expression", lineno, col)
@@ -505,7 +572,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
     structure_lines: list[tuple[str, str, int, int]] = []
     family_lines: list[tuple[str, str, int, int]] = []
     basis_lines: list[tuple[str, str, int, int]] = []
-    theta_text: tuple[str, int] | None = None
+    theta_text: tuple[str, int, int] | None = None
     groups: dict = {}  # parenthesized groups shared by every expression of this file
 
     for lineno, raw in enumerate(lines, start=1):
@@ -530,10 +597,10 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             if key == "dim":
                 if dim is not None:
                     raise ParseError("duplicate dim declaration", lineno, 1)
-                if not re.fullmatch(r"[0-9]+", rhs) or int(rhs) == 0:
+                dim = _number(rhs, lineno, col) if re.fullmatch(r"[0-9]+", rhs) else 0
+                if not dim:
                     raise ParseError(f"dim must be a positive integer, got {rhs!r}",
                                      lineno, col)
-                dim = int(rhs)
             elif key == "compact":
                 compact = parse_compact(rhs, name, lineno, col)
                 compact_at = (lineno, col)
@@ -548,7 +615,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             if line.startswith("J"):
                 structure_lines.append(("J", line, lineno, indent + 1))
             elif key == "theta":
-                theta_text = (rhs, lineno)
+                theta_text = (rhs, lineno, col)
             else:
                 structure_lines.append((key, rhs, lineno, col))
         elif section == "family":
@@ -608,7 +675,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
                     raise ParseError("the family parameter must be t", lineno, 1)
                 fam.param = rhs
             elif key == "domain":
-                fam.domain = _parse_domain(rhs, lineno)
+                fam.domain = _parse_domain(rhs, lineno, col)
             else:
                 value = _parse_expr(rhs, n + 1, fam_env, True, True, lineno, col, groups)
                 if not isinstance(value, Form):
@@ -668,8 +735,7 @@ def _parse_j_line(line: str, dimension: int, lineno: int, col: int, groups: dict
     return CoframeMap(matrix)
 
 
-def _parse_theta(text: str, lineno: int) -> tuple[Fraction, Fraction]:
-    text = text.strip()
+def _parse_theta(text: str, lineno: int, col: int) -> tuple[Fraction, Fraction]:
     named = {
         "0": (Fraction(1), Fraction(0)),
         "pi/2": (Fraction(0), Fraction(1)),
@@ -683,7 +749,7 @@ def _parse_theta(text: str, lineno: int) -> tuple[Fraction, Fraction]:
     if not m:
         raise ParseError(
             "theta must be 0, pi/2, pi, 3pi/2 or a rational (cos, sin) pair", lineno, 1)
-    c, s = Fraction(m.group(1)), Fraction(m.group(2))
+    c, s = (_fraction(m[k], lineno, col + m.start(k)) for k in (1, 2))
     if c * c + s * s != 1:
         raise ParseError("theta pair must satisfy cos^2 + sin^2 = 1", lineno, 1)
     return c, s
@@ -693,14 +759,16 @@ _INTERVAL_RE = re.compile(
     r"^\(\s*(-inf|-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(inf|-?\d+(?:/0*[1-9]\d*)?)\s*\)$")
 
 
-def _parse_domain(text: str, lineno: int) -> tuple[Interval, ...]:
+def _parse_domain(text: str, lineno: int, col: int) -> tuple[Interval, ...]:
     out = []
     for part in text.split("|"):
+        at = col + len(part) - len(part.lstrip())  # the column of part.strip()
+        col += len(part) + 1
         m = _INTERVAL_RE.match(part.strip())
         if not m:
             raise ParseError(f"bad interval {part.strip()!r}", lineno, 1)
-        lo = None if m.group(1) == "-inf" else Fraction(m.group(1))
-        hi = None if m.group(2) == "inf" else Fraction(m.group(2))
+        lo = None if m[1] == "-inf" else _fraction(m[1], lineno, at + m.start(1))
+        hi = None if m[2] == "inf" else _fraction(m[2], lineno, at + m.start(2))
         if lo is not None and hi is not None and lo >= hi:
             raise ParseError("empty interval", lineno, 1)
         out.append(Interval(lo, hi))

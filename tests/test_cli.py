@@ -262,6 +262,22 @@ def test_parse_errors_point_at_the_operator_or_value(tmp_path):
         assert code == 2 and out == message + "\n", text
 
 
+def test_number_literals_over_the_int_string_limit_point_at_the_literal(tmp_path):
+    big = "1" * 5000  # CPython refuses int() of more than 4300 digits by default
+    message = "number literal longer than 4300 digits"
+    cases = [
+        (f"[algebra]\ndim = 6\nd e5 = {big}*e12\n", "line 3, column 8"),
+        (f"[algebra]\ndim = 6\nd e5 = e13 + 3/{big} e12\n", "line 3, column 16"),
+        (f"[algebra]\ndim = {big}\n", "line 2, column 7"),
+        (GOOD_ALGEBRA + f"[family]\nparam = t\ndomain = (0, 1) |  (-{big}/3, inf)\n",
+         "line 5, column 21"),  # at the literal's sign
+        (f"[algebra]\ndim = 4\n[structure]\ntheta = (3/{big}, 4/5)\n", "line 4, column 12"),
+    ]
+    for k, (text, where) in enumerate(cases):
+        code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])
+        assert (code, out) == (2, f"error: {where}: {message}\n"), where
+
+
 def test_deep_nesting_is_an_input_error(tmp_path):
     """Past MAX_NESTING levels the parser stops at the token that is one level
     too deep instead of exhausting the interpreter's stack."""
