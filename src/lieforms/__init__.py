@@ -28,7 +28,7 @@ _EXPORTS = {name: module for module, names in {
     "exterior": "CoframeMap Form Report apply_coframe_map contract exterior_derivative "
                 "partial_t residual_report span_rank wedge wedge_power",
     "manifest": "CatalogEntry catalog_manifest get_entry",
-    "scalars": "Rational Scalar ScalarDomainError UnsupportedScalarError var_t",
+    "scalars": "Scalar ScalarDomainError UnsupportedScalarError",
     "structures": "SU2Structure SUnStructure check_conformal_couple circle_bundle_structure "
                   "complex_volume_forms is_balanced_su2 is_balanced_sun is_hypo "
                   "restrict_to_hypersurface restrictable_directions standard_quadruplet "

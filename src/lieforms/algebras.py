@@ -31,11 +31,11 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, lcm
 from typing import Sequence
 
 from ._linalg import (
-    _rational_pair,
     fraction_nullspace,
     insert_echelon_row,
     scalar_matrix_determinant,
@@ -45,8 +45,8 @@ from .exterior import (
     Form,
     Report,
     _d_basis,
-    _d_form,
-    _d_table,
+    _indices,
+    _numerators,
     _Sum,
     apply_coframe_map,
     exterior_derivative,
@@ -58,7 +58,7 @@ from .exterior import (
 from .scalars import Scalar, UnsupportedScalarError
 
 
-@dataclass
+@dataclass(frozen=True)
 class LieAlgebra:
     """Structure equations: the differential of each coframe generator."""
 
@@ -73,43 +73,50 @@ class LieAlgebra:
             if d.dimension != self.dimension or d.degree != 2:
                 raise ValueError("differentials must be degree-2 forms in the algebra dimension")
 
+    @cached_property
+    def structure_table(self) -> tuple[int, list[list[tuple[int, int, int | Scalar]]]]:
+        """L and each generator's terms s e^ab of d e^i as (mask of ab, mask of the
+        bits a..b-1, L*s), L the lcm of the denominators of the rational s: an int
+        when s is a rational constant, else a Scalar."""
+        den, nums = _numerators({(i, a, b): s for i, d in enumerate(self.differentials)
+                                 for (a, b), s in d.coeffs.items()})
+        rows: list[list] = [[] for _ in self.differentials]
+        for (i, a, b), s in nums.items():
+            rows[i].append((1 << a | 1 << b, (1 << b) - (1 << a), s))
+        return den, rows
+
+    @cached_property
+    def jacobi(self) -> Report:
+        """d^2 = 0 on every generator; the rows are the generators where it fails."""
+        return residual_report("jacobi", (
+            (f"d^2 e{i}", r) for i, diff in enumerate(self.differentials, start=1)
+            if not (r := exterior_derivative(self, diff)).is_zero()),
+            words=("pass (d^2 = 0 on every generator)", "FAIL"))
+
     def d(self, a: Form) -> Form:
         return exterior_derivative(self, a)
 
     def structure_constants(self) -> tuple[int, list[list[list[int]]]]:
         """S and the int table S*c, c[a][b][i] with [e_a, e_b] = sum_i c[a][b][i] e_i
         from d e^i = -e^i([.,.]) (0-based); S is the lcm of the denominators of c."""
+        if not self.is_rational():
+            raise UnsupportedScalarError("structure constants must be rational")
         n = self.dimension
-        s, terms = _differential_terms(self)
+        s, rows = self.structure_table
         c = [[[0] * n for _ in range(n)] for _ in range(n)]
-        for i, a, b, v in terms:
-            c[a][b][i], c[b][a][i] = -v, v
+        for i, row in enumerate(rows):
+            for ab, _, v in row:
+                a, b = _indices(ab)
+                c[a - 1][b - 1][i], c[b - 1][a - 1][i] = -v, v
         return s, c
 
     def is_rational(self) -> bool:
-        return all(coeff.is_rational()
-                   for d in self.differentials for coeff in d.coeffs.values())
-
-
-def _differential_terms(algebra: LieAlgebra, denominators=()
-                        ) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """S and the terms (i, a, b, S*q), 0-based with a < b, of de^i = sum q e^ab,
-    read as int pairs; S is the lcm of the denominators of the q and of
-    ``denominators``."""
-    terms = [(i, a - 1, b - 1, _rational_pair(coeff))
-             for i, diff in enumerate(algebra.differentials)
-             for (a, b), coeff in diff.coeffs.items()]
-    s = lcm(*(d for *_, (_, d) in terms), *denominators)
-    return s, [(i, a, b, n * (s // d)) for i, a, b, (n, d) in terms]
+        return all(type(v) is int for row in self.structure_table[1] for _, _, v in row)
 
 
 def check_jacobi(algebra: LieAlgebra) -> Report:
-    """d^2 = 0 on every generator; the rows are the generators where it fails."""
-    table = _d_table(algebra)
-    return residual_report("jacobi", (
-        (f"d^2 e{i}", r) for i, diff in enumerate(algebra.differentials, start=1)
-        if not (r := _d_form(table, diff)).is_zero()),
-        words=("pass (d^2 = 0 on every generator)", "FAIL"))
+    """The algebra's Jacobi report, computed once per algebra."""
+    return algebra.jacobi
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +679,7 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
         for key, rhs, lineno, col in family_lines:
             if key == "param":
                 if rhs != "t":
-                    raise ParseError("the family parameter must be t", lineno, 1)
+                    raise ParseError("the family parameter must be t", lineno, col)
                 fam.param = rhs
             elif key == "domain":
                 fam.domain = _parse_domain(rhs, lineno, col)
@@ -730,7 +737,8 @@ def _parse_j_line(line: str, dimension: int, lineno: int, col: int, groups: dict
         rows[i] = image
     if sorted(rows) != list(range(1, dimension + 1)):
         raise ParseError("J must specify the image of every generator", lineno, 1)
-    matrix = [[rows[i].coeffs.get((j,), Scalar.zero()) for j in range(1, dimension + 1)]
+    zero = Scalar.zero()
+    matrix = [[rows[i].coeffs.get((j,), zero) for j in range(1, dimension + 1)]
               for i in range(1, dimension + 1)]
     return CoframeMap(matrix)
 
@@ -748,10 +756,10 @@ def _parse_theta(text: str, lineno: int, col: int) -> tuple[Fraction, Fraction]:
     m = re.match(r"^\(\s*(-?\d+(?:/0*[1-9]\d*)?)\s*,\s*(-?\d+(?:/0*[1-9]\d*)?)\s*\)$", text)
     if not m:
         raise ParseError(
-            "theta must be 0, pi/2, pi, 3pi/2 or a rational (cos, sin) pair", lineno, 1)
+            "theta must be 0, pi/2, pi, 3pi/2 or a rational (cos, sin) pair", lineno, col)
     c, s = (_fraction(m[k], lineno, col + m.start(k)) for k in (1, 2))
     if c * c + s * s != 1:
-        raise ParseError("theta pair must satisfy cos^2 + sin^2 = 1", lineno, 1)
+        raise ParseError("theta pair must satisfy cos^2 + sin^2 = 1", lineno, col)
     return c, s
 
 
@@ -766,11 +774,11 @@ def _parse_domain(text: str, lineno: int, col: int) -> tuple[Interval, ...]:
         col += len(part) + 1
         m = _INTERVAL_RE.match(part.strip())
         if not m:
-            raise ParseError(f"bad interval {part.strip()!r}", lineno, 1)
+            raise ParseError(f"bad interval {part.strip()!r}", lineno, at)
         lo = None if m[1] == "-inf" else _fraction(m[1], lineno, at + m.start(1))
         hi = None if m[2] == "inf" else _fraction(m[2], lineno, at + m.start(2))
         if lo is not None and hi is not None and lo >= hi:
-            raise ParseError("empty interval", lineno, 1)
+            raise ParseError("empty interval", lineno, at)
         out.append(Interval(lo, hi))
     return tuple(out)
 
@@ -796,9 +804,9 @@ class CohomologyReport:
 def _d_columns(algebra: LieAlgebra, top: int) -> list[list[dict[int, int]]]:
     """For k = 0..top, L*d(e^I) for each degree-k basis form e^I as a sparse
     column {position in the degree-(k+1) basis: int}: ``exterior._d_basis``,
-    the popcount-signed kernel of d, on ``_d_table``'s int structure table over
-    the lcm L of its denominators."""
-    _, table = _d_table(algebra)
+    the popcount-signed kernel of d, on the algebra's int ``structure_table``
+    over the lcm L of its denominators."""
+    _, table = algebra.structure_table
     masks = [[sum(1 << i for i in idx) for idx in itertools.combinations(
         range(1, algebra.dimension + 1), k)] for k in range(top + 2)]
     position = {mask: pos for level in masks for pos, mask in enumerate(level)}

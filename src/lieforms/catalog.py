@@ -58,8 +58,6 @@ from .structures import (
 # re-exported: perfbench reads lieforms.catalog.get_entry and .catalog_manifest
 from .manifest import CatalogEntry, catalog_manifest, get_entry
 
-F = Fraction
-
 
 @dataclass
 class EntryReport:
@@ -220,7 +218,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
               and wedge(gen_form, sf.forms["omega2"]).is_zero())
         check(f"({expr}) ^ omega1 = ({expr}) ^ omega2 = 0", ok)
     if "circle_balanced" in exp:
-        theta = sf.theta or (F(1), F(0))
+        theta = sf.theta or (Fraction(1), Fraction(0))
         bundle = circle_bundle_structure(alg, sf.forms["omega1"], sf.forms["omega2"],
                                          sf.forms["omega3"], sf.forms["Omega"], theta)
         verdict("circle_balanced", "total space balanced", is_balanced_su2(bundle))
@@ -270,7 +268,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         if "volume_ratio" in exp:
             ratio = rep.value("psi+ ^ psi- proportionality constant")
             check(f"psi+ ^ psi- = ({exp['volume_ratio']}) F^n",
-                  ratio == F(exp["volume_ratio"]), lambda: str(ratio))
+                  ratio == Fraction(exp["volume_ratio"]), lambda: str(ratio))
     if "balanced_sun" in exp:
         rep = verdict("balanced_sun", "balanced (dF^{n-1} = dpsi = 0)", is_balanced_sun(ctx.sun),
                       show=True)
@@ -294,7 +292,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
         same("T", sheet.torsion, exp["torsion"])
     for key, val in sorted(exp.get("torsion_components", {}).items()):
         i, j, k = (int(x) for x in key.split(","))
-        check(f"T_{i}{j}{k} = {val}", sheet.torsion_components.get((i, j, k)) == F(val))
+        check(f"T_{i}{j}{k} = {val}", sheet.torsion_components.get((i, j, k)) == Fraction(val))
     if "connection" in exp:
         for i, j in pairs:
             if f"{i},{j}" in exp["connection"]:

@@ -42,8 +42,8 @@ from functools import cached_property
 from math import gcd, lcm
 
 from ._linalg import _integral, insert_echelon_row
-from .algebras import LieAlgebra, _differential_terms, check_jacobi
-from .exterior import CoframeMap, Form, apply_coframe_map, sort_index
+from .algebras import LieAlgebra, check_jacobi
+from .exterior import CoframeMap, Form, _indices, apply_coframe_map, sort_index
 from .scalars import Scalar
 
 Matrix = list[list[Fraction]]
@@ -198,12 +198,18 @@ def bismut_connection(frame: MetricFrame, kaehler_form: Form) -> ConnectionSheet
 
 def _structure_table(algebra: LieAlgebra, components: dict) -> tuple[int, list[list[list[int]]]]:
     """S and the int table S*D, D_{iab} = de^i(e_a, e_b) - T_{iab} (0-based);
-    S is the lcm of the denominators of the de^i and of T."""
+    S is the lcm of the denominators of the de^i and of T.  It reads the
+    differentials' table, not ``structure_constants``, so that the Cartan path
+    stays independent of the Koszul path it is checked against."""
     n = algebra.dimension
-    s, terms = _differential_terms(algebra, [q.denominator for q in components.values()])
+    den, rows = algebra.structure_table
+    s = lcm(den, *(q.denominator for q in components.values()))
     dval = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, a, b, v in terms:
-        dval[i][a][b], dval[i][b][a] = v, -v
+    for i, row in enumerate(rows):
+        for ab, _, v in row:
+            a, b = _indices(ab)
+            v *= s // den
+            dval[i][a - 1][b - 1], dval[i][b - 1][a - 1] = v, -v
     for idx, q in components.items():
         v = q.numerator * (s // q.denominator)
         for i, a, b in itertools.permutations(idx):
@@ -278,10 +284,7 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
     frame = sheet.frame
     n = frame.algebra.dimension
     s, lams = sheet.den, sheet.lams
-    big_s, terms = _differential_terms(frame.algebra)
-    de: dict[tuple[int, int], list] = {}  # (k, l): [(s*S*de^m(e_k, e_l), s*Lambda_m)]
-    for m, k, l, v in terms:
-        de.setdefault((k, l), []).append((s * v, lams[m]))
+    big_s, c = frame.algebra.structure_constants()
     entries = [_nonzero_entries(lam) for lam in lams]
     upper = list(itertools.combinations(range(n), 2))
     den = s * s * big_s
@@ -290,7 +293,8 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
     for k, l in upper:
         p = _product(entries[k], lams[l], n)
         q = _product(entries[l], lams[k], n)
-        extra = de.get((k, l), ())
+        # (s*S*de^m(e_k, e_l), s*Lambda_m) for each m with de^m(e_k, e_l) = -c[k][l][m] != 0
+        extra = [(-s * v, lam) for v, lam in zip(c[k][l], lams) if v]
         mat = None
         for i, j in upper:
             val = big_s * (p[i][j] - q[i][j]) + sum(a * lam[i][j] for a, lam in extra)

@@ -3,9 +3,9 @@
 Forms are stored as maps from strictly increasing index tuples (values 1..n)
 to Scalars; a Koszul sign is the parity of inversions, counted by popcount.
 The exterior derivative of a left-invariant form is driven by the structure
-equations of a Lie algebra (any object exposing ``dimension`` and
-``differentials``); coefficients are constants on the group, so d never
-differentiates them.  The parameter derivative partial_t acts coefficient-wise.
+equations of a Lie algebra, read once into its ``structure_table``;
+coefficients are constants on the group, so d never differentiates them.  The
+parameter derivative partial_t acts coefficient-wise.
 
 Products of coefficients are summed in a ``_Sum`` over one denominator: each
 input form's coefficients are read once, as int numerators over the lcm of
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ._linalg import (
     _integral,
@@ -35,6 +35,9 @@ from ._linalg import (
     scalar_mat_neg,
 )
 from .scalars import Scalar
+
+if TYPE_CHECKING:
+    from .algebras import LieAlgebra
 
 Index = tuple[int, ...]
 
@@ -425,19 +428,6 @@ def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:
     return out.form()
 
 
-def _d_table(algebra) -> tuple[int, list[list[tuple[int, int, int | Scalar]]]]:
-    """L and each generator's terms s e^ab of d e^i as (mask of ab, mask of the
-    bits a..b-1, L*s), L the lcm of the denominators of the rational s, read
-    once per call: the algebra's differentials may change."""
-    diffs = algebra.differentials
-    den, nums = _numerators({(i, a, b): s for i, d in enumerate(diffs)
-                             for (a, b), s in d.coeffs.items()})
-    rows: list[list] = [[] for _ in diffs]
-    for (i, a, b), s in nums.items():
-        rows[i].append((1 << a | 1 << b, (1 << b) - (1 << a), s))
-    return den, rows
-
-
 def _d_basis(table: list, mask: int) -> dict:
     """d e^I for the bitmask I as {target mask: coefficient}, sums of 0 kept.  A term
     s e^ab of d e^{i_pos} adds (-1)^pos s e^ab ^ e^rest, and (-1)^|rest & mid| sorts it."""
@@ -456,14 +446,9 @@ def _d_basis(table: list, mask: int) -> dict:
     return out
 
 
-def exterior_derivative(algebra, a: Form) -> Form:
-    """d extended as an antiderivation from the algebra's structure equations."""
-    return _d_form(_d_table(algebra), a)
-
-
-def _d_form(table: tuple[int, list], a: Form) -> Form:
-    """d a from an algebra's ``_d_table``, one row per generator."""
-    den, rows = table
+def exterior_derivative(algebra: LieAlgebra, a: Form) -> Form:
+    """d extended as an antiderivation from the algebra's ``structure_table``."""
+    den, rows = algebra.structure_table
     if len(rows) != a.dimension:
         raise ValueError("form does not live on the given algebra")
     da, coeffs = _numerators(a.coeffs)

@@ -33,8 +33,6 @@ import math
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-Rational = Fraction
-
 
 class UnsupportedScalarError(ValueError):
     """The requested operation leaves the supported expression class."""
@@ -716,8 +714,3 @@ def _carry(exps: dict[BaseKey, tuple[int, int]], rf: RF) -> tuple[Sig, RF]:
             sig.append((key, (p // g, q // g)))
     sig.sort()
     return tuple(sig), rf
-
-
-def var_t() -> Scalar:
-    """The parameter t as a Scalar."""
-    return Scalar.t()

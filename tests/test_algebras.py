@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import io
 import itertools
 import math
@@ -29,8 +31,9 @@ from lieforms.algebras import (
     parse_scalar_expr,
     verify_basis_change,
 )
-from lieforms.catalog import catalog_manifest, get_entry
+from lieforms.catalog import catalog_manifest, get_entry, run_entry
 from lieforms.cli import main
+from lieforms.connection import MetricFrame, bismut_connection, curvature
 from lieforms.exterior import Form, exterior_derivative, wedge
 from lieforms.scalars import Scalar, UnsupportedScalarError
 from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
@@ -844,19 +847,57 @@ def test_parsed_forms_are_summed_without_intermediate_forms(monkeypatch):
     assert 0 < calls["rational"] <= coefficients + j_entries
 
 
-def test_check_jacobi_reads_one_d_table(monkeypatch):
-    built = []
+def spy_on_cached_property(monkeypatch, cls, name):
+    """Replace ``cls.name`` by a cached property that records each instance it is
+    computed for; return that list."""
+    computed = []
 
-    def counting(algebra, _fn=algebras._d_table):
-        built.append(algebra)
-        return _fn(algebra)
+    def spy(self, _fn=getattr(cls, name).func):
+        computed.append(self)
+        return _fn(self)
 
-    for module in (algebras, exterior):
-        monkeypatch.setattr(module, "_d_table", counting)
+    prop = functools.cached_property(spy)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
+    return computed
+
+
+def test_structure_table_is_built_once_per_algebra(monkeypatch):
+    built = spy_on_cached_property(monkeypatch, LieAlgebra, "structure_table")
     bad = parse_compact("(0,0,0,12,34)")
     assert dict(check_jacobi(bad).residuals) == {"d^2 e5": Form.from_terms(5, 3, [((1, 2, 3), -1)])}
-    assert check_jacobi(SOLVABLE).passed
-    assert built == [bad, SOLVABLE]
+    sf = parse_equations(get_entry("ex4.3").payload)
+    alg, kf = sf.algebra, sf.forms["F"]
+    assert alg.d(kf) == exterior_derivative(alg, kf) and not alg.d(kf).is_zero()
+    assert check_jacobi(alg).passed
+    assert ce_cohomology(alg).betti[:2] == (1, 4)
+    sheet = bismut_connection(MetricFrame(alg, sf.coframe_map), kf)  # Koszul and Cartan
+    assert all(r.is_zero() for r in sheet.cartan_residuals())
+    assert curvature(sheet).matrices
+    # a parametric table keeps Scalar numerators, which the connection layer refuses
+    parametric = parse_equations("dim = 4\nd e2 = t*e34\nd e4 = e12\n").algebra
+    assert not parametric.is_rational()
+    with pytest.raises(UnsupportedScalarError, match="structure constants must be rational"):
+        parametric.structure_constants()
+    assert [id(a) for a in built] == [id(bad), id(alg), id(parametric)]
+
+
+def test_catalog_entry_computes_its_jacobi_residuals_once(monkeypatch):
+    computed = spy_on_cached_property(monkeypatch, LieAlgebra, "jacobi")
+    calls = []
+    monkeypatch.setattr(lieforms.catalog, "check_jacobi",
+                        lambda alg, _fn=check_jacobi: calls.append(alg) or _fn(alg))
+    assert run_entry(get_entry("ex4.3")).passed
+    # run_entry asks for the report and MetricFrame asks again: one computation serves both
+    assert len(computed) == 1 and len(calls) == 1
+
+
+def test_lie_algebras_are_frozen():
+    alg = parse_compact("(0,0,12)")
+    for name, value in (("dimension", 4), ("differentials", ()), ("name", "h3")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(alg, name, value)
+    assert (alg.dimension, len(alg.differentials), alg.name) == (3, 3, "(0,0,12)")
 
 
 @pytest.mark.parametrize("name, calls", [("ex4.3", 351), ("ex4.4-c1", 375)])

@@ -513,8 +513,18 @@ def test_compact_errors_point_into_the_file(tmp_path):
         ("[algebra]\nname = heisenberg\ncompact = (0,0,12)\n",
          "error: line 2, column 1: unknown algebra statement 'name'"),
         ("[algebra]\ndim = 5\n\n[structure]\ntheta = 1\n",
-         "error: line 5, column 1: theta must be 0, pi/2, pi, 3pi/2 or a rational "
+         "error: line 5, column 9: theta must be 0, pi/2, pi, 3pi/2 or a rational "
          "(cos, sin) pair"),
+        ("[algebra]\ndim = 5\n\n[structure]\n  theta =  (1, 1)\n",
+         "error: line 5, column 12: theta pair must satisfy cos^2 + sin^2 = 1"),
+        ("[algebra]\ndim = 5\n\n[family]\nparam = s\n",
+         "error: line 5, column 9: the family parameter must be t"),
+        ("[algebra]\ndim = 5\n\n[family]\ndomain = (1, 0)\n",
+         "error: line 5, column 10: empty interval"),
+        ("[algebra]\ndim = 5\n\n[family]\ndomain = (0, 1\n",
+         "error: line 5, column 10: bad interval '(0, 1'"),
+        ("[algebra]\ndim = 5\n\n[family]\ndomain = (0, 1) | (3, 2)\n",
+         "error: line 5, column 19: empty interval"),
     ]
     for k, (text, message) in enumerate(cases):
         code, out = run_cli(["validate", write(tmp_path, f"case{k}.alg", text)])

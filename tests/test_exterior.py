@@ -2,12 +2,12 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
 import lieforms
 from lieforms.algebras import (
+    LieAlgebra,
     ce_cohomology,
     check_jacobi,
     extend_by_line,
@@ -28,7 +28,7 @@ from lieforms.exterior import (
     wedge,
     wedge_power,
 )
-from lieforms.scalars import Scalar, UnsupportedScalarError, var_t
+from lieforms.scalars import Scalar, UnsupportedScalarError
 from perfbench.workloads import FAMILY_ENTRIES, rotated_file, shift_payload, sun_entries
 from sign_reference import insertion_sort_index
 
@@ -45,8 +45,7 @@ def form(dim, *terms):
 
 def algebra_stub(dim, diffs):
     """diffs maps generator index -> degree-2 Form."""
-    fulls = [diffs.get(i, Form.zero(dim, 2)) for i in range(1, dim + 1)]
-    return SimpleNamespace(dimension=dim, differentials=fulls)
+    return LieAlgebra(dim, tuple(diffs.get(i, Form.zero(dim, 2)) for i in range(1, dim + 1)))
 
 
 IWASAWA = algebra_stub(6, {
@@ -137,7 +136,7 @@ def test_exterior_derivative_abelian_is_zero():
 
 
 def test_partial_t():
-    t = var_t()
+    t = Scalar.t()
     e15 = form(5, ("15", 1))
     a = form(5, ("14", 1)) + e15.scale(-t)
     assert partial_t(a) == -e15
@@ -168,7 +167,7 @@ def test_span_rank_rejects_mixed_and_parametric_forms():
     with pytest.raises(ValueError):
         span_rank([form(4, ("12", 1)), form(5, ("12", 1))])
     with pytest.raises(UnsupportedScalarError):
-        span_rank([Form.generator(3, 1).scale(var_t()), Form.generator(3, 2)])
+        span_rank([Form.generator(3, 1).scale(Scalar.t()), Form.generator(3, 2)])
 
 
 def random_form(rng, dim, degree, density=0.5):
@@ -241,7 +240,7 @@ def test_form_render():
     assert f.render() == "e12 + e34 + e56"
     g = form(6, ("13", -1), ("24", -1))
     assert g.render() == "-e13 - e24"
-    t = var_t()
+    t = Scalar.t()
     h = Form.generator(5, 1).scale(-t) + form(5, ("2", F(1, 2)))
     assert h.render() == "-t*e1 + 1/2*e2"
 
@@ -345,7 +344,7 @@ def probe_vectors(n, rng, parametric=False):
     vectors = [[int(i == k) for i in range(n)] for k in range(n)]
     vectors.append([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)])
     if parametric:
-        vectors.append([var_t() + F(1, 3)] + [F(k, 2) for k in range(1, n)])
+        vectors.append([Scalar.t() + F(1, 3)] + [F(k, 2) for k in range(1, n)])
     return vectors
 
 
@@ -404,7 +403,7 @@ def test_forms_layer_matches_oracles_on_shifted_families(family):
 
 
 def test_forms_layer_matches_oracles_on_a_parametric_differential():
-    t = var_t()
+    t = Scalar.t()
     alg = algebra_stub(4, {3: form(4, ("12", 1)).scale(t), 4: form(4, ("13", 1))})
     rng = random.Random(3)
     forms = {"de3": alg.differentials[2], "de4": alg.differentials[3]}
@@ -498,7 +497,7 @@ def test_sort_index_matches_the_insertion_sort_reference():
 
 def test_form_sums_keep_their_checks_and_order():
     a, b = form(4, ("12", 1), ("34", 2)), form(4, ("12", -1), ("13", F(1, 2)))
-    t = var_t()
+    t = Scalar.t()
     for x, y in ((a, b), (b, a), (a.scale(t), b), (a, -a), (a.scale(t), a.scale(-t))):
         total = x + y
         assert total == add_oracle(x, y) and list(total.coeffs) == list(add_oracle(x, y).coeffs)

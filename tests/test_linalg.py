@@ -17,7 +17,7 @@ from lieforms._linalg import (
     scalar_matrix_determinant,
 )
 from lieforms.algebras import parse_equations
-from lieforms.scalars import Scalar, UnsupportedScalarError, var_t
+from lieforms.scalars import Scalar, UnsupportedScalarError
 
 
 def fraction_gauss(rows):
@@ -307,7 +307,7 @@ def test_positive_definite_on_dense_8x8_matrices():
 
 def test_positive_definite_is_rational_only():
     with pytest.raises(UnsupportedScalarError):
-        positive_definite([[var_t(), Scalar.zero()], [Scalar.zero(), Scalar.one()]])
+        positive_definite([[Scalar.t(), Scalar.zero()], [Scalar.zero(), Scalar.one()]])
 
 
 def random_square(rng, n):
@@ -342,7 +342,7 @@ def test_determinant_needs_row_swaps_and_keeps_the_parametric_path():
     assert scalar_matrix_determinant(scalars(swap)) == Scalar.rational(cofactor_determinant(
         [[Fraction(x) for x in row] for row in swap]))
     assert scalar_matrix_determinant(scalars([[0, 1], [1, 0]])) == Scalar.rational(-1)
-    t = var_t()
+    t = Scalar.t()
     assert scalar_matrix_determinant([[t, Scalar.one()], [Scalar.one(), t]]) == t * t - 1
     assert scalar_matrix_determinant([]) == Scalar.one()
 

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 from lieforms import scalars as sc
 from lieforms.algebras import ParseError, parse_equations, parse_scalar_expr
 from lieforms.catalog import get_entry
-from lieforms.scalars import (
-    Scalar,
-    ScalarDomainError,
-    UnsupportedScalarError,
-    var_t,
-)
+from lieforms.scalars import Scalar, ScalarDomainError, UnsupportedScalarError
 from perfbench.workloads import FAMILY_ENTRIES, shift_payload
 
 F = Fraction
@@ -36,7 +31,7 @@ def test_radical_exponents_cancel():
 
 
 def test_polynomial_expansion_is_canonical():
-    t = var_t()
+    t = Scalar.t()
     lhs = t * Scalar.linear(2, -1) * Scalar.linear(-4, 1) / 4
     # t*(2-t)*(t-4)/4 expanded by hand: (-t^3 + 6t^2 - 8t)/4
     rhs = (-(t**3) + 6 * t**2 - 8 * t) / 4
@@ -45,7 +40,7 @@ def test_polynomial_expansion_is_canonical():
 
 
 def test_diff_power_rule():
-    t = var_t()
+    t = Scalar.t()
     assert (t**2).diff() == 2 * t
     assert Scalar.rational(7).diff().is_zero()
 
@@ -63,7 +58,7 @@ def test_diff_cube_root_chain_rule():
 
 def test_is_zero_by_cancellation():
     u = cube_root_base(F(1, 3))
-    t = var_t()
+    t = Scalar.t()
     assert (u - u).is_zero()
     assert (t**2 - t * t).is_zero()
     assert not (t - Scalar.linear(2, -1)).is_zero()
@@ -87,7 +82,7 @@ def test_integer_power_of_base_expands_into_polynomial():
 def test_rational_value_is_the_one_rational_test():
     root2 = Scalar.rational(2).rational_power(F(1, 2))
     cases = [(Scalar.zero(), F(0)), (Scalar.rational(F(-3, 4)), F(-3, 4)),
-             (root2 * root2, F(2)), (var_t(), None), (1 / var_t(), None),
+             (root2 * root2, F(2)), (Scalar.t(), None), (1 / Scalar.t(), None),
              (root2, None), (1 + root2, None)]
     for x, want in cases:
         assert x.rational_value() == want and type(x.rational_value()) is type(want)
@@ -100,7 +95,7 @@ def test_rational_value_is_the_one_rational_test():
 
 
 def test_eval_examples():
-    t = var_t()
+    t = Scalar.t()
     assert (t**2).evaluate_float(3) == pytest.approx(9.0)
     assert cube_root_base().evaluate_float(0) == pytest.approx(1.0)
     assert (2 * cube_root_base()).evaluate_float(F(2, 3)) == pytest.approx(0.0)
@@ -115,13 +110,13 @@ def test_eval_domain_error_for_even_roots_of_negative():
     assert cb.evaluate_float(1) == pytest.approx(-1.0)
     # so is a point where a value leaves the float range: t^2 overflows as a
     # quotient, t * 2^(1/2) as a product
-    for x in (var_t() ** 2, var_t() * Scalar.rational(2).rational_power(F(1, 2))):
+    for x in (Scalar.t() ** 2, Scalar.t() * Scalar.rational(2).rational_power(F(1, 2))):
         with pytest.raises(ScalarDomainError, match="outside the float range at t = 15000"):
             x.evaluate_float(15 * 10**307)
 
 
 def test_division_by_polynomial_scalar():
-    t = var_t()
+    t = Scalar.t()
     q = Scalar.linear(2, -1) ** 2 / 4
     assert (q / q) == Scalar.one()
     expr = Scalar.linear(2, -1) * t
@@ -129,14 +124,14 @@ def test_division_by_polynomial_scalar():
 
 
 def test_division_by_multi_term_scalar_unsupported():
-    t = var_t()
+    t = Scalar.t()
     sqrt3 = Scalar.rational(3).rational_power(F(1, 2))
     with pytest.raises(UnsupportedScalarError):
         (t / (Scalar.one() + sqrt3))
 
 
 def test_sqrt_of_sum_unsupported():
-    t = var_t()
+    t = Scalar.t()
     with pytest.raises(UnsupportedScalarError):
         (Scalar.one() + t**2).rational_power(F(1, 2))
 
@@ -153,7 +148,7 @@ def test_division_by_zero_scalar():
     with pytest.raises(ZeroDivisionError):
         Scalar.one() / Scalar.zero()
     with pytest.raises(ZeroDivisionError):
-        var_t() / 0
+        Scalar.t() / 0
 
 
 def test_constant_radical_arithmetic():
@@ -165,7 +160,7 @@ def test_constant_radical_arithmetic():
 
 def test_render_deterministic():
     u = cube_root_base()
-    t = var_t()
+    t = Scalar.t()
     s = u * t - Scalar.rational(F(1, 2))
     assert s.render() == "-1/2 + 1/2*t*(2-3*t)^(1/3)*2^(2/3)"
     assert Scalar.zero().render() == "0"
@@ -177,7 +172,7 @@ def test_render_round_trip_stability():
 
 
 def test_central_difference_at_twenty_sample_points():
-    t = var_t()
+    t = Scalar.t()
     a = cube_root_base() * (t**2 - 3) + Scalar.linear(2, -1).rational_power(F(-1))
     da = a.diff()
     h = F(1, 10**6)
@@ -199,7 +194,7 @@ rationals = st.builds(
 
 @st.composite
 def scalars(draw):
-    t = var_t()
+    t = Scalar.t()
     kind = draw(st.integers(min_value=0, max_value=3))
     q = draw(rationals)
     base = Scalar.rational(q)
@@ -263,7 +258,7 @@ def test_zero_scalar_evaluates_to_zero(a):
 # -- pow and the int polynomial layer -----------------------------------------
 
 def test_power_by_repeated_squaring(monkeypatch):
-    t = var_t()
+    t = Scalar.t()
     assert t**2000 == t**1000 * t**1000
     assert Scalar.linear(2, -1) ** 5 == Scalar.linear(2, -1) ** 2 * Scalar.linear(2, -1) ** 3
     assert t**0 == Scalar.one() and t**-3 * t**3 == Scalar.one()

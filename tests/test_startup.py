@@ -32,7 +32,7 @@ SUBMODULE_NAMES = {
                  "verify_hypo_evolution verify_orthonormal_coframe",
     "exterior": "CoframeMap Form Report apply_coframe_map contract exterior_derivative "
                 "partial_t residual_report span_rank wedge wedge_power",
-    "scalars": "Rational Scalar ScalarDomainError UnsupportedScalarError var_t",
+    "scalars": "Scalar ScalarDomainError UnsupportedScalarError",
     "structures": "SU2Structure SUnStructure check_conformal_couple circle_bundle_structure "
                   "complex_volume_forms is_balanced_su2 is_balanced_sun is_hypo "
                   "restrict_to_hypersurface restrictable_directions standard_quadruplet "
