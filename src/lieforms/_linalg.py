@@ -157,5 +157,10 @@ def symmetric(matrix: ScalarMatrix) -> bool:
 def positive_definite(matrix: ScalarMatrix) -> bool:
     """Sylvester's criterion for symmetric matrices with rational entries: the
     leading minors of the matrix cleared of denominators by L > 0 are those
-    of the matrix times powers of L."""
-    return all(m > 0 for m in leading_minors(_integral(matrix), 0, 1))
+    of the matrix times powers of L.  False when an entry is not a rational
+    constant: positivity is then not decided exactly."""
+    try:
+        integral = _integral(matrix)
+    except UnsupportedScalarError:
+        return False
+    return all(m > 0 for m in leading_minors(integral, 0, 1))

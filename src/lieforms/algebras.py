@@ -546,7 +546,6 @@ class Interval:
 
 @dataclass
 class FamilySection:
-    param: str = "t"
     domain: tuple[Interval, ...] = (Interval(None, None),)
     forms: dict[str, Form] = field(default_factory=dict)  # ambient dimension n+1
 
@@ -680,7 +679,6 @@ def parse_equations(text: str, name: str | None = None) -> StructureFile:
             if key == "param":
                 if rhs != "t":
                     raise ParseError("the family parameter must be t", lineno, col)
-                fam.param = rhs
             elif key == "domain":
                 fam.domain = _parse_domain(rhs, lineno, col)
             else:
@@ -854,8 +852,8 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 
-# kept, not an idle alias: perfbench's layer tracer counts cohomology's echelon rows through
-# this name (test_benchmark_traced_names_exist pins it)
+# the layer tracer rebinds insert_echelon_row by identity in every module, so this alias
+# counts nothing; it stays because test_cli and perfbench's tests assert that it exists
 _insert_row = insert_echelon_row
 
 
@@ -874,9 +872,7 @@ def extend_by_line(algebra: LieAlgebra) -> LieAlgebra:
     """Append a closed generator (labelled dt) as e^(n+1)."""
     n = algebra.dimension
     diffs = tuple(lift_form(d, n + 1) for d in algebra.differentials)
-    diffs = diffs + (Form.zero(n + 1, 2),)
-    suffix = " x R" if algebra.name else None
-    return LieAlgebra(n + 1, diffs, (algebra.name + suffix) if suffix else None)
+    return LieAlgebra(n + 1, diffs + (Form.zero(n + 1, 2),))
 
 
 def central_extension(algebra: LieAlgebra, curvature: Form) -> LieAlgebra:

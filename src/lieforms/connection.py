@@ -55,7 +55,6 @@ class MetricFrame:
 
     algebra: LieAlgebra
     J: CoframeMap
-    name: str | None = None
 
     def __post_init__(self) -> None:
         n = self.algebra.dimension
@@ -225,15 +224,14 @@ def _cartan(frame: MetricFrame, components: dict) -> tuple[int, list[list[list[i
                     for j in range(n)] for i in range(n)]
 
 
-def connection_from_cartan(frame: MetricFrame, components: dict,
-                           torsion: Form | None = None) -> ConnectionSheet:
+def connection_from_cartan(frame: MetricFrame, components: dict) -> ConnectionSheet:
     """Unique skew solution of de^i + sum omega^i_j ^ e^j = tau^i.
 
     Writing D_{ijk} = de^i(e_j, e_k) - T_{ijk}, the solution is
     gamma^i_{jk} = (D_{ijk} + D_{jki} - D_{kij}) / 2.
     """
     den, table = _cartan(frame, components)
-    return ConnectionSheet.from_table(frame, den, table, torsion, components)
+    return ConnectionSheet.from_table(frame, den, table, None, components)
 
 
 @dataclass

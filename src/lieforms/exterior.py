@@ -134,11 +134,7 @@ class Form:
                     {idx: -val for idx, val in self.coeffs.items()})
 
     def scale(self, factor: Scalar | Fraction | int) -> Form:
-        scal = factor if isinstance(factor, Scalar) else Scalar.rational(factor)
-        if scal.is_zero():
-            return Form.zero(self.dimension, self.degree)
-        return Form(self.dimension, self.degree,
-                    {idx: scal * val for idx, val in self.coeffs.items()})
+        return _Sum.of(self).scale(factor).form()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Form):
@@ -469,22 +465,15 @@ def partial_t(a: Form) -> Form:
     return Form(a.dimension, a.degree, coeffs)
 
 
-@dataclass(frozen=True)
-class SpanReport:
-    rank: int
-    basis_indices: tuple[int, ...]  # the forms that grow the span, in input order
-
-
-def span_rank(forms: Sequence[Form]) -> SpanReport:
+def span_rank(forms: Sequence[Form]) -> int:
     """Rank of a span of rational forms via exact fraction-free elimination."""
     if not forms:
-        return SpanReport(0, ())
+        return 0
     dim, deg = forms[0].dimension, forms[0].degree
     if any(f.dimension != dim or f.degree != deg for f in forms):
         raise ValueError("forms in a span must share dimension and degree")
     column = {idx: c for c, idx in enumerate(sorted({idx for f in forms for idx in f.coeffs}))}
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    basis = tuple(i for i, f in enumerate(forms) if insert_echelon_row(
+    return sum(1 for f in forms if insert_echelon_row(
         echelon, pivots, dict(zip(map(column.get, f.coeffs), _integral([f.coeffs.values()])[0]))))
-    return SpanReport(len(basis), basis)

@@ -71,7 +71,6 @@ class SUnStructure:
     psi_plus: Form
     psi_minus: Form
     J: CoframeMap
-    name: str | None = None
 
     def __post_init__(self) -> None:
         dim = self.algebra.dimension
@@ -297,11 +296,7 @@ def validate_su2(s: SU2Structure) -> Report:
                  and scalar_mat_eq(scalar_mat_mul(geo.endo_b, geo.endo_b), minus_id)
                  and scalar_mat_eq(ab, scalar_mat_neg(ba))))
     rows.append(("metric symmetric", symmetric(geo.metric)))
-    try:
-        positive = positive_definite(geo.metric)
-    except UnsupportedScalarError:
-        positive = False
-    rows.append(("metric positive-definite", positive))
+    rows.append(("metric positive-definite", positive_definite(geo.metric)))
     return Report("su2 validation", all(ok for _, ok in rows), tuple(rows))
 
 
@@ -353,10 +348,7 @@ def validate_sun(s: SUnStructure) -> Report:
             ("J(F) = F", apply_coframe_map(s.J, s.F) == s.F)]
     g = sun_metric_matrix(s)
     rows.append(("metric symmetric", symmetric(g)))
-    try:
-        rows.append(("metric positive-definite", positive_definite(g)))
-    except UnsupportedScalarError:
-        rows.append(("metric positive-definite", False))
+    rows.append(("metric positive-definite", positive_definite(g)))
     jp = apply_coframe_map(s.J, s.psi_plus)
     jm = apply_coframe_map(s.J, s.psi_minus)
     if n % 2:
@@ -379,16 +371,15 @@ def validate_sun(s: SUnStructure) -> Report:
 
 
 def _top_form_ratio(a: Form, b: Form, dim: int) -> Fraction | None:
+    """a / b for forms of top degree ``dim``, which span a line; None when b = 0
+    or the ratio is not a rational constant."""
     idx = tuple(range(1, dim + 1))
     ca = a.coeffs.get(idx, Scalar.zero())
     cb = b.coeffs.get(idx, Scalar.zero())
     if cb.is_zero():
         return None
     try:
-        ratio = ca / cb
-        if a != b.scale(ratio):
-            return None
-        return ratio.as_fraction()
+        return (ca / cb).as_fraction()
     except UnsupportedScalarError:
         return None
 
@@ -479,10 +470,7 @@ def restrict_to_hypersurface(s: SUnStructure, unit: list[Scalar | Fraction | int
         if i == k:
             continue
         diffs.append(_drop_index(s.algebra.differentials[i - 1], k))
-    algebra = LieAlgebra(5, tuple(diffs),
-                         (s.algebra.name or "algebra") + f" restricted along e{k}")
-    return SU2Structure(algebra, eta, omega1, omega2, omega3,
-                        name=(s.name or "structure") + f" | e{k}")
+    return SU2Structure(LieAlgebra(5, tuple(diffs)), eta, omega1, omega2, omega3)
 
 
 def suspend_su2(s: SU2Structure) -> SUnStructure:
@@ -492,7 +480,7 @@ def suspend_su2(s: SU2Structure) -> SUnStructure:
     the result are valid."""
     ambient, f, psi_plus, psi_minus = suspension_forms(s)
     cmap = suspension_coframe_map(s)
-    return SUnStructure(ambient, f, psi_plus, psi_minus, cmap, name=s.name)
+    return SUnStructure(ambient, f, psi_plus, psi_minus, cmap)
 
 
 def suspension_forms(s: SU2Structure) -> tuple[LieAlgebra, Form, Form, Form]:

@@ -60,9 +60,9 @@ def structure_from(name):
     return entry, sf
 
 
-def sun_from(sf, name=""):
+def sun_from(sf):
     return SUnStructure(sf.algebra, sf.forms["F"], sf.forms["psi_plus"],
-                        sf.forms["psi_minus"], sf.coframe_map, name=name)
+                        sf.forms["psi_minus"], sf.coframe_map)
 
 
 def test_criterion_01_jacobi():
@@ -259,7 +259,7 @@ def test_criterion_10_restrict_suspend_round_trip():
 def test_criterion_10_restriction_property():
     for name in ("thm4.1-I", "thm4.1-II", "thm4.2-h2", "thm4.2-h19m", "solv6d"):
         _, sf = structure_from(name)
-        sun = sun_from(sf, name)
+        sun = sun_from(sf)
         assert is_balanced_sun(sun).passed
         directions = restrictable_directions(sun)
         assert directions, name

@@ -7,6 +7,8 @@ from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 import lieforms
 from lieforms import catalog, connection
 from lieforms.algebras import MAX_NESTING, parse_equations, verify_basis_change
@@ -477,6 +479,32 @@ def test_evolve_verify_fails_a_sample_beyond_the_float_range(tmp_path):
     for k in (1, 2, 3):
         assert f"  metric positive at t = {big + k}: FAIL\n" in proc.stdout
     assert f"  orientation on ({big}, inf): undetermined\n" in proc.stdout
+
+
+IWASAWA_PSI = "psi_plus = e135 - e146 - e236 - e245\npsi_minus = e136 + e145 + e235 - e246\n"
+SU2_FAMILY = GOOD_ALGEBRA + "\n[family]\ndomain = {}\neta = {}\nomega1 = {}\nomega2 = {}\nomega3 = {}\n"
+
+
+@pytest.mark.parametrize("command, text, rows", [
+    # a pole at a sample point: that sample fails and the orientation is undetermined
+    ("evolve-verify", SU2_FAMILY.format("(-inf, inf)", "(1/t)*e5", "e12 + e34", "e13 - e24",
+                                        "e14 + e23"),
+     ["  metric positive at t = 0: FAIL", "  orientation on (-inf, inf): undetermined"]),
+    # omega1^omega1^eta vanishes identically
+    ("evolve-verify", SU2_FAMILY.format("(0, 1)", "e5", "e13", "e24", "e12 + e34"),
+     ["  orientation on (0, 1): vanishing"]),
+    # t-scaled psi+-: the ratio to F^3 is not a rational constant
+    ("check", IWASAWA_STRUCTURE.replace(IWASAWA_PSI, "psi_plus = t*(e135 - e146 - e236 - e245)\n"
+                                        "psi_minus = t*(e136 + e145 + e235 - e246)\n"),
+     ["  psi+ ^ psi- not proportional to F^n: FAIL"]),
+    # a metric in t: positivity is not decided exactly, so its row fails
+    ("check", IWASAWA_STRUCTURE.replace("F = e12", "F = t*e12"),
+     ["  metric positive-definite: FAIL"]),
+], ids=["pole", "vanishing-volume", "parametric-psi", "parametric-metric"])
+def test_undecided_rows_read_fail_or_undetermined(command, text, rows, tmp_path):
+    code, out = run_cli([command, write(tmp_path, "case.alg", text)])
+    assert code == 1
+    assert all(row in out.splitlines() for row in rows), out
 
 
 def test_console_entry_point_runs():

@@ -327,7 +327,7 @@ def test_curvature_iwasawa():
     assert curv.omega_form(3, 4) == form(6, ("12", 2))
     listed = [curv.omega_form(1, 2), curv.omega_form(1, 3),
               curv.omega_form(2, 3), curv.omega_form(3, 4)]
-    assert span_rank(listed).rank == 4
+    assert span_rank(listed) == 4
 
 
 def test_covariant_derivatives_iwasawa():

@@ -189,7 +189,7 @@ def structure_lines(sf) -> list[str]:
         out.append(f"theta = {sf.theta[0]}, {sf.theta[1]}")
     if sf.family is not None:
         fam = sf.family
-        out.append(f"family {fam.param} on {' | '.join(iv.render() for iv in fam.domain)}")
+        out.append(f"family t on {' | '.join(iv.render() for iv in fam.domain)}")
         out += [f"  {key} = {coeffs(f)}" for key, f in fam.forms.items()]
     if sf.basis_change is not None:
         bc = sf.basis_change
