@@ -852,8 +852,8 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 
-# the layer tracer rebinds insert_echelon_row by identity in every module, so this alias
-# counts nothing; it stays because test_cli and perfbench's tests assert that it exists
+# the layer tracer rebinds insert_echelon_row by identity, so this alias counts nothing; it
+# stays for ce_cohomology's call, test_algebras' patch and test_cli's and perfbench's asserts
 _insert_row = insert_echelon_row
 
 

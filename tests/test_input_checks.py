@@ -2,8 +2,6 @@
 type and message; where a structure file can reach the check, the CLI turns
 it into exit code 2 with that message."""
 
-import io
-from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -16,7 +14,6 @@ from lieforms.algebras import (
     parse_equations,
     verify_basis_change,
 )
-from lieforms.cli import main
 from lieforms.connection import MetricFrame
 from lieforms.exterior import (
     CoframeMap,
@@ -36,17 +33,13 @@ from lieforms.structures import (
     restrict_to_hypersurface,
     su2_geometry,
 )
+from test_cli import GOOD_ALGEBRA, IWASAWA_STRUCTURE, QUADRUPLET, run_cli, write
 
 J4 = "e1 -> -e2, e2 -> e1, e3 -> -e4, e4 -> e3"
-J6 = J4 + ", e5 -> -e6, e6 -> e5"
-ALG5 = "[algebra]\ncompact = (0,0,0,12,14)\n"
-IWASAWA = "[algebra]\ncompact = (0,0,0,0,13+42,14+23)\n"
-PSI = "psi_plus = e135 - e146 - e236 - e245\npsi_minus = e136 + e145 + e235 - e246\n"
 
 
 def quadruplet(eta):
-    return (f"\n[structure]\neta = {eta}\nomega1 = e24 + e53\n"
-            "omega2 = e25 + e34\nomega3 = e23 + e45\n")
+    return GOOD_ALGEBRA + QUADRUPLET.replace("eta = e1", f"eta = {eta}")
 
 
 def su2_of(text):
@@ -67,7 +60,7 @@ def frame_of(text):
 
 
 def iwasawa_sun(kaehler="e12 + e34 + e56"):
-    return sun_of(IWASAWA + f"\n[structure]\nF = {kaehler}\n{PSI}J: {J6}\n")
+    return sun_of(IWASAWA_STRUCTURE.replace("F = e12 + e34 + e56", f"F = {kaehler}"))
 
 
 def sun4():
@@ -87,8 +80,7 @@ def two_forms(dim, *terms):
     return [Form.from_terms(dim, 2, [(tuple(int(c) for c in idx), 1)]) for idx in terms]
 
 
-NOT_ON_T = ("[algebra]\ndim = 6\nd e6 = t*e12\n\n[structure]\n"
-            f"F = e12 + e34 + e56\nJ: {J6}\n")
+NOT_ON_T = IWASAWA_STRUCTURE.replace("compact = (0,0,0,0,13+42,14+23)", "dim = 6\nd e6 = t*e12")
 
 # (id, call, exception type, message, (CLI command, structure file) or None)
 CASES = [
@@ -99,15 +91,15 @@ CASES = [
      lambda: SUnStructure(zero_algebra(5), *two_forms(5, "12", "13", "24"),
                           CoframeMap.from_rows([[0] * 5] * 5)),
      ValueError, "SU(n)-structures live on even-dimensional algebras",
-     ("check", ALG5 + f"\n[structure]\nF = e12 + e34\npsi_plus = e13\npsi_minus = e24\n"
+     ("check", GOOD_ALGEBRA + f"\n[structure]\nF = e12 + e34\npsi_plus = e13\npsi_minus = e24\n"
                f"J: {J4}, e5 -> e5\n")),
-    ("eta-zero", lambda: su2_geometry(su2_of(ALG5 + quadruplet("0*e1"))),
-     ValueError, "eta must be a nowhere vanishing 1-form", ("check", ALG5 + quadruplet("0*e1"))),
-    ("eta-parametric", lambda: su2_geometry(su2_of(ALG5 + quadruplet("e1 + t*e2"))),
+    ("eta-zero", lambda: su2_geometry(su2_of(quadruplet("0*e1"))),
+     ValueError, "eta must be a nowhere vanishing 1-form", ("check", quadruplet("0*e1"))),
+    ("eta-parametric", lambda: su2_geometry(su2_of(quadruplet("e1 + t*e2"))),
      UnsupportedScalarError, "parametric quadruplets need eta proportional to a single generator",
-     ("evolve-verify", ALG5 + quadruplet("e1 + t*e2").replace("[structure]", "[family]"))),
-    ("eta-of-reeb-zero", lambda: su2_geometry(su2_of(ALG5 + quadruplet("e2"))),
-     ValueError, "omega3 is degenerate on ker eta", ("check", ALG5 + quadruplet("e2"))),
+     ("evolve-verify", quadruplet("e1 + t*e2").replace("[structure]", "[family]"))),
+    ("eta-of-reeb-zero", lambda: su2_geometry(su2_of(quadruplet("e2"))),
+     ValueError, "omega3 is degenerate on ker eta", ("check", quadruplet("e2"))),
     ("restrict-dimension", lambda: restrict_to_hypersurface(sun4(), [1, 0, 0, 0]),
      ValueError, "restriction is implemented for 6-dimensional structures", None),
     ("restrict-components", lambda: restrict_to_hypersurface(iwasawa_sun(), [1, 0, 0, 0, 0]),
@@ -175,9 +167,4 @@ def test_input_checks_raise_their_message(call, error, message, cli, tmp_path):
     assert (info.type, str(info.value)) == (error, message)
     if cli is not None:
         command, text = cli
-        path = tmp_path / "case.alg"
-        path.write_text(text, encoding="utf-8")
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = main([command, str(path)])
-        assert (code, out.getvalue()) == (2, f"error: {message}\n")
+        assert run_cli([command, write(tmp_path, "case.alg", text)]) == (2, f"error: {message}\n")

@@ -1,8 +1,8 @@
 """Functions and lines of ``src/lieforms`` that no benchmark workload executes.
 
-    python3 tools/line_trace.py [--workload NAME ...] [--tests]
+    python3 tools/line_trace.py [--tests]
 
-Run from a checkout.  Each workload (all three by default) is built as
+Run from a checkout.  Each benchmark workload is built as
 ``perfbench/run.py`` builds it, with seed 1, and runs one pass (``prepare(0)``,
 then ``run``) under ``sys.settrace``; ``--tests`` also runs the tier-1 suite
 (``tests/``) in-process under the same tracer.  The output lists the functions
@@ -90,24 +90,35 @@ def trace(workloads: list[str], tests: bool = False) -> dict[str, set[int]]:
     return tracer.ran
 
 
+COMPREHENSIONS = {"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"}
+
+
 def functions(path: Path) -> list[tuple[str, int, int, set[int]]]:
     """(qualified name, first line, last line, own executable lines) of each
     function in a source file.  The def line is not an own line; nested
     functions are listed apart, and their lines count in their parents' spans."""
     out = []
 
-    def walk(code) -> int:
+    def walk(code, prefix: str) -> int:
+        # the qualified name as Python builds it: the children of a def or a
+        # lambda sit under ``<locals>``, those of a class or comprehension do not
+        name = prefix + code.co_name
+        function = bool(code.co_flags & inspect.CO_OPTIMIZED)
+        scope = function and code.co_name not in COMPREHENSIONS
+        inner = name + (".<locals>." if scope else ".")
         own = {line for _, _, line in code.co_lines() if line is not None}
         last = max(own, default=code.co_firstlineno)
         for const in code.co_consts:
             if inspect.iscode(const):
-                last = max(last, walk(const))
-        if code.co_flags & inspect.CO_OPTIMIZED:
-            out.append((code.co_qualname, code.co_firstlineno, last,
-                        own - {code.co_firstlineno}))
+                last = max(last, walk(const, inner))
+        if function:
+            out.append((name, code.co_firstlineno, last, own - {code.co_firstlineno}))
         return last
 
-    walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"))
+    module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+    for const in module.co_consts:
+        if inspect.iscode(const):
+            walk(const, "")
     return out
 
 
@@ -134,11 +145,9 @@ def unexecuted(ran: dict[str, set[int]]
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="a workload to run (repeatable; default: all)")
     parser.add_argument("--tests", action="store_true", help="also run the tier-1 suite")
     args = parser.parse_args(argv)
-    not_run, missed = unexecuted(trace(args.workload or sorted(WORKLOADS), args.tests))
+    not_run, missed = unexecuted(trace(sorted(WORKLOADS), args.tests))
     print(f"functions not run: {len(not_run)}")
     for name, (file, line) in sorted(not_run.items(), key=lambda kv: kv[1]):
         print(f"  {name}  ({file}:{line})")
