@@ -14,11 +14,13 @@ must agree on every input.
 A ConnectionSheet holds den, the lcm of the denominators of G, and the int
 matrices lams[m] = den*Lambda_m of Lambda_m = nabla_{e_m}, which nabla J = 0,
 the Cartan residual check and the curvature read directly; holonomy and nabla R
-divide one direction by its gcd with den.  Curvature comes from the
+divide one direction by its gcd with den.  A sheet rejects a non-skew Lambda_m,
+so every connection it holds is metric.  Curvature comes from the
 matrix identity R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m
 with Lambda_m = nabla_{e_m}, the second Cartan structure equation in matrix
-form.  It keeps its int matrices den*R, which holonomy and nabla R read
+form.  It keeps only its int matrices den*R, which holonomy and nabla R read
 directly: dividing by a gcd gives the lcm scaling of the rational matrices.
+The curvature forms are a view of them.
 
 Holonomy uses Kostant's bracket iteration for invariant connections (Kostant,
 Trans. AMS 80, 1955): V_{k+1} = V_k + [nabla, V_k] from the span V_0 of the
@@ -85,6 +87,12 @@ class ConnectionSheet:
     torsion: Form | None                    # None for torsion-free
     torsion_components: dict[tuple[int, int, int], Fraction]
 
+    def __post_init__(self) -> None:
+        # _bracket and the Kostant scan read every Lambda_m as skew
+        if any(lam[i][j] != -lam[j][i] for lam in self.lams
+               for i in range(len(lam)) for j in range(i, len(lam))):
+            raise ValueError("a metric connection needs skew matrices Lambda_m")
+
     @classmethod
     def from_table(cls, frame: MetricFrame, den: int, table: list[list[list[int]]],
                    torsion: Form | None, components: dict) -> ConnectionSheet:
@@ -125,10 +133,7 @@ class ConnectionSheet:
         return out
 
     def preserves_j(self) -> bool:
-        """nabla J = 0: each direction matrix Lambda_k commutes with J.
-
-        Lambda_k is not assumed skew.
-        """
+        """nabla J = 0: each direction matrix Lambda_k commutes with J."""
         n = self.frame.algebra.dimension
         jm = _integral(self.frame.J.matrix)
         j_entries = _nonzero_entries(jm)
@@ -237,9 +242,20 @@ def connection_from_cartan(frame: MetricFrame, components: dict) -> ConnectionSh
 @dataclass
 class CurvatureSheet:
     frame: MetricFrame
-    forms: dict[tuple[int, int], Form]  # Omega^i_j for i < j; skew elsewhere
     den: int  # R(e_k, e_l) = matrices[(k, l)] / den
-    matrices: dict[tuple[int, int], list[list[int]]]  # nonzero den*R(e_k, e_l), k < l
+    matrices: dict[tuple[int, int], list[list[int]]]  # nonzero skew den*R(e_k, e_l), k < l
+
+    @cached_property
+    def forms(self) -> dict[tuple[int, int], Form]:
+        """Omega^i_j for i < j where nonzero, Omega^i_j(e_k, e_l) = R(e_k, e_l)[i][j]:
+        a view of the matrices."""
+        n = self.frame.algebra.dimension
+        coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
+        for kl, mat in self.matrices.items():
+            for i, j in itertools.combinations(range(n), 2):
+                if mat[i][j]:
+                    coeffs.setdefault((i + 1, j + 1), {})[kl] = Scalar.rational(mat[i][j], self.den)
+        return {key: Form(n, 2, coeffs[key]) for key in sorted(coeffs)}
 
     def omega_form(self, i: int, j: int) -> Form:
         n = self.frame.algebra.dimension
@@ -276,8 +292,8 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
 
     Evaluated on (e_k, e_l), the second Cartan structure equation reads
     R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m, which
-    is computed on the int matrices s*Lambda_m and the S*de^m.
-    The forms and the matrices are read from the entries above the diagonal.
+    is computed on the int matrices s*Lambda_m and the S*de^m, above the
+    diagonal; each entry is written with its mirror.
     """
     frame = sheet.frame
     n = frame.algebra.dimension
@@ -285,8 +301,6 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
     big_s, c = frame.algebra.structure_constants()
     entries = [_nonzero_entries(lam) for lam in lams]
     upper = list(itertools.combinations(range(n), 2))
-    den = s * s * big_s
-    coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
     matrices: dict[tuple[int, int], list[list[int]]] = {}
     for k, l in upper:
         p = _product(entries[k], lams[l], n)
@@ -300,12 +314,9 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
                 if mat is None:
                     mat = [[0] * n for _ in range(n)]
                 mat[i][j], mat[j][i] = val, -val
-                omega_ij = coeffs.setdefault((i + 1, j + 1), {})
-                omega_ij[(k + 1, l + 1)] = Scalar.rational(val, den)
         if mat is not None:
             matrices[(k + 1, l + 1)] = mat
-    forms = {key: Form(n, 2, coeffs[key]) for key in sorted(coeffs)}
-    return CurvatureSheet(frame, forms, den, matrices)
+    return CurvatureSheet(frame, s * s * big_s, matrices)
 
 
 def _nonzero_entries(mat: list[list]) -> list[tuple[int, int, object]]:
@@ -410,10 +421,6 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     upper = [(r, i, j) for r, (i, j) in enumerate(itertools.combinations(range(n), 2))]
     lams = [_reduced(sheet.den, [lam])[1][0] for lam in sheet.lams]
     curvatures = [_reduced(curv.den, [mat])[1][0] for _, mat in sorted(curv.matrices.items())]
-    if any(mat[i][j] != -mat[j][i] for mat in lams + curvatures
-           for i in range(n) for j in range(i, n)):
-        raise ValueError("holonomy needs a metric connection: skew connection "
-                         "and curvature matrices")
     # J is orthogonal with J^2 = -1, hence skew: [J, X] is a skew bracket
     j_entries = _nonzero_entries(_integral(sheet.frame.J.matrix))
 

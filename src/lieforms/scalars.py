@@ -382,15 +382,17 @@ class Scalar:
 
     @staticmethod
     def rational(q: Fraction | int, d: int = 1) -> Scalar:
-        """The rational constant q, or q/d for an int q and an int d > 1,
-        reduced by one gcd."""
-        if not q:
-            return Scalar()
+        """The rational constant q, or q/d for an int q and a nonzero int d,
+        reduced by one gcd to a positive denominator."""
         if d != 1:
-            g = math.gcd(q, d)
+            if not d:
+                raise ZeroDivisionError(f"Scalar.rational({q}, 0)")
+            g = math.gcd(q, d) if d > 0 else -math.gcd(q, d)
             q, d = q // g, d // g
         elif type(q) is not int:
             q, d = q.numerator, q.denominator
+        if not q:
+            return Scalar()
         return Scalar({_EMPTY_SIG: RF(q, d, POLY_ONE, ())})
 
     @staticmethod

@@ -192,8 +192,8 @@ def _reeb_and_kernel(s: SU2Structure):
     if pairing.is_zero():
         raise ValueError("omega3 is degenerate on ker eta")
     inv = pairing.inverse()
+    # xi contracts omega3 to zero: W v = 0 holds for the sub-Pfaffians v of any skew 5x5 W
     xi = [c * inv for c in xi]
-    _check_reeb(s, xi)
     kernel = [[vec.get(i, 0) for i in range(5)] for vec in fraction_nullspace([row], 5)]
     return xi, [[q.numerator if q.denominator == 1 else q for q in u] for u in kernel]
 
@@ -214,11 +214,6 @@ def _pfaffian_kernel_vector(omega3: Form) -> list[Scalar]:
     if all(c.is_zero() for c in out):
         raise ValueError("omega3 must have a one-dimensional kernel")
     return out
-
-
-def _check_reeb(s: SU2Structure, xi) -> None:
-    if not contract(xi, s.omega3).is_zero():
-        raise ValueError("the Reeb direction must contract omega3 to zero")
 
 
 def _restricted_matrix(form2: Form, kernel: list[list[int | Fraction]]) -> list[list[Scalar]]:
@@ -249,8 +244,7 @@ def _pfaffian_inverse(w: list[list[Scalar]]) -> list[list[Scalar]]:
     W~24 = -w13, W~34 = w12, so that W W~ = -Pf I.
     """
     pf = w[0][1] * w[2][3] - w[0][2] * w[1][3] + w[0][3] * w[1][2]
-    if pf.is_zero():
-        raise ValueError("omega3 is degenerate on ker eta")
+    # pf != 0: eta(xi) != 0 puts the kernel line of omega3 outside ker eta
     scale = (-pf).inverse()
     dual = {(0, 1): w[2][3], (0, 2): -w[1][3], (0, 3): w[1][2],
             (1, 2): w[0][3], (1, 3): -w[0][2], (2, 3): w[0][1]}
@@ -267,13 +261,8 @@ def _kernel_coordinates(vec: list[Scalar], kernel: list[list[Fraction]]) -> list
     Each kernel vector is 1 at its free column, its last nonzero entry, where
     every other basis vector vanishes, so coordinates read off directly.
     """
-    coords = [vec[max(p for p, c in enumerate(kvec) if c)] for kvec in kernel]
-    residual = list(vec)
-    for coord, kvec in zip(coords, kernel):
-        residual = [r - _times(coord, k) if k else r for r, k in zip(residual, kvec)]
-    if any(not r.is_zero() for r in residual):
-        raise ValueError("vector does not lie in ker eta")
-    return coords
+    # vec = e_x - eta(e_x) xi lies in ker eta, since eta(xi) = 1
+    return [vec[max(p for p, c in enumerate(kvec) if c)] for kvec in kernel]
 
 
 def validate_su2(s: SU2Structure) -> Report:

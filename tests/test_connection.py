@@ -63,11 +63,12 @@ def _direction(gamma, m):
     return [[g[m] for g in row] for row in gamma]
 
 
-def edited_sheet(sheet, i, j, k, value):
-    """``sheet`` with gamma[i][j][k] set to ``value``, rebuilt through ``from_table``
-    from an edited copy of its rational table."""
+def edited_sheet(sheet, shifts):
+    """``sheet`` with each gamma[i][j][k] shifted by ``shifts[(i, j, k)]``, rebuilt
+    through ``from_table`` from an edited copy of its rational table."""
     gamma = [[list(row) for row in plane] for plane in sheet.gamma]
-    gamma[i][j][k] = F(value)
+    for (i, j, k), shift in shifts.items():
+        gamma[i][j][k] += shift
     den = _denominator(gamma)
     return ConnectionSheet.from_table(sheet.frame, den, [_integral(plane, den) for plane in gamma],
                                       sheet.torsion, sheet.torsion_components)
@@ -226,13 +227,18 @@ def test_levi_civita_satisfies_torsion_free_cartan():
     assert not lc.preserves_j()
 
 
+SKEW_SHIFT = {(0, 1, 2): 1, (1, 0, 2): -1}  # a metric change of nabla_{e_3}
+
+
 def test_cartan_residuals_detect_a_perturbed_gamma():
     sheet, _ = catalog_sheet("ex4.3")
     assert all(r.is_zero() for r in sheet.cartan_residuals())
-    # omega^1_2 gains e^3, so de^1 + omega^1_j ^ e^j gains -e^23
-    residuals = edited_sheet(sheet, 0, 1, 2, sheet.gamma[0][1][2] + 1).cartan_residuals()
-    assert residuals[0] == form(sheet.frame.algebra.dimension, ("23", -1))
-    assert all(r.is_zero() for r in residuals[1:])
+    # omega^1_2 gains e^3 and omega^2_1 loses it, so de^1 + omega^1_j ^ e^j
+    # gains -e^23 and de^2 + omega^2_j ^ e^j gains e^13
+    residuals = edited_sheet(sheet, SKEW_SHIFT).cartan_residuals()
+    n = sheet.frame.algebra.dimension
+    assert residuals[:2] == [form(n, ("23", -1)), form(n, ("13", 1))]
+    assert all(r.is_zero() for r in residuals[2:])
 
 
 def test_cartan_residuals_match_the_fraction_oracle():
@@ -240,7 +246,9 @@ def test_cartan_residuals_match_the_fraction_oracle():
     sheets += [("slow growth", slow_growth_sheet()), ("non-unit", non_unit_sheet()),
                ("Levi-Civita", levi_civita(iwasawa_frame()[0]))]
     ex43 = dict(sheets)["ex4.3"]
-    sheets.append(("perturbed gamma", edited_sheet(ex43, 0, 1, 2, ex43.gamma[0][1][2] + 1)))
+    perturbed_gamma = edited_sheet(ex43, SKEW_SHIFT)
+    assert any(not r.is_zero() for r in perturbed_gamma.cartan_residuals())
+    sheets.append(("perturbed gamma", perturbed_gamma))
     bismut = bismut_connection(*iwasawa_frame())
     components = dict(bismut.torsion_components)
     components[(1, 3, 5)] += F(1, 7)
@@ -669,13 +677,16 @@ def test_holonomy_inserts_no_bracket_once_the_span_is_su_n(monkeypatch):
     assert rows == curvature_rows[:len(rows)]
 
 
-def test_holonomy_rejects_non_metric_connection():
-    frame, kf = iwasawa_frame()
-    sheet = bismut_connection(frame, kf)
-    curv = curvature(sheet)
-    sheet = edited_sheet(sheet, 0, 0, 0, 1)  # nabla_{e_1} e_1 gains an e_1 part: not skew
+def test_sheet_rejects_a_non_metric_connection():
+    sheet = bismut_connection(*iwasawa_frame())
     with pytest.raises(ValueError, match="metric connection"):
-        holonomy_algebra(sheet, curv)
+        edited_sheet(sheet, {(0, 0, 0): 1})  # nabla_{e_1} e_1 gains an e_1 part: not skew
+    lams = [list(lam) for lam in sheet.lams]
+    lams[2][0] = (1, *lams[2][0][1:])
+    with pytest.raises(ValueError, match="metric connection"):
+        dataclasses.replace(sheet, lams=tuple(map(tuple, lams)))
+    # a skew edit is still a metric connection
+    assert edited_sheet(sheet, SKEW_SHIFT) != sheet
 
 
 def test_connection_layer_reads_its_ints_not_the_gamma_view(monkeypatch):
@@ -766,6 +777,23 @@ def test_curvature_matches_second_cartan_equation_oracle():
     assert curvature(lc).forms == cartan_curvature(lc)[0]
 
 
+def test_curvature_builds_no_scalar(monkeypatch):
+    name, sheet = next(rotated_sheets(1))
+    made = []
+    rational = Scalar.rational
+
+    def counted(*args):
+        made.append(args)
+        return rational(*args)
+
+    monkeypatch.setattr(Scalar, "rational", staticmethod(counted))
+    curv = curvature(sheet)
+    assert curv.matrices, name
+    assert made == []
+    # the forms are a view, built on first read
+    assert curv.forms and made
+
+
 def test_curvature_tensor_is_built_once_per_sheet(monkeypatch):
     sheet, curv = catalog_sheet("ex4.3")
     n = sheet.frame.algebra.dimension
@@ -809,7 +837,7 @@ def test_curvature_hands_its_integers_to_holonomy_and_nabla():
         # holonomy scales each curvature matrix by the lcm of its own denominators
         assert ([_reduced(curv.den, [mat])[1][0] for mat in curv.matrices.values()]
                 == [_integral(mat) for mat in tensor.values()])
-        lcm_scaled = CurvatureSheet(curv.frame, curv.forms, 1,
+        lcm_scaled = CurvatureSheet(curv.frame, 1,
                                     {key: _integral(mat) for key, mat in tensor.items()})
         assert holonomy_algebra(sheet, curv) == holonomy_algebra(sheet, lcm_scaled)
 

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -21,3 +22,16 @@ def test_line_trace_reports_what_the_catalog_workload_runs():
     # the Koszul oracle's lines are listed with the function, not line by line
     first = not_run["connection.levi_civita"][1]
     assert not any(first < line <= first + 3 for line in missed.get("connection.py", []))
+
+
+def test_the_suite_runs_with_src_on_the_child_pythonpath(monkeypatch):
+    tool = load_tool()
+    src = str(tool.ROOT / "src")
+    for old in (None, "elsewhere"):
+        if old is None:
+            monkeypatch.delenv("PYTHONPATH", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONPATH", old)
+        with tool.src_on_pythonpath():
+            assert os.environ["PYTHONPATH"].split(os.pathsep) == [src, *filter(None, [old])]
+        assert os.environ.get("PYTHONPATH") == old

@@ -24,6 +24,19 @@ def test_rational_addition():
     assert Scalar.rational(F(1, 2)) + Scalar.rational(F(1, 2)) == Scalar.one()
 
 
+def test_rational_pair_takes_a_positive_denominator():
+    for q, d in ((1, -2), (-1, 2), (3, -6), (-4, -8)):
+        s = Scalar.rational(q, d)
+        assert_canonical(s)
+        assert s == Scalar.rational(F(q, d)), (q, d)
+
+
+def test_rational_pair_rejects_a_zero_denominator():
+    for q in (1, 0):
+        with pytest.raises(ZeroDivisionError):
+            Scalar.rational(q, 0)
+
+
 def test_radical_exponents_cancel():
     u = cube_root_base(F(1, 3))
     v = cube_root_base(F(-1, 3))

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from lieforms.algebras import (
 )
 from lieforms.catalog import StructureContext, get_entry
 from lieforms.evolution import family_from_section
-from lieforms.exterior import CoframeMap, Form, apply_coframe_map, wedge, wedge_power
+from lieforms.exterior import CoframeMap, Form, apply_coframe_map, contract, wedge, wedge_power
 from lieforms.scalars import Scalar
 from lieforms.structures import (
     SU2Structure,
@@ -540,6 +542,56 @@ def test_pfaffian_inverse_of_parametric_omega3():
     assert any(not c.diff().is_zero() for row in w for c in row)
     identity = [[Scalar.rational(1 if i == j else 0) for j in range(4)] for i in range(4)]
     assert scalar_mat_mul(_pfaffian_inverse(w), w) == identity
+
+
+GEOMETRY_ERRORS = {"eta must be a nowhere vanishing 1-form",
+                   "omega3 must have a one-dimensional kernel",
+                   "omega3 is degenerate on ker eta"}
+
+
+def random_quadruplet(rng, parametric):
+    """Sparse small-integer 2-forms on the abelian algebra, with a rational eta or
+    eta = c(t)*e^k for a parametric c."""
+    def small_form(degree):
+        terms = [(idx, rng.choice([0, 0, 0, 1, -1, 2]))
+                 for idx in itertools.combinations(range(1, 6), degree)]
+        return Form.from_terms(5, degree, [(idx, v) for idx, v in terms if v])
+
+    if parametric:
+        c = rng.choice([Scalar.t(), Scalar.linear(1, 2), Scalar.linear(2, -1).rational_power(F(-1)),
+                        Scalar.linear(1, F(-3, 2)).rational_power(F(1, 3))])
+        eta = Form(5, 1, {(rng.randrange(1, 6),): c})
+    else:
+        eta = small_form(1)
+    return SU2Structure(parse_compact("(0,0,0,0,0)"), eta, small_form(2), small_form(2),
+                        small_form(2))
+
+
+def test_su2_geometry_raises_only_where_its_construction_can_fail():
+    """xi contracts omega3 to zero with eta(xi) = 1, and each projection row
+    rebuilds e_x - eta(e_x) xi in the kernel basis; otherwise one of the three
+    input checks raises."""
+    rng = random.Random(3)
+    outcomes = collections.Counter()
+    for case in range(600):
+        s = random_quadruplet(rng, parametric=case % 4 == 0)
+        try:
+            geo = su2_geometry(s)
+        except ValueError as exc:
+            assert str(exc) in GEOMETRY_ERRORS, exc
+            outcomes[str(exc)] += 1
+            continue
+        outcomes["built"] += 1
+        eta = [s.eta.coefficient((i,)) for i in range(1, 6)]
+        assert contract(geo.xi, s.omega3).is_zero()
+        assert sum((c * x for c, x in zip(eta, geo.xi)), Scalar.zero()) == Scalar.one()
+        for x, coords in enumerate(geo.proj):
+            rebuilt = [sum((c * Scalar.rational(u[i]) for c, u in zip(coords, geo.kernel_basis)),
+                           Scalar.zero()) for i in range(5)]
+            want = [(Scalar.one() if i == x else Scalar.zero()) - eta[x] * xi
+                    for i, xi in enumerate(geo.xi)]
+            assert rebuilt == want, (case, x)
+    assert set(outcomes) == GEOMETRY_ERRORS | {"built"}, outcomes
 
 
 def test_dense_pullback_quadruplet_is_valid_and_suspends():

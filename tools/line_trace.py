@@ -5,7 +5,8 @@
 Run from a checkout.  Each benchmark workload is built as
 ``perfbench/run.py`` builds it, with seed 1, and runs one pass (``prepare(0)``,
 then ``run``) under ``sys.settrace``; ``--tests`` also runs the tier-1 suite
-(``tests/``) in-process under the same tracer.  The output lists the functions
+(``tests/``) in-process under the same tracer, with ``src`` on ``PYTHONPATH``
+for the processes the tests start.  The output lists the functions
 of which no line ran, then the lines that did not run in the other functions.
 Module and class bodies run at import, before the tracer is installed, so only
 function bodies are counted.  Before deleting what this lists, grep ``src/``,
@@ -18,9 +19,12 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 import tempfile
 from collections import defaultdict
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,6 +72,21 @@ class LineTracer:
         sys.settrace(self._previous)
 
 
+@contextmanager
+def src_on_pythonpath() -> Iterator[None]:
+    """``src`` first on ``PYTHONPATH``, as the tier-1 command sets it, so that the
+    tests' child processes import the checkout's package; the old value is restored."""
+    old = os.environ.get("PYTHONPATH")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), old]))
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = old
+
+
 def trace(workloads: list[str], tests: bool = False) -> dict[str, set[int]]:
     """The lines each named workload's pass, and the tier-1 suite if asked, ran."""
     tracer = LineTracer()
@@ -82,7 +101,7 @@ def trace(workloads: list[str], tests: bool = False) -> dict[str, set[int]]:
     if tests:
         import pytest
 
-        with tracer:
+        with tracer, src_on_pythonpath():
             code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests"),
                                 "-k", "not line_trace"])
         if code:
