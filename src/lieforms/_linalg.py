@@ -78,29 +78,44 @@ def fraction_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
     return list(kernel.values())
 
 
-def scalar_identity(n: int) -> ScalarMatrix:
-    return [[Scalar.rational(1 if i == j else 0) for j in range(n)] for i in range(n)]
+def nonzero_entries(mat: Iterable[Iterable[R]]) -> list[tuple[int, int, R]]:
+    """The nonzero entries (i, r, A[i][r]) of a matrix, row by row."""
+    return [(i, r, v) for i, row in enumerate(mat) for r, v in enumerate(row) if v]
+
+
+def sparse_product(entries: Iterable[tuple[int, int, R]], x: Sequence[Sequence[R]],
+                   rows: int, zero: R) -> list[list[R]]:
+    """AX over any commutative ring (int, Scalar) with this zero, for A with
+    ``rows`` rows given by its nonzero entries (i, r, A[i][r]) and X of any
+    shape: each entry of A meets the nonzero entries of row r of X."""
+    p = [[zero] * (len(x[0]) if x else 0) for _ in range(rows)]
+    for i, r, v in entries:
+        pi = p[i]
+        for j, y in enumerate(x[r]):
+            if y:
+                pi[j] += v * y
+    return p
+
+
+def bracket(entries: Iterable[tuple[int, int, int]], x: Sequence[Sequence[int]],
+            n: int) -> list[list[int]]:
+    """[A, X] for skew int matrices A, given by its nonzero entries, and X:
+    XA = (AX)^T, so [A, X] = AX - (AX)^T."""
+    p = sparse_product(entries, x, n, 0)
+    return [[p[i][j] - p[j][i] for j in range(n)] for i in range(n)]
 
 
 def scalar_mat_mul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
-    n, m, p = len(a), len(b), len(b[0]) if b else 0
-    out = [[Scalar.zero()] * p for _ in range(n)]
-    for i in range(n):
-        for k in range(m):
-            if a[i][k].is_zero():
-                continue
-            for j in range(p):
-                if not b[k][j].is_zero():
-                    out[i][j] = out[i][j] + a[i][k] * b[k][j]
-    return out
+    return sparse_product(nonzero_entries(a), b, len(a), Scalar.zero())
 
 
 def scalar_mat_neg(a: ScalarMatrix) -> ScalarMatrix:
     return [[-x for x in row] for row in a]
 
 
-def scalar_mat_eq(a: ScalarMatrix, b: ScalarMatrix) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+def is_scaled_identity(m: Sequence[Sequence[R]], c: R) -> bool:
+    """m = c*I: c on the diagonal and zero elsewhere."""
+    return all(v == c if i == j else not v for i, row in enumerate(m) for j, v in enumerate(row))
 
 
 def leading_minors(matrix: Sequence[Sequence[R]], zero: R, one: R) -> list[R]:

@@ -37,13 +37,13 @@ reaches it.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from ._linalg import _integral, insert_echelon_row
+from ._linalg import _integral, bracket, insert_echelon_row, nonzero_entries, sparse_product
 from .algebras import LieAlgebra, check_jacobi
 from .exterior import CoframeMap, Form, _indices, apply_coframe_map, sort_index
 from .scalars import Scalar
@@ -76,6 +76,18 @@ class MetricFrame:
         if not self.J.is_orthogonal():
             raise ValueError("J must preserve the frame metric")
 
+    @cached_property
+    def j_entries(self) -> list[tuple[int, int, int]]:
+        """The nonzero entries (i, r, L*J[i][r]) of J cleared to integers by L > 0."""
+        return nonzero_entries(_integral(self.J.matrix))
+
+    def commutes_with_j(self, mat: Sequence[Sequence[int]]) -> bool:
+        """JX = XJ for a skew int matrix X.  J is orthogonal with J^2 = -1, hence
+        skew, so XJ = (JX)^T: X commutes with J when JX is symmetric."""
+        n = len(mat)
+        p = sparse_product(self.j_entries, mat, n, 0)
+        return all(p[i][j] == p[j][i] for i in range(n) for j in range(i + 1, n))
+
 
 @dataclass(frozen=True)
 class ConnectionSheet:
@@ -88,7 +100,7 @@ class ConnectionSheet:
     torsion_components: dict[tuple[int, int, int], Fraction]
 
     def __post_init__(self) -> None:
-        # _bracket and the Kostant scan read every Lambda_m as skew
+        # the products of curvature, nabla R and the Kostant scan read every Lambda_m as skew
         if any(lam[i][j] != -lam[j][i] for lam in self.lams
                for i in range(len(lam)) for j in range(i, len(lam))):
             raise ValueError("a metric connection needs skew matrices Lambda_m")
@@ -134,11 +146,7 @@ class ConnectionSheet:
 
     def preserves_j(self) -> bool:
         """nabla J = 0: each direction matrix Lambda_k commutes with J."""
-        n = self.frame.algebra.dimension
-        jm = _integral(self.frame.J.matrix)
-        j_entries = _nonzero_entries(jm)
-        return all(_product(j_entries, lam, n) == _product(_nonzero_entries(lam), jm, n)
-                   for lam in self.lams)
+        return all(map(self.frame.commutes_with_j, self.lams))
 
     def render(self) -> str:
         n = self.frame.algebra.dimension
@@ -293,23 +301,23 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
     Evaluated on (e_k, e_l), the second Cartan structure equation reads
     R(e_k, e_l) = [Lambda_k, Lambda_l] + sum_m de^m(e_k, e_l) Lambda_m, which
     is computed on the int matrices s*Lambda_m and the S*de^m, above the
-    diagonal; each entry is written with its mirror.
+    diagonal; each entry is written with its mirror.  The Lambda_m are skew, so
+    Lambda_l Lambda_k = P^T for P = Lambda_k Lambda_l: one product per pair.
     """
     frame = sheet.frame
     n = frame.algebra.dimension
     s, lams = sheet.den, sheet.lams
     big_s, c = frame.algebra.structure_constants()
-    entries = [_nonzero_entries(lam) for lam in lams]
+    entries = [nonzero_entries(lam) for lam in lams]
     upper = list(itertools.combinations(range(n), 2))
     matrices: dict[tuple[int, int], list[list[int]]] = {}
     for k, l in upper:
-        p = _product(entries[k], lams[l], n)
-        q = _product(entries[l], lams[k], n)
+        p = sparse_product(entries[k], lams[l], n, 0)
         # (s*S*de^m(e_k, e_l), s*Lambda_m) for each m with de^m(e_k, e_l) = -c[k][l][m] != 0
         extra = [(-s * v, lam) for v, lam in zip(c[k][l], lams) if v]
         mat = None
         for i, j in upper:
-            val = big_s * (p[i][j] - q[i][j]) + sum(a * lam[i][j] for a, lam in extra)
+            val = big_s * (p[i][j] - p[j][i]) + sum(a * lam[i][j] for a, lam in extra)
             if val:
                 if mat is None:
                     mat = [[0] * n for _ in range(n)]
@@ -317,30 +325,6 @@ def curvature(sheet: ConnectionSheet) -> CurvatureSheet:
         if mat is not None:
             matrices[(k + 1, l + 1)] = mat
     return CurvatureSheet(frame, s * s * big_s, matrices)
-
-
-def _nonzero_entries(mat: list[list]) -> list[tuple[int, int, object]]:
-    return [(i, j, v) for i, row in enumerate(mat) for j, v in enumerate(row) if v]
-
-
-def _product(entries: list[tuple[int, int, object]], x: list[list], n: int) -> list[list]:
-    """LX for L given by its nonzero entries (i, r, L[i][r])."""
-    p = [[0] * n for _ in range(n)]
-    for i, r, v in entries:
-        xr, pi = x[r], p[i]
-        for j in range(n):
-            if xr[j]:
-                pi[j] += v * xr[j]
-    return p
-
-
-def _bracket(entries: list[tuple[int, int, object]], x: list[list], n: int) -> list[list]:
-    """[L, X] for skew L, given by its nonzero entries (i, r, L[i][r]), and skew X.
-
-    Both are skew, so XL = (LX)^T and [L, X] = LX - (LX)^T.
-    """
-    p = _product(entries, x, n)
-    return [[p[i][j] - p[j][i] for j in range(n)] for i in range(n)]
 
 
 def nabla_matrices(sheet: ConnectionSheet, curv: CurvatureSheet,
@@ -356,15 +340,15 @@ def nabla_matrices(sheet: ConnectionSheet, curv: CurvatureSheet,
         raise ValueError(f"the direction must be in 1..{n}, got {direction}")
     r, mats = curv.scaled_tensor
     s, (lam,) = _reduced(sheet.den, [sheet.lams[direction - 1]])
-    entries = _nonzero_entries(lam)
+    entries = nonzero_entries(lam)
     zero = [[0] * n for _ in range(n)]
     coeffs: dict[tuple[int, int], dict[tuple[int, int], Scalar]] = {}
     for k, l in itertools.combinations(range(n), 2):
-        bracket = _bracket(entries, mats.get((k, l), zero), n)
+        commutator = bracket(entries, mats.get((k, l), zero), n)
         terms = ([(lam[x][k], mats[(x, l)]) for x in range(n) if lam[x][k] and (x, l) in mats]
                  + [(lam[x][l], mats[(k, x)]) for x in range(n) if lam[x][l] and (k, x) in mats])
         for i, j in itertools.combinations(range(n), 2):
-            val = bracket[i][j] - sum(a * mat[i][j] for a, mat in terms)
+            val = commutator[i][j] - sum(a * mat[i][j] for a, mat in terms)
             if val:
                 coeffs.setdefault((i + 1, j + 1), {})[(k + 1, l + 1)] = Scalar.rational(val, s * r)
     return {key: Form(n, 2, c) for key, c in coeffs.items()}
@@ -417,25 +401,22 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
     """
     if max_order < 0:
         raise ValueError(f"the maximum order must be nonnegative, got {max_order}")
-    n = sheet.frame.algebra.dimension
+    frame = sheet.frame
+    n = frame.algebra.dimension
     upper = [(r, i, j) for r, (i, j) in enumerate(itertools.combinations(range(n), 2))]
     lams = [_reduced(sheet.den, [lam])[1][0] for lam in sheet.lams]
     curvatures = [_reduced(curv.den, [mat])[1][0] for _, mat in sorted(curv.matrices.items())]
-    # J is orthogonal with J^2 = -1, hence skew: [J, X] is a skew bracket
-    j_entries = _nonzero_entries(_integral(sheet.frame.J.matrix))
-
-    def in_u(mat: list[list[int]]) -> bool:
-        return not any(any(row) for row in _bracket(j_entries, mat, n))
+    j_entries = frame.j_entries
 
     def j_trace(mat: list[list[int]]) -> int:
         return sum(v * mat[r][i] for i, r, v in j_entries)
 
     m = n // 2
-    if all(map(in_u, lams + curvatures)):
+    if all(map(frame.commutes_with_j, lams + curvatures)):
         ceiling = m * m - (not any(map(j_trace, curvatures)))
     else:
         ceiling = n * (n - 1) // 2
-    directions = [entries for entries in map(_nonzero_entries, lams) if entries]
+    directions = [entries for entries in map(nonzero_entries, lams) if entries]
     echelon: list[dict[int, int]] = []
     pivots: list[int] = []
     basis: list[list[list[int]]] = []
@@ -459,11 +440,11 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
                  for mat in curvatures)
     stabilized: int | None = None
     for order in range(1, max_order + 1):
-        new = absorb(_product(entries, mat, n) for mat in new for entries in directions)
+        new = absorb(sparse_product(entries, mat, n, 0) for mat in new for entries in directions)
         if not new:
             stabilized = order - 1
             break
-    in_u_n = all(map(in_u, basis))
+    in_u_n = all(map(frame.commutes_with_j, basis))
     in_su_n = in_u_n and not any(map(j_trace, basis))
     frozen = tuple(tuple(map(tuple, mat)) for mat in basis)
     return HolonomyReport(len(basis), tuple(generations), frozen, in_u_n, in_su_n, stabilized)

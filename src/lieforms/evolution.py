@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import leading_minors
+from ._linalg import leading_minors, scalar_mat_mul
 from .algebras import FamilySection, Interval, LieAlgebra
 from .exterior import Form, Report, partial_t, residual_report, wedge
 from .scalars import Scalar, ScalarDomainError
@@ -141,25 +141,22 @@ def verify_orthonormal_coframe(susp: SuspendedStructure,
                                alphas: list[Form]) -> Report:
     """A coframe is orthonormal iff sum_i alpha^i (x) alpha^i equals the metric.
 
-    The identity is checked entry by entry as exact identities in t, using
-    the suspension metric (block sum of the family metric and dt^2).
+    That sum is the Gram matrix A^T A of the rows A[i][x] = alpha^i(e_x); it is
+    compared entry by entry as exact identities in t with the suspension
+    metric (block sum of the family metric and dt^2).
     """
     if len(alphas) != 6 or any(a.dimension != 6 or a.degree != 1 for a in alphas):
         raise ValueError("need six 1-forms on the suspended algebra")
-    geo = susp.base.geometry
+    metric = susp.base.geometry.metric
+    rows = [[alpha.coefficient((x,)) for x in range(1, 7)] for alpha in alphas]
+    gram = scalar_mat_mul([list(col) for col in zip(*rows)], rows)
     mismatches = []
-    for x in range(1, 7):
-        for y in range(x, 7):
-            if x <= 5 and y <= 5:
-                want = geo.metric[x - 1][y - 1]
-            else:
-                want = Scalar.one() if x == y else Scalar.zero()
-            got = Scalar.zero()
-            for alpha in alphas:
-                got = got + alpha.coefficient((x,)) * alpha.coefficient((y,))
-            diff = got - want
+    for x in range(6):
+        for y in range(x, 6):
+            want = metric[x][y] if y < 5 else Scalar.one() if x == y else Scalar.zero()
+            diff = gram[x][y] - want
             if not diff.is_zero():
-                mismatches.append((f"g(e{x}, e{y}) mismatch", diff))
+                mismatches.append((f"g(e{x + 1}, e{y + 1}) mismatch", diff))
     return Report("coframe orthonormality", not mismatches, tuple(mismatches),
                   words=("pass (sum alpha_i x alpha_i = g exactly)", "FAIL"))
 

@@ -26,14 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from ._linalg import (
-    _integral,
-    insert_echelon_row,
-    scalar_identity,
-    scalar_mat_eq,
-    scalar_mat_mul,
-    scalar_mat_neg,
-)
+from ._linalg import _integral, insert_echelon_row, is_scaled_identity, scalar_mat_mul
 from .scalars import Scalar
 
 if TYPE_CHECKING:
@@ -136,12 +129,6 @@ class Form:
     def scale(self, factor: Scalar | Fraction | int) -> Form:
         return _Sum.of(self).scale(factor).form()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (self.dimension == other.dimension and self.degree == other.degree
-                and self.coeffs == other.coeffs)
-
     def render(self) -> str:
         if not self.coeffs:
             return "0"
@@ -155,9 +142,6 @@ class Form:
             else:
                 parts.append(f"- {text}" if negative else f"+ {text}")
         return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.render()
 
     def __repr__(self) -> str:
         return f"Form({self.dimension}d deg {self.degree}: {self.render()})"
@@ -389,14 +373,12 @@ class CoframeMap:
         return len(self.matrix)
 
     def squares_to_minus_identity(self) -> bool:
-        m = self.matrix
-        return scalar_mat_eq(scalar_mat_mul(m, m), scalar_mat_neg(scalar_identity(len(m))))
+        return is_scaled_identity(scalar_mat_mul(self.matrix, self.matrix), -Scalar.one())
 
     def is_orthogonal(self) -> bool:
         """M M^T = I, the condition for J to preserve the frame metric."""
         m = self.matrix
-        transpose = [list(col) for col in zip(*m)]
-        return scalar_mat_eq(scalar_mat_mul(m, transpose), scalar_identity(len(m)))
+        return is_scaled_identity(scalar_mat_mul(m, [list(col) for col in zip(*m)]), Scalar.one())
 
 
 def apply_coframe_map(cmap: CoframeMap, a: Form) -> Form:

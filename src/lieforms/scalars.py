@@ -629,11 +629,8 @@ class Scalar:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._terms)
 
     def render(self) -> str:
         if self.is_zero():

@@ -20,9 +20,8 @@ from functools import cached_property
 
 from ._linalg import (
     fraction_nullspace,
+    is_scaled_identity,
     positive_definite,
-    scalar_identity,
-    scalar_mat_eq,
     scalar_mat_mul,
     scalar_mat_neg,
     symmetric,
@@ -277,13 +276,11 @@ def validate_su2(s: SU2Structure) -> Report:
     geo = s.geometry
     rows.append(("reeb contractions vanish", contract(geo.xi, s.omega1).is_zero()
                  and contract(geo.xi, s.omega2).is_zero()))
-    minus_id = scalar_mat_neg(scalar_identity(4))
-    ab = scalar_mat_mul(geo.endo_a, geo.endo_b)
-    ba = scalar_mat_mul(geo.endo_b, geo.endo_a)
+    a, b, minus_one = geo.endo_a, geo.endo_b, -Scalar.one()
     rows.append(("A^2 = B^2 = -1, AB = -BA",
-                 scalar_mat_eq(scalar_mat_mul(geo.endo_a, geo.endo_a), minus_id)
-                 and scalar_mat_eq(scalar_mat_mul(geo.endo_b, geo.endo_b), minus_id)
-                 and scalar_mat_eq(ab, scalar_mat_neg(ba))))
+                 is_scaled_identity(scalar_mat_mul(a, a), minus_one)
+                 and is_scaled_identity(scalar_mat_mul(b, b), minus_one)
+                 and scalar_mat_mul(a, b) == scalar_mat_neg(scalar_mat_mul(b, a))))
     rows.append(("metric symmetric", symmetric(geo.metric)))
     rows.append(("metric positive-definite", positive_definite(geo.metric)))
     return Report("su2 validation", all(ok for _, ok in rows), tuple(rows))

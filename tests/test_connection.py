@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from lieforms import connection
+from lieforms._linalg import bracket as _bracket
 from lieforms._linalg import insert_echelon_row
+from lieforms._linalg import nonzero_entries as _nonzero_entries
 from lieforms.algebras import LieAlgebra, parse_compact, parse_equations
 from lieforms.catalog import catalog_manifest, get_entry
 from lieforms.connection import (
@@ -17,8 +19,6 @@ from lieforms.connection import (
     HolonomyReport,
     MetricFrame,
     bismut_connection,
-    _bracket,
-    _nonzero_entries,
     _reduced,
     connection_from_cartan,
     curvature,

@@ -1,5 +1,4 @@
 import math
-import time
 from fractions import Fraction
 
 import pytest
@@ -765,12 +764,35 @@ HIGH_POWERS = {
 }
 
 
-def test_rational_roots_of_high_powers_are_found_from_prime_powers():
+def count_trial_divisions(monkeypatch, bound):
+    """Make the root search and factor_int divide ints that count the remainders
+    taken of them and of their quotients, and fail past bound remainders."""
+    taken = [0]
+
+    class Counted(int):
+        def __mod__(self, d):
+            taken[0] += 1
+            if taken[0] > bound:
+                raise AssertionError(f"more than {bound} trial divisions")
+            return int(self) % d
+
+        def __floordiv__(self, d):
+            return Counted(int(self) // d)
+
+    for name in ("_divisors", "factor_int"):
+        monkeypatch.setattr(sc, name, lambda n, f=getattr(sc, name): f(Counted(n)))
+    return taken
+
+
+def test_rational_roots_of_high_powers_are_found_from_prime_powers(monkeypatch):
+    """The divisors come from the prime powers: 278 trial divisions for the
+    three, where trial division to the square root of 3^36 takes 3^18/2."""
     assert sc._divisors(1) == [1]
     assert sc._divisors(360) == [d for d in range(1, 361) if 360 % d == 0]
-    start = time.perf_counter()
+    taken = count_trial_divisions(monkeypatch, 1000)
     parsed = {expr: parse_scalar_expr(expr) for expr in HIGH_POWERS}
-    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    assert taken[0] > 0
     for expr, tree in HIGH_POWERS.items():
         assert assert_matches_oracle(parsed[expr], rf_oracle(tree)) > 0, expr
 
@@ -785,15 +807,17 @@ def test_one_root_search_per_distinct_root(monkeypatch):
         assert len(calls) == roots, expr
 
 
-def test_trial_division_stops_at_its_bound():
-    """A constant with a large prime factor is a parse error at its operator in
-    a fraction of a second; trial division to its square root took 0.8 s."""
+def test_trial_division_stops_at_its_bound(monkeypatch):
+    """A constant with a large prime factor is a parse error at its operator
+    after one trial division per odd divisor up to MAX_TRIAL_DIVISOR; trial
+    division to its square root takes ten times as many."""
     assert sc.MAX_TRIAL_DIVISOR == 10**6
     for expr, col in (("1/((t-99999999999973)*(t-2))", 2), ("(99999999999973)^(1/2)", 17)):
-        start = time.perf_counter()
+        taken = count_trial_divisions(monkeypatch, sc.MAX_TRIAL_DIVISOR // 2 + 1)
         with pytest.raises(ParseError, match=f"line 1, column {col}: cannot factor"):
             parse_scalar_expr(expr)
-        assert time.perf_counter() - start < 0.5, expr
+        assert taken[0] > sc.MAX_TRIAL_DIVISOR // 4, expr
+        monkeypatch.undo()
     assert sc.factor_int(999983 * 999979) == {999979: 1, 999983: 1}
     half = F(1, 2)
     assert parse_scalar_expr("(999983*999979)^(1/2)") == (

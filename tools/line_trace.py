@@ -11,8 +11,8 @@ of which no line ran, then the lines that did not run in the other functions.
 Module and class bodies run at import, before the tracer is installed, so only
 function bodies are counted.  Before deleting what this lists, grep ``src/``,
 ``tests/``, ``perfbench/`` and the README for its callers.  The tracer slows
-Python code several times, so a test that asserts a time bound may fail
-under ``--tests``; the suite's exit code is reported as a warning.
+Python code several times; a failing suite under ``--tests`` is reported as a
+warning.
 """
 
 from __future__ import annotations
