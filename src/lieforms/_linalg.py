@@ -51,31 +51,32 @@ def _combine(work: dict[int, int], erow: dict[int, int], a: int, b: int) -> dict
 def fraction_nullspace(rows: Iterable[Mapping[int, Fraction | int]],
                        ncols: int) -> list[dict[int, Fraction]]:
     """Kernel of the matrix with these sparse rows and ncols columns, as sparse
-    vectors {column: nonzero Fraction} ordered by free coordinate.
-
-    The echelon rows, sorted by pivot and cleared above each pivot, are
-    multiples of the reduced row echelon form's rows, so the vector of free
-    column f is e_f - sum_p row_p[f] / row_p[p] e_p.
-    """
-    echelon: list[dict[int, int]] = []
-    pivots: list[int] = []
+    vectors {column: nonzero Fraction} ordered by free coordinate."""
+    echelon, pivots = [], []
     for row in rows:
         insert_echelon_row(echelon, pivots, row)
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    pivots, reduced = [pivots[i] for i in order], [echelon[i] for i in order]
-    for i in range(len(reduced) - 1, 0, -1):
-        row, p = reduced[i], pivots[i]
-        for j in range(i):
-            a = reduced[j].get(p)
-            if a:
-                g = gcd(a, row[p])
-                reduced[j] = _combine(reduced[j], row, a // g, row[p] // g)
-    kernel = {f: {f: Fraction(1)} for f in sorted(set(range(ncols)).difference(pivots))}
-    for row, p in zip(reduced, pivots):
-        for f, x in row.items():
-            if f != p:
-                kernel[f][p] = Fraction(-x, row[p])
-    return list(kernel.values())
+    return kernel_vectors(echelon, pivots, sorted(set(range(ncols)).difference(pivots)))
+
+
+def kernel_vectors(echelon: Sequence[Mapping[int, int]], pivots: Sequence[int],
+                   free: Iterable[int]) -> list[dict[int, Fraction]]:
+    """The reduced row echelon form's kernel vector of each free column f of an
+    echelon from ``insert_echelon_row``, as {column: nonzero Fraction}: 1 at f,
+    0 at the other free columns, and at each pivot p < f, highest first, the
+    value that makes row p vanish.  Row p reads only columns >= p, so no pivot
+    above f is nonzero.  The vector is kept as ints over one denominator."""
+    rows = sorted(zip(pivots, echelon), reverse=True)  # distinct pivots: no rows are compared
+    out = []
+    for f in free:
+        vec, den = {f: 1}, 1
+        for p, row in rows:
+            if p < f and (s := sum(x * vec[c] for c, x in row.items() if c in vec)):
+                g = gcd(s, row[p])
+                if (m := row[p] // g) != 1:
+                    vec, den = {c: m * v for c, v in vec.items()}, den * m
+                vec[p] = -s // g
+        out.append({c: Fraction(v, den) for c, v in vec.items()})
+    return out
 
 
 def nonzero_entries(mat: Iterable[Iterable[R]]) -> list[tuple[int, int, R]]:

@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._linalg import (
-    fraction_nullspace,
     insert_echelon_row,
+    kernel_vectors,
     scalar_matrix_determinant,
 )
 from .exterior import (
@@ -816,7 +816,9 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
     """Betti numbers and class representatives up to max_degree.  The RREF kernel basis of
     d_k has one cocycle v_f per free column f, 1 at f and 0 at the other free columns, so a
     coboundary w is sum_f w[f] v_f.  The pivot columns of d_{k-1} map onto the coboundaries;
-    in their echelon on the free coordinates, largest first, v_f is a class iff no row leads f."""
+    in their echelon on the free coordinates, largest first, v_f is a class iff no row leads f.
+    Row J of d_k is the transpose boundary of e_J, whose boundary is 0, so d_k's rows at the free
+    columns of d_{k+1} span its row space: all echelons take 2^n - 1 row insertions together."""
     if not algebra.is_rational():
         raise UnsupportedScalarError("cohomology requires rational structure constants")
     if max_degree is not None and max_degree < 0:
@@ -832,23 +834,26 @@ def ce_cohomology(algebra: LieAlgebra, max_degree: int | None = None) -> Cohomol
                 image[t] = image.get(t, 0) + c * x
         if any(image.values()):
             raise ValueError("algebra fails the Jacobi identity; d^2 != 0")
+    levels = []  # (echelon, pivots, free columns) of each d_k, top degree first
+    spanning: Iterable[int] = range(comb(n, top + 1))  # the rows of d_k offered to its echelon
+    for k in range(top, -1, -1):
+        rows = {r: {c: col[r] for c, col in enumerate(tables[k]) if r in col} for r in spanning}
+        echelon, pivots = [], []
+        for row in rows.values():
+            _insert_row(echelon, pivots, row)
+        spanning = set(range(len(tables[k]))).difference(pivots)
+        levels.append((echelon, pivots, spanning))
     reps: list[tuple[Form, ...]] = []
     bounding: list[dict[int, int]] = []  # d e^J for the pivot columns J of d_{k-1}
-    for k in range(top + 1):
-        rows: list[dict[int, int]] = [{} for _ in range(comb(n, k + 1))]
-        for c, col in enumerate(tables[k]):
-            for r, v in col.items():
-                rows[r][c] = v
-        kernel = fraction_nullspace(rows, len(tables[k]))
-        free = {max(vec) for vec in kernel}
-        echelon: list[dict[int, int]] = []
-        pivots: list[int] = []
+    for k, (echelon, pivots, free) in enumerate(reversed(levels)):
+        coboundaries, leads = [], []
         for col in bounding:
-            _insert_row(echelon, pivots, {-f: v for f, v in col.items() if f in free})
+            _insert_row(coboundaries, leads, {-f: v for f, v in col.items() if f in free})
         bounding = [col for c, col in enumerate(tables[k]) if c not in free]
+        classes = sorted(f for f in free if -f not in leads)
         basis = list(itertools.combinations(range(1, n + 1), k))
         reps.append(tuple(Form(n, k, {basis[i]: Scalar.rational(c) for i, c in vec.items()})
-                          for vec in kernel if -max(vec) not in pivots))
+                          for vec in kernel_vectors(echelon, pivots, classes)))
     return CohomologyReport(tuple(map(len, reps)), tuple(reps))
 
 

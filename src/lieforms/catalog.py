@@ -301,7 +301,7 @@ def run_entry(entry: CatalogEntry) -> EntryReport:
                 check(f"omega^{i}_{j} = 0", False, sheet.omega(i, j).render)
         check("first Cartan structure equation",
               all(r.is_zero() for r in sheet.cartan_residuals()))
-        check("connection preserves J", sheet.preserves_j())
+        check("connection preserves J", sheet.preserves_j)
     for key, expr in sorted(exp.get("curvature", {}).items()):
         i, j = (int(x) for x in key.split(","))
         same(f"Omega^{i}_{j}", curv.omega_form(i, j), expr)

@@ -144,6 +144,7 @@ class ConnectionSheet:
             out.append(Form(n, 2, coeffs))
         return out
 
+    @cached_property
     def preserves_j(self) -> bool:
         """nabla J = 0: each direction matrix Lambda_k commutes with J."""
         return all(map(self.frame.commutes_with_j, self.lams))
@@ -412,7 +413,7 @@ def holonomy_algebra(sheet: ConnectionSheet, curv: CurvatureSheet,
         return sum(v * mat[r][i] for i, r, v in j_entries)
 
     m = n // 2
-    if all(map(frame.commutes_with_j, lams + curvatures)):
+    if sheet.preserves_j and all(map(frame.commutes_with_j, curvatures)):
         ceiling = m * m - (not any(map(j_trace, curvatures)))
     else:
         ceiling = n * (n - 1) // 2

@@ -5,24 +5,17 @@ expected results as data, and a source locator.  Where exact computation
 disagrees with a printed value, the entry stores the verified value and
 preserves the printed claim under ``source_states`` — the reports show both.
 ``catalog.run_entry`` checks an entry against the engine.
-"""
 
-from __future__ import annotations
+An entry is a ``collections.namedtuple`` of the JSON keys in file order: a
+dataclass would import ``dataclasses``, and with it ``inspect``, ``ast``,
+``dis`` and ``tokenize``, most of the package's cold start.
+"""
 
 import json
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    source: str
-    description: str
-    payload: str
-    expected: dict
-    source_states: dict = field(default_factory=dict)
-
+CatalogEntry = namedtuple("CatalogEntry", "name source description payload expected source_states")
 
 _CATALOG: list[CatalogEntry] | None = None
 

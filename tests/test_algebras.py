@@ -900,8 +900,8 @@ def test_lie_algebras_are_frozen():
     assert (alg.dimension, len(alg.differentials), alg.name) == (3, 3, "(0,0,12)")
 
 
-@pytest.mark.parametrize("name, calls", [("ex4.3", 351), ("ex4.4-c1", 375)])
-def test_cohomology_eliminates_on_integers_once_per_row(monkeypatch, name, calls):
+@pytest.mark.parametrize("name", ["ex4.3", "ex4.4-c1"])
+def test_cohomology_eliminates_on_integers_once_per_row(monkeypatch, name):
     alg = parse_equations(get_entry(name).payload).algebra
     n = alg.dimension
     ranks = []
@@ -917,8 +917,9 @@ def test_cohomology_eliminates_on_integers_once_per_row(monkeypatch, name, calls
     monkeypatch.setattr(lieforms._linalg, "insert_echelon_row", counting)
     monkeypatch.setattr(algebras, "_insert_row", counting)
     rep = ce_cohomology(alg)
-    # the C(n, k+1) rows of each d_k in its kernel, then one coboundary per rank of d_{k-1}
-    assert len(rows) == calls == sum(math.comb(n, k + 1) for k in range(n + 1)) + sum(ranks)
+    # the rows of each d_k at the free columns of d_{k+1}, C(n, k+1) - rank d_{k+1}, then one
+    # coboundary per rank of d_{k-1}
+    assert len(rows) == 2 ** n - 1 == 255
     assert all(type(v) is int for row in rows for v in row.values())
     assert rep.betti == tuple(math.comb(n, k) - ranks[k] - (ranks[k - 1] if k else 0)
                               for k in range(n + 1))

@@ -8,7 +8,6 @@ change an entry, edit the file and rewrite it canonically with
     PYTHONPATH=src python tests/test_catalog_data.py
 """
 
-import dataclasses
 import json
 import re
 from fractions import Fraction
@@ -137,11 +136,10 @@ def test_the_data_file_is_canonical():
     text = DATA.read_text(encoding="utf-8")
     data = json.loads(text)
     assert canonical(data) == text
-    fields = [f.name for f in dataclasses.fields(CatalogEntry)]
-    assert all(list(entry) == fields for entry in data)
+    assert all(tuple(entry) == CatalogEntry._fields for entry in data)
     names = [entry["name"] for entry in data]
     assert names == sorted(set(names)) and len(names) == 22
-    assert [dataclasses.asdict(e) for e in catalog_manifest()] == data
+    assert [e._asdict() for e in catalog_manifest()] == data
 
 
 def test_example_4_4_entries_match_their_generator():
@@ -149,9 +147,8 @@ def test_example_4_4_entries_match_their_generator():
     assert sorted(n for n in entries if n.startswith("ex4.4")) == sorted(EX44)
     for name, c in EX44.items():
         built = ex44_entry(c, name)
-        for field in dataclasses.fields(CatalogEntry):
-            assert getattr(entries[name], field.name) == getattr(built, field.name), \
-                (name, field.name)
+        for field in CatalogEntry._fields:
+            assert getattr(entries[name], field) == getattr(built, field), (name, field)
 
 
 def test_every_complex_volume_form_matches_its_f_line():
@@ -194,7 +191,7 @@ def test_run_entry_reads_every_expectation_key():
     # a misspelled or unused key in the data file would otherwise be skipped silently
     for entry in catalog_manifest():
         expected = ReadRecorder(entry.expected)
-        assert run_entry(dataclasses.replace(entry, expected=expected)).passed, entry.name
+        assert run_entry(entry._replace(expected=expected)).passed, entry.name
         assert set(expected) <= expected.read, (entry.name, set(expected) - expected.read)
 
 

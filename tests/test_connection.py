@@ -224,7 +224,7 @@ def test_levi_civita_satisfies_torsion_free_cartan():
     assert is_metric(lc)
     assert all(r.is_zero() for r in lc.cartan_residuals())
     # the Iwasawa metric is not Kaehler, so its Levi-Civita connection moves J
-    assert not lc.preserves_j()
+    assert not lc.preserves_j
 
 
 SKEW_SHIFT = {(0, 1, 2): 1, (1, 0, 2): -1}  # a metric change of nabla_{e_3}
@@ -283,7 +283,7 @@ def test_bismut_connection_forms_iwasawa():
             assert sheet.omega(i, j) == want, (i, j, sheet.omega(i, j).render())
     assert is_metric(sheet)
     assert all(r.is_zero() for r in sheet.cartan_residuals())
-    assert sheet.preserves_j()
+    assert sheet.preserves_j
 
 
 def test_bismut_equals_levi_civita_plus_half_torsion():
@@ -453,7 +453,7 @@ def test_solv6d_connection_table():
             want = expected.get((i, j), Form.zero(6, 1))
             assert sheet.omega(i, j) == want, (i, j, sheet.omega(i, j).render())
     assert all(r.is_zero() for r in sheet.cartan_residuals())
-    assert sheet.preserves_j()
+    assert sheet.preserves_j
 
 
 def test_solv6d_curvature_table():
@@ -698,7 +698,7 @@ def test_connection_layer_reads_its_ints_not_the_gamma_view(monkeypatch):
     for name in HOLONOMY_ENTRIES:
         sheet, curv = catalog_sheet(name)
         assert all(r.is_zero() for r in sheet.cartan_residuals()), name
-        assert sheet.preserves_j(), name
+        assert sheet.preserves_j, name
         sheet.render()
         for m in range(1, sheet.frame.algebra.dimension + 1):
             nabla_matrices(sheet, curv, m)

@@ -2,17 +2,18 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lieforms import catalog
+from lieforms import algebras, catalog
 from lieforms._linalg import (
     fraction_nullspace,
     insert_echelon_row,
     is_scaled_identity,
+    kernel_vectors,
     leading_minors,
     nonzero_entries,
     positive_definite,
@@ -243,6 +244,86 @@ def test_sparse_kernel_matches_the_dense_oracle(matrix):
     kernel = fraction_nullspace(rows, ncols)
     assert [dense(vec, ncols, Fraction(0)) for vec in kernel] == dense_fraction_nullspace(
         columns, len(rows))
+
+
+def kernel_cases(rng):
+    """(label, int rows, ncols) for the shapes of an echelon: no rows, zero rows,
+    full rank, rank-deficient, and one free column, the last."""
+    cases = [("no rows", [], 4), ("zero rows", [[0] * 5 for _ in range(3)], 5)]
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        # upper triangular with a nonzero diagonal: rank n, shuffled so rows enter out of order
+        square = [[rng.choice((-3, -1, 1, 2, 5)) if c == r else
+                   rng.randint(-4, 4) * (rng.random() < 0.5) if c > r else 0
+                   for c in range(n)] for r in range(n)]
+        rng.shuffle(square)
+        cases.append(("full rank", square, n))
+        cases.append(("last column free", [row + [rng.randint(-6, 6)] for row in square], n + 1))
+        ncols = rng.randint(2, 10)
+        basis = [[rng.randint(-5, 5) * (rng.random() < 0.6) for _ in range(ncols)]
+                 for _ in range(rng.randint(1, ncols - 1))]
+        mixed = basis + [[0] * ncols]
+        for _ in range(rng.randint(1, 4)):
+            ks = [rng.randint(-3, 3) for _ in basis]
+            mixed.append([sum(k * b[c] for k, b in zip(ks, basis)) for c in range(ncols)])
+        rng.shuffle(mixed)
+        cases.append(("rank-deficient", mixed, ncols))
+    return cases
+
+
+def test_kernel_vectors_match_the_fraction_gauss_oracle():
+    """A vector that is 1 at its free column, 0 at the others and in the kernel is
+    the reduced row echelon form's: the free coordinates fix a kernel vector."""
+    rng = random.Random(35)
+    for label, rows, ncols in kernel_cases(rng):
+        grew, gauss_pivots, _ = fraction_gauss(rows)
+        free = [c for c in range(ncols) if c not in gauss_pivots]
+        if label == "full rank":
+            assert free == []
+        elif label == "last column free":
+            assert free == [ncols - 1]
+        elif label == "rank-deficient":
+            assert sum(grew) < min(len(rows), ncols)
+        echelon, pivots = [], []
+        for row in rows:
+            insert_echelon_row(echelon, pivots, sparse(row))
+        vectors = kernel_vectors(echelon, pivots, free)
+        assert vectors == fraction_nullspace([sparse(row) for row in rows], ncols), label
+        for f, vec in zip(free, vectors):
+            assert all(type(v) is Fraction and v for v in vec.values())
+            assert vec[f] == 1 and not any(vec.get(g) for g in free if g != f)
+            assert all(sum(x * row[c] for c, x in vec.items()) == 0 for row in rows), label
+        # any free columns, in any order, get the same vectors
+        picked = rng.sample(free, rng.randint(0, len(free)))
+        assert kernel_vectors(echelon, pivots, picked) == [vectors[free.index(f)] for f in picked]
+
+
+def test_cohomology_below_the_top_degree_offers_every_row_of_d_top(monkeypatch):
+    """With max_degree = top < n there is no d_{top+1} to prune d_top's rows, so all
+    C(n, top+1) of them enter first; the lower degrees are pruned as usual, which
+    leaves sum_{j <= top+1} C(n, j) - rank d_top insertions."""
+    alg = parse_equations(catalog.get_entry("ex4.3").payload).algebra
+    n = alg.dimension
+    columns = algebras._d_columns(alg, n)
+    full = algebras.ce_cohomology(alg)
+    offered = []
+
+    def recording(echelon, pivots, row, _fn=insert_echelon_row):
+        offered.append(dict(row))
+        return _fn(echelon, pivots, row)
+
+    monkeypatch.setattr(algebras, "_insert_row", recording)
+    for top in range(n):
+        offered.clear()
+        report = algebras.ce_cohomology(alg, top)
+        rows = [{c: col[r] for c, col in enumerate(columns[top]) if r in col}
+                for r in range(comb(n, top + 1))]
+        assert sorted(map(sorted, map(dict.items, offered[:len(rows)]))) == sorted(
+            map(sorted, map(dict.items, rows))), top
+        rank = sum(fraction_gauss([[row.get(c, 0) for c in range(len(columns[top]))]
+                                   for row in rows])[0])
+        assert len(offered) == sum(comb(n, j) for j in range(1, top + 2)) - rank, top
+        assert report.representatives == full.representatives[:top + 1], top
 
 
 def cofactor_determinant(m):

@@ -10,7 +10,6 @@ deliberate output change, rewrite the fixture with
     PYTHONPATH=src python tests/test_report_renders.py
 """
 
-import dataclasses
 from pathlib import Path
 
 from lieforms.algebras import check_jacobi, parse_compact, parse_equations, verify_basis_change
@@ -154,7 +153,7 @@ def generate() -> str:
                 out.append(f"-- parse: error: {exc}")
                 continue
             structure_reports(out, StructureContext(sf))
-            entry_report(out, dataclasses.replace(entry, payload=text))
+            entry_report(out, entry._replace(payload=text))
     s = standard_quadruplet(parse_compact("(0,0,0,0,0)"))
     constant = ParamFamily(s.algebra, s.eta, s.omega1, s.omega2, s.omega3)
     standard = [Form.generator(6, i) for i in range(1, 7)]
@@ -179,7 +178,7 @@ def test_run_entry_ends_in_a_report_on_every_mutant():
                 parse_equations(text, name=entry.name)
             except ValueError:
                 continue
-            rep = run_entry(dataclasses.replace(entry, payload=text))
+            rep = run_entry(entry._replace(payload=text))
             assert isinstance(rep, EntryReport)
             assert bismut not in rep.lines[:-1]
             ends_at_bismut += rep.lines[-1] == bismut

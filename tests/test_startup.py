@@ -1,8 +1,9 @@
 """The package's start-up contract, checked in fresh interpreters.
 
 ``import lieforms``, ``catalog_manifest()`` and ``lieforms catalog list`` load
-no engine module; every public name resolves lazily to the object its
-submodule defines, and the resolution stores nothing in the package namespace.
+no engine module and none of the modules ``dataclasses`` imports; every public
+name resolves lazily to the object its submodule defines, and the resolution
+stores nothing in the package namespace.
 """
 
 import json
@@ -65,6 +66,24 @@ def test_catalog_list_loads_only_the_cli_and_the_manifest():
                  "assert len(out.getvalue().splitlines()) == 23\n"
                  "print(json.dumps(sorted(m for m in sys.modules if m.startswith('lieforms'))))")
     assert loaded == ["lieforms", "lieforms.cli", "lieforms.manifest"]
+
+
+# what ``import dataclasses`` loads; ``json`` already brings ``collections``
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+@pytest.mark.parametrize("code", [
+    "import lieforms\nassert len(lieforms.catalog_manifest()) == 22",
+    "import contextlib, io\nfrom lieforms.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n    assert main(['catalog', 'list']) == 0",
+], ids=["manifest", "catalog-list"])
+def test_the_cold_start_loads_no_introspection_module(code):
+    """Counted in modules, not in seconds: only the modules that the path adds
+    to a fresh interpreter count, so what a ``.pth`` file preloads does not."""
+    added = run("before = set(sys.modules)\n" + code + "\nimport json\n"
+                "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert "lieforms.manifest" in added
+    assert not INTROSPECTION & set(added)
 
 
 def test_every_public_name_is_its_submodule_object():
